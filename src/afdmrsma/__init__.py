@@ -13,12 +13,12 @@ from .core import (Constellation, Domain, Frame, demodulate_symbols, frame_rng,
 from .errors import (ConfigError, DegeneratePilot, DopplerPresent, GuardViolation,
                      InvalidChannel, InvalidIndex, InvalidLength, PilotContaminated,
                      SimulationError, SingularChannel, UnresolvableDoppler)
-from .framing import (Approach, CapacityCounts, FrameConfig, ResourceMap,
-                      RsmaMessages, add_cp, build_affine_common, build_affine_extra,
-                      build_affine_pilot, build_frame, build_freq_private,
-                      capacity_counts, combine_frame, default_guard,
-                      extract_received_planes, frame_energy_budget, merge_messages,
-                      remove_cp, required_bits_per_user, resource_map, split_messages)
+from .framing import (Approach, FrameConfig, ResourceMap, RsmaMessages, add_cp,
+                      build_affine_common, build_affine_extra, build_affine_pilot,
+                      build_frame, build_freq_private, capacity_counts, combine_frame,
+                      default_guard, extract_received_planes, frame_energy_budget,
+                      merge_messages, remove_cp, required_bits_per_user, resource_map,
+                      split_messages)
 from .harness import (CSV_COLUMNS, LinkResult, SimConfig, emit_results, load_config,
                       measure_ber, measure_se, run_point, run_sweep)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,

@@ -10,52 +10,27 @@ not a reimplementation of any specific published baseline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelSpec, apply_channel, frequency_diagonal
-from .core import (Constellation, Domain, Frame, demodulate_symbols, modulate_bits,
-                   qpsk)
-from .framing import add_cp, remove_cp
+from .core import Domain, Frame, demodulate_symbols, modulate_bits
+from .framing import FrameConfig, add_cp, remove_cp
+from .receiver import DetectionResult
 from .transforms import dft, idft
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    n: int
-    phi1: float
-    phi2: float
-    cp_len: int = 0
-    constellation: Constellation = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.constellation is None:
-            object.__setattr__(self, "constellation", qpsk())
-
-
-@dataclass(frozen=True)
-class BaselineFrameResult:
-    common_bit_errors: int
-    private_bit_errors: int
-    n_bits_common: int
-    n_bits_private: int
-    common_err_energy: float
-    private_err_energy: float
-
-
-def baseline_budget(cfg: BaselineConfig) -> float:
+def baseline_budget(cfg: FrameConfig) -> float:
     return (cfg.phi1 + cfg.phi2) * cfg.n
 
 
-def run_baseline_frame(cfg: BaselineConfig, spec: ChannelSpec,
-                       rng: np.random.Generator) -> BaselineFrameResult:
+def run_baseline_frame(common_bits: np.ndarray, private_bits: np.ndarray,
+                       cfg: FrameConfig, spec: ChannelSpec,
+                       rng: np.random.Generator) -> DetectionResult:
+    """Send ``cfg.n`` symbols of each stream superposed on every subcarrier
+    and detect them with genie one-tap equalization and SIC."""
     con = cfg.constellation
-    b = con.bits_per_symbol
-    bits_c = rng.integers(0, 2, size=cfg.n * b, dtype=np.int64)
-    bits_p = rng.integers(0, 2, size=cfg.n * b, dtype=np.int64)
-    sym_c = modulate_bits(bits_c, con)
-    sym_p = modulate_bits(bits_p, con)
+    sym_c = modulate_bits(common_bits, con)
+    sym_p = modulate_bits(private_bits, con)
     s = np.sqrt(cfg.phi1) * sym_c + np.sqrt(cfg.phi2) * sym_p
 
     tx = add_cp(idft(Frame(s, Domain.FREQUENCY)), cfg.cp_len)
@@ -78,12 +53,4 @@ def run_baseline_frame(cfg: BaselineConfig, spec: ChannelSpec,
     residual = eq - np.sqrt(cfg.phi1) * com_remod
     priv_est = residual / np.sqrt(cfg.phi2)
     bits_p_hat = demodulate_symbols(priv_est, con)
-
-    return BaselineFrameResult(
-        common_bit_errors=int(np.sum(bits_c != bits_c_hat)),
-        private_bit_errors=int(np.sum(bits_p != bits_p_hat)),
-        n_bits_common=bits_c.size,
-        n_bits_private=bits_p.size,
-        common_err_energy=float(np.sum(np.abs(com_est - sym_c) ** 2)),
-        private_err_energy=float(np.sum(np.abs(priv_est - sym_p) ** 2)),
-    )
+    return DetectionResult(bits_c_hat, bits_p_hat, com_est, com_est[:0], priv_est)

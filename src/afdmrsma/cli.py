@@ -6,7 +6,8 @@
              [--out PATH] [--format {csv,json}] [--workers W]
              [--emit-plot-data [DIR]]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error, 2 runtime error, including
+an SNR point that aborted (its row holds NaN and the reason goes to stderr).
 """
 from __future__ import annotations
 
@@ -91,6 +92,7 @@ def main(argv=None) -> int:
     if args.config is None and args.emit_plot_data is None:
         print("error: need --config and/or --emit-plot-data", file=sys.stderr)
         return 1
+    status = 0
     try:
         if args.config is not None:
             sim, out_opts = load_config(args.config)
@@ -99,9 +101,10 @@ def main(argv=None) -> int:
             path = args.out or out_opts.get("path", "results.csv")
             fmt = args.format or out_opts.get("format", "csv")
             emit_results(results, fmt, path)
-            bad = [r for r in results if r.diagnostics]
-            for r in bad:
-                print(f"point {r.snr_db} dB aborted: {r.diagnostics}", file=sys.stderr)
+            for r in results:
+                if r.diagnostics:
+                    print(f"point {r.snr_db} dB aborted: {r.diagnostics}", file=sys.stderr)
+                    status = 2
             print(f"wrote {path}")
         if args.emit_plot_data is not None:
             for p in emit_plot_data(args.emit_plot_data, frames=args.frames,
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     except (SimulationError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return status
 
 
 if __name__ == "__main__":

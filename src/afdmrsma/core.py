@@ -46,12 +46,13 @@ class Frame:
         return float(np.sum(np.abs(self.data) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Gray-labelled, unit-average-energy constellation.
 
     ``points[label]`` is the symbol whose bit pattern is the binary
-    expansion of ``label`` (MSB first).
+    expansion of ``label`` (MSB first).  Constellations compare and hash
+    by their points, so configurations holding one do too.
     """
 
     points: np.ndarray
@@ -66,9 +67,13 @@ class Constellation:
             raise ValueError("constellation order must be a power of 2")
         object.__setattr__(self, "bits_per_symbol", k)
 
-    @property
-    def order(self) -> int:
-        return self.points.size
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Constellation):
+            return NotImplemented
+        return self.points.tobytes() == other.points.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.points.tobytes())
 
 
 def qpsk() -> Constellation:

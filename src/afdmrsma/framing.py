@@ -48,6 +48,7 @@ class FrameConfig:
     # eligible index.  The scheme needs sparse common loads to keep the
     # spread common image below the private stream (see README).
     common_per_class: int | None = None
+    layout: ResourceMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.affine.c1_prime < 1:
@@ -62,6 +63,7 @@ class FrameConfig:
             raise ConfigError("cp_len must be >= 0")
         if self.common_per_class is not None and self.common_per_class < 0:
             raise ConfigError("common_per_class must be >= 0")
+        object.__setattr__(self, "layout", _layout(self))
 
     @property
     def n(self) -> int:
@@ -75,10 +77,17 @@ def default_guard(c1_prime: int, l_max: int, k_max: int = 0) -> int:
 
 @dataclass(frozen=True)
 class ResourceMap:
+    """The frame layout one FrameConfig fixes: where each stream sits, each
+    user's share of the common bits, each user's bit budget and the
+    expected frame energy."""
+
     pilot_index: int
     common_indices: np.ndarray
     extra_indices: np.ndarray
     private_subcarriers: np.ndarray
+    common_split: tuple[int, int]
+    bits_per_user: tuple[int, int]
+    energy_budget: float
 
     def __post_init__(self):
         for name in ("common_indices", "extra_indices", "private_subcarriers"):
@@ -86,8 +95,20 @@ class ResourceMap:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def n_common(self) -> int:
+        return self.common_indices.size
 
-def resource_map(cfg: FrameConfig) -> ResourceMap:
+    @property
+    def n_extra(self) -> int:
+        return self.extra_indices.size
+
+    @property
+    def n_private(self) -> int:
+        return self.private_subcarriers.size
+
+
+def _layout(cfg: FrameConfig) -> ResourceMap:
     n, c1p, g = cfg.n, cfg.affine.c1_prime, cfg.guard
     idx = np.arange(n)
     in_data_region = (idx > g) & (idx < n - g)
@@ -107,20 +128,21 @@ def resource_map(cfg: FrameConfig) -> ResourceMap:
         extra = idx[:0]
 
     private = idx[cls != 0]
-    return ResourceMap(0, common, extra, private)
+    b = cfg.constellation.bits_per_symbol
+    common_bits = (common.size + extra.size) * b
+    split = ((common_bits + 1) // 2, common_bits // 2)
+    energy = (cfg.phi_pilot + cfg.phi1 * common.size + 1.0 * extra.size
+              + cfg.phi2 * private.size)
+    return ResourceMap(0, common, extra, private, split,
+                       tuple(u + private.size * b for u in split), energy)
 
 
-@dataclass(frozen=True)
-class CapacityCounts:
-    n_common: int
-    n_extra: int
-    n_private: int
+def resource_map(cfg: FrameConfig) -> ResourceMap:
+    return cfg.layout
 
 
-def capacity_counts(cfg: FrameConfig) -> CapacityCounts:
-    rm = resource_map(cfg)
-    return CapacityCounts(rm.common_indices.size, rm.extra_indices.size,
-                          rm.private_subcarriers.size)
+# callers read the map's n_common / n_extra / n_private
+capacity_counts = resource_map
 
 
 @dataclass(frozen=True)
@@ -135,12 +157,7 @@ class RsmaMessages:
 
 def required_bits_per_user(cfg: FrameConfig) -> tuple[int, int]:
     """Exact bit budget each user must supply to fill one frame per user."""
-    c = capacity_counts(cfg)
-    b = cfg.constellation.bits_per_symbol
-    common_bits = (c.n_common + c.n_extra) * b
-    u1_common = (common_bits + 1) // 2
-    u2_common = common_bits - u1_common
-    return u1_common + c.n_private * b, u2_common + c.n_private * b
+    return cfg.layout.bits_per_user
 
 
 def split_messages(user1_bits: np.ndarray, user2_bits: np.ndarray,
@@ -154,19 +171,14 @@ def split_messages(user1_bits: np.ndarray, user2_bits: np.ndarray,
         raise InvalidLength(
             f"need ({r1}, {r2}) bits per user, got "
             f"({user1_bits.size}, {user2_bits.size})")
-    c = capacity_counts(cfg)
-    b = cfg.constellation.bits_per_symbol
-    common_bits = (c.n_common + c.n_extra) * b
-    u1c = (common_bits + 1) // 2
-    u2c = common_bits - u1c
+    u1c, u2c = cfg.layout.common_split
     common = np.concatenate([user1_bits[:u1c], user2_bits[:u2c]])
     return RsmaMessages(common, user1_bits[u1c:], user2_bits[u2c:])
 
 
 def merge_messages(msgs: RsmaMessages, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`split_messages`."""
-    total = msgs.common_bits.size
-    u1c = (total + 1) // 2
+    u1c = cfg.layout.common_split[0]
     user1 = np.concatenate([msgs.common_bits[:u1c], msgs.private_bits_user1])
     user2 = np.concatenate([msgs.common_bits[u1c:], msgs.private_bits_user2])
     return user1, user2
@@ -183,16 +195,14 @@ def _scatter(n: int, indices: np.ndarray, values: np.ndarray, domain: Domain,
 
 def build_affine_common(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
     """sqrt(phi1)-scaled common symbols on the common affine indices."""
-    rm = resource_map(cfg)
-    return _scatter(cfg.n, rm.common_indices, np.asarray(symbols, complex),
+    return _scatter(cfg.n, cfg.layout.common_indices, np.asarray(symbols, complex),
                     Domain.AFFINE, np.sqrt(cfg.phi1))
 
 
 def build_affine_extra(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
     """Unit-power extra common symbols on the class-0 affine indices
     (embedded-pilot variant only; empty otherwise)."""
-    rm = resource_map(cfg)
-    return _scatter(cfg.n, rm.extra_indices, np.asarray(symbols, complex),
+    return _scatter(cfg.n, cfg.layout.extra_indices, np.asarray(symbols, complex),
                     Domain.AFFINE, 1.0)
 
 
@@ -205,8 +215,7 @@ def build_affine_pilot(cfg: FrameConfig) -> Frame:
 
 def build_freq_private(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
     """sqrt(phi2)-scaled private symbols on the nonzero-class subcarriers."""
-    rm = resource_map(cfg)
-    return _scatter(cfg.n, rm.private_subcarriers, np.asarray(symbols, complex),
+    return _scatter(cfg.n, cfg.layout.private_subcarriers, np.asarray(symbols, complex),
                     Domain.FREQUENCY, np.sqrt(cfg.phi2))
 
 
@@ -235,7 +244,7 @@ def combine_frame(common: Frame, pilot: Frame, private: Frame,
 
 def build_frame(msgs: RsmaMessages, cfg: FrameConfig, user: int = 1) -> Frame:
     """Modulate one user's frame: combined frequency plane -> time + CP."""
-    c = capacity_counts(cfg)
+    c = cfg.layout
     syms = modulate_bits(msgs.common_bits, cfg.constellation)
     if syms.size != c.n_common + c.n_extra:
         raise InvalidLength(
@@ -261,7 +270,5 @@ def extract_received_planes(y_time: Frame | np.ndarray, cfg: FrameConfig) -> tup
 
 def frame_energy_budget(cfg: FrameConfig) -> float:
     """Expected frame energy (CP excluded) for unit-energy constellations."""
-    c = capacity_counts(cfg)
-    return (cfg.phi_pilot + cfg.phi1 * c.n_common + 1.0 * c.n_extra
-            + cfg.phi2 * c.n_private)
+    return cfg.layout.energy_budget
 

@@ -11,17 +11,18 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import BaselineConfig, baseline_budget, run_baseline_frame
+from .baseline import baseline_budget, run_baseline_frame
 from .channel import ChannelSpec, ChannelTap, apply_channel, snr_to_noise_var
 from .core import Domain, Frame, frame_rng, modulate_bits, random_bits
 from .errors import ConfigError, InvalidLength, SimulationError
 from .framing import (Approach, FrameConfig, build_frame, capacity_counts,
                       extract_received_planes, frame_energy_budget,
                       required_bits_per_user, split_messages)
-from .receiver import (ChannelEstimate, ReceiverMode, detect_streams,
+from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,
                        estimate_channel_affine, estimate_channel_freq,
                        estimate_nmse, perfect_estimate)
 from .transforms import AffineParams
@@ -52,6 +53,9 @@ class SimConfig:
             raise ConfigError("SNR grid must be nonempty")
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
+        if any(t.k < 0 for t in self.taps) and resolve_estimator(self) == "affine":
+            raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
 
 
 @dataclass(frozen=True)
@@ -136,27 +140,55 @@ def _estimate(sim: SimConfig, rx: Frame, spec: ChannelSpec,
     raise ConfigError(f"unknown estimator {kind!r}")
 
 
-_N_FIELDS = 13
+class _FrameRecord(NamedTuple):
+    """Scores of one simulated frame.  The per-frame bit and resource-element
+    counts are fixed by the configuration (see :func:`_stream_res`)."""
+
+    common_errors: int
+    private_errors: int
+    common_err_energy: float
+    extra_err_energy: float
+    private_err_energy: float
+    nmse: float
+    se: float
+    ber: float
+
+
+def _stream_res(sim: SimConfig) -> tuple[int, int, int]:
+    """Resource elements per frame of the common, extra and private streams."""
+    if sim.baseline:
+        return sim.frame.n, 0, sim.frame.n   # both streams on every subcarrier
+    c = capacity_counts(sim.frame)
+    return c.n_common, c.n_extra, c.n_private
+
+
+def _score(sim: SimConfig, common_bits: np.ndarray, private_bits: np.ndarray,
+           det: DetectionResult, nmse: float) -> _FrameRecord:
+    cfg = sim.frame
+    res = _stream_res(sim)
+    tx_common = modulate_bits(common_bits, cfg.constellation)
+    tx_private = modulate_bits(private_bits, cfg.constellation)
+    energies = (float(np.sum(np.abs(det.common_syms - tx_common[:res[0]]) ** 2)),
+                float(np.sum(np.abs(det.extra_syms - tx_common[res[0]:]) ** 2)),
+                float(np.sum(np.abs(det.private_syms - tx_private) ** 2)))
+    ec = int(np.sum(det.common_bits != common_bits))
+    ep = int(np.sum(det.private_bits != private_bits))
+    se = measure_se(zip(energies, res), 1, cfg.n, sim.se_cap_db)
+    return _FrameRecord(ec, ep, *energies, nmse, se,
+                        (ec + ep) / max(common_bits.size + private_bits.size, 1))
 
 
 def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
-               estimator: str) -> np.ndarray:
+               estimator: str) -> _FrameRecord:
     rng = frame_rng(sim.seed, point, frame_idx)
-    out = np.zeros(_N_FIELDS)
     spec = ChannelSpec(sim.taps, noise_var)
     cfg = sim.frame
 
     if sim.baseline:
-        bcfg = BaselineConfig(cfg.n, cfg.phi1, cfg.phi2, cfg.cp_len, cfg.constellation)
-        r = run_baseline_frame(bcfg, spec, rng)
-        se_frame = measure_se([(r.common_err_energy, cfg.n),
-                               (r.private_err_energy, cfg.n)], 1, cfg.n, sim.se_cap_db)
-        total_bits = r.n_bits_common + r.n_bits_private
-        out[:] = (r.common_bit_errors, r.n_bits_common, r.private_bit_errors,
-                  r.n_bits_private, r.common_err_energy, 0.0, r.private_err_energy,
-                  cfg.n, 0, cfg.n, 0.0, se_frame,
-                  (r.common_bit_errors + r.private_bit_errors) / total_bits)
-        return out
+        n_bits = cfg.n * cfg.constellation.bits_per_symbol
+        common_bits, private_bits = random_bits(rng, n_bits), random_bits(rng, n_bits)
+        det = run_baseline_frame(common_bits, private_bits, cfg, spec, rng)
+        return _score(sim, common_bits, private_bits, det, 0.0)
 
     r1, r2 = required_bits_per_user(cfg)
     msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
@@ -165,41 +197,20 @@ def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
     rx = apply_channel(tx, spec, rng)
     est = _estimate(sim, rx, spec, estimator)
     det = detect_streams(rx, cfg, est, sim.mode, noise_var)
-
-    c = capacity_counts(cfg)
-    tx_common = modulate_bits(msgs.common_bits, cfg.constellation)
     pbits = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
-    tx_private = modulate_bits(pbits, cfg.constellation)
-
-    err_com = float(np.sum(np.abs(det.common_syms - tx_common[:c.n_common]) ** 2))
-    err_ext = float(np.sum(np.abs(det.extra_syms - tx_common[c.n_common:]) ** 2))
-    err_priv = float(np.sum(np.abs(det.private_syms - tx_private) ** 2))
-
-    ec = int(np.sum(det.common_bits != msgs.common_bits))
-    ep = int(np.sum(det.private_bits != pbits))
-    bc, bp = msgs.common_bits.size, pbits.size
-    nmse = estimate_nmse(est, ChannelSpec(sim.taps), cfg.n)
-    se_frame = measure_se([(err_com, c.n_common), (err_ext, c.n_extra),
-                           (err_priv, c.n_private)], 1, cfg.n, sim.se_cap_db)
-    out[:] = (ec, bc, ep, bp, err_com, err_ext, err_priv,
-              c.n_common, c.n_extra, c.n_private, nmse, se_frame,
-              (ec + ep) / max(bc + bp, 1))
-    return out
+    return _score(sim, msgs.common_bits, pbits, det,
+                  estimate_nmse(est, ChannelSpec(sim.taps), cfg.n))
 
 
-def _run_chunk(args) -> np.ndarray:
+def _run_chunk(args) -> list[_FrameRecord]:
     sim, point, start, stop, noise_var, estimator = args
-    rows = np.empty((stop - start, _N_FIELDS))
-    for i, f in enumerate(range(start, stop)):
-        rows[i] = _run_frame(sim, point, f, noise_var, estimator)
-    return rows
+    return [_run_frame(sim, point, f, noise_var, estimator) for f in range(start, stop)]
 
 
 def run_point(sim: SimConfig, point: int, snr_db: float,
               pool: ProcessPoolExecutor | None = None) -> LinkResult:
     cfg = sim.frame
-    budget = baseline_budget(BaselineConfig(cfg.n, cfg.phi1, cfg.phi2)) \
-        if sim.baseline else frame_energy_budget(cfg)
+    budget = baseline_budget(cfg) if sim.baseline else frame_energy_budget(cfg)
     if sim.zero_noise:
         noise_var = 0.0
     elif sim.noise_override is not None:
@@ -211,31 +222,37 @@ def run_point(sim: SimConfig, point: int, snr_db: float,
     t0 = time.perf_counter()
     frames = sim.frames_per_point
     if pool is None or sim.workers <= 1:
-        rows = _run_chunk((sim, point, 0, frames, noise_var, estimator))
+        records = _run_chunk((sim, point, 0, frames, noise_var, estimator))
     else:
         bounds = np.linspace(0, frames, sim.workers + 1).astype(int)
         tasks = [(sim, point, int(a), int(b), noise_var, estimator)
                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        rows = np.concatenate(list(pool.map(_run_chunk, tasks)), axis=0)
+        records = [r for chunk in pool.map(_run_chunk, tasks) for r in chunk]
     wall = time.perf_counter() - t0
 
-    s = rows.sum(axis=0)
-    ec, bc, ep, bp = s[0], s[1], s[2], s[3]
-    stream_stats = [(s[4], int(s[7])), (s[5], int(s[8])), (s[6], int(s[9]))]
-    se = measure_se(stream_stats, frames, cfg.n, sim.se_cap_db)
-    se_frames = rows[:, 11]
-    ber_frames = rows[:, 12]
+    # a C-ordered (frames, fields) array summed over axis 0 adds each field
+    # in frame order, which keeps the sums independent of the worker count
+    rows = np.array(records, dtype=np.float64)
+    total = _FrameRecord(*rows.sum(axis=0))
+    per_frame = _FrameRecord(*rows.T)
+    res = _stream_res(sim)
+    b = cfg.constellation.bits_per_symbol
+    bc, bp = frames * (res[0] + res[1]) * b, frames * res[2] * b
+    ec, ep = total.common_errors, total.private_errors
+    energies = (total.common_err_energy, total.extra_err_energy, total.private_err_energy)
+    se = measure_se([(e, frames * r) for e, r in zip(energies, res)], frames, cfg.n,
+                    sim.se_cap_db)
     return LinkResult(
         snr_db=float(snr_db),
         ber_common=float(ec / bc) if bc else 0.0,
         ber_private=float(ep / bp) if bp else 0.0,
         ber_total=float((ec + ep) / (bc + bp)) if (bc + bp) else 0.0,
         se=float(se),
-        channel_nmse=float(s[10] / frames),
+        channel_nmse=float(total.nmse / frames),
         frames=frames,
         wall_time=wall,
-        se_stderr=float(np.std(se_frames) / np.sqrt(frames)),
-        ber_total_stderr=float(np.std(ber_frames) / np.sqrt(frames)),
+        se_stderr=float(np.std(per_frame.se) / np.sqrt(frames)),
+        ber_total_stderr=float(np.std(per_frame.ber) / np.sqrt(frames)),
     )
 
 

@@ -20,7 +20,7 @@ image between reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,7 +47,6 @@ class ChannelEstimate:
     domain: Domain
     taps: tuple[ChannelTap, ...] | None = None
     h_freq: np.ndarray | None = None
-    nmse: float | None = None
 
     def __post_init__(self):
         if self.h_freq is not None:
@@ -274,13 +273,13 @@ def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float, method: str) -> n
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """Hard bits and equalized symbols one receiver read off one frame."""
+
     common_bits: np.ndarray
     private_bits: np.ndarray
     common_syms: np.ndarray   # final equalized symbols, power removed
     extra_syms: np.ndarray
     private_syms: np.ndarray
-    mode: ReceiverMode
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _read_streams(eq_a: Frame, eq_f: Frame, cfg: FrameConfig, rm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,7 +321,7 @@ def detect_streams(y_time: Frame, cfg: FrameConfig, est: ChannelEstimate,
     if mode is ReceiverMode.SIC_FREE:
         priv_bits = demodulate_symbols(priv, con)
         return DetectionResult(np.concatenate([com_bits, ext_bits]), priv_bits,
-                               com, ext, priv, mode)
+                               com, ext, priv)
 
     # subtract the detected common image, then read private off the clean plane
     clean_f = Frame(eq_f.data - _rebuild_common_freq(com_bits, ext_bits, cfg),
@@ -331,7 +330,7 @@ def detect_streams(y_time: Frame, cfg: FrameConfig, est: ChannelEstimate,
     priv_bits = demodulate_symbols(priv, con)
     if mode is ReceiverMode.SIC_CLEAN_PILOT:
         return DetectionResult(np.concatenate([com_bits, ext_bits]), priv_bits,
-                               com, ext, priv, mode)
+                               com, ext, priv)
 
     # full SIC: also remove the private image from the affine plane and
     # re-detect both streams once
@@ -346,7 +345,7 @@ def detect_streams(y_time: Frame, cfg: FrameConfig, est: ChannelEstimate,
     priv = clean_f.data[rm.private_subcarriers] / np.sqrt(cfg.phi2)
     priv_bits = demodulate_symbols(priv, con)
     return DetectionResult(np.concatenate([com_bits, ext_bits]), priv_bits,
-                           com, ext, priv, mode)
+                           com, ext, priv)
 
 
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:

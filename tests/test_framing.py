@@ -51,6 +51,11 @@ class TestResourceMap:
         rm = resource_map(cfg16(common_per_class=1))
         npt.assert_array_equal(rm.common_indices, [3, 5, 6])
 
+    def test_layout_built_once_per_config(self):
+        cfg = cfg16(Approach.PILOT_AND_DATA)
+        assert resource_map(cfg) is resource_map(cfg)
+        assert capacity_counts(cfg) is resource_map(cfg)
+
     def test_default_guard(self):
         assert default_guard(64, 2, 1) == 129
 
@@ -61,6 +66,11 @@ class TestResourceMap:
     def test_invalid_guard(self):
         with pytest.raises(ConfigError):
             cfg16(guard=8)
+
+    def test_config_value_equality(self):
+        a, b = cfg16(), cfg16()
+        assert a == b and hash(a) == hash(b)
+        assert cfg16(phi1=5.0) != a
 
 
 class TestMessages:

@@ -2,11 +2,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from afdmrsma import (AffineParams, ChannelTap, ConfigError, FrameConfig,
+from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
                       InvalidLength, LinkResult, SimConfig,
                       emit_results, measure_ber, measure_se, run_sweep)
 from afdmrsma.harness import load_config, render_csv, sim_config_from_dict
@@ -133,15 +134,23 @@ class TestRunSweep:
         assert a == b
 
     def test_diagnostic_row_on_failure(self):
-        # guard cannot contain the pilot shift span: the affine estimator
-        # rejects the hints and the point aborts with a diagnostic
-        frame = FrameConfig(affine=AffineParams(64, 16), guard=8, phi_pilot=10.0,
-                            phi1=4.0, phi2=1.0, cp_len=4)
-        sim = small_sim(frame=frame, estimator="affine", frames_per_point=3,
-                        taps=(ChannelTap(1.0, 0, 1),), snr_grid_db=(10.0,))
+        # embedded-pilot frames carry data on the clean-pilot subcarriers, so
+        # the frequency estimator refuses every frame and the point aborts
+        sim = small_sim(frame=replace(small_sim().frame, approach=Approach.PILOT_AND_DATA),
+                        estimator="freq", frames_per_point=3, snr_grid_db=(10.0,))
         res = run_sweep(sim)
         assert len(res) == 1
-        assert res[0].diagnostics == "" or np.isnan(res[0].ber_total)
+        assert res[0].diagnostics.startswith("PilotContaminated: ")
+        assert np.isnan(res[0].ber_total)
+        assert res[0].frames == 0
+
+    def test_negative_doppler_refused_by_affine_estimator(self):
+        for k, estimator in ((1, "affine"), (-1, "perfect-affine")):
+            small_sim(taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, k)),
+                      estimator=estimator)
+        with pytest.raises(ConfigError):
+            small_sim(taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, -1)),
+                      estimator="affine")
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -213,11 +222,26 @@ class TestCli:
         path.write_text("{\"frame\": {}}")
         assert self.run_cli("--config", str(path)).returncode == 1
 
+    def test_aborted_point_exit_code(self, tmp_path):
+        cfg = TestConfigLoading().config_dict()
+        cfg["frame"]["approach"] = 2
+        cfg["sweep"]["estimator"] = "freq"
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        r = self.run_cli("--config", str(path), "--frames", "2", "--out", str(out))
+        assert r.returncode == 2
+        assert "aborted: PilotContaminated" in r.stderr
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 3 and all(",nan," in row for row in rows)
+
     def test_missing_args_exit_code(self):
         assert self.run_cli().returncode == 1
 
     def test_doppler_toggle(self, tmp_path):
         cfg = TestConfigLoading().config_dict()
+        # the (l=2, k=1) tap shifts the pilot by c1' l + k = 9 bins
+        cfg["frame"]["guard"] = 9
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "res.csv"
