@@ -77,14 +77,15 @@ def default_guard(c1_prime: int, l_max: int, k_max: int = 0) -> int:
 
 @dataclass(frozen=True)
 class ResourceMap:
-    """The frame layout one FrameConfig fixes: where each stream sits, each
-    user's share of the common bits, each user's bit budget and the
-    expected frame energy."""
+    """The frame layout one FrameConfig fixes: where each stream sits, the
+    pilot's frequency image, each user's share of the common bits, each
+    user's bit budget and the expected frame energy."""
 
     pilot_index: int
     common_indices: np.ndarray
     extra_indices: np.ndarray
     private_subcarriers: np.ndarray
+    pilot_freq: np.ndarray   # a read-only Frame payload
     common_split: tuple[int, int]
     bits_per_user: tuple[int, int]
     energy_budget: float
@@ -133,7 +134,8 @@ def _layout(cfg: FrameConfig) -> ResourceMap:
     split = ((common_bits + 1) // 2, common_bits // 2)
     energy = (cfg.phi_pilot + cfg.phi1 * common.size + 1.0 * extra.size
               + cfg.phi2 * private.size)
-    return ResourceMap(0, common, extra, private, split,
+    pilot_freq = affine_to_freq(build_affine_pilot(cfg), cfg.affine).data
+    return ResourceMap(0, common, extra, private, pilot_freq, split,
                        tuple(u + private.size * b for u in split), energy)
 
 

@@ -43,7 +43,6 @@ class SimConfig:
     workers: int = 1
     se_cap_db: float = 30.0
     baseline: bool = False
-    zero_noise: bool = False   # force sigma^2 = 0 regardless of the SNR grid
     noise_override: float | None = None  # fixed sigma^2 instead of SNR-derived
 
     def __post_init__(self):
@@ -53,9 +52,17 @@ class SimConfig:
             raise ConfigError("SNR grid must be nonempty")
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        if resolve_estimator(self) != "affine":
+            return
         # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
-        if any(t.k < 0 for t in self.taps) and resolve_estimator(self) == "affine":
+        if any(t.k < 0 for t in self.taps):
             raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
+        if self.taps and not self.baseline:
+            l_bound, k_bound = _affine_search_bounds(self.frame, ChannelSpec(self.taps))
+            span = self.frame.affine.c1_prime * l_bound + k_bound
+            if span > self.frame.guard:
+                raise ConfigError(f"pilot shift span {span} of the affine search "
+                                  f"exceeds guard {self.frame.guard}")
 
 
 @dataclass(frozen=True)
@@ -118,25 +125,29 @@ def resolve_estimator(sim: SimConfig) -> str:
     return "freq" if sim.frame.approach is Approach.CLEAN_PILOT else "affine"
 
 
-def _estimate(sim: SimConfig, rx: Frame, spec: ChannelSpec,
+def _affine_search_bounds(cfg: FrameConfig, spec: ChannelSpec) -> tuple[int, int]:
+    """(delay, Doppler) bounds of the affine estimator's peak search: the
+    channel's spread, clipped to the span the frame can resolve."""
+    c1p, g = cfg.affine.c1_prime, cfg.guard
+    l_bound = min(spec.max_delay, g // c1p) if c1p <= g else 0
+    return l_bound, min(spec.max_doppler, c1p - 1)
+
+
+def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec,
               kind: str) -> ChannelEstimate:
     cfg = sim.frame
     if kind == "perfect-freq":
         return perfect_estimate(spec, cfg, Domain.FREQUENCY)
     if kind == "perfect-affine":
         return perfect_estimate(spec, cfg, Domain.AFFINE)
-    y_freq, y_aff = extract_received_planes(rx, cfg)
+    y_freq, y_aff = planes
     if kind == "freq":
         l_bound = min(spec.max_delay, cfg.affine.m - 1)
         return estimate_channel_freq(y_freq, cfg, max_delay=l_bound)
     if kind == "affine":
-        c1p, g = cfg.affine.c1_prime, cfg.guard
-        # receiver prior: search only the design span it can resolve
-        l_bound = min(spec.max_delay, g // c1p) if c1p <= g else 0
-        k_bound = min(spec.max_doppler, c1p - 1)
-        return estimate_channel_affine(
-            y_aff, cfg, doppler_enabled=True, max_delay=l_bound,
-            max_doppler=k_bound, noise_var=spec.noise_var, strict=False)
+        l_bound, k_bound = _affine_search_bounds(cfg, spec)
+        return estimate_channel_affine(y_aff, cfg, max_delay=l_bound, max_doppler=k_bound,
+                                       noise_var=spec.noise_var, strict=False)
     raise ConfigError(f"unknown estimator {kind!r}")
 
 
@@ -194,9 +205,9 @@ def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
     msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
     user = 1 + (frame_idx % 2)
     tx = build_frame(msgs, cfg, user=user)
-    rx = apply_channel(tx, spec, rng)
-    est = _estimate(sim, rx, spec, estimator)
-    det = detect_streams(rx, cfg, est, sim.mode, noise_var)
+    planes = extract_received_planes(apply_channel(tx, spec, rng), cfg)
+    est = _estimate(sim, planes, spec, estimator)
+    det = detect_streams(planes, cfg, est, sim.mode, noise_var)
     pbits = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
     return _score(sim, msgs.common_bits, pbits, det,
                   estimate_nmse(est, ChannelSpec(sim.taps), cfg.n))
@@ -211,9 +222,7 @@ def run_point(sim: SimConfig, point: int, snr_db: float,
               pool: ProcessPoolExecutor | None = None) -> LinkResult:
     cfg = sim.frame
     budget = baseline_budget(cfg) if sim.baseline else frame_energy_budget(cfg)
-    if sim.zero_noise:
-        noise_var = 0.0
-    elif sim.noise_override is not None:
+    if sim.noise_override is not None:
         noise_var = sim.noise_override
     else:
         noise_var = snr_to_noise_var(snr_db, budget / cfg.n)
@@ -341,7 +350,8 @@ def sim_config_from_dict(d: dict) -> SimConfig:
             taps = ChannelSpec(taps, normalize=True).taps
         sw = d.get("sweep", {})
         mode = ReceiverMode(sw.get("mode", "sicfree"))
-        nv = ch.get("noise_var")
+        # a noiseless sweep takes precedence over channel.noise_var
+        nv = 0.0 if sw.get("zero_noise", False) else ch.get("noise_var")
         return SimConfig(
             frame=frame, taps=taps,
             snr_grid_db=tuple(sw.get("snr_db", [0, 5, 10, 15, 20, 25])),
@@ -350,7 +360,6 @@ def sim_config_from_dict(d: dict) -> SimConfig:
             seed=int(sw.get("seed", 1)), workers=int(sw.get("workers", 1)),
             se_cap_db=float(sw.get("se_cap_db", 30.0)),
             baseline=bool(sw.get("baseline", False)),
-            zero_noise=bool(sw.get("zero_noise", False)),
             noise_override=None if nv is None else float(nv),
         )
     except ConfigError:

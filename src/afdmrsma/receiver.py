@@ -13,10 +13,13 @@ Estimation runs in one of two places:
   c1' (unique while k < c1'), and h from the peak value after removing the
   deterministic chirp phase.
 
-Detection reads the common stream straight off the equalized affine plane
-and the private stream straight off the equalized frequency plane; the SIC
-variants additionally rebuild and subtract the opposite stream's spread
-image between reads.
+Both estimators and the detector read the same (frequency, affine) pair of
+planes, which the caller analyses once per frame with
+``framing.extract_received_planes``.  The equalizer is MMSE, which is ZF at
+zero noise.  Detection reads the common stream straight off the equalized
+affine plane and the private stream straight off the equalized frequency
+plane; each SIC round additionally rebuilds and subtracts the opposite
+stream's spread image between reads.
 """
 from __future__ import annotations
 
@@ -25,21 +28,32 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (ChannelSpec, ChannelTap, channel_matrix, freq_response,
-                      frequency_diagonal)
+from .channel import ChannelSpec, ChannelTap, freq_response, frequency_diagonal
 from .core import Domain, Frame, demodulate_symbols, modulate_bits
 from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, build_affine_common, build_affine_extra,
-                      build_affine_pilot, build_freq_private, extract_received_planes,
-                      frame_energy_budget, resource_map)
+                      build_freq_private, frame_energy_budget, resource_map)
+# not called here; kept as attributes because linkbench/spans.py patches them
+from .framing import build_affine_pilot, extract_received_planes  # noqa: F401
 from .transforms import affine_to_freq, daft, freq_to_affine, idaft
+
+# peak threshold of the affine estimator, in multiples of its noise floor
+THRESHOLD_SCALE = 3.0
 
 
 class ReceiverMode(Enum):
     SIC_FREE = "sicfree"
     SIC_CLEAN_PILOT = "sic-clean"
     SIC_FULL = "sic-full"
+
+
+# SIC rounds after the first read of both streams: each round subtracts the
+# detected common image from the frequency plane before the private stream
+# is read; every round after the first also subtracts the detected private
+# image from the affine plane and reads the common stream again
+_SIC_ROUNDS = {ReceiverMode.SIC_FREE: 0, ReceiverMode.SIC_CLEAN_PILOT: 1,
+               ReceiverMode.SIC_FULL: 2}
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,6 @@ class ChannelEstimate:
             object.__setattr__(self, "h_freq", arr)
 
 
-def pilot_freq_image(cfg: FrameConfig) -> np.ndarray:
-    return affine_to_freq(build_affine_pilot(cfg), cfg.affine).data
-
-
 def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
                           max_delay: int | None = None) -> ChannelEstimate:
     """Clean-pilot LS estimate on the class-0 subcarriers, expanded to all N.
@@ -71,7 +81,7 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
     c1p, m = cfg.affine.c1_prime, cfg.affine.m
     if max_delay is not None and max_delay >= m:
         raise ConfigError(f"delay spread {max_delay} aliases: needs max delay < M={m}")
-    p0 = pilot_freq_image(cfg)[::c1p]
+    p0 = cfg.layout.pilot_freq[::c1p]
     if np.min(np.abs(p0)) < 1e-12:
         raise DegeneratePilot("pilot subcarrier magnitude too small for LS division")
     h0 = y_freq.data[::c1p] / p0
@@ -84,18 +94,9 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
     return ChannelEstimate(Domain.FREQUENCY, h_freq=h_full)
 
 
-def _decompose_shift(sigma: int, c1p: int) -> tuple[int, int]:
-    """Signed pilot shift -> (delay, Doppler): sigma = k - c1' * l."""
-    k = sigma % c1p
-    l = -((sigma - k) // c1p)
-    return l, k
-
-
 def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
-                            doppler_enabled: bool = True,
                             max_delay: int | None = None,
                             max_doppler: int | None = None,
-                            threshold_scale: float = 3.0,
                             noise_var: float = 0.0,
                             strict: bool = True) -> ChannelEstimate:
     """Peak-search tap estimate in the guard zone around affine index 0.
@@ -116,31 +117,28 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
         if span > g:
             raise GuardViolation(f"pilot shift span {span} exceeds guard {g}")
 
-    def _valid(sigma: int) -> bool:
-        l, k = _decompose_shift(sigma, c1p)
-        if l < 0 or (not doppler_enabled and k != 0):
-            return False
-        if max_delay is not None and l > max_delay:
-            return False
-        if max_doppler is not None and k > max_doppler:
-            return False
-        return True
-
     offsets = np.arange(-g, g + 1)
+    # signed pilot shift -> (delay, Doppler): offset = k - c1' * l
+    dopplers = offsets % c1p
+    delays = -((offsets - dopplers) // c1p)
+    is_candidate = delays >= 0
+    if max_delay is not None:
+        is_candidate &= delays <= max_delay
+    if max_doppler is not None:
+        is_candidate &= dopplers <= max_doppler
     y = y_affine.data
     mags = np.abs(y[offsets % n])
-    is_candidate = np.array([_valid(int(s)) for s in offsets])
     floor_mags = mags[~is_candidate]
     # The guard keeps channel-shifted data off the candidate bins but not
     # off the rest of the zone, so the candidate bins themselves (mostly
     # empty) give the cleanest floor; fall back to the remaining zone bins
     # or the known noise level when the candidate set is too small.
     if int(np.sum(is_candidate)) >= 6:
-        threshold = threshold_scale * float(np.quantile(mags[is_candidate], 0.25))
+        threshold = THRESHOLD_SCALE * float(np.quantile(mags[is_candidate], 0.25))
     elif floor_mags.size >= 4:
-        threshold = threshold_scale * float(np.quantile(floor_mags, 0.25))
+        threshold = THRESHOLD_SCALE * float(np.quantile(floor_mags, 0.25))
     elif noise_var > 0:
-        threshold = threshold_scale * float(np.sqrt(noise_var))
+        threshold = THRESHOLD_SCALE * float(np.sqrt(noise_var))
     else:
         threshold = 0.0
     if mags.size:
@@ -149,9 +147,9 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
 
     c1 = cfg.affine.c1
 
-    def _tap_at(sigma: int) -> ChannelTap:
-        l, k = _decompose_shift(sigma, c1p)
-        bin_idx = sigma % n
+    def _tap_at(j: int) -> ChannelTap:
+        l, k = int(delays[j]), int(dopplers[j])
+        bin_idx = int(offsets[j]) % n
         phase = np.exp(-2j * np.pi * cfg.affine.c2 * bin_idx * bin_idx) \
             * np.exp(2j * np.pi * (c1 * l * l - k * l / n))
         h = y[bin_idx] / (np.sqrt(cfg.phi_pilot) * phase)
@@ -162,21 +160,19 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     for j in order:
         if mags[j] <= threshold:
             break
-        sigma = int(offsets[j])
-        if not _valid(sigma):
+        if not is_candidate[j]:
             if strict:
                 raise UnresolvableDoppler(
-                    f"peak at shift {sigma} has no (delay >= 0, Doppler < c1') "
+                    f"peak at shift {offsets[j]} has no (delay >= 0, Doppler < c1') "
                     f"decomposition within the search bounds")
             continue
-        taps.append(_tap_at(sigma))
+        taps.append(_tap_at(j))
     if not taps:
         # keep the strongest resolvable peak so the receiver always has a
         # channel to work with, however deep the noise
         for j in order:
-            sigma = int(offsets[j])
-            if _valid(sigma):
-                taps.append(_tap_at(sigma))
+            if is_candidate[j]:
+                taps.append(_tap_at(j))
                 break
     if taps:
         top = max(abs(t.h) for t in taps)
@@ -198,29 +194,26 @@ def perfect_estimate(spec: ChannelSpec, cfg: FrameConfig, domain: Domain) -> Cha
 
 
 def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
-             method: str = "mmse", noise_var: float = 0.0) -> Frame:
-    """Equalize a received plane against a channel estimate.
+             noise_var: float = 0.0) -> Frame:
+    """MMSE-equalize a received plane against a channel estimate; at
+    ``noise_var == 0`` this is zero forcing, and a null in the one-tap
+    response raises :class:`SingularChannel`.
 
     Frequency-domain estimates (delay-only) use the one-tap per-subcarrier
-    ZF/MMSE rule.  Affine-domain (tap) estimates rebuild the cyclic channel
-    matrix and solve the MMSE system in the time domain, which by unitarity
-    equals the full-matrix affine-domain solve; the output is returned in
-    the plane that came in.
+    rule.  Affine-domain (tap) estimates solve the MMSE system of the cyclic
+    tap channel in the time domain, which by unitarity equals the
+    full-matrix affine-domain solve; the output is returned in the plane
+    that came in.
     """
-    method = method.lower()
-    if method not in ("zf", "mmse"):
-        raise ConfigError(f"unknown equalizer {method!r}")
-    p_avg = frame_energy_budget(cfg) / cfg.n
+    g = noise_var / (frame_energy_budget(cfg) / cfg.n)
 
     if est.domain is Domain.FREQUENCY:
         if y.domain is not Domain.FREQUENCY:
             raise ConfigError("frequency-domain estimate needs a frequency plane")
         h = est.h_freq
-        if method == "zf":
-            if np.min(np.abs(h)) < 1e-12:
-                raise SingularChannel("zero-forcing through a null subcarrier")
-            return Frame(y.data / h, Domain.FREQUENCY)
-        w = np.conj(h) / (np.abs(h) ** 2 + noise_var / p_avg)
+        if g == 0 and np.min(np.abs(h)) < 1e-12:
+            raise SingularChannel("zero-forcing through a null subcarrier")
+        w = np.conj(h) / (np.abs(h) ** 2 + g)
         return Frame(y.data * w, Domain.FREQUENCY)
 
     if y.domain is not Domain.AFFINE:
@@ -228,13 +221,12 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     if not est.taps:
         raise SingularChannel("empty tap estimate")
     y_time = idaft(y, cfg.affine).data
-    g = 0.0 if method == "zf" else noise_var / p_avg
-    x_time = _tap_mmse_time(y_time, est.taps, cfg.n, g, method)
+    x_time = _tap_mmse_time(y_time, est.taps, cfg.n, g)
     return daft(Frame(x_time, Domain.TIME), cfg.affine)
 
 
-def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float, method: str) -> np.ndarray:
-    """Time-domain MMSE/ZF solve for a cyclic tap channel.
+def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
+    """Time-domain MMSE solve for a cyclic tap channel (ZF at g = 0).
 
     Delay-free channels are diagonal in time (pure time selectivity), so the
     solve is per-sample.  Otherwise the Gram matrix H H^H is assembled from
@@ -246,15 +238,10 @@ def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float, method: str) -> n
         hdiag = np.zeros(n, dtype=np.complex128)
         for t in taps:
             hdiag += t.h * np.exp(2j * np.pi * t.k * idx / n)
-        if method == "zf":
-            if np.min(np.abs(hdiag)) < 1e-12:
-                raise SingularChannel("zero-forcing through a channel null")
-            return y_time / hdiag
+        if g == 0 and np.min(np.abs(hdiag)) < 1e-12:
+            raise SingularChannel("zero-forcing through a channel null")
         return y_time * np.conj(hdiag) / (np.abs(hdiag) ** 2 + g)
 
-    if method == "zf":
-        h_mat = channel_matrix(ChannelSpec(tuple(taps)), n)
-        return np.linalg.solve(h_mat, y_time)
     gram = np.zeros((n, n), dtype=np.complex128)
     for r in taps:
         pr = r.h * np.exp(2j * np.pi * r.k * ((idx - r.l) % n) / n)
@@ -282,13 +269,6 @@ class DetectionResult:
     private_syms: np.ndarray
 
 
-def _read_streams(eq_a: Frame, eq_f: Frame, cfg: FrameConfig, rm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    com = eq_a.data[rm.common_indices] / np.sqrt(cfg.phi1)
-    ext = eq_a.data[rm.extra_indices]
-    priv = eq_f.data[rm.private_subcarriers] / np.sqrt(cfg.phi2)
-    return com, ext, priv
-
-
 def _rebuild_common_freq(com_bits: np.ndarray, ext_bits: np.ndarray,
                          cfg: FrameConfig) -> np.ndarray:
     com_hat = build_affine_common(modulate_bits(com_bits, cfg.constellation), cfg).data
@@ -298,54 +278,47 @@ def _rebuild_common_freq(com_bits: np.ndarray, ext_bits: np.ndarray,
     return affine_to_freq(Frame(com_hat, Domain.AFFINE), cfg.affine).data
 
 
-def detect_streams(y_time: Frame, cfg: FrameConfig, est: ChannelEstimate,
+def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEstimate,
                    mode: ReceiverMode = ReceiverMode.SIC_FREE,
-                   noise_var: float = 0.0,
-                   method: str = "mmse") -> DetectionResult:
-    """Equalize once, then read (and for SIC modes, iteratively clean) the
-    common stream from the affine plane and the private stream from the
-    frequency plane."""
-    y_freq, y_aff = extract_received_planes(y_time, cfg)
+                   noise_var: float = 0.0) -> DetectionResult:
+    """Equalize once, then read the common stream from the affine plane and
+    the private stream from the frequency plane, cleaning them in the mode's
+    SIC rounds.  ``planes`` is the (frequency, affine) pair of one received
+    frame that :func:`framing.extract_received_planes` returns."""
+    y_freq, y_aff = planes
     if est.domain is Domain.FREQUENCY:
-        eq_f = equalize(y_freq, est, cfg, method, noise_var)
+        eq_f = equalize(y_freq, est, cfg, noise_var)
         eq_a = freq_to_affine(eq_f, cfg.affine)
     else:
-        eq_a = equalize(y_aff, est, cfg, method, noise_var)
+        eq_a = equalize(y_aff, est, cfg, noise_var)
         eq_f = affine_to_freq(eq_a, cfg.affine)
 
     rm = resource_map(cfg)
     con = cfg.constellation
-    com, ext, priv = _read_streams(eq_a, eq_f, cfg, rm)
-    com_bits, ext_bits = demodulate_symbols(com, con), demodulate_symbols(ext, con)
 
-    if mode is ReceiverMode.SIC_FREE:
-        priv_bits = demodulate_symbols(priv, con)
-        return DetectionResult(np.concatenate([com_bits, ext_bits]), priv_bits,
-                               com, ext, priv)
+    def read_common(plane_a):
+        com = plane_a[rm.common_indices] / np.sqrt(cfg.phi1)
+        ext = plane_a[rm.extra_indices]
+        return com, ext, demodulate_symbols(com, con), demodulate_symbols(ext, con)
 
-    # subtract the detected common image, then read private off the clean plane
-    clean_f = Frame(eq_f.data - _rebuild_common_freq(com_bits, ext_bits, cfg),
-                    Domain.FREQUENCY)
-    priv = clean_f.data[rm.private_subcarriers] / np.sqrt(cfg.phi2)
-    priv_bits = demodulate_symbols(priv, con)
-    if mode is ReceiverMode.SIC_CLEAN_PILOT:
-        return DetectionResult(np.concatenate([com_bits, ext_bits]), priv_bits,
-                               com, ext, priv)
+    def read_private(plane_f):
+        return plane_f[rm.private_subcarriers] / np.sqrt(cfg.phi2)
 
-    # full SIC: also remove the private image from the affine plane and
-    # re-detect both streams once
-    priv_hat = build_freq_private(modulate_bits(priv_bits, con), cfg)
-    clean_a = Frame(eq_a.data - freq_to_affine(priv_hat, cfg.affine).data,
-                    Domain.AFFINE)
-    com = clean_a.data[rm.common_indices] / np.sqrt(cfg.phi1)
-    ext = clean_a.data[rm.extra_indices]
-    com_bits, ext_bits = demodulate_symbols(com, con), demodulate_symbols(ext, con)
-    clean_f = Frame(eq_f.data - _rebuild_common_freq(com_bits, ext_bits, cfg),
-                    Domain.FREQUENCY)
-    priv = clean_f.data[rm.private_subcarriers] / np.sqrt(cfg.phi2)
-    priv_bits = demodulate_symbols(priv, con)
-    return DetectionResult(np.concatenate([com_bits, ext_bits]), priv_bits,
-                           com, ext, priv)
+    com, ext, com_bits, ext_bits = read_common(eq_a.data)
+    plane_f = eq_f.data
+    for sic_round in range(_SIC_ROUNDS[mode]):
+        if sic_round:
+            # subtract the private image the previous round detected from
+            # the affine plane and read the common stream again
+            priv_bits = demodulate_symbols(read_private(plane_f), con)
+            priv_hat = build_freq_private(modulate_bits(priv_bits, con), cfg)
+            com, ext, com_bits, ext_bits = read_common(
+                eq_a.data - freq_to_affine(priv_hat, cfg.affine).data)
+        # subtract the detected common image from the frequency plane
+        plane_f = eq_f.data - _rebuild_common_freq(com_bits, ext_bits, cfg)
+    priv = read_private(plane_f)
+    return DetectionResult(np.concatenate([com_bits, ext_bits]),
+                           demodulate_symbols(priv, con), com, ext, priv)
 
 
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:

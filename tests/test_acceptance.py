@@ -191,7 +191,7 @@ def test_criterion_06_noiseless_end_to_end():
                 user = 1 + (f % 2)
                 tx = build_frame(msgs, cfg, user=user)
                 rx = apply_channel(tx, spec)
-                det = detect_streams(rx, cfg, est)
+                det = detect_streams(extract_received_planes(rx, cfg), cfg, est)
                 pbits = (msgs.private_bits_user1 if user == 1
                          else msgs.private_bits_user2)
                 errors += int(np.sum(det.common_bits != msgs.common_bits))

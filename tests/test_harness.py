@@ -109,7 +109,7 @@ class TestRunSweep:
         frame = FrameConfig(affine=AffineParams(256, 4), guard=8, phi_pilot=10.0,
                             phi1=25.0, phi2=1.0, cp_len=4, common_per_class=1)
         res = run_sweep(small_sim(frame=frame, estimator="perfect-freq",
-                                  zero_noise=True, frames_per_point=10))
+                                  noise_override=0.0, frames_per_point=10))
         for r in res:
             assert r.ber_total == 0.0
 
@@ -125,13 +125,16 @@ class TestRunSweep:
 
     def test_determinism_doppler_path(self):
         # the affine-estimation + matrix-equalizer pipeline is equally
-        # order-independent
+        # order-independent; guard 9 holds the (l=2, k=1) tap's shift span
+        # of c1' l + k = 9, so every frame is scored
+        frame = replace(small_sim().frame, guard=9)
         taps = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
-        a = render_csv(run_sweep(small_sim(taps=taps, frames_per_point=6,
-                                           workers=1, snr_grid_db=(10.0, 20.0))))
-        b = render_csv(run_sweep(small_sim(taps=taps, frames_per_point=6,
-                                           workers=2, snr_grid_db=(10.0, 20.0))))
-        assert a == b
+        runs = [run_sweep(small_sim(frame=frame, taps=taps, frames_per_point=6,
+                                    workers=w, snr_grid_db=(10.0, 20.0)))
+                for w in (1, 2)]
+        for res in runs:
+            assert all(r.diagnostics == "" and r.frames == 6 for r in res)
+        assert render_csv(runs[0]) == render_csv(runs[1])
 
     def test_diagnostic_row_on_failure(self):
         # embedded-pilot frames carry data on the clean-pilot subcarriers, so
@@ -145,12 +148,22 @@ class TestRunSweep:
         assert res[0].frames == 0
 
     def test_negative_doppler_refused_by_affine_estimator(self):
+        frame = replace(small_sim().frame, guard=9)   # holds the k=+1 shift span
         for k, estimator in ((1, "affine"), (-1, "perfect-affine")):
-            small_sim(taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, k)),
+            small_sim(frame=frame, taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, k)),
                       estimator=estimator)
         with pytest.raises(ConfigError):
-            small_sim(taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, -1)),
+            small_sim(frame=frame, taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, -1)),
                       estimator="affine")
+
+    def test_guard_too_small_for_affine_search_refused(self):
+        # c1' l + k = 4 * 2 + 1 = 9 exceeds guard 8
+        taps = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
+        with pytest.raises(ConfigError, match="exceeds guard 8"):
+            small_sim(taps=taps)
+        # the baseline and the genie estimators never search the guard
+        small_sim(taps=taps, baseline=True)
+        small_sim(taps=taps, estimator="perfect-affine")
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -180,6 +193,13 @@ class TestConfigLoading:
         assert sim.frame.phi_pilot == pytest.approx(10.0)
         assert sum(abs(t.h) ** 2 for t in sim.taps) == pytest.approx(1.0)
         assert out["path"] == "r.csv"
+
+    def test_zero_noise_overrides_channel_noise(self):
+        d = self.config_dict()
+        d["channel"]["noise_var"] = 0.5
+        assert sim_config_from_dict(d).noise_override == 0.5
+        d["sweep"]["zero_noise"] = True
+        assert sim_config_from_dict(d).noise_override == 0.0
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       Frame, FrameConfig, GuardViolation, PilotContaminated,
                       ReceiverMode, SingularChannel, UnresolvableDoppler,
                       add_cp, apply_channel, build_affine_pilot, build_frame,
-                      channel_matrix, detect_streams,
+                      channel_matrix, daft, detect_streams,
                       equalize, estimate_channel_affine, estimate_channel_freq,
                       estimate_nmse, extract_received_planes, frame_energy_budget,
                       frame_rng, freq_response, idaft, modulate_bits,
@@ -184,7 +184,7 @@ class TestAffineEstimator:
         rx = apply_channel(pilot_frame(cfg), ChannelSpec((ChannelTap(1.0, 1, 2),)))
         with pytest.raises(UnresolvableDoppler):
             estimate_channel_affine(extract_received_planes(rx, cfg)[1], cfg,
-                                    doppler_enabled=False)
+                                    max_doppler=0)
 
     def test_delay_only_freq_response_attached(self):
         cfg = make_cfg(c1p=16, guard=40)
@@ -202,7 +202,7 @@ class TestEqualize:
         rx = apply_channel(tx, spec)
         clean_f = extract_received_planes(tx, cfg)[0]
         y_f = extract_received_planes(rx, cfg)[0]
-        eq = equalize(y_f, perfect_estimate(spec, cfg, Domain.FREQUENCY), cfg, "zf")
+        eq = equalize(y_f, perfect_estimate(spec, cfg, Domain.FREQUENCY), cfg)
         npt.assert_allclose(eq.data, clean_f.data, atol=1e-8)
 
     def test_mmse_converges_to_zf(self):
@@ -211,8 +211,8 @@ class TestEqualize:
         _, tx = make_frame(cfg, seed=3)
         y_f = extract_received_planes(apply_channel(tx, spec), cfg)[0]
         est = perfect_estimate(spec, cfg, Domain.FREQUENCY)
-        zf = equalize(y_f, est, cfg, "zf")
-        mmse = equalize(y_f, est, cfg, "mmse", noise_var=1e-12)
+        zf = equalize(y_f, est, cfg)
+        mmse = equalize(y_f, est, cfg, noise_var=1e-12)
         assert np.max(np.abs(zf.data - mmse.data)) < 1e-6
 
     def test_singular_channel(self):
@@ -221,7 +221,12 @@ class TestEqualize:
         h[3] = 0.0
         est = ChannelEstimate(Domain.FREQUENCY, h_freq=h)
         with pytest.raises(SingularChannel):
-            equalize(Frame(np.ones(256), Domain.FREQUENCY), est, cfg, "zf")
+            equalize(Frame(np.ones(256), Domain.FREQUENCY), est, cfg)
+        # equal-gain taps (0, 0) and (0, 1) cancel at time sample N/2
+        est = ChannelEstimate(Domain.AFFINE, taps=(ChannelTap(1.0, 0, 0),
+                                                   ChannelTap(1.0, 0, 1)))
+        with pytest.raises(SingularChannel):
+            equalize(Frame(np.ones(256), Domain.AFFINE), est, cfg)
 
     def test_doubly_dispersive_mmse_oracle(self):
         # single tap (1, 1, 1), perfect taps, tiny noise: near-exact symbol
@@ -233,7 +238,7 @@ class TestEqualize:
         rx = apply_channel(tx, spec, np.random.default_rng(0))
         y_a = extract_received_planes(rx, cfg)[1]
         est = perfect_estimate(spec, cfg, Domain.AFFINE)
-        eq = equalize(y_a, est, cfg, "mmse", noise_var=1e-10)
+        eq = equalize(y_a, est, cfg, noise_var=1e-10)
         nmse = (np.sum(np.abs(eq.data - clean_a.data) ** 2)
                 / np.sum(np.abs(clean_a.data) ** 2))
         assert nmse < 1e-6
@@ -245,6 +250,11 @@ class TestEqualize:
         gram = h_aff @ h_aff.conj().T + g * np.eye(256)
         ref = h_aff.conj().T @ np.linalg.solve(gram, y_a.data)
         npt.assert_allclose(eq.data, ref, atol=1e-8)
+        # zero noise is zero forcing: x = H^{-1} y
+        eq0 = equalize(y_a, est, cfg, noise_var=0.0)
+        x_time = np.linalg.solve(channel_matrix(spec, 256), idaft(y_a, cfg.affine).data)
+        npt.assert_allclose(eq0.data, daft(Frame(x_time, Domain.TIME), cfg.affine).data,
+                            atol=1e-8)
 
 
 class TestDetect:
@@ -262,7 +272,7 @@ class TestDetect:
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
                 tx = build_frame(msgs, cfg, user=1)
                 rx = apply_channel(tx, spec)
-                det = detect_streams(rx, cfg,
+                det = detect_streams(extract_received_planes(rx, cfg), cfg,
                                      perfect_estimate(spec, cfg, Domain.FREQUENCY))
                 assert np.array_equal(det.common_bits, msgs.common_bits)
                 assert np.array_equal(det.private_bits, msgs.private_bits_user1)
@@ -283,7 +293,7 @@ class TestDetect:
         tx = build_frame(msgs, cfg, user=1)
         rx = apply_channel(tx, spec, frame_rng(42, 0, 0))
         est = perfect_estimate(spec0, cfg, Domain.FREQUENCY)
-        det = detect_streams(rx, cfg, est, noise_var=nv)
+        det = detect_streams(extract_received_planes(rx, cfg), cfg, est, noise_var=nv)
         ber_mixed = np.mean(det.common_bits != msgs.common_bits)
 
         from afdmrsma import (Domain as D, Frame as F, build_affine_common,
@@ -294,7 +304,7 @@ class TestDetect:
         pure = add_cp(idaft(F(aff, D.AFFINE), cfg.affine), cfg.cp_len)
         rx2 = apply_channel(pure, spec, frame_rng(42, 0, 0))
         y_f = dft(F(remove_cp(rx2.data, cfg.n, cfg.cp_len), D.TIME))
-        eq = equalize(y_f, est, cfg, "mmse", nv)
+        eq = equalize(y_f, est, cfg, noise_var=nv)
         plane = freq_to_affine(eq, cfg.affine).data
         rm = resource_map(cfg)
         bits = demodulate_symbols(plane[rm.common_indices] / np.sqrt(cfg.phi1),
@@ -317,7 +327,7 @@ class TestDetect:
             rx = apply_channel(tx, spec0.with_noise(nv), rng)
             est = perfect_estimate(spec0, cfg, Domain.FREQUENCY)
             for mode in ReceiverMode:
-                det = detect_streams(rx, cfg, est, mode, nv)
+                det = detect_streams(extract_received_planes(rx, cfg), cfg, est, mode, nv)
                 errs[mode] += int(np.sum(det.common_bits != msgs.common_bits))
                 errs[mode] += int(np.sum(det.private_bits != msgs.private_bits_user1))
             bits += msgs.common_bits.size + msgs.private_bits_user1.size
@@ -340,12 +350,10 @@ class TestDetect:
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
                 tx = build_frame(msgs, cfg, user=2)
                 rx = apply_channel(tx, spec)
-                d_f = detect_streams(rx, cfg,
-                                     perfect_estimate(spec, cfg, Domain.FREQUENCY),
-                                     method="zf")
-                d_a = detect_streams(rx, cfg,
-                                     perfect_estimate(spec, cfg, Domain.AFFINE),
-                                     method="zf")
+                d_f = detect_streams(extract_received_planes(rx, cfg), cfg,
+                                     perfect_estimate(spec, cfg, Domain.FREQUENCY))
+                d_a = detect_streams(extract_received_planes(rx, cfg), cfg,
+                                     perfect_estimate(spec, cfg, Domain.AFFINE))
                 assert np.array_equal(d_f.common_bits, d_a.common_bits)
                 assert np.array_equal(d_f.private_bits, d_a.private_bits)
 
@@ -361,6 +369,7 @@ class TestDetect:
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
                 tx = build_frame(msgs, cfg, user=1)
                 rx = apply_channel(tx, spec)
-                det = detect_streams(rx, cfg, perfect_estimate(spec, cfg, dom))
+                det = detect_streams(extract_received_planes(rx, cfg), cfg,
+                                     perfect_estimate(spec, cfg, dom))
                 assert np.array_equal(det.common_bits, msgs.common_bits)
                 assert np.array_equal(det.private_bits, msgs.private_bits_user1)
