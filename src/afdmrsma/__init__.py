@@ -15,7 +15,7 @@ from .errors import (ConfigError, DegeneratePilot, DopplerPresent, GuardViolatio
                      SimulationError, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, ResourceMap, RsmaMessages, add_cp,
                       build_affine_common, build_affine_extra, build_affine_pilot,
-                      build_frame, build_freq_private, capacity_counts, combine_frame,
+                      build_frame, build_freq_private, capacity_counts,
                       default_guard, extract_received_planes, frame_energy_budget,
                       merge_messages, remove_cp, required_bits_per_user, resource_map,
                       split_messages)

@@ -13,30 +13,28 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSpec, apply_channel, frequency_diagonal
-from .core import Domain, Frame, demodulate_symbols, modulate_bits
+from .core import demodulate_symbols, modulate_bits
 from .framing import FrameConfig, add_cp, remove_cp
-from .receiver import DetectionResult
-from .transforms import dft, idft
+from .receiver import DetectionResult, _refuse_null
+from .transforms import _dft, _idft
+# not called here; kept as attributes because linkbench/spans.py patches them
+from .transforms import dft, idft  # noqa: F401
 
 
 def baseline_budget(cfg: FrameConfig) -> float:
     return (cfg.phi1 + cfg.phi2) * cfg.n
 
 
-def run_baseline_frame(common_bits: np.ndarray, private_bits: np.ndarray,
+def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
                        cfg: FrameConfig, spec: ChannelSpec,
                        rng: np.random.Generator) -> DetectionResult:
     """Send ``cfg.n`` symbols of each stream superposed on every subcarrier
     and detect them with genie one-tap equalization and SIC."""
     con = cfg.constellation
-    sym_c = modulate_bits(common_bits, con)
-    sym_p = modulate_bits(private_bits, con)
-    s = np.sqrt(cfg.phi1) * sym_c + np.sqrt(cfg.phi2) * sym_p
+    s = np.sqrt(cfg.phi1) * common_syms + np.sqrt(cfg.phi2) * private_syms
 
-    tx = add_cp(idft(Frame(s, Domain.FREQUENCY)), cfg.cp_len)
-    rx = apply_channel(tx, spec, rng)
-    y = Frame(remove_cp(rx.data, cfg.n, cfg.cp_len), Domain.TIME)
-    y_f = dft(y).data
+    rx = apply_channel(add_cp(_idft(s), cfg.cp_len), spec, rng)
+    y_f = _dft(remove_cp(rx.data, cfg.n, cfg.cp_len))
 
     # Conventional OFDM processing: one tap per subcarrier with genie
     # knowledge.  Under Doppler the one-tap reference is the diagonal of
@@ -44,7 +42,9 @@ def run_baseline_frame(common_bits: np.ndarray, private_bits: np.ndarray,
     # this receiver.
     p_avg = baseline_budget(cfg) / cfg.n
     h = frequency_diagonal(spec, cfg.n)
-    eq = y_f * np.conj(h) / (np.abs(h) ** 2 + spec.noise_var / p_avg)
+    g = spec.noise_var / p_avg
+    _refuse_null(h, g)
+    eq = y_f * np.conj(h) / (np.abs(h) ** 2 + g)
 
     # SIC: common first, subtract, then private
     com_est = eq / np.sqrt(cfg.phi1)

@@ -24,9 +24,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Constellation, Domain, Frame, modulate_bits, qpsk
+from .core import Constellation, Domain, Frame, qpsk
 from .errors import ConfigError, InvalidLength
-from .transforms import AffineParams, affine_to_freq, daft, dft, idft
+from .transforms import AffineParams, _affine_to_freq, _daft, _dft, _idft, affine_to_freq
+# not called here; kept as attributes because linkbench/spans.py patches them
+from .core import modulate_bits  # noqa: F401
+from .transforms import daft, dft, idft  # noqa: F401
 
 
 class Approach(Enum):
@@ -186,26 +189,45 @@ def merge_messages(msgs: RsmaMessages, cfg: FrameConfig) -> tuple[np.ndarray, np
     return user1, user2
 
 
-def _scatter(n: int, indices: np.ndarray, values: np.ndarray, domain: Domain,
-             scale: float) -> Frame:
+def _scatter(n: int, indices: np.ndarray, values: np.ndarray,
+             scale: float) -> np.ndarray:
+    values = np.asarray(values, complex)
     if values.size != indices.size:
         raise InvalidLength(f"expected {indices.size} symbols, got {values.size}")
     data = np.zeros(n, dtype=np.complex128)
     data[indices] = scale * values
-    return Frame(data, domain)
+    return data
+
+
+def _common_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """The affine plane of one common stream: sqrt(phi1)-scaled symbols on
+    the common indices, then unit-power symbols on the extra indices."""
+    rm, symbols = cfg.layout, np.asarray(symbols, complex)
+    if symbols.size != rm.n_common + rm.n_extra:
+        raise InvalidLength(
+            f"common stream carries {symbols.size} symbols, frame needs "
+            f"{rm.n_common + rm.n_extra}")
+    plane = _scatter(cfg.n, rm.common_indices, symbols[:rm.n_common], np.sqrt(cfg.phi1))
+    plane[rm.extra_indices] = symbols[rm.n_common:]
+    return plane
+
+
+def _private_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """The frequency plane of one private stream: sqrt(phi2)-scaled symbols
+    on the nonzero-class subcarriers."""
+    return _scatter(cfg.n, cfg.layout.private_subcarriers, symbols, np.sqrt(cfg.phi2))
 
 
 def build_affine_common(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
     """sqrt(phi1)-scaled common symbols on the common affine indices."""
-    return _scatter(cfg.n, cfg.layout.common_indices, np.asarray(symbols, complex),
-                    Domain.AFFINE, np.sqrt(cfg.phi1))
+    return Frame(_scatter(cfg.n, cfg.layout.common_indices, symbols, np.sqrt(cfg.phi1)),
+                 Domain.AFFINE)
 
 
 def build_affine_extra(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
     """Unit-power extra common symbols on the class-0 affine indices
     (embedded-pilot variant only; empty otherwise)."""
-    return _scatter(cfg.n, cfg.layout.extra_indices, np.asarray(symbols, complex),
-                    Domain.AFFINE, 1.0)
+    return Frame(_scatter(cfg.n, cfg.layout.extra_indices, symbols, 1.0), Domain.AFFINE)
 
 
 def build_affine_pilot(cfg: FrameConfig) -> Frame:
@@ -217,12 +239,11 @@ def build_affine_pilot(cfg: FrameConfig) -> Frame:
 
 def build_freq_private(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
     """sqrt(phi2)-scaled private symbols on the nonzero-class subcarriers."""
-    return _scatter(cfg.n, cfg.layout.private_subcarriers, np.asarray(symbols, complex),
-                    Domain.FREQUENCY, np.sqrt(cfg.phi2))
+    return Frame(_private_plane(symbols, cfg), Domain.FREQUENCY)
 
 
-def add_cp(time_frame: Frame, cp_len: int) -> Frame:
-    data = time_frame.data
+def add_cp(time_frame: Frame | np.ndarray, cp_len: int) -> Frame:
+    data = time_frame.data if isinstance(time_frame, Frame) else np.asarray(time_frame)
     return Frame(np.concatenate([data[data.size - cp_len:], data]), Domain.TIME)
 
 
@@ -233,41 +254,23 @@ def remove_cp(y: np.ndarray, n: int, cp_len: int) -> np.ndarray:
     return y[cp_len:]
 
 
-def combine_frame(common: Frame, pilot: Frame, private: Frame,
-                  cfg: FrameConfig, extra: Frame | None = None) -> Frame:
-    """Superpose the affine components, spread them into frequency and add
-    the private subcarriers."""
-    affine = common.data + pilot.data
-    if extra is not None:
-        affine = affine + extra.data
-    spread = affine_to_freq(Frame(affine, Domain.AFFINE), cfg.affine)
-    return Frame(spread.data + private.data, Domain.FREQUENCY)
-
-
-def build_frame(msgs: RsmaMessages, cfg: FrameConfig, user: int = 1) -> Frame:
-    """Modulate one user's frame: combined frequency plane -> time + CP."""
-    c = cfg.layout
-    syms = modulate_bits(msgs.common_bits, cfg.constellation)
-    if syms.size != c.n_common + c.n_extra:
-        raise InvalidLength(
-            f"common stream carries {syms.size} symbols, frame needs "
-            f"{c.n_common + c.n_extra}")
-    common = build_affine_common(syms[:c.n_common], cfg)
-    extra = None
-    if cfg.approach is Approach.PILOT_AND_DATA:
-        extra = build_affine_extra(syms[c.n_common:], cfg)
-    pbits = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
-    private = build_freq_private(modulate_bits(pbits, cfg.constellation), cfg)
-    comb = combine_frame(common, build_affine_pilot(cfg), private, cfg, extra)
-    return add_cp(idft(comb), cfg.cp_len)
+def build_frame(common_syms: np.ndarray, private_syms: np.ndarray,
+                cfg: FrameConfig) -> Frame:
+    """One user's frame from its common and private symbols: the affine
+    plane (pilot, common, extra) spread into frequency, plus the private
+    subcarriers, then time + CP."""
+    affine = _common_plane(common_syms, cfg)
+    affine[0] = np.sqrt(cfg.phi_pilot)
+    freq = _affine_to_freq(affine, cfg.affine) + _private_plane(private_syms, cfg)
+    return add_cp(_idft(freq), cfg.cp_len)
 
 
 def extract_received_planes(y_time: Frame | np.ndarray, cfg: FrameConfig) -> tuple[Frame, Frame]:
     """CP removal followed by the two receiver branches: (frequency plane,
     affine plane) of the same N samples."""
     data = y_time.data if isinstance(y_time, Frame) else np.asarray(y_time)
-    y = Frame(remove_cp(data, cfg.n, cfg.cp_len), Domain.TIME)
-    return dft(y), daft(y, cfg.affine)
+    y = remove_cp(data, cfg.n, cfg.cp_len)
+    return Frame(_dft(y), Domain.FREQUENCY), Frame(_daft(y, cfg.affine), Domain.AFFINE)
 
 
 def frame_energy_budget(cfg: FrameConfig) -> float:

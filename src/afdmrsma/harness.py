@@ -52,7 +52,12 @@ class SimConfig:
             raise ConfigError("SNR grid must be nonempty")
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        if resolve_estimator(self) != "affine":
+        kind, m = resolve_estimator(self), self.frame.affine.m
+        # the LS estimate on every c1'-th subcarrier resolves only M time taps
+        if kind == "freq" and self.taps and not self.baseline and max(
+                t.l for t in self.taps) >= m:
+            raise ConfigError(f"the freq estimator needs max delay < M={m}")
+        if kind != "affine":
             return
         # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
         if any(t.k < 0 for t in self.taps):
@@ -142,8 +147,7 @@ def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec,
         return perfect_estimate(spec, cfg, Domain.AFFINE)
     y_freq, y_aff = planes
     if kind == "freq":
-        l_bound = min(spec.max_delay, cfg.affine.m - 1)
-        return estimate_channel_freq(y_freq, cfg, max_delay=l_bound)
+        return estimate_channel_freq(y_freq, cfg, max_delay=spec.max_delay)
     if kind == "affine":
         l_bound, k_bound = _affine_search_bounds(cfg, spec)
         return estimate_channel_affine(y_aff, cfg, max_delay=l_bound, max_doppler=k_bound,
@@ -173,18 +177,17 @@ def _stream_res(sim: SimConfig) -> tuple[int, int, int]:
     return c.n_common, c.n_extra, c.n_private
 
 
-def _score(sim: SimConfig, common_bits: np.ndarray, private_bits: np.ndarray,
-           det: DetectionResult, nmse: float) -> _FrameRecord:
-    cfg = sim.frame
+def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
+           nmse: float) -> _FrameRecord:
+    """Score one frame against the (common, private) bits and symbols it sent."""
     res = _stream_res(sim)
-    tx_common = modulate_bits(common_bits, cfg.constellation)
-    tx_private = modulate_bits(private_bits, cfg.constellation)
+    (common_bits, private_bits), (tx_common, tx_private) = bits, syms
     energies = (float(np.sum(np.abs(det.common_syms - tx_common[:res[0]]) ** 2)),
                 float(np.sum(np.abs(det.extra_syms - tx_common[res[0]:]) ** 2)),
                 float(np.sum(np.abs(det.private_syms - tx_private) ** 2)))
     ec = int(np.sum(det.common_bits != common_bits))
     ep = int(np.sum(det.private_bits != private_bits))
-    se = measure_se(zip(energies, res), 1, cfg.n, sim.se_cap_db)
+    se = measure_se(zip(energies, res), 1, sim.frame.n, sim.se_cap_db)
     return _FrameRecord(ec, ep, *energies, nmse, se,
                         (ec + ep) / max(common_bits.size + private_bits.size, 1))
 
@@ -197,20 +200,21 @@ def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
 
     if sim.baseline:
         n_bits = cfg.n * cfg.constellation.bits_per_symbol
-        common_bits, private_bits = random_bits(rng, n_bits), random_bits(rng, n_bits)
-        det = run_baseline_frame(common_bits, private_bits, cfg, spec, rng)
-        return _score(sim, common_bits, private_bits, det, 0.0)
+        bits = random_bits(rng, n_bits), random_bits(rng, n_bits)
+    else:
+        r1, r2 = required_bits_per_user(cfg)
+        msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
+        # even frames carry user 1's private stream, odd frames user 2's
+        bits = msgs.common_bits, (msgs.private_bits_user2 if frame_idx % 2
+                                  else msgs.private_bits_user1)
+    syms = tuple(modulate_bits(b, cfg.constellation) for b in bits)
 
-    r1, r2 = required_bits_per_user(cfg)
-    msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-    user = 1 + (frame_idx % 2)
-    tx = build_frame(msgs, cfg, user=user)
-    planes = extract_received_planes(apply_channel(tx, spec, rng), cfg)
+    if sim.baseline:
+        return _score(sim, bits, syms, run_baseline_frame(*syms, cfg, spec, rng), 0.0)
+    planes = extract_received_planes(apply_channel(build_frame(*syms, cfg), spec, rng), cfg)
     est = _estimate(sim, planes, spec, estimator)
     det = detect_streams(planes, cfg, est, sim.mode, noise_var)
-    pbits = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
-    return _score(sim, msgs.common_bits, pbits, det,
-                  estimate_nmse(est, ChannelSpec(sim.taps), cfg.n))
+    return _score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n))
 
 
 def _run_chunk(args) -> list[_FrameRecord]:

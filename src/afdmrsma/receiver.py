@@ -32,11 +32,13 @@ from .channel import ChannelSpec, ChannelTap, freq_response, frequency_diagonal
 from .core import Domain, Frame, demodulate_symbols, modulate_bits
 from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
-from .framing import (Approach, FrameConfig, build_affine_common, build_affine_extra,
-                      build_freq_private, frame_energy_budget, resource_map)
+from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
+                      frame_energy_budget, resource_map)
+from .transforms import _affine_to_freq, _check, _daft, _freq_to_affine, _idaft
 # not called here; kept as attributes because linkbench/spans.py patches them
-from .framing import build_affine_pilot, extract_received_planes  # noqa: F401
-from .transforms import affine_to_freq, daft, freq_to_affine, idaft
+from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
+                      build_affine_pilot, build_freq_private, extract_received_planes)
+from .transforms import affine_to_freq, daft, freq_to_affine, idaft  # noqa: F401
 
 # peak threshold of the affine estimator, in multiples of its noise floor
 THRESHOLD_SCALE = 3.0
@@ -211,8 +213,7 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
         if y.domain is not Domain.FREQUENCY:
             raise ConfigError("frequency-domain estimate needs a frequency plane")
         h = est.h_freq
-        if g == 0 and np.min(np.abs(h)) < 1e-12:
-            raise SingularChannel("zero-forcing through a null subcarrier")
+        _refuse_null(h, g)
         w = np.conj(h) / (np.abs(h) ** 2 + g)
         return Frame(y.data * w, Domain.FREQUENCY)
 
@@ -220,9 +221,14 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
         raise ConfigError("affine-domain estimate needs an affine plane")
     if not est.taps:
         raise SingularChannel("empty tap estimate")
-    y_time = idaft(y, cfg.affine).data
-    x_time = _tap_mmse_time(y_time, est.taps, cfg.n, g)
-    return daft(Frame(x_time, Domain.TIME), cfg.affine)
+    x_time = _tap_mmse_time(_idaft(_check(y, Domain.AFFINE, cfg.n), cfg.affine),
+                            est.taps, cfg.n, g)
+    return Frame(_daft(x_time, cfg.affine), Domain.AFFINE)
+
+
+def _refuse_null(h: np.ndarray, g: float) -> None:
+    if g == 0 and np.min(np.abs(h)) < 1e-12:
+        raise SingularChannel("zero-forcing through a channel null")
 
 
 def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
@@ -238,8 +244,7 @@ def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
         hdiag = np.zeros(n, dtype=np.complex128)
         for t in taps:
             hdiag += t.h * np.exp(2j * np.pi * t.k * idx / n)
-        if g == 0 and np.min(np.abs(hdiag)) < 1e-12:
-            raise SingularChannel("zero-forcing through a channel null")
+        _refuse_null(hdiag, g)
         return y_time * np.conj(hdiag) / (np.abs(hdiag) ** 2 + g)
 
     gram = np.zeros((n, n), dtype=np.complex128)
@@ -269,15 +274,6 @@ class DetectionResult:
     private_syms: np.ndarray
 
 
-def _rebuild_common_freq(com_bits: np.ndarray, ext_bits: np.ndarray,
-                         cfg: FrameConfig) -> np.ndarray:
-    com_hat = build_affine_common(modulate_bits(com_bits, cfg.constellation), cfg).data
-    if ext_bits.size:
-        com_hat = com_hat + build_affine_extra(
-            modulate_bits(ext_bits, cfg.constellation), cfg).data
-    return affine_to_freq(Frame(com_hat, Domain.AFFINE), cfg.affine).data
-
-
 def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEstimate,
                    mode: ReceiverMode = ReceiverMode.SIC_FREE,
                    noise_var: float = 0.0) -> DetectionResult:
@@ -287,11 +283,11 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     frame that :func:`framing.extract_received_planes` returns."""
     y_freq, y_aff = planes
     if est.domain is Domain.FREQUENCY:
-        eq_f = equalize(y_freq, est, cfg, noise_var)
-        eq_a = freq_to_affine(eq_f, cfg.affine)
+        eq_f = equalize(y_freq, est, cfg, noise_var).data
+        eq_a = _freq_to_affine(eq_f, cfg.affine)
     else:
-        eq_a = equalize(y_aff, est, cfg, noise_var)
-        eq_f = affine_to_freq(eq_a, cfg.affine)
+        eq_a = equalize(y_aff, est, cfg, noise_var).data
+        eq_f = _affine_to_freq(eq_a, cfg.affine)
 
     rm = resource_map(cfg)
     con = cfg.constellation
@@ -304,18 +300,20 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     def read_private(plane_f):
         return plane_f[rm.private_subcarriers] / np.sqrt(cfg.phi2)
 
-    com, ext, com_bits, ext_bits = read_common(eq_a.data)
-    plane_f = eq_f.data
+    com, ext, com_bits, ext_bits = read_common(eq_a)
+    plane_f = eq_f
     for sic_round in range(_SIC_ROUNDS[mode]):
         if sic_round:
             # subtract the private image the previous round detected from
             # the affine plane and read the common stream again
             priv_bits = demodulate_symbols(read_private(plane_f), con)
-            priv_hat = build_freq_private(modulate_bits(priv_bits, con), cfg)
+            priv_hat = _private_plane(modulate_bits(priv_bits, con), cfg)
             com, ext, com_bits, ext_bits = read_common(
-                eq_a.data - freq_to_affine(priv_hat, cfg.affine).data)
+                eq_a - _freq_to_affine(priv_hat, cfg.affine))
         # subtract the detected common image from the frequency plane
-        plane_f = eq_f.data - _rebuild_common_freq(com_bits, ext_bits, cfg)
+        com_hat = _common_plane(
+            modulate_bits(np.concatenate([com_bits, ext_bits]), con), cfg)
+        plane_f = eq_f - _affine_to_freq(com_hat, cfg.affine)
     priv = read_private(plane_f)
     return DetectionResult(np.concatenate([com_bits, ext_bits]),
                            demodulate_symbols(priv, con), com, ext, priv)

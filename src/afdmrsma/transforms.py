@@ -88,32 +88,53 @@ def _check(x: Frame, domain: Domain, n: int | None = None) -> np.ndarray:
     return x.data
 
 
+# array kernels of the public transforms below, for callers holding plain arrays
+def _dft(x: np.ndarray) -> np.ndarray:
+    return np.fft.fft(x) / np.sqrt(x.size)
+
+
+def _idft(x: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(x) * np.sqrt(x.size)
+
+
+def _idaft(x: np.ndarray, p: AffineParams) -> np.ndarray:
+    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
+    return np.fft.ifft(x * fc) * np.sqrt(p.n) * tc
+
+
+def _daft(x: np.ndarray, p: AffineParams) -> np.ndarray:
+    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
+    return np.fft.fft(x * tc.conj()) / np.sqrt(p.n) * fc.conj()
+
+
+def _affine_to_freq(x: np.ndarray, p: AffineParams) -> np.ndarray:
+    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
+    return np.fft.fft(np.fft.ifft(x * fc) * tc)
+
+
+def _freq_to_affine(x: np.ndarray, p: AffineParams) -> np.ndarray:
+    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
+    return np.fft.fft(np.fft.ifft(x) * tc.conj()) * fc.conj()
+
+
 def dft(x: Frame, n: int | None = None) -> Frame:
     """Unitary DFT, time -> frequency."""
-    data = _check(x, Domain.TIME, n)
-    return Frame(np.fft.fft(data) / np.sqrt(data.size), Domain.FREQUENCY)
+    return Frame(_dft(_check(x, Domain.TIME, n)), Domain.FREQUENCY)
 
 
 def idft(x: Frame, n: int | None = None) -> Frame:
     """Unitary inverse DFT, frequency -> time."""
-    data = _check(x, Domain.FREQUENCY, n)
-    return Frame(np.fft.ifft(data) * np.sqrt(data.size), Domain.TIME)
+    return Frame(_idft(_check(x, Domain.FREQUENCY, n)), Domain.TIME)
 
 
 def idaft(x: Frame, p: AffineParams) -> Frame:
     """Chirp synthesis, affine -> time (degenerates to idft at c1=c2=0)."""
-    data = _check(x, Domain.AFFINE, p.n)
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    s = np.fft.ifft(data * fc) * np.sqrt(p.n)
-    return Frame(s * tc, Domain.TIME)
+    return Frame(_idaft(_check(x, Domain.AFFINE, p.n), p), Domain.TIME)
 
 
 def daft(x: Frame, p: AffineParams) -> Frame:
     """Chirp analysis, time -> affine; exact inverse of :func:`idaft`."""
-    data = _check(x, Domain.TIME, p.n)
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    s = np.fft.fft(data * tc.conj()) / np.sqrt(p.n)
-    return Frame(s * fc.conj(), Domain.AFFINE)
+    return Frame(_daft(_check(x, Domain.TIME, p.n), p), Domain.AFFINE)
 
 
 def affine_to_freq(x: Frame, p: AffineParams) -> Frame:
@@ -122,19 +143,13 @@ def affine_to_freq(x: Frame, p: AffineParams) -> Frame:
     For even M the image of affine index i occupies only the subcarriers m
     with m = i (mod c1').
     """
-    data = _check(x, Domain.AFFINE, p.n)
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    s = np.fft.ifft(data * fc) * tc
-    return Frame(np.fft.fft(s), Domain.FREQUENCY)
+    return Frame(_affine_to_freq(_check(x, Domain.AFFINE, p.n), p), Domain.FREQUENCY)
 
 
 def freq_to_affine(x: Frame, p: AffineParams) -> Frame:
     """Spread a frequency frame into the affine domain; inverse of
     :func:`affine_to_freq`."""
-    data = _check(x, Domain.FREQUENCY, p.n)
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    s = np.fft.ifft(data) * tc.conj()
-    return Frame(np.fft.fft(s) * fc.conj(), Domain.AFFINE)
+    return Frame(_freq_to_affine(_check(x, Domain.FREQUENCY, p.n), p), Domain.AFFINE)
 
 
 def kernel_phi(i: int, m: int, p: AffineParams) -> complex:

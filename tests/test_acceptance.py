@@ -16,7 +16,7 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       channel_matrix, daft, detect_streams,
                       estimate_channel_affine, extract_received_planes,
                       frame_rng, freq_to_affine, idaft, kernel_phi,
-                      perfect_estimate, random_bits, required_bits_per_user,
+                      modulate_bits, perfect_estimate, random_bits, required_bits_per_user,
                       run_sweep, split_messages, add_cp)
 from afdmrsma.experiments import (BER_SNR_GRID, SE_SNR_GRID, fig5_sweeps,
                                   fig6_sweeps, fig7_sweeps, fig8_sweeps,
@@ -188,12 +188,12 @@ def test_criterion_06_noiseless_end_to_end():
                 r1, r2 = required_bits_per_user(cfg)
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2),
                                       cfg)
-                user = 1 + (f % 2)
-                tx = build_frame(msgs, cfg, user=user)
+                pbits = (msgs.private_bits_user2 if f % 2
+                         else msgs.private_bits_user1)
+                tx = build_frame(modulate_bits(msgs.common_bits, cfg.constellation),
+                                 modulate_bits(pbits, cfg.constellation), cfg)
                 rx = apply_channel(tx, spec)
                 det = detect_streams(extract_received_planes(rx, cfg), cfg, est)
-                pbits = (msgs.private_bits_user1 if user == 1
-                         else msgs.private_bits_user2)
                 errors += int(np.sum(det.common_bits != msgs.common_bits))
                 errors += int(np.sum(det.private_bits != pbits))
                 total += det.common_bits.size + det.private_bits.size

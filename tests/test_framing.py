@@ -20,6 +20,15 @@ def cfg16(approach=Approach.CLEAN_PILOT, **kw):
     return FrameConfig(**base)
 
 
+def tx_frame(msgs, cfg, user=1):
+    """One user's transmitted frame: the common stream and that user's
+    private stream, each modulated once."""
+    con = cfg.constellation
+    private = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
+    return build_frame(modulate_bits(msgs.common_bits, con),
+                       modulate_bits(private, con), cfg)
+
+
 class TestResourceMap:
     def test_known_enumeration(self):
         rm = resource_map(cfg16())
@@ -183,7 +192,7 @@ class TestBuilders:
         for f in range(400):
             rng = frame_rng(9, 0, f)
             msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-            tx = build_frame(msgs, cfg, user=1)
+            tx = tx_frame(msgs, cfg, user=1)
             energies.append(tx.energy())  # cp_len = 0 here
         budget = frame_energy_budget(cfg)
         assert np.mean(energies) == pytest.approx(budget, rel=0.05)
@@ -199,7 +208,7 @@ class TestBuildFrame:
         # vanishing private power: time frame = idaft(pilot + common) + CP
         cfg = cfg16(phi2=1e-20, phi1=1.0, cp_len=3)
         msgs = self._msgs(cfg)
-        tx = build_frame(msgs, cfg, user=1)
+        tx = tx_frame(msgs, cfg, user=1)
         com = build_affine_common(
             modulate_bits(msgs.common_bits, cfg.constellation), cfg)
         pil = build_affine_pilot(cfg)
@@ -211,7 +220,7 @@ class TestBuildFrame:
     def test_no_common_no_pilot_is_plain_ofdm(self):
         cfg = cfg16(phi_pilot=1e-30, common_per_class=0)
         msgs = self._msgs(cfg)
-        tx = build_frame(msgs, cfg, user=1)
+        tx = tx_frame(msgs, cfg, user=1)
         prv = build_freq_private(
             modulate_bits(msgs.private_bits_user1, cfg.constellation), cfg)
         npt.assert_allclose(tx.data, idft(prv).data, atol=1e-9)
@@ -226,8 +235,8 @@ class TestBuildFrame:
         from afdmrsma import RsmaMessages
         msgs1 = RsmaMessages(msgs2.common_bits[:c1.n_common * b],
                              msgs2.private_bits_user1, msgs2.private_bits_user2)
-        f1 = build_frame(msgs1, cfg1, user=1)
-        f2 = build_frame(msgs2, cfg2, user=1)
+        f1 = tx_frame(msgs1, cfg1, user=1)
+        f2 = tx_frame(msgs2, cfg2, user=1)
         extra_syms = modulate_bits(msgs2.common_bits[c1.n_common * b:],
                                    cfg2.constellation)
         extra_freq = affine_to_freq(build_affine_extra(extra_syms, cfg2), cfg2.affine)
@@ -239,7 +248,7 @@ class TestBuildFrame:
         # class-0 subcarriers carry only the pilot image in approach 1
         cfg = cfg16()
         msgs = self._msgs(cfg, seed=5)
-        tx = build_frame(msgs, cfg, user=1)
+        tx = tx_frame(msgs, cfg, user=1)
         y_freq, _ = extract_received_planes(tx, cfg)
         pilot_img = affine_to_freq(build_affine_pilot(cfg), cfg.affine).data
         resid = y_freq.data[::4] - pilot_img[::4]
@@ -249,7 +258,7 @@ class TestBuildFrame:
         from afdmrsma import freq_to_affine
         cfg = cfg16(cp_len=4)
         msgs = self._msgs(cfg, seed=6)
-        tx = build_frame(msgs, cfg, user=2)
+        tx = tx_frame(msgs, cfg, user=2)
         y_freq, y_aff = extract_received_planes(tx, cfg)
         npt.assert_allclose(freq_to_affine(y_freq, cfg.affine).data,
                             y_aff.data, atol=1e-9)
@@ -264,7 +273,7 @@ class TestBuildFrame:
     def test_loopback_restores_superposition(self):
         cfg = cfg16(Approach.PILOT_AND_DATA, cp_len=2)
         msgs = self._msgs(cfg, seed=7)
-        tx = build_frame(msgs, cfg, user=1)
+        tx = tx_frame(msgs, cfg, user=1)
         _, y_aff = extract_received_planes(tx, cfg)
         c = capacity_counts(cfg)
         syms = modulate_bits(msgs.common_bits, cfg.constellation)
@@ -288,7 +297,7 @@ class TestSeparability:
             rng = frame_rng(11, 0, f)
             r1, r2 = required_bits_per_user(cfg)
             msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-            tx = build_frame(msgs, cfg, user=1)
+            tx = tx_frame(msgs, cfg, user=1)
             _, y_aff = extract_received_planes(tx, cfg)
             rm = resource_map(cfg)
             got = demodulate_symbols(

@@ -2,14 +2,16 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
-                      InvalidLength, LinkResult, SimConfig,
+                      Frame, InvalidLength, LinkResult, SimConfig,
                       emit_results, measure_ber, measure_se, run_sweep)
+from afdmrsma.experiments import _ber_frame
 from afdmrsma.harness import load_config, render_csv, sim_config_from_dict
 
 
@@ -165,6 +167,51 @@ class TestRunSweep:
         small_sim(taps=taps, baseline=True)
         small_sim(taps=taps, estimator="perfect-affine")
 
+    def test_freq_estimator_delay_bound(self):
+        # c1' = 16 leaves M = 4 pilot subcarrier taps to resolve the delay spread
+        frame = replace(small_sim().frame, affine=AffineParams(64, 16), cp_len=8)
+        for l, ok in ((3, True), (4, False)):
+            taps = (ChannelTap(0.8, 0, 0), ChannelTap(0.6, l, 0))
+            if ok:
+                small_sim(frame=frame, taps=taps, estimator="freq")
+                continue
+            with pytest.raises(ConfigError, match="needs max delay < M=4"):
+                small_sim(frame=frame, taps=taps, estimator="freq")
+            # the genie estimator and the baseline never estimate delays
+            small_sim(frame=frame, taps=taps, estimator="perfect-freq")
+            small_sim(frame=frame, taps=taps, estimator="freq", baseline=True)
+
+    def test_baseline_null_channel_is_a_diagnostic(self):
+        # an all-Doppler channel has a zero one-tap diagonal: zero forcing
+        # through it is refused, not turned into NaN
+        sim = SimConfig(frame=_ber_frame(10.0), taps=(ChannelTap(1.0, 0, 1),),
+                        snr_grid_db=(10.0,), frames_per_point=3, baseline=True,
+                        noise_override=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_sweep(sim)
+        assert res[0].diagnostics.startswith("SingularChannel: ")
+        assert res[0].frames == 0
+
+    def test_frame_objects_only_at_the_public_boundary(self, monkeypatch):
+        # build_frame, apply_channel, the two received planes and equalize
+        # return a Frame per scheme frame; add_cp and apply_channel per
+        # baseline frame
+        built = []
+        post_init = Frame.__post_init__
+
+        def counted(frame):
+            built.append(frame.domain)
+            post_init(frame)
+        sims = {5: small_sim(frames_per_point=3, snr_grid_db=(10.0, 20.0)),
+                2: small_sim(frames_per_point=3, snr_grid_db=(10.0, 20.0), baseline=True)}
+        monkeypatch.setattr(Frame, "__post_init__", counted)
+        for per_frame, sim in sims.items():
+            built.clear()
+            res = run_sweep(sim)
+            assert [r.frames for r in res] == [3, 3]
+            assert len(built) <= per_frame * 6
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             small_sim(frames_per_point=0)
@@ -257,6 +304,17 @@ class TestCli:
 
     def test_missing_args_exit_code(self):
         assert self.run_cli().returncode == 1
+
+    def test_unresolvable_delay_exit_code(self, tmp_path):
+        cfg = TestConfigLoading().config_dict()
+        cfg["frame"].update(c1_prime=16, cp_len=8)          # M = 4
+        cfg["channel"]["taps"] = [[0.8, 0.0, 0, 0], [0.6, 0.0, 5, 0]]
+        cfg["sweep"]["estimator"] = "freq"
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
+        assert r.returncode == 1
+        assert "needs max delay < M=4" in r.stderr
 
     def test_doppler_toggle(self, tmp_path):
         cfg = TestConfigLoading().config_dict()

@@ -23,11 +23,20 @@ def make_cfg(n=256, c1p=64, guard=8, pilot=10.0, phi1=4.0, phi2=1.0,
                        common_per_class=cpc)
 
 
+def tx_frame(msgs, cfg, user=1):
+    """One user's transmitted frame: the common stream and that user's
+    private stream, each modulated once."""
+    con = cfg.constellation
+    private = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
+    return build_frame(modulate_bits(msgs.common_bits, con),
+                       modulate_bits(private, con), cfg)
+
+
 def make_frame(cfg, seed=0, user=1):
     rng = frame_rng(seed, 0, 0)
     r1, r2 = required_bits_per_user(cfg)
     msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-    return msgs, build_frame(msgs, cfg, user=user)
+    return msgs, tx_frame(msgs, cfg, user=user)
 
 
 def pilot_frame(cfg):
@@ -60,7 +69,7 @@ class TestFreqEstimator:
             rng = frame_rng(21, 0, f)
             r1, r2 = required_bits_per_user(cfg)
             msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-            tx = build_frame(msgs, cfg, user=1)
+            tx = tx_frame(msgs, cfg, user=1)
             rx = apply_channel(tx, spec0.with_noise(nv), rng)
             est = estimate_channel_freq(extract_received_planes(rx, cfg)[0], cfg)
             nmses.append(estimate_nmse(est, spec0, cfg.n))
@@ -80,7 +89,7 @@ class TestFreqEstimator:
                 r1, r2 = required_bits_per_user(cfg)
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2),
                                       cfg)
-                tx = build_frame(msgs, cfg, user=1)
+                tx = tx_frame(msgs, cfg, user=1)
                 rx = apply_channel(tx, spec0.with_noise(nv), rng)
                 est = estimate_channel_freq(extract_received_planes(rx, cfg)[0], cfg)
                 nmses.append(estimate_nmse(est, spec0, cfg.n))
@@ -270,7 +279,7 @@ class TestDetect:
                 rng = frame_rng(31, 0, f)
                 r1, r2 = required_bits_per_user(cfg)
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-                tx = build_frame(msgs, cfg, user=1)
+                tx = tx_frame(msgs, cfg, user=1)
                 rx = apply_channel(tx, spec)
                 det = detect_streams(extract_received_planes(rx, cfg), cfg,
                                      perfect_estimate(spec, cfg, Domain.FREQUENCY))
@@ -290,7 +299,7 @@ class TestDetect:
         rng = frame_rng(41, 0, 0)
         r1, r2 = required_bits_per_user(cfg)
         msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-        tx = build_frame(msgs, cfg, user=1)
+        tx = tx_frame(msgs, cfg, user=1)
         rx = apply_channel(tx, spec, frame_rng(42, 0, 0))
         est = perfect_estimate(spec0, cfg, Domain.FREQUENCY)
         det = detect_streams(extract_received_planes(rx, cfg), cfg, est, noise_var=nv)
@@ -323,7 +332,7 @@ class TestDetect:
             rng = frame_rng(51, 0, f)
             r1, r2 = required_bits_per_user(cfg)
             msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-            tx = build_frame(msgs, cfg, user=1)
+            tx = tx_frame(msgs, cfg, user=1)
             rx = apply_channel(tx, spec0.with_noise(nv), rng)
             est = perfect_estimate(spec0, cfg, Domain.FREQUENCY)
             for mode in ReceiverMode:
@@ -348,7 +357,7 @@ class TestDetect:
                 rng = frame_rng(61, 0, f)
                 r1, r2 = required_bits_per_user(cfg)
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-                tx = build_frame(msgs, cfg, user=2)
+                tx = tx_frame(msgs, cfg, user=2)
                 rx = apply_channel(tx, spec)
                 d_f = detect_streams(extract_received_planes(rx, cfg), cfg,
                                      perfect_estimate(spec, cfg, Domain.FREQUENCY))
@@ -367,7 +376,7 @@ class TestDetect:
                 rng = frame_rng(71, 0, f)
                 r1, r2 = required_bits_per_user(cfg)
                 msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-                tx = build_frame(msgs, cfg, user=1)
+                tx = tx_frame(msgs, cfg, user=1)
                 rx = apply_channel(tx, spec)
                 det = detect_streams(extract_received_planes(rx, cfg), cfg,
                                      perfect_estimate(spec, cfg, dom))
