@@ -8,8 +8,8 @@ interference cancellation.
 """
 from .channel import (ChannelSpec, ChannelTap, apply_channel, channel_matrix,
                       freq_response, frequency_diagonal, snr_to_noise_var, two_tap)
-from .core import (Constellation, Domain, Frame, demodulate_symbols, frame_rng,
-                   modulate_bits, qpsk, random_bits)
+from .core import (BITS_PER_SYMBOL, Domain, Frame, demodulate_symbols, frame_rng,
+                   modulate_bits, random_bits)
 from .errors import (ConfigError, DegeneratePilot, DopplerPresent, GuardViolation,
                      InvalidChannel, InvalidIndex, InvalidLength, PilotContaminated,
                      SimulationError, SingularChannel, UnresolvableDoppler)

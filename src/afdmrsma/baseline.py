@@ -15,7 +15,7 @@ import numpy as np
 from .channel import ChannelSpec, apply_channel, frequency_diagonal
 from .core import demodulate_symbols, modulate_bits
 from .framing import FrameConfig, add_cp, remove_cp
-from .receiver import DetectionResult, _refuse_null
+from .receiver import DetectionResult, _one_tap
 from .transforms import _dft, _idft
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .transforms import dft, idft  # noqa: F401
@@ -30,7 +30,6 @@ def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
                        rng: np.random.Generator) -> DetectionResult:
     """Send ``cfg.n`` symbols of each stream superposed on every subcarrier
     and detect them with genie one-tap equalization and SIC."""
-    con = cfg.constellation
     s = np.sqrt(cfg.phi1) * common_syms + np.sqrt(cfg.phi2) * private_syms
 
     rx = apply_channel(add_cp(_idft(s), cfg.cp_len), spec, rng)
@@ -43,14 +42,13 @@ def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
     p_avg = baseline_budget(cfg) / cfg.n
     h = frequency_diagonal(spec, cfg.n)
     g = spec.noise_var / p_avg
-    _refuse_null(h, g)
-    eq = y_f * np.conj(h) / (np.abs(h) ** 2 + g)
+    eq = _one_tap(y_f, h, g)
 
     # SIC: common first, subtract, then private
     com_est = eq / np.sqrt(cfg.phi1)
-    bits_c_hat = demodulate_symbols(com_est, con)
-    com_remod = modulate_bits(bits_c_hat, con)
+    bits_c_hat = demodulate_symbols(com_est)
+    com_remod = modulate_bits(bits_c_hat)
     residual = eq - np.sqrt(cfg.phi1) * com_remod
     priv_est = residual / np.sqrt(cfg.phi2)
-    bits_p_hat = demodulate_symbols(priv_est, con)
+    bits_p_hat = demodulate_symbols(priv_est)
     return DetectionResult(bits_c_hat, bits_p_hat, com_est, com_est[:0], priv_est)

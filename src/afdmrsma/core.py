@@ -1,11 +1,11 @@
-"""Base signal types, Gray-mapped constellations and deterministic seeding.
+"""Base signal types, the Gray-mapped four-point modem and deterministic seeding.
 
-All power scaling is carried by the framing layer; constellations here are
-unit average energy so that a stream's power knob has a single home.
+All power scaling is carried by the framing layer; the symbols here
+have unit energy so that a stream's power knob has a single home.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,67 +46,37 @@ class Frame:
         return float(np.sum(np.abs(self.data) ** 2))
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """Gray-labelled, unit-average-energy constellation.
-
-    ``points[label]`` is the symbol whose bit pattern is the binary
-    expansion of ``label`` (MSB first).  Constellations compare and hash
-    by their points, so configurations holding one do too.
-    """
-
-    points: np.ndarray
-    bits_per_symbol: int = field(init=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        k = int(np.log2(pts.size))
-        if 2 ** k != pts.size:
-            raise ValueError("constellation order must be a power of 2")
-        object.__setattr__(self, "bits_per_symbol", k)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Constellation):
-            return NotImplemented
-        return self.points.tobytes() == other.points.tobytes()
-
-    def __hash__(self) -> int:
-        return hash(self.points.tobytes())
+# One Gray-mapped four-point alphabet: the first bit of a pair sets the sign of
+# the real part, the second the sign of the imaginary part (0 -> +, 1 -> -)
+BITS_PER_SYMBOL = 2
 
 
-def qpsk() -> Constellation:
-    """Gray QPSK: 00 -> (+1+j)/sqrt2, 01 -> (+1-j)/sqrt2,
-    10 -> (-1+j)/sqrt2, 11 -> (-1-j)/sqrt2.
-
-    First bit selects the real sign, second bit the imaginary sign
-    (0 -> +, 1 -> -), which is Gray: adjacent points differ in one bit.
-    """
-    pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-    return Constellation(pts)
-
-
-def modulate_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map a bit vector onto constellation symbols, MSB first per symbol."""
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
-    k = c.bits_per_symbol
-    if bits.size % k != 0:
+def modulate_bits(bits: np.ndarray) -> np.ndarray:
+    """Map a bit vector onto unit-energy Gray-mapped symbols:
+    00 -> (+1+j)/sqrt2, 01 -> (+1-j)/sqrt2, 10 -> (-1+j)/sqrt2,
+    11 -> (-1-j)/sqrt2.  Adjacent points differ in one bit."""
+    b = np.asarray(bits, dtype=np.int64).reshape(-1)
+    if b.size % BITS_PER_SYMBOL != 0:
         raise InvalidLength(
-            f"bit count {bits.size} not divisible by {k} bits/symbol"
+            f"bit count {b.size} not divisible by {BITS_PER_SYMBOL} bits/symbol"
         )
-    labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-    return c.points[labels]
+    return ((1 - 2 * b[0::2]) + 1j * (1 - 2 * b[1::2])) / np.sqrt(2.0)
 
 
-def demodulate_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Hard nearest-neighbour decision; ties break toward the lowest label."""
-    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    d = np.abs(symbols[:, None] - c.points[None, :])
-    labels = np.argmin(d, axis=1)  # argmin returns the first (lowest) index on ties
-    k = c.bits_per_symbol
-    out = (labels[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return out.reshape(-1).astype(np.int64)
+def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
+    """Hard decision by sign: a bit is 1 where its component is negative.
+
+    A zero component (either sign of zero) or a NaN one decides 0, as the
+    tie-break of a nearest-point search toward the lowest label does.  The
+    two rules differ only where that search sees a tie the signs do not: a
+    negative component too small (|x| below about 6e-17) to move the
+    distance to either point, or a negative component beside a NaN one
+    (the search decides 00 for any symbol holding a NaN)."""
+    s = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    out = np.empty(BITS_PER_SYMBOL * s.size, dtype=np.int64)
+    out[0::2] = s.real < 0
+    out[1::2] = s.imag < 0
+    return out
 
 
 def frame_rng(seed: int, point: int, frame: int) -> np.random.Generator:

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Constellation, Domain, Frame, qpsk
+from .core import BITS_PER_SYMBOL, Domain, Frame
 from .errors import ConfigError, InvalidLength
 from .transforms import AffineParams, _affine_to_freq, _daft, _dft, _idft, affine_to_freq
 # not called here; kept as attributes because linkbench/spans.py patches them
@@ -46,7 +46,6 @@ class FrameConfig:
     phi2: float
     approach: Approach = Approach.CLEAN_PILOT
     cp_len: int = 0
-    constellation: Constellation = field(default_factory=qpsk)
     # Common symbols placed per nonzero residue class; None fills every
     # eligible index.  The scheme needs sparse common loads to keep the
     # spread common image below the private stream (see README).
@@ -132,14 +131,13 @@ def _layout(cfg: FrameConfig) -> ResourceMap:
         extra = idx[:0]
 
     private = idx[cls != 0]
-    b = cfg.constellation.bits_per_symbol
-    common_bits = (common.size + extra.size) * b
+    common_bits = (common.size + extra.size) * BITS_PER_SYMBOL
     split = ((common_bits + 1) // 2, common_bits // 2)
     energy = (cfg.phi_pilot + cfg.phi1 * common.size + 1.0 * extra.size
               + cfg.phi2 * private.size)
     pilot_freq = affine_to_freq(build_affine_pilot(cfg), cfg.affine).data
     return ResourceMap(0, common, extra, private, pilot_freq, split,
-                       tuple(u + private.size * b for u in split), energy)
+                       tuple(u + private.size * BITS_PER_SYMBOL for u in split), energy)
 
 
 def resource_map(cfg: FrameConfig) -> ResourceMap:
@@ -274,6 +272,6 @@ def extract_received_planes(y_time: Frame | np.ndarray, cfg: FrameConfig) -> tup
 
 
 def frame_energy_budget(cfg: FrameConfig) -> float:
-    """Expected frame energy (CP excluded) for unit-energy constellations."""
+    """Expected frame energy (CP excluded) for unit-energy symbols."""
     return cfg.layout.energy_budget
 

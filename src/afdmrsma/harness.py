@@ -17,7 +17,7 @@ import numpy as np
 
 from .baseline import baseline_budget, run_baseline_frame
 from .channel import ChannelSpec, ChannelTap, apply_channel, snr_to_noise_var
-from .core import Domain, Frame, frame_rng, modulate_bits, random_bits
+from .core import BITS_PER_SYMBOL, Domain, Frame, frame_rng, modulate_bits, random_bits
 from .errors import ConfigError, InvalidLength, SimulationError
 from .framing import (Approach, FrameConfig, build_frame, capacity_counts,
                       extract_received_planes, frame_energy_budget,
@@ -132,10 +132,10 @@ def resolve_estimator(sim: SimConfig) -> str:
 
 def _affine_search_bounds(cfg: FrameConfig, spec: ChannelSpec) -> tuple[int, int]:
     """(delay, Doppler) bounds of the affine estimator's peak search: the
-    channel's spread, clipped to the span the frame can resolve."""
-    c1p, g = cfg.affine.c1_prime, cfg.guard
-    l_bound = min(spec.max_delay, g // c1p) if c1p <= g else 0
-    return l_bound, min(spec.max_doppler, c1p - 1)
+    channel's delay spread, which ``SimConfig`` refuses unless the guard
+    holds it, and its Doppler spread clipped to the c1' - 1 the pilot-shift
+    law resolves."""
+    return spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
 
 
 def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec,
@@ -199,7 +199,7 @@ def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
     cfg = sim.frame
 
     if sim.baseline:
-        n_bits = cfg.n * cfg.constellation.bits_per_symbol
+        n_bits = cfg.n * BITS_PER_SYMBOL
         bits = random_bits(rng, n_bits), random_bits(rng, n_bits)
     else:
         r1, r2 = required_bits_per_user(cfg)
@@ -207,7 +207,7 @@ def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
         # even frames carry user 1's private stream, odd frames user 2's
         bits = msgs.common_bits, (msgs.private_bits_user2 if frame_idx % 2
                                   else msgs.private_bits_user1)
-    syms = tuple(modulate_bits(b, cfg.constellation) for b in bits)
+    syms = tuple(modulate_bits(b) for b in bits)
 
     if sim.baseline:
         return _score(sim, bits, syms, run_baseline_frame(*syms, cfg, spec, rng), 0.0)
@@ -249,8 +249,8 @@ def run_point(sim: SimConfig, point: int, snr_db: float,
     total = _FrameRecord(*rows.sum(axis=0))
     per_frame = _FrameRecord(*rows.T)
     res = _stream_res(sim)
-    b = cfg.constellation.bits_per_symbol
-    bc, bp = frames * (res[0] + res[1]) * b, frames * res[2] * b
+    bc = frames * (res[0] + res[1]) * BITS_PER_SYMBOL
+    bp = frames * res[2] * BITS_PER_SYMBOL
     ec, ep = total.common_errors, total.private_errors
     energies = (total.common_err_energy, total.extra_err_energy, total.private_err_energy)
     se = measure_se([(e, frames * r) for e, r in zip(energies, res)], frames, cfg.n,

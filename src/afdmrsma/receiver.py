@@ -212,10 +212,7 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     if est.domain is Domain.FREQUENCY:
         if y.domain is not Domain.FREQUENCY:
             raise ConfigError("frequency-domain estimate needs a frequency plane")
-        h = est.h_freq
-        _refuse_null(h, g)
-        w = np.conj(h) / (np.abs(h) ** 2 + g)
-        return Frame(y.data * w, Domain.FREQUENCY)
+        return Frame(_one_tap(y.data, est.h_freq, g), Domain.FREQUENCY)
 
     if y.domain is not Domain.AFFINE:
         raise ConfigError("affine-domain estimate needs an affine plane")
@@ -226,9 +223,12 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     return Frame(_daft(x_time, cfg.affine), Domain.AFFINE)
 
 
-def _refuse_null(h: np.ndarray, g: float) -> None:
+def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
+    """One-tap MMSE ``y h* / (|h|^2 + g)``; at ``g == 0`` this is zero
+    forcing, and a null in ``h`` raises :class:`SingularChannel`."""
     if g == 0 and np.min(np.abs(h)) < 1e-12:
         raise SingularChannel("zero-forcing through a channel null")
+    return y * np.conj(h) / (np.abs(h) ** 2 + g)
 
 
 def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
@@ -244,8 +244,7 @@ def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
         hdiag = np.zeros(n, dtype=np.complex128)
         for t in taps:
             hdiag += t.h * np.exp(2j * np.pi * t.k * idx / n)
-        _refuse_null(hdiag, g)
-        return y_time * np.conj(hdiag) / (np.abs(hdiag) ** 2 + g)
+        return _one_tap(y_time, hdiag, g)
 
     gram = np.zeros((n, n), dtype=np.complex128)
     for r in taps:
@@ -290,12 +289,11 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
         eq_f = _affine_to_freq(eq_a, cfg.affine)
 
     rm = resource_map(cfg)
-    con = cfg.constellation
 
     def read_common(plane_a):
         com = plane_a[rm.common_indices] / np.sqrt(cfg.phi1)
         ext = plane_a[rm.extra_indices]
-        return com, ext, demodulate_symbols(com, con), demodulate_symbols(ext, con)
+        return com, ext, demodulate_symbols(com), demodulate_symbols(ext)
 
     def read_private(plane_f):
         return plane_f[rm.private_subcarriers] / np.sqrt(cfg.phi2)
@@ -306,17 +304,17 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
         if sic_round:
             # subtract the private image the previous round detected from
             # the affine plane and read the common stream again
-            priv_bits = demodulate_symbols(read_private(plane_f), con)
-            priv_hat = _private_plane(modulate_bits(priv_bits, con), cfg)
+            priv_bits = demodulate_symbols(read_private(plane_f))
+            priv_hat = _private_plane(modulate_bits(priv_bits), cfg)
             com, ext, com_bits, ext_bits = read_common(
                 eq_a - _freq_to_affine(priv_hat, cfg.affine))
         # subtract the detected common image from the frequency plane
         com_hat = _common_plane(
-            modulate_bits(np.concatenate([com_bits, ext_bits]), con), cfg)
+            modulate_bits(np.concatenate([com_bits, ext_bits])), cfg)
         plane_f = eq_f - _affine_to_freq(com_hat, cfg.affine)
     priv = read_private(plane_f)
     return DetectionResult(np.concatenate([com_bits, ext_bits]),
-                           demodulate_symbols(priv, con), com, ext, priv)
+                           demodulate_symbols(priv), com, ext, priv)
 
 
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:

@@ -190,8 +190,8 @@ def test_criterion_06_noiseless_end_to_end():
                                       cfg)
                 pbits = (msgs.private_bits_user2 if f % 2
                          else msgs.private_bits_user1)
-                tx = build_frame(modulate_bits(msgs.common_bits, cfg.constellation),
-                                 modulate_bits(pbits, cfg.constellation), cfg)
+                tx = build_frame(modulate_bits(msgs.common_bits), modulate_bits(pbits),
+                                 cfg)
                 rx = apply_channel(tx, spec)
                 det = detect_streams(extract_received_planes(rx, cfg), cfg, est)
                 errors += int(np.sum(det.common_bits != msgs.common_bits))

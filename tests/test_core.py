@@ -1,67 +1,88 @@
-"""Constellation mapping, frame type and seeding contracts."""
+"""Gray QPSK mapping, frame type and seeding contracts."""
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from afdmrsma import (Domain, Frame, InvalidLength, demodulate_symbols, frame_rng,
-                      modulate_bits, qpsk)
+from afdmrsma import (BITS_PER_SYMBOL, Domain, Frame, InvalidLength, demodulate_symbols,
+                      frame_rng, modulate_bits)
 
 RT2 = np.sqrt(2.0)
+# bit pairs of the labels 0..3, MSB first, and the points the labels name
+LABEL_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+TABLE = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+
+
+def points():
+    """The four symbols, indexed by label."""
+    return modulate_bits(LABEL_BITS)
+
+
+def nearest_point_bits(symbols):
+    """Reference rule: the nearest of the four points, ties to the lowest
+    label (argmin returns the first index, and NaN distances tie)."""
+    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    labels = np.argmin(np.abs(symbols[:, None] - TABLE[None, :]), axis=1)
+    return LABEL_BITS[labels].reshape(-1)
 
 
 class TestQpsk:
     def test_unit_energy(self):
-        c = qpsk()
-        assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
+        assert BITS_PER_SYMBOL == 2
+        assert abs(np.mean(np.abs(points()) ** 2) - 1.0) < 1e-12
 
     def test_gray_neighbours_differ_in_one_bit(self):
-        c = qpsk()
         labels = np.arange(4)
         # sort points by angle; adjacent points must differ in one bit
-        order = np.argsort(np.angle(c.points))
-        ring = labels[order]
+        ring = labels[np.argsort(np.angle(points()))]
         for a, b in zip(ring, np.roll(ring, -1)):
             assert bin(a ^ b).count("1") == 1
 
     def test_known_points(self):
-        c = qpsk()
-        npt.assert_allclose(modulate_bits([0, 0], c), [(1 + 1j) / RT2], atol=1e-15)
-        npt.assert_allclose(modulate_bits([1, 1], c), [(-1 - 1j) / RT2], atol=1e-15)
+        npt.assert_allclose(modulate_bits([0, 0]), [(1 + 1j) / RT2], atol=1e-15)
+        npt.assert_allclose(modulate_bits([1, 1]), [(-1 - 1j) / RT2], atol=1e-15)
+        assert points().tobytes() == TABLE.tobytes()
 
     def test_bulk_power_exact(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 1000)
-        syms = modulate_bits(bits, qpsk())
+        syms = modulate_bits(bits)
         assert syms.size == 500
         # QPSK points are unit modulus, so empirical power is exactly 1
         assert np.mean(np.abs(syms) ** 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_odd_length_rejected(self):
         with pytest.raises(InvalidLength):
-            modulate_bits([0, 1, 0], qpsk())
+            modulate_bits([0, 1, 0])
 
 
 class TestDemodulate:
     def test_nearest_point(self):
-        bits = demodulate_symbols([(0.9 + 0.8j) / RT2], qpsk())
+        bits = demodulate_symbols([(0.9 + 0.8j) / RT2])
         npt.assert_array_equal(bits, [0, 0])
 
     def test_round_trip_all_symbols(self):
-        c = qpsk()
-        for label in range(4):
-            bits = [(label >> 1) & 1, label & 1]
-            npt.assert_array_equal(demodulate_symbols(modulate_bits(bits, c), c), bits)
+        npt.assert_array_equal(demodulate_symbols(points()), LABEL_BITS.reshape(-1))
 
     def test_round_trip_random(self):
-        c = qpsk()
         rng = np.random.default_rng(1)
         for _ in range(20):
             bits = rng.integers(0, 2, 64)
-            npt.assert_array_equal(demodulate_symbols(modulate_bits(bits, c), c), bits)
+            npt.assert_array_equal(demodulate_symbols(modulate_bits(bits)), bits)
 
     def test_tie_breaks_to_lowest_label(self):
         # the origin is equidistant from all four points
-        npt.assert_array_equal(demodulate_symbols([0.0 + 0.0j], qpsk()), [0, 0])
+        npt.assert_array_equal(demodulate_symbols([0.0 + 0.0j]), [0, 0])
+
+    def test_sign_rule_matches_nearest_point_oracle(self):
+        rng = np.random.default_rng(2)
+        noisy = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+        edge = [0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                1, -1, 1j, -1j, complex(np.nan, 1), complex(1, np.nan),
+                complex(np.nan, np.nan)]
+        for syms in (noisy, np.array(edge, dtype=np.complex128)):
+            got = demodulate_symbols(syms)
+            assert got.dtype == np.int64
+            npt.assert_array_equal(got, nearest_point_bits(syms))
 
 
 class TestFrame:

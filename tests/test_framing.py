@@ -3,7 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from afdmrsma import (AffineParams, Approach, ConfigError, Domain, Frame,
+from afdmrsma import (BITS_PER_SYMBOL, AffineParams, Approach, ConfigError, Domain, Frame,
                       FrameConfig, InvalidLength, add_cp, affine_to_freq,
                       build_affine_common, build_affine_extra, build_affine_pilot,
                       build_frame, build_freq_private, capacity_counts,
@@ -23,10 +23,8 @@ def cfg16(approach=Approach.CLEAN_PILOT, **kw):
 def tx_frame(msgs, cfg, user=1):
     """One user's transmitted frame: the common stream and that user's
     private stream, each modulated once."""
-    con = cfg.constellation
     private = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
-    return build_frame(modulate_bits(msgs.common_bits, con),
-                       modulate_bits(private, con), cfg)
+    return build_frame(modulate_bits(msgs.common_bits), modulate_bits(private), cfg)
 
 
 class TestResourceMap:
@@ -96,7 +94,7 @@ class TestMessages:
     def test_counts_exactly_consumed(self):
         cfg = cfg16(Approach.PILOT_AND_DATA)
         c = capacity_counts(cfg)
-        b = cfg.constellation.bits_per_symbol
+        b = BITS_PER_SYMBOL
         rng = frame_rng(2, 0, 0)
         r1, r2 = required_bits_per_user(cfg)
         msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
@@ -170,9 +168,9 @@ class TestBuilders:
         cfg = cfg16(Approach.PILOT_AND_DATA)
         c = capacity_counts(cfg)
         rng = np.random.default_rng(0)
-        com = modulate_bits(rng.integers(0, 2, 2 * c.n_common), cfg.constellation)
-        ext = modulate_bits(rng.integers(0, 2, 2 * c.n_extra), cfg.constellation)
-        prv = modulate_bits(rng.integers(0, 2, 2 * c.n_private), cfg.constellation)
+        com = modulate_bits(rng.integers(0, 2, 2 * c.n_common))
+        ext = modulate_bits(rng.integers(0, 2, 2 * c.n_extra))
+        prv = modulate_bits(rng.integers(0, 2, 2 * c.n_private))
         assert build_affine_common(com, cfg).energy() == pytest.approx(
             cfg.phi1 * c.n_common, abs=1e-9)
         assert build_affine_extra(ext, cfg).energy() == pytest.approx(
@@ -209,8 +207,7 @@ class TestBuildFrame:
         cfg = cfg16(phi2=1e-20, phi1=1.0, cp_len=3)
         msgs = self._msgs(cfg)
         tx = tx_frame(msgs, cfg, user=1)
-        com = build_affine_common(
-            modulate_bits(msgs.common_bits, cfg.constellation), cfg)
+        com = build_affine_common(modulate_bits(msgs.common_bits), cfg)
         pil = build_affine_pilot(cfg)
         direct = idaft(Frame(com.data + pil.data, Domain.AFFINE), cfg.affine)
         ref = add_cp(direct, 3)
@@ -221,8 +218,7 @@ class TestBuildFrame:
         cfg = cfg16(phi_pilot=1e-30, common_per_class=0)
         msgs = self._msgs(cfg)
         tx = tx_frame(msgs, cfg, user=1)
-        prv = build_freq_private(
-            modulate_bits(msgs.private_bits_user1, cfg.constellation), cfg)
+        prv = build_freq_private(modulate_bits(msgs.private_bits_user1), cfg)
         npt.assert_allclose(tx.data, idft(prv).data, atol=1e-9)
 
     def test_approach2_differs_by_spread_extra(self):
@@ -231,14 +227,13 @@ class TestBuildFrame:
         msgs2 = self._msgs(cfg2, seed=4)
         # approach-1 frame with the same common prefix and private bits
         c1 = capacity_counts(cfg1)
-        b = cfg1.constellation.bits_per_symbol
+        b = BITS_PER_SYMBOL
         from afdmrsma import RsmaMessages
         msgs1 = RsmaMessages(msgs2.common_bits[:c1.n_common * b],
                              msgs2.private_bits_user1, msgs2.private_bits_user2)
         f1 = tx_frame(msgs1, cfg1, user=1)
         f2 = tx_frame(msgs2, cfg2, user=1)
-        extra_syms = modulate_bits(msgs2.common_bits[c1.n_common * b:],
-                                   cfg2.constellation)
+        extra_syms = modulate_bits(msgs2.common_bits[c1.n_common * b:])
         extra_freq = affine_to_freq(build_affine_extra(extra_syms, cfg2), cfg2.affine)
         diff_freq = extract_received_planes(f2, cfg2)[0].data \
             - extract_received_planes(f1, cfg1)[0].data
@@ -276,7 +271,7 @@ class TestBuildFrame:
         tx = tx_frame(msgs, cfg, user=1)
         _, y_aff = extract_received_planes(tx, cfg)
         c = capacity_counts(cfg)
-        syms = modulate_bits(msgs.common_bits, cfg.constellation)
+        syms = modulate_bits(msgs.common_bits)
         rm = resource_map(cfg)
         # pilot and common/extra sit undisturbed on their affine indices
         assert y_aff.data[0] == pytest.approx(np.sqrt(cfg.phi_pilot), abs=1e-9)
@@ -300,8 +295,6 @@ class TestSeparability:
             tx = tx_frame(msgs, cfg, user=1)
             _, y_aff = extract_received_planes(tx, cfg)
             rm = resource_map(cfg)
-            got = demodulate_symbols(
-                y_aff.data[rm.common_indices] / np.sqrt(cfg.phi1),
-                cfg.constellation)
+            got = demodulate_symbols(y_aff.data[rm.common_indices] / np.sqrt(cfg.phi1))
             errors += int(np.sum(got != msgs.common_bits[:2 * c.n_common]))
         assert errors == 0

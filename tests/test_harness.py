@@ -1,9 +1,11 @@
 """Metrics, sweeps, emission, configuration and the CLI."""
 import json
+import os
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
                       Frame, InvalidLength, LinkResult, SimConfig,
                       emit_results, measure_ber, measure_se, run_sweep)
-from afdmrsma.experiments import _ber_frame
+from afdmrsma.experiments import _ber_frame, fig5_sweeps
 from afdmrsma.harness import load_config, render_csv, sim_config_from_dict
 
 
@@ -166,6 +168,17 @@ class TestRunSweep:
         # the baseline and the genie estimators never search the guard
         small_sim(taps=taps, baseline=True)
         small_sim(taps=taps, estimator="perfect-affine")
+        # a delay of more than guard // c1' is refused too, not left out of the
+        # search: c1' l = 4 * 3 = 12 exceeds guard 8
+        with pytest.raises(ConfigError, match="span 12 .* exceeds guard 8"):
+            small_sim(taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 3, 0)),
+                      estimator="affine")
+        # fig5's embedded-pilot series (c1' = 64, guard 1) cannot hold any delay
+        embedded = fig5_sweeps(frames=10)[1][1]
+        assert embedded.estimator == "affine" and embedded.frame.guard == 1
+        with pytest.raises(ConfigError, match="span 64 .* exceeds guard 1"):
+            replace(embedded, snr_grid_db=(25.0,),
+                    taps=(ChannelTap(0.9, 0, 0), ChannelTap(0.43, 1, 0)))
 
     def test_freq_estimator_delay_bound(self):
         # c1' = 16 leaves M = 4 pilot subcarrier taps to resolve the delay spread
@@ -259,8 +272,11 @@ class TestConfigLoading:
 
 class TestCli:
     def run_cli(self, *args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "afdmrsma.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
 
     def test_sweep_and_overrides(self, tmp_path):
         cfg = TestConfigLoading().config_dict()
@@ -306,15 +322,23 @@ class TestCli:
         assert self.run_cli().returncode == 1
 
     def test_unresolvable_delay_exit_code(self, tmp_path):
-        cfg = TestConfigLoading().config_dict()
-        cfg["frame"].update(c1_prime=16, cp_len=8)          # M = 4
-        cfg["channel"]["taps"] = [[0.8, 0.0, 0, 0], [0.6, 0.0, 5, 0]]
-        cfg["sweep"]["estimator"] = "freq"
-        path = tmp_path / "sim.json"
-        path.write_text(json.dumps(cfg))
-        r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
-        assert r.returncode == 1
-        assert "needs max delay < M=4" in r.stderr
+        freq = TestConfigLoading().config_dict()
+        freq["frame"].update(c1_prime=16, cp_len=8)          # M = 4
+        freq["channel"]["taps"] = [[0.8, 0.0, 0, 0], [0.6, 0.0, 5, 0]]
+        freq["sweep"]["estimator"] = "freq"
+        # fig5's embedded-pilot frame: c1' l = 64 * 1 exceeds guard 1
+        affine = {"frame": {"n": 256, "c1_prime": 64, "guard": 1, "pilot_power_db": 24.8,
+                            "phi1": 30.0, "phi2": 1.0, "approach": 2},
+                  "channel": {"taps": [[0.9, 0.0, 0, 0], [0.43, 0.0, 1, 0]]},
+                  "sweep": {"snr_db": [25], "frames_per_point": 10,
+                            "estimator": "affine"}}
+        for cfg, message in ((freq, "needs max delay < M=4"),
+                             (affine, "span 64 of the affine search exceeds guard 1")):
+            path = tmp_path / "sim.json"
+            path.write_text(json.dumps(cfg))
+            r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
+            assert r.returncode == 1
+            assert message in r.stderr
 
     def test_doppler_toggle(self, tmp_path):
         cfg = TestConfigLoading().config_dict()

@@ -26,10 +26,8 @@ def make_cfg(n=256, c1p=64, guard=8, pilot=10.0, phi1=4.0, phi2=1.0,
 def tx_frame(msgs, cfg, user=1):
     """One user's transmitted frame: the common stream and that user's
     private stream, each modulated once."""
-    con = cfg.constellation
     private = msgs.private_bits_user1 if user == 1 else msgs.private_bits_user2
-    return build_frame(modulate_bits(msgs.common_bits, con),
-                       modulate_bits(private, con), cfg)
+    return build_frame(modulate_bits(msgs.common_bits), modulate_bits(private), cfg)
 
 
 def make_frame(cfg, seed=0, user=1):
@@ -308,7 +306,7 @@ class TestDetect:
         from afdmrsma import (Domain as D, Frame as F, build_affine_common,
                               build_affine_pilot, resource_map, idaft, add_cp,
                               demodulate_symbols, freq_to_affine, dft, remove_cp)
-        syms = modulate_bits(msgs.common_bits, cfg.constellation)
+        syms = modulate_bits(msgs.common_bits)
         aff = build_affine_common(syms, cfg).data + build_affine_pilot(cfg).data
         pure = add_cp(idaft(F(aff, D.AFFINE), cfg.affine), cfg.cp_len)
         rx2 = apply_channel(pure, spec, frame_rng(42, 0, 0))
@@ -316,8 +314,7 @@ class TestDetect:
         eq = equalize(y_f, est, cfg, noise_var=nv)
         plane = freq_to_affine(eq, cfg.affine).data
         rm = resource_map(cfg)
-        bits = demodulate_symbols(plane[rm.common_indices] / np.sqrt(cfg.phi1),
-                                  cfg.constellation)
+        bits = demodulate_symbols(plane[rm.common_indices] / np.sqrt(cfg.phi1))
         ber_pure = np.mean(bits != msgs.common_bits)
         assert ber_mixed == ber_pure
 
