@@ -6,8 +6,12 @@
              [--out PATH] [--format {csv,json}] [--workers W]
              [--emit-plot-data [DIR]]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error, including
-an SNR point that aborted (its row holds NaN and the reason goes to stderr).
+Without --config, --emit-plot-data runs only the bundled presets, which
+read --frames and --workers alone; any other option is refused (exit 1).
+
+Exit codes: 0 success, 1 configuration error (including options that
+would be ignored), 2 runtime error, including an SNR point that aborted
+(its row holds NaN and the reason goes to stderr).
 """
 from __future__ import annotations
 
@@ -46,6 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the bundled experiment sweeps as "
                         "fig5.csv .. fig9.csv into DIR")
     return p
+
+
+# options that only a --config sweep reads (the presets take --frames and
+# --workers alone)
+_SWEEP_OPTIONS = ("--out", "--format", "--seed", "--mode", "--snr-min", "--snr-max",
+                  "--snr-step", "--approach", "--c1prime", "--pilot-db", "--doppler")
 
 
 def _override_frame(frame: FrameConfig, args) -> FrameConfig:
@@ -92,6 +102,13 @@ def main(argv=None) -> int:
     if args.config is None and args.emit_plot_data is None:
         print("error: need --config and/or --emit-plot-data", file=sys.stderr)
         return 1
+    if args.config is None:
+        ignored = [opt for opt in _SWEEP_OPTIONS
+                   if getattr(args, opt[2:].replace("-", "_")) is not None]
+        if ignored:
+            print(f"error: --emit-plot-data without --config ignores {', '.join(ignored)}",
+                  file=sys.stderr)
+            return 1
     status = 0
     try:
         if args.config is not None:

@@ -16,10 +16,15 @@ Estimation runs in one of two places:
 Both estimators and the detector read the same (frequency, affine) pair of
 planes, which the caller analyses once per frame with
 ``framing.extract_received_planes``.  The equalizer is MMSE, which is ZF at
-zero noise.  Detection reads the common stream straight off the equalized
-affine plane and the private stream straight off the equalized frequency
-plane; each SIC round additionally rebuilds and subtracts the opposite
-stream's spread image between reads.
+zero noise.  A frequency-domain estimate is one tap per subcarrier.  A tap
+estimate is solved in whichever of time (tap shifts l) and unitary
+frequency (tap shifts k) has the narrower spread of tap shifts: one tap
+per sample when all shifts agree, block cyclic reduction of the banded
+cyclic Gram otherwise, so no N x N system is ever formed.  Detection reads
+the common stream straight off the equalized affine plane and the private
+stream straight off the equalized frequency plane; each SIC round
+additionally rebuilds and subtracts the opposite stream's spread image
+between reads.
 """
 from __future__ import annotations
 
@@ -34,7 +39,8 @@ from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
                       frame_energy_budget, resource_map)
-from .transforms import _affine_to_freq, _check, _daft, _freq_to_affine, _idaft
+from .transforms import (AffineParams, _affine_to_freq, _check, _daft, _freq_to_affine,
+                         _idaft)
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
                       build_affine_pilot, build_freq_private, extract_received_planes)
@@ -203,9 +209,14 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
 
     Frequency-domain estimates (delay-only) use the one-tap per-subcarrier
     rule.  Affine-domain (tap) estimates solve the MMSE system of the cyclic
-    tap channel in the time domain, which by unitarity equals the
-    full-matrix affine-domain solve; the output is returned in the plane
-    that came in.
+    tap channel in time or in unitary frequency, whichever has the narrower
+    spread of tap shifts (delays l in time, Dopplers k in frequency); by
+    unitarity this equals the full-matrix affine-domain solve.  At spread 0
+    the channel is a diagonal times a cyclic shift and the one-tap rule
+    applies; otherwise the banded Gram is solved by block cyclic reduction,
+    and at zero noise a singular reduced pivot raises
+    :class:`SingularChannel`.  The output is returned in the plane that
+    came in.
     """
     g = noise_var / (frame_energy_budget(cfg) / cfg.n)
 
@@ -218,9 +229,8 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
         raise ConfigError("affine-domain estimate needs an affine plane")
     if not est.taps:
         raise SingularChannel("empty tap estimate")
-    x_time = _tap_mmse_time(_idaft(_check(y, Domain.AFFINE, cfg.n), cfg.affine),
-                            est.taps, cfg.n, g)
-    return Frame(_daft(x_time, cfg.affine), Domain.AFFINE)
+    return Frame(_tap_mmse(_check(y, Domain.AFFINE, cfg.n), est.taps, cfg.affine, g),
+                 Domain.AFFINE)
 
 
 def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
@@ -231,34 +241,121 @@ def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
     return y * np.conj(h) / (np.abs(h) ** 2 + g)
 
 
-def _tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
-    """Time-domain MMSE solve for a cyclic tap channel (ZF at g = 0).
+def _tap_mmse(y_aff: np.ndarray, taps, p: AffineParams, g: float) -> np.ndarray:
+    """MMSE solve for a cyclic tap channel on an affine plane (ZF at g = 0).
 
-    Delay-free channels are diagonal in time (pure time selectivity), so the
-    solve is per-sample.  Otherwise the Gram matrix H H^H is assembled from
-    its R^2 cyclic diagonals and H^H is applied tap-wise, leaving a single
-    dense factorization as the only O(N^3) step.
+    A tap (h, l, k) shifts a frame by l in time and by k in unitary
+    frequency, so the channel is shift-structured in both domains; the solve
+    runs in the one with the narrower spread of tap shifts (time on a tie).
     """
+    n = p.n
     idx = np.arange(n)
-    if all(t.l == 0 for t in taps):
-        hdiag = np.zeros(n, dtype=np.complex128)
-        for t in taps:
-            hdiag += t.h * np.exp(2j * np.pi * t.k * idx / n)
-        return _one_tap(y_time, hdiag, g)
+    ls, ks = [t.l for t in taps], [t.k for t in taps]
+    if max(ls) - min(ls) <= max(ks) - min(ks):
+        # time: delay by l, then the Doppler ramp of the delayed sample
+        gains = [t.h * np.exp(2j * np.pi * t.k * _ahead(idx, -t.l) / n) for t in taps]
+        return _daft(_shift_mmse(_idaft(y_aff, p), ls, gains, g), p)
+    # frequency: shift by k, then the delay's phase ramp
+    gains = [t.h * np.exp(-2j * np.pi * (idx * t.l % n) / n) for t in taps]
+    return _freq_to_affine(_shift_mmse(_affine_to_freq(y_aff, p), ks, gains, g), p)
 
-    gram = np.zeros((n, n), dtype=np.complex128)
-    for r in taps:
-        pr = r.h * np.exp(2j * np.pi * r.k * ((idx - r.l) % n) / n)
-        for s in taps:
-            ps = np.conj(s.h * np.exp(2j * np.pi * s.k * ((idx - r.l) % n) / n))
-            # column where row n of H (at j = n - l_r) meets row m of H:
-            # m = n - l_r + l_s (mod N)
-            gram[idx, (idx - r.l + s.l) % n] += pr * ps
-    gram[idx, idx] += g
-    z = np.linalg.solve(gram, y_time)
-    x = np.zeros(n, dtype=np.complex128)
-    for t in taps:
-        x += np.conj(t.h) * np.exp(-2j * np.pi * t.k * idx / n) * z[(idx + t.l) % n]
+
+def _shift_mmse(y: np.ndarray, shifts, gains, g: float) -> np.ndarray:
+    """MMSE ``x = H^H (H H^H + g I)^{-1} y`` for ``(H x)(i) = sum_t a_t(i) x(i - s_t)``.
+
+    With one common shift s, H is a diagonal times a cyclic shift, so the
+    solve is the one-tap rule shifted back by s.  Otherwise H H^H + g I is a
+    cyclic band of half-width b = max s - min s; cut into blocks of size B,
+    the smallest power of two >= b, it is cyclic block-tridiagonal and is
+    solved by block cyclic reduction before H^H is applied tap-wise.
+    """
+    s0 = min(shifts)
+    b = max(shifts) - s0
+    if b == 0:
+        return _ahead(_one_tap(y, sum(gains), g), s0)
+    n = y.size
+    bs = 1 << (b - 1).bit_length()
+    # Gram diagonal d: entry (j, j + d) sums a_t(j) conj(a_u(j + d)) over the
+    # tap pairs with s_u - s_t = d
+    band = np.zeros((n, 2 * b + 1), dtype=np.complex128)
+    for s_t, a_t in zip(shifts, gains):
+        for s_u, a_u in zip(shifts, gains):
+            band[:, s_u - s_t + b] += a_t * _ahead(np.conj(a_u), s_u - s_t)
+    scale = float(np.max(band[:, b].real))
+    band[:, b] += g
+    # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d) of row
+    # j = i B + r sits in column B + r + d
+    rows = np.arange(n)[:, None]
+    system = np.zeros((n, 3 * bs + 1), dtype=np.complex128)
+    system[rows, bs + rows % bs + np.arange(-b, b + 1)] = band
+    system[:, -1] = y
+    try:
+        z = _cyclic_reduction(system.reshape(n // bs, bs, -1), g == 0, scale).ravel()
+    except np.linalg.LinAlgError as exc:
+        raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
+    return sum(_ahead(np.conj(a) * z, s) for s, a in zip(shifts, gains))
+
+
+def _ahead(v: np.ndarray, s: int) -> np.ndarray:
+    """``v[(i + s) mod len(v)]`` along the first axis: ``np.roll(v, -s)``
+    without its per-call overhead, and ``v`` itself when the shift is 0."""
+    s %= len(v)
+    return np.concatenate((v[s:], v[:s])) if s else v
+
+
+# Zero-forcing pivot test: a reduced diagonal block whose smallest singular
+# value is at most this fraction of the Gram's largest diagonal entry marks
+# the channel as singular.  A pivot bounds the Gram's smallest eigenvalue
+# from above, so only channels with cond(H H^H) >= 1e6 are refused; and
+# while the earlier pivots pass, rounding moves a later one by about
+# eps / 1e-6 ~ 2e-10 of that entry, so a singular channel's zero pivot stays
+# far below the bound (at most 8.5e-8 over 329 sampled singular tap sets).
+_PIVOT_RTOL = 1e-6
+
+
+def _cyclic_reduction(system: np.ndarray, zf: bool, scale: float) -> np.ndarray:
+    """Solve ``L_i x_{i-1} + D_i x_i + U_i x_{i+1} = y_i`` over P blocks of
+    size B, block indices mod P and P a power of two.
+
+    ``system`` has shape (P, B, 3B + 1) and holds block row i as
+    ``[L_i | D_i | U_i | y_i]``; x comes back as (P, B, 1).  Each level
+    solves the odd rows for their own blocks, ``x_{2i+1} = q_y - q_L x_{2i}
+    - q_U x_{2i+2}`` with ``q = D^{-1} [L | D | U | y]``, and substitutes
+    that into the even rows, halving P; at P = 1 both neighbours are the
+    block itself and ``L + D + U`` is solved directly.  The pivots D are
+    diagonal blocks of Schur complements of the Gram, so at g > 0 they are
+    positive definite; at zero forcing (``zf``) each is tested against
+    ``_PIVOT_RTOL * scale`` and a failing one raises :class:`SingularChannel`.
+    """
+    bs = system.shape[1]
+    mul, inv = (np.multiply, np.reciprocal) if bs == 1 else (np.matmul, np.linalg.inv)
+    lo, dg, up, rhs = (slice(0, bs), slice(bs, 2 * bs), slice(2 * bs, 3 * bs),
+                       slice(3 * bs, None))
+
+    def check(pivots):
+        if zf:
+            sv = np.abs(pivots) if bs == 1 else np.linalg.svd(pivots, compute_uv=False)
+            if np.min(sv) <= _PIVOT_RTOL * scale:
+                raise SingularChannel("zero-forcing through a singular tap channel")
+
+    levels = []
+    while len(system) > 1:
+        even, odd = system[0::2], system[1::2]
+        check(odd[..., dg])
+        q = mul(inv(odd[..., dg]), odd)
+        # even row 2i meets odd row 2i - 1 through L and odd row 2i + 1 through U
+        left, right = mul(even[..., lo], _ahead(q, -1)), mul(even[..., up], q)
+        system = np.concatenate((-left[..., lo],
+                                 even[..., dg] - left[..., up] - right[..., lo],
+                                 -right[..., up],
+                                 even[..., rhs] - left[..., rhs] - right[..., rhs]), axis=-1)
+        levels.append(q)
+    last = system[..., lo] + system[..., dg] + system[..., up]
+    check(last)
+    x = mul(inv(last), system[..., rhs])
+    for q in reversed(levels):
+        x_odd = q[..., rhs] - mul(q[..., lo], x) - mul(q[..., up], _ahead(x, 1))
+        x = np.concatenate((x, x_odd), axis=1).reshape(-1, bs, 1)
     return x
 
 

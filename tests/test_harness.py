@@ -318,6 +318,14 @@ class TestCli:
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 3 and all(",nan," in row for row in rows)
 
+    def test_plot_data_refuses_sweep_options(self, tmp_path):
+        out = tmp_path / "plots"
+        r = self.run_cli("--emit-plot-data", str(out), "--frames", "1",
+                         "--out", str(out / "results.csv"))
+        assert r.returncode == 1
+        assert "ignores --out" in r.stderr
+        assert not out.exists()
+
     def test_missing_args_exit_code(self):
         assert self.run_cli().returncode == 1
 

@@ -14,6 +14,7 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       perfect_estimate, random_bits, required_bits_per_user,
                       snr_to_noise_var, split_messages)
 from afdmrsma.receiver import ChannelEstimate
+from oracles import tap_mmse_time
 
 
 def make_cfg(n=256, c1p=64, guard=8, pilot=10.0, phi1=4.0, phi2=1.0,
@@ -235,6 +236,18 @@ class TestEqualize:
         with pytest.raises(SingularChannel):
             equalize(Frame(np.ones(256), Domain.AFFINE), est, cfg)
 
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_singular_delay_doppler_channel(self, n):
+        # (1, 0, 0) + (e^{i pi/N}, 1, 1) is singular for every even N: the
+        # zero-forcing pivot test refuses it instead of returning noise
+        cfg = make_cfg(n=n, c1p=4, guard=2)
+        est = ChannelEstimate(Domain.AFFINE, taps=(
+            ChannelTap(1.0, 0, 0), ChannelTap(np.exp(1j * np.pi / n), 1, 1)))
+        y = Frame(np.random.default_rng(n).standard_normal(n) + 0j, Domain.AFFINE)
+        with pytest.raises(SingularChannel):
+            equalize(y, est, cfg)
+        assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=1e-3).data))
+
     def test_doubly_dispersive_mmse_oracle(self):
         # single tap (1, 1, 1), perfect taps, tiny noise: near-exact symbol
         # plane, and identical to the dense full-matrix MMSE solve
@@ -262,6 +275,80 @@ class TestEqualize:
         x_time = np.linalg.solve(channel_matrix(spec, 256), idaft(y_a, cfg.affine).data)
         npt.assert_allclose(eq0.data, daft(Frame(x_time, Domain.TIME), cfg.affine).data,
                             atol=1e-8)
+
+
+# (taps, first delay, delay spread, first Doppler, Doppler spread) of the
+# random tap sets below; the solve runs in time when the delay spread is
+# the narrower (or equal) one, in frequency otherwise, with block size B the
+# smallest power of two >= the chosen spread and P = N / B blocks
+def _oracle_cases(n):
+    q = n // 4
+    return [
+        (1, 0, 0, 0, 0),            # single tap: one-tap in time
+        (1, 3, 0, 2, 0),            # one delayed Doppler tap: one-tap, shifted
+        (3, 2, 0, 0, 3),            # common delay: time one-tap, shifted
+        (2, 0, 3, 1, 0),            # common Doppler: frequency one-tap, shifted
+        (2, 0, 1, 0, 1),            # B = 1, time
+        (3, 0, 2, 0, 1),            # B = 1, frequency (the fig9 shape)
+        (4, 0, 2, 0, 5),            # B = 2, time
+        (4, 0, 5, 0, 3),            # B = 4, frequency
+        (3, 1, 3, 0, 3),            # B = 4, time, every tap delayed
+        (2, 0, q + 1, 0, q + 2),    # P = 2, time
+        (3, 0, q + 2, 0, q + 1),    # P = 2, frequency
+        (2, 0, 2 * q + 1, 0, 2 * q + 1),  # P = 1, time
+        (4, 0, 2 * q + 2, 0, 2 * q + 1),  # P = 1, frequency
+    ]
+
+
+def test_banded_mmse_matches_dense_oracle():
+    rng = np.random.default_rng(2024)
+    zf_checked = 0
+    for n in (16, 64, 256):
+        cfg = make_cfg(n=n, c1p=4, guard=2)
+        per_sample = frame_energy_budget(cfg) / cfg.n
+        for n_taps, l0, l_span, k0, k_span in _oracle_cases(n):
+            for _ in range(3):
+                ls = [l0, l0 + l_span, *rng.integers(l0, l0 + l_span + 1, 2)][:n_taps]
+                ks = [k0 + k_span, k0, *rng.integers(k0, k0 + k_span + 1, 2)][:n_taps]
+                taps = tuple(ChannelTap(complex(rng.standard_normal(),
+                                                rng.standard_normal()), int(l), int(k))
+                             for l, k in zip(ls, ks))
+                est = ChannelEstimate(Domain.AFFINE, taps=taps)
+                y = Frame(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                          Domain.AFFINE)
+                cond = np.linalg.cond(channel_matrix(ChannelSpec(taps), n)) ** 2
+                for g in (1e-3, 0.1, 0.0):
+                    if g == 0 and cond >= 1e4:
+                        continue
+                    zf_checked += g == 0
+                    nv = g * per_sample
+                    got = equalize(y, est, cfg, noise_var=nv).data
+                    ref = daft(Frame(tap_mmse_time(idaft(y, cfg.affine).data, taps, n,
+                                                   nv / per_sample), Domain.TIME),
+                               cfg.affine).data
+                    err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                    assert err < 1e-9, (n, taps, g, err)
+    assert zf_checked >= 30
+
+
+def test_no_dense_solve_on_the_equalizer_path(monkeypatch):
+    # fig9's taps at N = 256 reach numpy's dense solvers with nothing
+    # larger than 2 x 2
+    shapes = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    cfg = make_cfg(n=256, c1p=4, guard=9)
+    est = ChannelEstimate(Domain.AFFINE, taps=(ChannelTap(0.857, 0, 0),
+                                               ChannelTap(0.514, 2, 1)))
+    y = Frame(np.random.default_rng(9).standard_normal(256) + 0j, Domain.AFFINE)
+    for nv in (0.0, 0.01):
+        assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=nv).data))
+    assert all(max(shape, default=0) <= 2 for shape in shapes), shapes
 
 
 class TestDetect:
