@@ -80,21 +80,32 @@ def two_tap(p2: float, l2: int = 0, k2: int = 0, noise_var: float = 0.0) -> Chan
 def apply_channel(x: Frame, spec: ChannelSpec, rng: np.random.Generator | None = None) -> Frame:
     """Pass a time frame (CP included) through the tap channel and add
     circular complex AWGN of variance ``noise_var`` per sample."""
-    data = x.data
-    ell = data.size
+    normals = None
+    if spec.noise_var > 0:
+        if rng is None:
+            rng = np.random.default_rng()
+        normals = rng.standard_normal(2 * x.n)
+    return Frame(_channel(x.data, spec, normals), x.domain)
+
+
+def _channel(x: np.ndarray, spec: ChannelSpec, normals: np.ndarray | None) -> np.ndarray:
+    """:func:`apply_channel` along the last axis of a time array of length
+    L, with the noise made from standard normal draws (..., 2L): the real
+    parts first, then the imaginary parts.  ``normals`` is not read at zero
+    noise."""
+    ell = x.shape[-1]
     n = np.arange(ell)
-    y = np.zeros(ell, dtype=np.complex128)
+    y = np.zeros(x.shape, dtype=np.complex128)
     for tap in spec.taps:
         if tap.l >= ell:
             raise InvalidChannel(f"delay {tap.l} >= frame length {ell}")
         idx = (n - tap.l) % ell
-        y += tap.h * np.exp(2j * np.pi * tap.k * idx / ell) * data[idx]
+        gain = tap.h * np.exp(2j * np.pi * tap.k * idx / ell)
+        y += np.multiply(gain, x[..., idx])
     if spec.noise_var > 0:
-        if rng is None:
-            rng = np.random.default_rng()
         scale = _rt(spec.noise_var / 2.0)
-        y += scale * (rng.standard_normal(ell) + 1j * rng.standard_normal(ell))
-    return Frame(y, x.domain)
+        y += scale * (normals[..., :ell] + 1j * normals[..., ell:])
+    return y
 
 
 def channel_matrix(spec: ChannelSpec, ell: int) -> np.ndarray:
@@ -116,10 +127,17 @@ def freq_response(spec: ChannelSpec, n: int) -> np.ndarray:
     """
     if spec.has_doppler:
         raise DopplerPresent("frequency response is defined for delay-only channels")
+    return _delay_response(np.array([t.h for t in spec.taps], dtype=np.complex128),
+                           [t.l for t in spec.taps], n)
+
+
+def _delay_response(gains: np.ndarray, delays, n: int) -> np.ndarray:
+    """:func:`freq_response` of delay-only taps with ``gains`` (..., taps):
+    one response per row of gains."""
     m = np.arange(n)
-    h = np.zeros(n, dtype=np.complex128)
-    for tap in spec.taps:
-        h += tap.h * np.exp(-2j * np.pi * m * tap.l / n)
+    h = np.zeros(gains.shape[:-1] + (n,), dtype=np.complex128)
+    for t, l in enumerate(delays):
+        h += np.multiply(gains[..., t, None], np.exp(-2j * np.pi * m * l / n))
     return h
 
 

@@ -55,12 +55,22 @@ def modulate_bits(bits: np.ndarray) -> np.ndarray:
     """Map a bit vector onto unit-energy Gray-mapped symbols:
     00 -> (+1+j)/sqrt2, 01 -> (+1-j)/sqrt2, 10 -> (-1+j)/sqrt2,
     11 -> (-1-j)/sqrt2.  Adjacent points differ in one bit."""
-    b = np.asarray(bits, dtype=np.int64).reshape(-1)
-    if b.size % BITS_PER_SYMBOL != 0:
+    return _modulate(np.asarray(bits, dtype=np.int64).reshape(-1))
+
+
+def _modulate(b: np.ndarray) -> np.ndarray:
+    """:func:`modulate_bits` along the last axis of an integer bit array."""
+    if b.shape[-1] % BITS_PER_SYMBOL != 0:
         raise InvalidLength(
-            f"bit count {b.size} not divisible by {BITS_PER_SYMBOL} bits/symbol"
+            f"bit count {b.shape[-1]} not divisible by {BITS_PER_SYMBOL} bits/symbol"
         )
-    return ((1 - 2 * b[0::2]) + 1j * (1 - 2 * b[1::2])) / np.sqrt(2.0)
+    return _POINTS[2 * b[..., 0::2] + b[..., 1::2]]
+
+
+# the four points by label, from the mapping rule above
+_LABELS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+_POINTS = ((1 - 2 * _LABELS[:, 0]) + 1j * (1 - 2 * _LABELS[:, 1])) / np.sqrt(2.0)
+_POINTS.flags.writeable = False
 
 
 def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
@@ -72,11 +82,18 @@ def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
     negative component too small (|x| below about 6e-17) to move the
     distance to either point, or a negative component beside a NaN one
     (the search decides 00 for any symbol holding a NaN)."""
-    s = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    out = np.empty(BITS_PER_SYMBOL * s.size, dtype=np.int64)
-    out[0::2] = s.real < 0
-    out[1::2] = s.imag < 0
+    return _demodulate(np.asarray(symbols, dtype=np.complex128).reshape(-1))
+
+
+def _demodulate(s: np.ndarray) -> np.ndarray:
+    """:func:`demodulate_symbols` along the last axis of a complex array."""
+    out = np.empty(s.shape[:-1] + (BITS_PER_SYMBOL * s.shape[-1],), dtype=np.int64)
+    out[..., 0::2] = s.real < 0
+    out[..., 1::2] = s.imag < 0
     return out
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def frame_rng(seed: int, point: int, frame: int) -> np.random.Generator:
@@ -85,10 +102,34 @@ def frame_rng(seed: int, point: int, frame: int) -> np.random.Generator:
     Philox keyed on the run seed with a (point, frame) counter makes every
     frame's randomness independent of execution order and worker count.
     """
-    mask = (1 << 64) - 1
-    bg = np.random.Philox(key=np.uint64(seed & mask),
-                          counter=[0, 0, np.uint64(point & mask), np.uint64(frame & mask)])
+    bg = np.random.Philox(key=np.uint64(seed & _MASK64),
+                          counter=[0, 0, np.uint64(point & _MASK64), np.uint64(frame & _MASK64)])
     return np.random.Generator(bg)
+
+
+def frame_draws(seed: int, point: int, frames: range, n_bits: int,
+                n_normals: int) -> tuple[np.ndarray, np.ndarray]:
+    """The randomness of several frames as (frames, n_bits) bits and
+    (frames, n_normals) standard normals.
+
+    Row i holds what ``frame_rng(seed, point, frames[i])`` yields for
+    ``random_bits(rng, n_bits)`` followed by ``rng.standard_normal(n_normals)``;
+    the bits are stored as int8.  One Philox is re-keyed per frame by
+    setting its state, which draws the same numbers as a new generator at
+    lower cost.
+    """
+    bg = np.random.Philox(key=np.uint64(seed & _MASK64))
+    gen = np.random.Generator(bg)
+    state = bg.state   # fresh: empty output buffer, no spare 32-bit half
+    bits = np.empty((len(frames), n_bits), dtype=np.int8)
+    normals = np.empty((len(frames), n_normals))
+    for i, frame in enumerate(frames):
+        state["state"]["counter"] = np.array([0, 0, point & _MASK64, frame & _MASK64],
+                                             dtype=np.uint64)
+        bg.state = state
+        bits[i] = gen.integers(0, 2, size=n_bits, dtype=np.int64)
+        gen.standard_normal(out=normals[i])
+    return bits, normals
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

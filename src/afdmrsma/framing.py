@@ -189,24 +189,27 @@ def merge_messages(msgs: RsmaMessages, cfg: FrameConfig) -> tuple[np.ndarray, np
 
 def _scatter(n: int, indices: np.ndarray, values: np.ndarray,
              scale: float) -> np.ndarray:
-    values = np.asarray(values, complex)
-    if values.size != indices.size:
-        raise InvalidLength(f"expected {indices.size} symbols, got {values.size}")
-    data = np.zeros(n, dtype=np.complex128)
-    data[indices] = scale * values
+    """``scale * values`` placed at ``indices`` of zero planes of length n,
+    along the last axis."""
+    values = np.atleast_1d(np.asarray(values, complex))
+    if values.shape[-1] != indices.size:
+        raise InvalidLength(f"expected {indices.size} symbols, got {values.shape[-1]}")
+    data = np.zeros(values.shape[:-1] + (n,), dtype=np.complex128)
+    data[..., indices] = scale * values
     return data
 
 
 def _common_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """The affine plane of one common stream: sqrt(phi1)-scaled symbols on
-    the common indices, then unit-power symbols on the extra indices."""
+    the common indices, then unit-power symbols on the extra indices.  A
+    (frames, symbols) block gives a (frames, N) block."""
     rm, symbols = cfg.layout, np.asarray(symbols, complex)
-    if symbols.size != rm.n_common + rm.n_extra:
+    if symbols.shape[-1] != rm.n_common + rm.n_extra:
         raise InvalidLength(
-            f"common stream carries {symbols.size} symbols, frame needs "
+            f"common stream carries {symbols.shape[-1]} symbols, frame needs "
             f"{rm.n_common + rm.n_extra}")
-    plane = _scatter(cfg.n, rm.common_indices, symbols[:rm.n_common], np.sqrt(cfg.phi1))
-    plane[rm.extra_indices] = symbols[rm.n_common:]
+    plane = _scatter(cfg.n, rm.common_indices, symbols[..., :rm.n_common], np.sqrt(cfg.phi1))
+    plane[..., rm.extra_indices] = symbols[..., rm.n_common:]
     return plane
 
 
@@ -242,7 +245,12 @@ def build_freq_private(symbols: np.ndarray, cfg: FrameConfig) -> Frame:
 
 def add_cp(time_frame: Frame | np.ndarray, cp_len: int) -> Frame:
     data = time_frame.data if isinstance(time_frame, Frame) else np.asarray(time_frame)
-    return Frame(np.concatenate([data[data.size - cp_len:], data]), Domain.TIME)
+    return Frame(_add_cp(data, cp_len), Domain.TIME)
+
+
+def _add_cp(x: np.ndarray, cp_len: int) -> np.ndarray:
+    """The last cp_len samples put in front, along the last axis."""
+    return np.concatenate([x[..., x.shape[-1] - cp_len:], x], axis=-1)
 
 
 def remove_cp(y: np.ndarray, n: int, cp_len: int) -> np.ndarray:
@@ -257,18 +265,30 @@ def build_frame(common_syms: np.ndarray, private_syms: np.ndarray,
     """One user's frame from its common and private symbols: the affine
     plane (pilot, common, extra) spread into frequency, plus the private
     subcarriers, then time + CP."""
+    return Frame(_frame_time(common_syms, private_syms, cfg), Domain.TIME)
+
+
+def _frame_time(common_syms: np.ndarray, private_syms: np.ndarray,
+                cfg: FrameConfig) -> np.ndarray:
+    """:func:`build_frame` on arrays: (frames, symbols) blocks give a
+    (frames, N + cp_len) block of time samples."""
     affine = _common_plane(common_syms, cfg)
-    affine[0] = np.sqrt(cfg.phi_pilot)
+    affine[..., 0] = np.sqrt(cfg.phi_pilot)
     freq = _affine_to_freq(affine, cfg.affine) + _private_plane(private_syms, cfg)
-    return add_cp(_idft(freq), cfg.cp_len)
+    return _add_cp(_idft(freq), cfg.cp_len)
 
 
 def extract_received_planes(y_time: Frame | np.ndarray, cfg: FrameConfig) -> tuple[Frame, Frame]:
     """CP removal followed by the two receiver branches: (frequency plane,
     affine plane) of the same N samples."""
     data = y_time.data if isinstance(y_time, Frame) else np.asarray(y_time)
-    y = remove_cp(data, cfg.n, cfg.cp_len)
-    return Frame(_dft(y), Domain.FREQUENCY), Frame(_daft(y, cfg.affine), Domain.AFFINE)
+    y_freq, y_aff = _planes(remove_cp(data, cfg.n, cfg.cp_len), cfg)
+    return Frame(y_freq, Domain.FREQUENCY), Frame(y_aff, Domain.AFFINE)
+
+
+def _planes(y: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(frequency plane, affine plane) of CP-free samples, along the last axis."""
+    return _dft(y), _daft(y, cfg.affine)
 
 
 def frame_energy_budget(cfg: FrameConfig) -> float:

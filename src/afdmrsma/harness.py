@@ -1,9 +1,16 @@
 """Monte Carlo link sweeps, metrics and result emission.
 
+Each worker simulates its share of an SNR point's frames in blocks, as
+(frames, N) arrays from the bit draws to the scores (:func:`_run_block`).
+:func:`_run_frame` runs one frame through the public per-frame functions;
+it is the reference that every block row equals bit for bit.
+
 Determinism contract: every frame draws its randomness from a Philox
-generator keyed on the run seed and counted by (SNR point, frame index), and
+generator keyed on the run seed and counted by (SNR point, frame index),
+every step after the draws acts on a block's rows independently, and
 per-point aggregation sums fixed-order per-frame records.  Results are
-therefore byte-identical across runs and across worker counts.
+therefore byte-identical across runs, across worker counts and across
+block boundaries.
 """
 from __future__ import annotations
 
@@ -15,17 +22,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import baseline_budget, run_baseline_frame
-from .channel import ChannelSpec, ChannelTap, apply_channel, snr_to_noise_var
-from .core import BITS_PER_SYMBOL, Domain, Frame, frame_rng, modulate_bits, random_bits
+from .baseline import _baseline_link, baseline_budget, run_baseline_frame
+from .channel import ChannelSpec, ChannelTap, _channel, apply_channel, snr_to_noise_var
+from .core import (BITS_PER_SYMBOL, Domain, Frame, _modulate, frame_draws, frame_rng,
+                   modulate_bits, random_bits)
 from .errors import ConfigError, InvalidLength, SimulationError
-from .framing import (Approach, FrameConfig, build_frame, capacity_counts,
-                      extract_received_planes, frame_energy_budget,
+from .framing import (Approach, FrameConfig, _frame_time, _planes, build_frame,
+                      capacity_counts, extract_received_planes, frame_energy_budget,
                       required_bits_per_user, split_messages)
-from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,
+from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
+                       _detect, _ls_freq, _noise_ratio, _one_tap, _tap_arrays, _tap_mmse,
+                       _taps_nmse, detect_streams,
                        estimate_channel_affine, estimate_channel_freq,
                        estimate_nmse, perfect_estimate)
-from .transforms import AffineParams
+from .transforms import AffineParams, _freq_to_affine
 
 CSV_COLUMNS = ("snr_db", "ber_common", "ber_private", "ber_total", "se",
                "channel_nmse", "frames")
@@ -103,21 +113,24 @@ def measure_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
     return float(np.mean(tx != rx))
 
 
-def measure_se(stream_stats, frames: int, n: int, cap_db: float = 30.0) -> float:
+def measure_se(stream_stats, frames: int, n: int, cap_db: float = 30.0):
     """EVM-based spectral efficiency.
 
     ``stream_stats`` holds (error energy, resource-element count) per
     stream, accumulated over ``frames`` frames of unit-energy symbols.
     Each stream contributes count/frames REs at log2(1 + SINR) with its
     measured SINR capped at ``cap_db``; pilot and guard carry nothing.
+    An array of error energies per stream (one per frame of a block) gives
+    an array of SEs.
     """
     cap = 10.0 ** (cap_db / 10.0)
     se = 0.0
     for err_energy, count in stream_stats:
         if count == 0:
             continue
-        sinr = cap if err_energy <= count / cap else count / err_energy
-        se += (count / frames) * np.log2(1.0 + min(sinr, cap))
+        err = np.asarray(err_energy, dtype=np.float64)
+        sinr = np.divide(count, err, out=np.full(err.shape, cap), where=~(err <= count / cap))
+        se = se + (count / frames) * np.log2(1.0 + np.minimum(sinr, cap))
     return se / n
 
 
@@ -178,22 +191,27 @@ def _stream_res(sim: SimConfig) -> tuple[int, int, int]:
 
 
 def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
-           nmse: float) -> _FrameRecord:
-    """Score one frame against the (common, private) bits and symbols it sent."""
+           nmse) -> np.ndarray:
+    """Score frames against the (common, private) bits and symbols they
+    sent: the :class:`_FrameRecord` fields along the last axis, with one row
+    per frame of a block."""
     res = _stream_res(sim)
     (common_bits, private_bits), (tx_common, tx_private) = bits, syms
-    energies = (float(np.sum(np.abs(det.common_syms - tx_common[:res[0]]) ** 2)),
-                float(np.sum(np.abs(det.extra_syms - tx_common[res[0]:]) ** 2)),
-                float(np.sum(np.abs(det.private_syms - tx_private) ** 2)))
-    ec = int(np.sum(det.common_bits != common_bits))
-    ep = int(np.sum(det.private_bits != private_bits))
+    energies = (np.sum(np.abs(det.common_syms - tx_common[..., :res[0]]) ** 2, axis=-1),
+                np.sum(np.abs(det.extra_syms - tx_common[..., res[0]:]) ** 2, axis=-1),
+                np.sum(np.abs(det.private_syms - tx_private) ** 2, axis=-1))
+    ec = np.sum(det.common_bits != common_bits, axis=-1)
+    ep = np.sum(det.private_bits != private_bits, axis=-1)
     se = measure_se(zip(energies, res), 1, sim.frame.n, sim.se_cap_db)
-    return _FrameRecord(ec, ep, *energies, nmse, se,
-                        (ec + ep) / max(common_bits.size + private_bits.size, 1))
+    ber = (ec + ep) / max(common_bits.shape[-1] + private_bits.shape[-1], 1)
+    fields = np.broadcast_arrays(ec, ep, *energies, nmse, se, ber)
+    return np.stack(fields, axis=-1).astype(np.float64)
 
 
 def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
                estimator: str) -> _FrameRecord:
+    """One frame through the public per-frame functions: the reference
+    that every row of :func:`_run_block` equals."""
     rng = frame_rng(sim.seed, point, frame_idx)
     spec = ChannelSpec(sim.taps, noise_var)
     cfg = sim.frame
@@ -210,42 +228,119 @@ def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
     syms = tuple(modulate_bits(b) for b in bits)
 
     if sim.baseline:
-        return _score(sim, bits, syms, run_baseline_frame(*syms, cfg, spec, rng), 0.0)
+        det = run_baseline_frame(*syms, cfg, spec, rng)
+        return _FrameRecord(*_score(sim, bits, syms, det, 0.0))
     planes = extract_received_planes(apply_channel(build_frame(*syms, cfg), spec, rng), cfg)
     est = _estimate(sim, planes, spec, estimator)
     det = detect_streams(planes, cfg, est, sim.mode, noise_var)
-    return _score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n))
+    return _FrameRecord(*_score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n)))
 
 
-def _run_chunk(args) -> list[_FrameRecord]:
+# Frames simulated together, as (frames, N) arrays of about this many samples
+_BLOCK_SAMPLES = 4096
+
+
+def _run_chunk(args) -> np.ndarray:
+    """Records of frames [start, stop) of one SNR point as a C-ordered
+    (frames, fields) array, simulated in blocks of ``_BLOCK_SAMPLES // N``
+    frames."""
     sim, point, start, stop, noise_var, estimator = args
-    return [_run_frame(sim, point, f, noise_var, estimator) for f in range(start, stop)]
+    step = max(1, _BLOCK_SAMPLES // sim.frame.n)
+    return np.concatenate([
+        _run_block(sim, point, range(a, min(a + step, stop)), noise_var, estimator)
+        for a in range(start, stop, step)])
+
+
+def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float,
+               estimator: str) -> np.ndarray:
+    """:func:`_run_frame` for each of ``frames`` on (frames, N) arrays.
+
+    Row i equals ``_run_frame(sim, point, frames[i], ...)`` bit for bit:
+    each frame keeps its own Philox draws, and every other step acts on the
+    rows independently with the reference's operations in its order.
+    """
+    cfg = sim.frame
+    spec = ChannelSpec(sim.taps, noise_var)
+    if sim.baseline:
+        n_bits = 2 * cfg.n * BITS_PER_SYMBOL
+    else:
+        (r1, r2), (u1c, u2c) = cfg.layout.bits_per_user, cfg.layout.common_split
+        n_bits = r1 + r2
+    drawn, normals = frame_draws(sim.seed, point, frames, n_bits,
+                                 2 * (cfg.n + cfg.cp_len) if noise_var > 0 else 0)
+    if sim.baseline:
+        bits = drawn[:, :n_bits // 2], drawn[:, n_bits // 2:]
+    else:
+        # even frames carry user 1's private stream, odd frames user 2's
+        odd = (np.array(frames) % 2 == 1)[:, None]
+        bits = (np.concatenate([drawn[:, :u1c], drawn[:, r1:r1 + u2c]], axis=1),
+                np.where(odd, drawn[:, r1 + u2c:], drawn[:, u1c:r1]))
+    syms = tuple(_modulate(b) for b in bits)
+
+    if sim.baseline:
+        return _score(sim, bits, syms, _baseline_link(*syms, cfg, spec, normals), 0.0)
+    received = _channel(_frame_time(*syms, cfg), spec, normals)[:, cfg.cp_len:]
+    eq_f, eq_a, nmse = _receive_block(sim, _planes(received, cfg), spec, estimator,
+                                      noise_var)
+    return _score(sim, bits, syms, _detect(eq_f, eq_a, cfg, sim.mode), nmse)
+
+
+def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: ChannelSpec,
+                   kind: str, noise_var: float):
+    """:func:`_estimate`, the equalization in ``detect_streams`` and
+    ``estimate_nmse`` on (frames, N) planes: the equalized (frequency,
+    affine) planes and each frame's estimate NMSE."""
+    cfg = sim.frame
+    y_freq, y_aff = planes
+    g = _noise_ratio(cfg, noise_var)
+    if kind == "affine":
+        # frames whose estimates hold the same taps are equalized together
+        eq_f, eq_a, nmse = np.empty_like(y_freq), np.empty_like(y_aff), np.empty(len(y_aff))
+        for rows, ls, ks, hs in _affine_tap_groups(y_aff, cfg, *_affine_search_bounds(cfg, spec),
+                                                   noise_var):
+            eq_f[rows], eq_a[rows] = _tap_mmse(y_freq[rows], y_aff[rows], ls, ks, hs,
+                                               cfg.affine, g)
+            nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
+        return eq_f, eq_a, nmse
+    if kind == "freq":
+        est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, spec.max_delay))
+    else:
+        est = _estimate(sim, planes, spec, kind)   # a genie estimate, the same for every frame
+    nmse = estimate_nmse(est, spec, cfg.n)
+    if est.domain is Domain.AFFINE:
+        return (*_tap_mmse(y_freq, y_aff, *_tap_arrays(est), cfg.affine, g), nmse)
+    eq_f = _one_tap(y_freq, est.h_freq, g)
+    return eq_f, _freq_to_affine(eq_f, cfg.affine), nmse
+
+
+def _point_noise_var(sim: SimConfig, snr_db: float) -> float:
+    """Channel noise variance of an SNR point."""
+    if sim.noise_override is not None:
+        return sim.noise_override
+    budget = baseline_budget(sim.frame) if sim.baseline else frame_energy_budget(sim.frame)
+    return snr_to_noise_var(snr_db, budget / sim.frame.n)
 
 
 def run_point(sim: SimConfig, point: int, snr_db: float,
               pool: ProcessPoolExecutor | None = None) -> LinkResult:
     cfg = sim.frame
-    budget = baseline_budget(cfg) if sim.baseline else frame_energy_budget(cfg)
-    if sim.noise_override is not None:
-        noise_var = sim.noise_override
-    else:
-        noise_var = snr_to_noise_var(snr_db, budget / cfg.n)
+    noise_var = _point_noise_var(sim, snr_db)
     estimator = resolve_estimator(sim)
 
     t0 = time.perf_counter()
     frames = sim.frames_per_point
     if pool is None or sim.workers <= 1:
-        records = _run_chunk((sim, point, 0, frames, noise_var, estimator))
+        rows = _run_chunk((sim, point, 0, frames, noise_var, estimator))
     else:
         bounds = np.linspace(0, frames, sim.workers + 1).astype(int)
         tasks = [(sim, point, int(a), int(b), noise_var, estimator)
                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        records = [r for chunk in pool.map(_run_chunk, tasks) for r in chunk]
+        rows = np.concatenate(list(pool.map(_run_chunk, tasks)))
     wall = time.perf_counter() - t0
 
     # a C-ordered (frames, fields) array summed over axis 0 adds each field
     # in frame order, which keeps the sums independent of the worker count
-    rows = np.array(records, dtype=np.float64)
+    # and of the block bounds
     total = _FrameRecord(*rows.sum(axis=0))
     per_frame = _FrameRecord(*rows.T)
     res = _stream_res(sim)

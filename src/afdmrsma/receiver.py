@@ -30,20 +30,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSpec, ChannelTap, freq_response, frequency_diagonal
-from .core import Domain, Frame, demodulate_symbols, modulate_bits
+from .channel import (ChannelSpec, ChannelTap, _delay_response, freq_response,
+                      frequency_diagonal)
+from .core import Domain, Frame, _demodulate, _modulate
 from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
-                      frame_energy_budget, resource_map)
+                      frame_energy_budget)
 from .transforms import (AffineParams, _affine_to_freq, _check, _daft, _freq_to_affine,
                          _idaft)
 # not called here; kept as attributes because linkbench/spans.py patches them
+from .core import demodulate_symbols, modulate_bits  # noqa: F401
 from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
-                      build_affine_pilot, build_freq_private, extract_received_planes)
+                      build_affine_pilot, build_freq_private, extract_received_planes,
+                      resource_map)
 from .transforms import affine_to_freq, daft, freq_to_affine, idaft  # noqa: F401
 
 # peak threshold of the affine estimator, in multiples of its noise floor
@@ -84,6 +90,11 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
     Assumes a delay-only channel; Doppler leaks neighbouring data into the
     pilot subcarriers and degrades the estimate accordingly.
     """
+    return ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq.data, cfg, max_delay))
+
+
+def _ls_freq(y_freq: np.ndarray, cfg: FrameConfig, max_delay: int | None) -> np.ndarray:
+    """:func:`estimate_channel_freq`'s response along the last axis."""
     if cfg.approach is not Approach.CLEAN_PILOT:
         raise PilotContaminated("embedded-pilot frames carry data on the pilot subcarriers")
     c1p, m = cfg.affine.c1_prime, cfg.affine.m
@@ -92,14 +103,58 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
     p0 = cfg.layout.pilot_freq[::c1p]
     if np.min(np.abs(p0)) < 1e-12:
         raise DegeneratePilot("pilot subcarrier magnitude too small for LS division")
-    h0 = y_freq.data[::c1p] / p0
+    h0 = y_freq[..., ::c1p] / p0
     h_time = np.fft.ifft(h0)                    # <= M time taps
     if max_delay is not None:
         # receiver prior: taps beyond the design delay spread are noise
-        h_time = h_time.copy()
-        h_time[max_delay + 1:] = 0.0
-    h_full = np.fft.fft(h_time, n=cfg.n)        # re-expanded to N subcarriers
-    return ChannelEstimate(Domain.FREQUENCY, h_freq=h_full)
+        h_time[..., max_delay + 1:] = 0.0
+    return np.fft.fft(h_time, n=cfg.n)          # re-expanded to N subcarriers
+
+
+class _PeakZone(NamedTuple):
+    """The guard zone the affine estimator searches, one entry per signed
+    pilot shift -G..G: the affine bin it lands on, the (delay, Doppler) it
+    decodes to (shift = k - c1' l), whether the search bounds admit it, and
+    the pilot's gain at that bin through a unit tap of that (delay, Doppler)."""
+
+    offsets: np.ndarray
+    bins: np.ndarray
+    delays: np.ndarray
+    dopplers: np.ndarray
+    is_candidate: np.ndarray
+    pilot_gain: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _peak_zone(cfg: FrameConfig, max_delay: int | None,
+               max_doppler: int | None) -> _PeakZone:
+    n, c1p, g = cfg.n, cfg.affine.c1_prime, cfg.guard
+    if max_doppler is not None and max_doppler >= c1p:
+        raise UnresolvableDoppler(f"Doppler range {max_doppler} >= c1'={c1p} is ambiguous")
+    if max_delay is not None:
+        span = c1p * max_delay + (max_doppler or 0)
+        if span > g:
+            raise GuardViolation(f"pilot shift span {span} exceeds guard {g}")
+    offsets = np.arange(-g, g + 1)
+    # signed pilot shift -> (delay, Doppler): offset = k - c1' * l
+    dopplers = offsets % c1p
+    delays = -((offsets - dopplers) // c1p)
+    is_candidate = delays >= 0
+    if max_delay is not None:
+        is_candidate &= delays <= max_delay
+    if max_doppler is not None:
+        is_candidate &= dopplers <= max_doppler
+    c1, c2 = cfg.affine.c1, cfg.affine.c2
+    gain = []
+    for off, l, k in zip(offsets.tolist(), delays.tolist(), dopplers.tolist()):
+        b = off % n
+        phase = np.exp(-2j * np.pi * c2 * b * b) * np.exp(2j * np.pi * (c1 * l * l - k * l / n))
+        gain.append(np.sqrt(cfg.phi_pilot) * phase)
+    zone = _PeakZone(offsets, offsets % n, delays, dopplers, is_candidate,
+                     np.array(gain, dtype=np.complex128))
+    for arr in zone:
+        arr.flags.writeable = False
+    return zone
 
 
 def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
@@ -117,25 +172,10 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     zone may hold data images), with zone-bin and known-noise fallbacks
     when the candidate set is small.
     """
-    n, c1p, g = cfg.n, cfg.affine.c1_prime, cfg.guard
-    if max_doppler is not None and max_doppler >= c1p:
-        raise UnresolvableDoppler(f"Doppler range {max_doppler} >= c1'={c1p} is ambiguous")
-    if max_delay is not None:
-        span = c1p * max_delay + (max_doppler or 0)
-        if span > g:
-            raise GuardViolation(f"pilot shift span {span} exceeds guard {g}")
-
-    offsets = np.arange(-g, g + 1)
-    # signed pilot shift -> (delay, Doppler): offset = k - c1' * l
-    dopplers = offsets % c1p
-    delays = -((offsets - dopplers) // c1p)
-    is_candidate = delays >= 0
-    if max_delay is not None:
-        is_candidate &= delays <= max_delay
-    if max_doppler is not None:
-        is_candidate &= dopplers <= max_doppler
+    zone = _peak_zone(cfg, max_delay, max_doppler)
+    is_candidate = zone.is_candidate
     y = y_affine.data
-    mags = np.abs(y[offsets % n])
+    mags = np.abs(y[zone.bins])
     floor_mags = mags[~is_candidate]
     # The guard keeps channel-shifted data off the candidate bins but not
     # off the rest of the zone, so the candidate bins themselves (mostly
@@ -153,15 +193,9 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
         # keep numerical leakage out of the peak list even at zero noise
         threshold = max(threshold, 1e-9 * float(np.max(mags)))
 
-    c1 = cfg.affine.c1
-
     def _tap_at(j: int) -> ChannelTap:
-        l, k = int(delays[j]), int(dopplers[j])
-        bin_idx = int(offsets[j]) % n
-        phase = np.exp(-2j * np.pi * cfg.affine.c2 * bin_idx * bin_idx) \
-            * np.exp(2j * np.pi * (c1 * l * l - k * l / n))
-        h = y[bin_idx] / (np.sqrt(cfg.phi_pilot) * phase)
-        return ChannelTap(complex(h), l, k)
+        h = y[zone.bins[j]] / zone.pilot_gain[j]
+        return ChannelTap(complex(h), int(zone.delays[j]), int(zone.dopplers[j]))
 
     taps: list[ChannelTap] = []
     order = np.argsort(mags)[::-1]
@@ -171,7 +205,7 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
         if not is_candidate[j]:
             if strict:
                 raise UnresolvableDoppler(
-                    f"peak at shift {offsets[j]} has no (delay >= 0, Doppler < c1') "
+                    f"peak at shift {zone.offsets[j]} has no (delay >= 0, Doppler < c1') "
                     f"decomposition within the search bounds")
             continue
         taps.append(_tap_at(j))
@@ -189,8 +223,65 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     taps_t = tuple(taps)
     h_freq = None
     if taps_t and all(t.k == 0 for t in taps_t):
-        h_freq = freq_response(ChannelSpec(taps_t), n)
+        h_freq = freq_response(ChannelSpec(taps_t), cfg.n)
     return ChannelEstimate(Domain.AFFINE, taps=taps_t, h_freq=h_freq)
+
+
+def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int, max_doppler: int,
+                       noise_var: float):
+    """:func:`estimate_channel_affine` (not strict) on each row of a
+    (frames, N) affine block, with the rows grouped by the taps found.
+
+    Yields ``(rows, delays, dopplers, gains)``: the row indices of one
+    group, the delay and Doppler lists of its taps in the order the
+    estimator lists them (descending peak magnitude), and a (rows, taps)
+    array of the tap gains.  The floor comes from :func:`_lower_quartile`;
+    every other step is the reference's, row-wise.
+    """
+    zone = _peak_zone(cfg, max_delay, max_doppler)
+    cand = zone.is_candidate
+    peaks = y_aff[:, zone.bins]
+    mags = np.abs(peaks)
+    if int(np.sum(cand)) >= 6:
+        threshold = THRESHOLD_SCALE * _lower_quartile(mags[:, cand])
+    elif int(np.sum(~cand)) >= 4:
+        threshold = THRESHOLD_SCALE * _lower_quartile(mags[:, ~cand])
+    else:
+        threshold = np.full(len(mags), THRESHOLD_SCALE * float(np.sqrt(noise_var))
+                            if noise_var > 0 else 0.0)
+    threshold = np.maximum(threshold, 1e-9 * np.max(mags, axis=-1))
+
+    order = np.argsort(mags, axis=-1)[:, ::-1]
+    keep = (np.take_along_axis(mags, order, -1) > threshold[:, None]) & cand[order]
+    none = np.flatnonzero(~keep.any(axis=-1))
+    keep[none, np.argmax(cand[order[none]], axis=-1)] = True
+    gains = peaks / zone.pilot_gain
+    size = np.take_along_axis(np.hypot(gains.real, gains.imag), order, -1)
+    top = np.max(size, axis=-1, where=keep, initial=0.0)
+    keep &= size > 1e-9 * top[:, None]
+
+    groups: dict[tuple, list[int]] = {}
+    for row, (found, kept) in enumerate(zip(order.tolist(), keep.tolist())):
+        groups.setdefault(tuple(compress(found, kept)), []).append(row)
+    for found, rows in groups.items():
+        rows, found = np.array(rows), list(found)
+        yield (rows, zone.delays[found].tolist(), zone.dopplers[found].tolist(),
+               gains[rows[:, None], found])
+
+
+def _lower_quartile(x: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, 0.25, axis=-1)`` of NaN-free x, bit for bit: numpy's
+    default (linear) method interpolates between two order statistics,
+    which one partition finds for every row."""
+    virtual = (x.shape[-1] - 1) * 0.25   # the sorted position of the quartile
+    lo = int(virtual)
+    hi = min(lo + 1, x.shape[-1] - 1)
+    gamma = virtual - lo
+    part = np.partition(x, (lo, hi), axis=-1)
+    below, above = part[..., lo], part[..., hi]
+    diff = above - below
+    # numpy's _lerp, which interpolates from the nearer end
+    return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
 
 
 def perfect_estimate(spec: ChannelSpec, cfg: FrameConfig, domain: Domain) -> ChannelEstimate:
@@ -204,8 +295,8 @@ def perfect_estimate(spec: ChannelSpec, cfg: FrameConfig, domain: Domain) -> Cha
 def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
              noise_var: float = 0.0) -> Frame:
     """MMSE-equalize a received plane against a channel estimate; at
-    ``noise_var == 0`` this is zero forcing, and a null in the one-tap
-    response raises :class:`SingularChannel`.
+    ``noise_var == 0`` this is zero forcing, and a (near-)null channel
+    raises :class:`SingularChannel`.
 
     Frequency-domain estimates (delay-only) use the one-tap per-subcarrier
     rule.  Affine-domain (tap) estimates solve the MMSE system of the cyclic
@@ -213,13 +304,11 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     spread of tap shifts (delays l in time, Dopplers k in frequency); by
     unitarity this equals the full-matrix affine-domain solve.  At spread 0
     the channel is a diagonal times a cyclic shift and the one-tap rule
-    applies; otherwise the banded Gram is solved by block cyclic reduction,
-    and at zero noise a singular reduced pivot raises
-    :class:`SingularChannel`.  The output is returned in the plane that
-    came in.
+    applies; otherwise the banded Gram is solved by block cyclic reduction.
+    Both rules refuse zero forcing by one test, see :data:`_PIVOT_RTOL`.
+    The output is returned in the plane that came in.
     """
-    g = noise_var / (frame_energy_budget(cfg) / cfg.n)
-
+    g = _noise_ratio(cfg, noise_var)
     if est.domain is Domain.FREQUENCY:
         if y.domain is not Domain.FREQUENCY:
             raise ConfigError("frequency-domain estimate needs a frequency plane")
@@ -227,41 +316,86 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
 
     if y.domain is not Domain.AFFINE:
         raise ConfigError("affine-domain estimate needs an affine plane")
+    y_aff = _check(y, Domain.AFFINE, cfg.n)
+    return Frame(_tap_mmse(None, y_aff, *_tap_arrays(est), cfg.affine, g)[1], Domain.AFFINE)
+
+
+def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
+    """The MMSE regulariser: noise variance over the mean sample energy."""
+    return noise_var / (frame_energy_budget(cfg) / cfg.n)
+
+
+def _tap_arrays(est: ChannelEstimate):
+    """(delays, Dopplers, gains) of a tap estimate."""
     if not est.taps:
         raise SingularChannel("empty tap estimate")
-    return Frame(_tap_mmse(_check(y, Domain.AFFINE, cfg.n), est.taps, cfg.affine, g),
-                 Domain.AFFINE)
+    return ([t.l for t in est.taps], [t.k for t in est.taps],
+            np.array([t.h for t in est.taps], dtype=np.complex128))
+
+
+# Zero-forcing test, shared by the one-tap rule and the banded solve: a
+# pivot (|h|^2 per sample, or a reduced diagonal block's smallest singular
+# value) at most this fraction of the Gram's largest diagonal entry marks
+# the channel as singular.  A pivot bounds the Gram's smallest eigenvalue
+# from above, so only channels with cond(H H^H) >= 1e6 are refused; and
+# while the earlier pivots pass, rounding moves a later one by about
+# eps / 1e-6 ~ 2e-10 of that entry, so a singular channel's zero pivot stays
+# far below the bound (at most 8.5e-8 over 329 sampled singular tap sets).
+_PIVOT_RTOL = 1e-6
 
 
 def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
-    """One-tap MMSE ``y h* / (|h|^2 + g)``; at ``g == 0`` this is zero
-    forcing, and a null in ``h`` raises :class:`SingularChannel`."""
-    if g == 0 and np.min(np.abs(h)) < 1e-12:
+    """One-tap MMSE ``y h* / (|h|^2 + g)`` along the last axis; at ``g == 0``
+    this is zero forcing, and a frame whose smallest |h|^2 is at most
+    ``_PIVOT_RTOL`` of its largest raises :class:`SingularChannel`."""
+    power = np.abs(h) ** 2
+    if g == 0 and np.any(np.min(power, axis=-1) <= _PIVOT_RTOL * np.max(power, axis=-1)):
         raise SingularChannel("zero-forcing through a channel null")
-    return y * np.conj(h) / (np.abs(h) ** 2 + g)
+    return np.multiply(y, np.conj(h)) / (power + g)
 
 
-def _tap_mmse(y_aff: np.ndarray, taps, p: AffineParams, g: float) -> np.ndarray:
-    """MMSE solve for a cyclic tap channel on an affine plane (ZF at g = 0).
+def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, ls, ks, hs: np.ndarray,
+              p: AffineParams, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE solve for a cyclic tap channel (ZF at g = 0): the equalized
+    (frequency, affine) planes of the received ones.
 
-    A tap (h, l, k) shifts a frame by l in time and by k in unitary
-    frequency, so the channel is shift-structured in both domains; the solve
-    runs in the one with the narrower spread of tap shifts (time on a tie).
+    The taps have delays ``ls`` and Dopplers ``ks``; ``hs`` holds their
+    gains, (..., taps) with one row per row of the planes.  A tap (h, l, k)
+    shifts a frame by l in time and by k in unitary frequency, so the
+    channel is shift-structured in both domains; the solve runs in the one
+    with the narrower spread of tap shifts (time on a tie).  A frequency
+    solve starts from ``y_freq`` (from ``y_aff`` when None) and its result
+    is the equalized frequency plane.
     """
-    n = p.n
+    in_time = max(ls) - min(ls) <= max(ks) - min(ks)
+    gains = [hs[..., t, None] * _tap_ramp(l, k, p.n, in_time)
+             for t, (l, k) in enumerate(zip(ls, ks))]
+    if in_time:
+        eq_a = _daft(_shift_mmse(_idaft(y_aff, p), ls, gains, g), p)
+        return _affine_to_freq(eq_a, p), eq_a
+    if y_freq is None:
+        y_freq = _affine_to_freq(y_aff, p)
+    eq_f = _shift_mmse(y_freq, ks, gains, g)
+    return eq_f, _freq_to_affine(eq_f, p)
+
+
+@lru_cache(maxsize=256)
+def _tap_ramp(l: int, k: int, n: int, in_time: bool) -> np.ndarray:
+    """The per-sample gain of a unit tap (l, k) that shifts by l in time or
+    by k in frequency: in time the Doppler ramp of the delayed sample, in
+    frequency the delay's phase ramp."""
     idx = np.arange(n)
-    ls, ks = [t.l for t in taps], [t.k for t in taps]
-    if max(ls) - min(ls) <= max(ks) - min(ks):
-        # time: delay by l, then the Doppler ramp of the delayed sample
-        gains = [t.h * np.exp(2j * np.pi * t.k * _ahead(idx, -t.l) / n) for t in taps]
-        return _daft(_shift_mmse(_idaft(y_aff, p), ls, gains, g), p)
-    # frequency: shift by k, then the delay's phase ramp
-    gains = [t.h * np.exp(-2j * np.pi * (idx * t.l % n) / n) for t in taps]
-    return _freq_to_affine(_shift_mmse(_affine_to_freq(y_aff, p), ks, gains, g), p)
+    if in_time:
+        ramp = np.exp(2j * np.pi * k * _ahead(idx, -l) / n)
+    else:
+        ramp = np.exp(-2j * np.pi * (idx * l % n) / n)
+    ramp.flags.writeable = False
+    return ramp
 
 
 def _shift_mmse(y: np.ndarray, shifts, gains, g: float) -> np.ndarray:
-    """MMSE ``x = H^H (H H^H + g I)^{-1} y`` for ``(H x)(i) = sum_t a_t(i) x(i - s_t)``.
+    """MMSE ``x = H^H (H H^H + g I)^{-1} y`` for ``(H x)(i) = sum_t a_t(i) x(i - s_t)``,
+    along the last axis.
 
     With one common shift s, H is a diagonal times a cyclic shift, so the
     solve is the one-tap rule shifted back by s.  Otherwise H H^H + g I is a
@@ -273,61 +407,54 @@ def _shift_mmse(y: np.ndarray, shifts, gains, g: float) -> np.ndarray:
     b = max(shifts) - s0
     if b == 0:
         return _ahead(_one_tap(y, sum(gains), g), s0)
-    n = y.size
+    lead, n = y.shape[:-1], y.shape[-1]
     bs = 1 << (b - 1).bit_length()
     # Gram diagonal d: entry (j, j + d) sums a_t(j) conj(a_u(j + d)) over the
     # tap pairs with s_u - s_t = d
-    band = np.zeros((n, 2 * b + 1), dtype=np.complex128)
+    band = np.zeros(lead + (n, 2 * b + 1), dtype=np.complex128)
     for s_t, a_t in zip(shifts, gains):
         for s_u, a_u in zip(shifts, gains):
-            band[:, s_u - s_t + b] += a_t * _ahead(np.conj(a_u), s_u - s_t)
-    scale = float(np.max(band[:, b].real))
-    band[:, b] += g
+            band[..., s_u - s_t + b] += np.multiply(a_t, _ahead(np.conj(a_u), s_u - s_t))
+    scale = np.max(band[..., b].real, axis=-1)
+    band[..., b] += g
     # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d) of row
     # j = i B + r sits in column B + r + d
     rows = np.arange(n)[:, None]
-    system = np.zeros((n, 3 * bs + 1), dtype=np.complex128)
-    system[rows, bs + rows % bs + np.arange(-b, b + 1)] = band
-    system[:, -1] = y
+    system = np.zeros(lead + (n, 3 * bs + 1), dtype=np.complex128)
+    system[..., rows, bs + rows % bs + np.arange(-b, b + 1)] = band
+    system[..., -1] = y
+    del band
     try:
-        z = _cyclic_reduction(system.reshape(n // bs, bs, -1), g == 0, scale).ravel()
+        z = _cyclic_reduction(system.reshape(lead + (n // bs, bs, -1)), g == 0, scale)
     except np.linalg.LinAlgError as exc:
         raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
-    return sum(_ahead(np.conj(a) * z, s) for s, a in zip(shifts, gains))
+    z = z.reshape(lead + (n,))
+    return sum(_ahead(np.multiply(np.conj(a), z), s) for s, a in zip(shifts, gains))
 
 
 def _ahead(v: np.ndarray, s: int) -> np.ndarray:
-    """``v[(i + s) mod len(v)]`` along the first axis: ``np.roll(v, -s)``
+    """``v[..., (i + s) mod n]`` along the last axis: ``np.roll(v, -s, -1)``
     without its per-call overhead, and ``v`` itself when the shift is 0."""
-    s %= len(v)
-    return np.concatenate((v[s:], v[:s])) if s else v
+    s %= v.shape[-1]
+    return np.concatenate((v[..., s:], v[..., :s]), axis=-1) if s else v
 
 
-# Zero-forcing pivot test: a reduced diagonal block whose smallest singular
-# value is at most this fraction of the Gram's largest diagonal entry marks
-# the channel as singular.  A pivot bounds the Gram's smallest eigenvalue
-# from above, so only channels with cond(H H^H) >= 1e6 are refused; and
-# while the earlier pivots pass, rounding moves a later one by about
-# eps / 1e-6 ~ 2e-10 of that entry, so a singular channel's zero pivot stays
-# far below the bound (at most 8.5e-8 over 329 sampled singular tap sets).
-_PIVOT_RTOL = 1e-6
-
-
-def _cyclic_reduction(system: np.ndarray, zf: bool, scale: float) -> np.ndarray:
+def _cyclic_reduction(system: np.ndarray, zf: bool, scale: np.ndarray) -> np.ndarray:
     """Solve ``L_i x_{i-1} + D_i x_i + U_i x_{i+1} = y_i`` over P blocks of
     size B, block indices mod P and P a power of two.
 
-    ``system`` has shape (P, B, 3B + 1) and holds block row i as
-    ``[L_i | D_i | U_i | y_i]``; x comes back as (P, B, 1).  Each level
+    ``system`` has shape (..., P, B, 3B + 1) and holds block row i as
+    ``[L_i | D_i | U_i | y_i]``; x comes back as (..., P, B, 1).  Each level
     solves the odd rows for their own blocks, ``x_{2i+1} = q_y - q_L x_{2i}
     - q_U x_{2i+2}`` with ``q = D^{-1} [L | D | U | y]``, and substitutes
     that into the even rows, halving P; at P = 1 both neighbours are the
     block itself and ``L + D + U`` is solved directly.  The pivots D are
     diagonal blocks of Schur complements of the Gram, so at g > 0 they are
-    positive definite; at zero forcing (``zf``) each is tested against
-    ``_PIVOT_RTOL * scale`` and a failing one raises :class:`SingularChannel`.
+    positive definite; at zero forcing (``zf``) each system's pivots are
+    tested against ``_PIVOT_RTOL`` times its ``scale`` (shape ...), and a
+    failing one raises :class:`SingularChannel`.
     """
-    bs = system.shape[1]
+    bs = system.shape[-2]
     mul, inv = (np.multiply, np.reciprocal) if bs == 1 else (np.matmul, np.linalg.inv)
     lo, dg, up, rhs = (slice(0, bs), slice(bs, 2 * bs), slice(2 * bs, 3 * bs),
                        slice(3 * bs, None))
@@ -335,16 +462,17 @@ def _cyclic_reduction(system: np.ndarray, zf: bool, scale: float) -> np.ndarray:
     def check(pivots):
         if zf:
             sv = np.abs(pivots) if bs == 1 else np.linalg.svd(pivots, compute_uv=False)
-            if np.min(sv) <= _PIVOT_RTOL * scale:
+            if np.any(np.min(sv.reshape(np.shape(scale) + (-1,)), axis=-1)
+                      <= _PIVOT_RTOL * scale):
                 raise SingularChannel("zero-forcing through a singular tap channel")
 
     levels = []
-    while len(system) > 1:
-        even, odd = system[0::2], system[1::2]
+    while system.shape[-3] > 1:
+        even, odd = system[..., 0::2, :, :], system[..., 1::2, :, :]
         check(odd[..., dg])
         q = mul(inv(odd[..., dg]), odd)
         # even row 2i meets odd row 2i - 1 through L and odd row 2i + 1 through U
-        left, right = mul(even[..., lo], _ahead(q, -1)), mul(even[..., up], q)
+        left, right = mul(even[..., lo], np.roll(q, 1, axis=-3)), mul(even[..., up], q)
         system = np.concatenate((-left[..., lo],
                                  even[..., dg] - left[..., up] - right[..., lo],
                                  -right[..., up],
@@ -354,14 +482,15 @@ def _cyclic_reduction(system: np.ndarray, zf: bool, scale: float) -> np.ndarray:
     check(last)
     x = mul(inv(last), system[..., rhs])
     for q in reversed(levels):
-        x_odd = q[..., rhs] - mul(q[..., lo], x) - mul(q[..., up], _ahead(x, 1))
-        x = np.concatenate((x, x_odd), axis=1).reshape(-1, bs, 1)
+        x_odd = q[..., rhs] - mul(q[..., lo], x) - mul(q[..., up], np.roll(x, -1, axis=-3))
+        x = np.concatenate((x, x_odd), axis=-2).reshape(x.shape[:-3] + (-1, bs, 1))
     return x
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Hard bits and equalized symbols one receiver read off one frame."""
+    """Hard bits and equalized symbols one receiver read off one frame, or
+    off a block of frames with one row per frame."""
 
     common_bits: np.ndarray
     private_bits: np.ndarray
@@ -377,23 +506,28 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     the private stream from the frequency plane, cleaning them in the mode's
     SIC rounds.  ``planes`` is the (frequency, affine) pair of one received
     frame that :func:`framing.extract_received_planes` returns."""
-    y_freq, y_aff = planes
+    y_freq, y_aff = planes[0].data, planes[1].data
+    g = _noise_ratio(cfg, noise_var)
     if est.domain is Domain.FREQUENCY:
-        eq_f = equalize(y_freq, est, cfg, noise_var).data
+        eq_f = _one_tap(y_freq, est.h_freq, g)
         eq_a = _freq_to_affine(eq_f, cfg.affine)
     else:
-        eq_a = equalize(y_aff, est, cfg, noise_var).data
-        eq_f = _affine_to_freq(eq_a, cfg.affine)
+        eq_f, eq_a = _tap_mmse(y_freq, y_aff, *_tap_arrays(est), cfg.affine, g)
+    return _detect(eq_f, eq_a, cfg, mode)
 
-    rm = resource_map(cfg)
+
+def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
+            mode: ReceiverMode) -> DetectionResult:
+    """:func:`detect_streams` after equalization, along the last axis."""
+    rm = cfg.layout
 
     def read_common(plane_a):
-        com = plane_a[rm.common_indices] / np.sqrt(cfg.phi1)
-        ext = plane_a[rm.extra_indices]
-        return com, ext, demodulate_symbols(com), demodulate_symbols(ext)
+        com = plane_a[..., rm.common_indices] / np.sqrt(cfg.phi1)
+        ext = plane_a[..., rm.extra_indices]
+        return com, ext, _demodulate(com), _demodulate(ext)
 
     def read_private(plane_f):
-        return plane_f[rm.private_subcarriers] / np.sqrt(cfg.phi2)
+        return plane_f[..., rm.private_subcarriers] / np.sqrt(cfg.phi2)
 
     com, ext, com_bits, ext_bits = read_common(eq_a)
     plane_f = eq_f
@@ -401,36 +535,35 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
         if sic_round:
             # subtract the private image the previous round detected from
             # the affine plane and read the common stream again
-            priv_bits = demodulate_symbols(read_private(plane_f))
-            priv_hat = _private_plane(modulate_bits(priv_bits), cfg)
+            priv_bits = _demodulate(read_private(plane_f))
+            priv_hat = _private_plane(_modulate(priv_bits), cfg)
             com, ext, com_bits, ext_bits = read_common(
                 eq_a - _freq_to_affine(priv_hat, cfg.affine))
         # subtract the detected common image from the frequency plane
         com_hat = _common_plane(
-            modulate_bits(np.concatenate([com_bits, ext_bits])), cfg)
+            _modulate(np.concatenate([com_bits, ext_bits], axis=-1)), cfg)
         plane_f = eq_f - _affine_to_freq(com_hat, cfg.affine)
     priv = read_private(plane_f)
-    return DetectionResult(np.concatenate([com_bits, ext_bits]),
-                           demodulate_symbols(priv), com, ext, priv)
+    return DetectionResult(np.concatenate([com_bits, ext_bits], axis=-1),
+                           _demodulate(priv), com, ext, priv)
 
 
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:
     """Diagnostic estimate error.
 
-    Frequency-domain estimates compare against H(m) (delay-only) or the
+    Frequency-domain estimates, one response or a (frames, N) block of
+    them, compare against H(m) (delay-only) or the
     diagonal of the true frequency-domain channel (Doppler; the off-diagonal
     ICI is invisible to a one-tap model).  Tap estimates compare tap-wise:
     matched taps contribute |h_hat - h|^2, missed and spurious taps their
     full power.
     """
     if est.h_freq is not None and not true_spec.has_doppler:
-        h = freq_response(true_spec, n)
-        return float(np.sum(np.abs(est.h_freq - h) ** 2) / np.sum(np.abs(h) ** 2))
+        return _response_nmse(est.h_freq, freq_response(true_spec, n))
     if est.h_freq is not None and est.taps is None:
         # integer-Doppler taps have zero frequency-domain diagonal, so the
         # one-tap reference is the response of the delay-only taps
-        h = frequency_diagonal(true_spec, n)
-        return float(np.sum(np.abs(est.h_freq - h) ** 2) / np.sum(np.abs(h) ** 2))
+        return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
     true = {(t.l, t.k): t.h for t in true_spec.taps}
     got = {(t.l, t.k): t.h for t in (est.taps or ())}
     err = 0.0
@@ -439,3 +572,36 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     err += sum(abs(h) ** 2 for h in got.values())
     ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
     return float(err / ref)
+
+
+def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Squared error of a frequency response over the power of the true
+    one, along the last axis."""
+    return np.sum(np.abs(h_est - h) ** 2, axis=-1) / np.sum(np.abs(h) ** 2)
+
+
+def _taps_nmse(ls, ks, hs: np.ndarray, true_spec: ChannelSpec, n: int) -> np.ndarray:
+    """:func:`estimate_nmse` of tap estimates that share one (delay,
+    Doppler) list, one per row of the (rows, taps) gains ``hs``.  Each
+    row's error is formed in the reference's order and with its rounding:
+    a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
+    ``np.hypot``."""
+    if not any(ks) and not true_spec.has_doppler:
+        # a delay-only estimate of a delay-only channel: by its response
+        return _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
+    true = {(t.l, t.k): t.h for t in true_spec.taps}
+    got = {}
+    for col, key in enumerate(zip(ls, ks)):
+        got[key] = col   # a repeated key keeps its first place and its last gain
+
+    def power(v):
+        return np.float_power(np.hypot(v.real, v.imag), 2)
+
+    err = np.zeros(len(hs))
+    for key, h in true.items():
+        col = got.pop(key, None)
+        err = err + (abs(0.0 - h) ** 2 if col is None else power(hs[:, col] - h))
+    spurious = 0
+    for col in got.values():
+        spurious = spurious + power(hs[:, col])
+    return (err + spurious) / sum(abs(t.h) ** 2 for t in true_spec.taps)

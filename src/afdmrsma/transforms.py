@@ -66,7 +66,8 @@ class AffineParams:
 
 @lru_cache(maxsize=32)
 def _chirps(n: int, c1_prime: int, c2: float):
-    """(time chirp e^{j2pi c1 k^2}, freq chirp e^{j2pi c2 k^2}), read-only.
+    """(time chirp e^{j2pi c1 k^2}, freq chirp e^{j2pi c2 k^2}) and their
+    conjugates, read-only.
 
     The c1 phase pi*c1'*k^2/N is reduced modulo 2N in exact integer
     arithmetic so large-N frames keep full double precision.
@@ -75,9 +76,10 @@ def _chirps(n: int, c1_prime: int, c2: float):
     r = (c1_prime * k * k) % (2 * n)
     time_chirp = np.exp(1j * np.pi * r / n)
     freq_chirp = np.exp(2j * np.pi * np.mod(c2 * (k.astype(float) ** 2), 1.0))
-    time_chirp.flags.writeable = False
-    freq_chirp.flags.writeable = False
-    return time_chirp, freq_chirp
+    out = (time_chirp, freq_chirp, time_chirp.conj(), freq_chirp.conj())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _check(x: Frame, domain: Domain, n: int | None = None) -> np.ndarray:
@@ -88,33 +90,38 @@ def _check(x: Frame, domain: Domain, n: int | None = None) -> np.ndarray:
     return x.data
 
 
-# array kernels of the public transforms below, for callers holding plain arrays
+# Array kernels of the public transforms below, for callers holding plain
+# arrays.  Each transforms along the last axis, so a (frames, N) block goes
+# through in one call.  Complex products are written as np.multiply(data,
+# chirp): numpy may evaluate ``a * b`` in place in a large temporary ``b``
+# as ``b * a``, which rounds differently, and then a row's result would
+# depend on the size of the block it came in.
 def _dft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x) / np.sqrt(x.size)
+    return np.fft.fft(x) / np.sqrt(x.shape[-1])
 
 
 def _idft(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x) * np.sqrt(x.size)
+    return np.fft.ifft(x) * np.sqrt(x.shape[-1])
 
 
 def _idaft(x: np.ndarray, p: AffineParams) -> np.ndarray:
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    return np.fft.ifft(x * fc) * np.sqrt(p.n) * tc
+    tc, fc, _, _ = _chirps(p.n, p.c1_prime, p.c2)
+    return np.multiply(np.fft.ifft(np.multiply(x, fc)) * np.sqrt(p.n), tc)
 
 
 def _daft(x: np.ndarray, p: AffineParams) -> np.ndarray:
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    return np.fft.fft(x * tc.conj()) / np.sqrt(p.n) * fc.conj()
+    _, _, tcc, fcc = _chirps(p.n, p.c1_prime, p.c2)
+    return np.multiply(np.fft.fft(np.multiply(x, tcc)) / np.sqrt(p.n), fcc)
 
 
 def _affine_to_freq(x: np.ndarray, p: AffineParams) -> np.ndarray:
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    return np.fft.fft(np.fft.ifft(x * fc) * tc)
+    tc, fc, _, _ = _chirps(p.n, p.c1_prime, p.c2)
+    return np.fft.fft(np.multiply(np.fft.ifft(np.multiply(x, fc)), tc))
 
 
 def _freq_to_affine(x: np.ndarray, p: AffineParams) -> np.ndarray:
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
-    return np.fft.fft(np.fft.ifft(x) * tc.conj()) * fc.conj()
+    _, _, tcc, fcc = _chirps(p.n, p.c1_prime, p.c2)
+    return np.multiply(np.fft.fft(np.multiply(np.fft.ifft(x), tcc)), fcc)
 
 
 def dft(x: Frame, n: int | None = None) -> Frame:
@@ -182,7 +189,7 @@ def _gauss_sum(m: int) -> complex:
 
 def idaft_matrix(p: AffineParams) -> np.ndarray:
     """Dense unitary synthesis matrix (factorized product, production path)."""
-    tc, fc = _chirps(p.n, p.c1_prime, p.c2)
+    tc, fc, _, _ = _chirps(p.n, p.c1_prime, p.c2)
     f_inv = np.fft.ifft(np.eye(p.n), axis=0) * np.sqrt(p.n)
     return (tc[:, None] * f_inv) * fc[None, :]
 

@@ -4,7 +4,8 @@ import numpy.testing as npt
 import pytest
 
 from afdmrsma import (BITS_PER_SYMBOL, Domain, Frame, InvalidLength, demodulate_symbols,
-                      frame_rng, modulate_bits)
+                      frame_rng, modulate_bits, random_bits)
+from afdmrsma.core import frame_draws
 
 RT2 = np.sqrt(2.0)
 # bit pairs of the labels 0..3, MSB first, and the points the labels name
@@ -111,3 +112,27 @@ class TestSeeding:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
+
+    @pytest.mark.parametrize("n_bits, n_normals", [(1508, 512), (775, 520), (1, 0), (0, 3)])
+    def test_block_draws_equal_frame_rng_draws(self, n_bits, n_normals):
+        # one re-keyed Philox per block gives each frame's bits (one draw of
+        # both users' bits, an odd count included) and then its normals
+        frames = range(5, 12)
+        bits, normals = frame_draws(501, 3, frames, n_bits, n_normals)
+        assert bits.shape == (len(frames), n_bits)
+        assert normals.shape == (len(frames), n_normals)
+        for row, f in enumerate(frames):
+            rng = frame_rng(501, 3, f)
+            first = n_bits // 2
+            want = np.concatenate([random_bits(rng, first), random_bits(rng, n_bits - first)])
+            npt.assert_array_equal(bits[row], want)
+            want = np.concatenate([rng.standard_normal(n_normals // 2),
+                                   rng.standard_normal(n_normals - n_normals // 2)])
+            assert np.array_equal(normals[row], want)
+
+    def test_block_draws_mask_large_counters(self):
+        big = (1 << 64) + 9
+        bits, normals = frame_draws(big, big, range(big, big + 1), 8, 4)
+        rng = frame_rng(big, big, big)
+        npt.assert_array_equal(bits[0], random_bits(rng, 8))
+        assert np.array_equal(normals[0], rng.standard_normal(4))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
-                      Frame, InvalidLength, LinkResult, SimConfig,
+                      Frame, InvalidLength, LinkResult, ReceiverMode, SimConfig,
                       emit_results, measure_ber, measure_se, run_sweep)
-from afdmrsma.experiments import _ber_frame, fig5_sweeps
-from afdmrsma.harness import load_config, render_csv, sim_config_from_dict
+from afdmrsma.experiments import FIGURES, _ber_frame, fig5_sweeps
+from afdmrsma.harness import (_point_noise_var, _run_block, _run_chunk, _run_frame,
+                              load_config, render_csv, resolve_estimator, run_point,
+                              sim_config_from_dict)
 
 
 def small_sim(**kw):
@@ -230,6 +233,82 @@ class TestRunSweep:
             small_sim(frames_per_point=0)
         with pytest.raises(ConfigError):
             small_sim(snr_grid_db=())
+
+
+# every series of the bundled figure presets, fig5 to fig9
+PRESET_SERIES = [(f"{fig}/{label}", sim) for fig in sorted(FIGURES)
+                 for label, sim in FIGURES[fig](frames=20)]
+
+
+def _point_args(sim, point):
+    return _point_noise_var(sim, sim.snr_grid_db[point]), resolve_estimator(sim)
+
+
+def _reference(sim, point, frames):
+    """The records of ``frames`` from the per-frame reference path."""
+    args = _point_args(sim, point)
+    return np.array([_run_frame(sim, point, f, *args) for f in frames], dtype=np.float64)
+
+
+class TestBlockEngine:
+    """Each frame of a block keeps its own draws and is computed row by row
+    with the reference's operations, so every field (error counts, energies,
+    NMSE, SE, BER) equals the per-frame path's bit for bit."""
+
+    @pytest.mark.parametrize("sim", [s for _, s in PRESET_SERIES],
+                             ids=[name for name, _ in PRESET_SERIES])
+    def test_preset_records_equal_run_frame(self, sim):
+        # 20 frames run as one full block and a partial one
+        for point in (0, len(sim.snr_grid_db) - 1):
+            got = _run_chunk((sim, point, 0, 20, *_point_args(sim, point)))
+            assert np.array_equal(got, _reference(sim, point, range(20)))
+
+    @pytest.mark.parametrize("kw", [
+        dict(estimator="affine"),            # delay-only taps: NMSE by the response
+        dict(estimator="perfect-freq", mode=ReceiverMode.SIC_FULL),
+        dict(estimator="perfect-affine", mode=ReceiverMode.SIC_CLEAN_PILOT),
+        dict(estimator="freq", noise_override=0.0),
+        dict(estimator="affine", noise_override=1e-3,
+             taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.4, 1, 0), ChannelTap(0.3, 2, 1))),
+    ], ids=["affine", "perfect-freq", "perfect-affine", "noiseless", "three-taps"])
+    def test_other_estimators_equal_run_frame(self, kw):
+        frame = replace(small_sim().frame, guard=9)
+        sim = small_sim(frame=frame, **kw)
+        for point in (0, 4):
+            got = _run_block(sim, point, range(3, 23), *_point_args(sim, point))
+            assert np.array_equal(got, _reference(sim, point, range(3, 23)))
+
+    @pytest.mark.parametrize("name", ["fig5/clean-pilot", "fig5/embedded-pilot",
+                                      "fig5/conventional-rsma", "fig9/sic-pilot10"])
+    def test_large_and_split_blocks_equal_run_frame(self, name):
+        # one block of 100 frames holds arrays of 400 KiB, beyond the 256 KiB
+        # at which numpy computes ``a * temporary`` in place as ``temporary * a``,
+        # which rounds complex products differently; the same frames split at
+        # other bounds give the same rows
+        sim = dict(PRESET_SERIES)[name]
+        point = 4
+        args = _point_args(sim, point)
+        whole = _run_block(sim, point, range(0, 100), *args)
+        assert np.array_equal(whole, _reference(sim, point, range(100)))
+        parts = [_run_block(sim, point, range(a, b), *args)
+                 for a, b in ((0, 7), (7, 50), (50, 100))]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_point_memory_does_not_grow_with_frames(self):
+        # frames run in fixed-size blocks, so a point's peak allocation does
+        # not scale with its frame count
+        sim = fig5_sweeps()[1][1]
+
+        def peak(frames):
+            s = replace(sim, frames_per_point=frames)
+            run_point(s, 0, 20.0)   # fill the caches outside the measurement
+            tracemalloc.start()
+            try:
+                run_point(s, 0, 20.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(400) <= 1.25 * peak(50)
 
 
 class TestConfigLoading:

@@ -13,7 +13,7 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       frame_rng, freq_response, idaft, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user,
                       snr_to_noise_var, split_messages)
-from afdmrsma.receiver import ChannelEstimate
+from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap
 from oracles import tap_mmse_time
 
 
@@ -248,6 +248,30 @@ class TestEqualize:
             equalize(y, est, cfg)
         assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=1e-3).data))
 
+    def test_near_null_refused_by_one_relative_rule(self):
+        # both taps at delay 0, 1e-7 apart in gain: the one-tap rule sees
+        # min |h|^2 / max |h|^2 = 2.5e-15 at sample N/2 and refuses, as the
+        # banded solve refuses the delayed analogue with the same near-null
+        cfg = make_cfg(c1p=4, guard=2)
+        y = Frame(np.random.default_rng(1).standard_normal(256) + 0j, Domain.AFFINE)
+        for second in (ChannelTap(1 - 1e-7, 0, 1),
+                       ChannelTap(np.exp(1j * np.pi / 256) * (1 - 1e-7), 1, 1)):
+            est = ChannelEstimate(Domain.AFFINE, taps=(ChannelTap(1.0, 0, 0), second))
+            with pytest.raises(SingularChannel):
+                equalize(y, est, cfg)
+            assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=1e-3).data))
+
+    def test_one_tap_refusal_is_judged_per_frame(self):
+        # a weak but flat channel is not singular, whatever frame shares its block
+        rng = np.random.default_rng(2)
+        h = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        h[1] *= 1e-5
+        y = h * (1 + 1j)
+        npt.assert_allclose(_one_tap(y, h, 0.0), np.full((3, 64), 1 + 1j))
+        h[2, 5] = 1e-4 * np.abs(h[2]).max()
+        with pytest.raises(SingularChannel):
+            _one_tap(y, h, 0.0)
+
     def test_doubly_dispersive_mmse_oracle(self):
         # single tap (1, 1, 1), perfect taps, tiny noise: near-exact symbol
         # plane, and identical to the dense full-matrix MMSE solve
@@ -466,3 +490,20 @@ class TestDetect:
                                      perfect_estimate(spec, cfg, dom))
                 assert np.array_equal(det.common_bits, msgs.common_bits)
                 assert np.array_equal(det.private_bits, msgs.private_bits_user1)
+
+
+class TestLowerQuartile:
+    """The affine estimator's floor in blocks: one partition per row instead
+    of np.quantile, with the same interpolation, bit for bit."""
+
+    @pytest.mark.parametrize("m", range(6, 20))
+    def test_equals_np_quantile(self, m):
+        rng = np.random.default_rng(m)
+        cases = [rng.rayleigh(size=(40, m)),
+                 rng.integers(0, 3, size=(40, m)).astype(float),   # ties
+                 np.full((2, m), 0.7), np.abs(rng.standard_normal((40, m))) * 1e-300]
+        for x in cases:
+            got = _lower_quartile(x)
+            want = np.array([np.quantile(row, 0.25) for row in x])
+            assert np.array_equal(got, want)
+            assert np.array_equal(_lower_quartile(x[0]), np.quantile(x[0], 0.25))
