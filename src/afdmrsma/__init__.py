@@ -6,8 +6,8 @@ low power; the two spread into disjoint residue classes of each other's
 domain, so a dual-branch receiver separates them without successive
 interference cancellation.
 """
-from .channel import (ChannelSpec, ChannelTap, apply_channel, channel_matrix,
-                      freq_response, frequency_diagonal, snr_to_noise_var, two_tap)
+from .channel import (ChannelSpec, ChannelTap, apply_channel, freq_response,
+                      frequency_diagonal, snr_to_noise_var, two_tap)
 from .core import (BITS_PER_SYMBOL, Domain, Frame, demodulate_symbols, frame_rng,
                    modulate_bits, random_bits)
 from .errors import (ConfigError, DegeneratePilot, DopplerPresent, GuardViolation,
@@ -24,7 +24,7 @@ from .harness import (CSV_COLUMNS, LinkResult, SimConfig, emit_results, load_con
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,
                        equalize, estimate_channel_affine, estimate_channel_freq,
                        estimate_nmse, perfect_estimate)
-from .transforms import (AffineParams, affine_to_freq, daft, daft_matrix, dft,
-                         freq_to_affine, idaft, idaft_matrix, idft, kernel_phi)
+from .transforms import (AffineParams, affine_to_freq, daft, dft, freq_to_affine, idaft,
+                         idft)
 
 __version__ = "0.1.0"

@@ -108,18 +108,6 @@ def _channel(x: np.ndarray, spec: ChannelSpec, normals: np.ndarray | None) -> np
     return y
 
 
-def channel_matrix(spec: ChannelSpec, ell: int) -> np.ndarray:
-    """Dense length-ell matrix of the same cyclic tap action (noise-free)."""
-    n = np.arange(ell)
-    mat = np.zeros((ell, ell), dtype=np.complex128)
-    for tap in spec.taps:
-        if tap.l >= ell:
-            raise InvalidChannel(f"delay {tap.l} >= frame length {ell}")
-        idx = (n - tap.l) % ell
-        mat[n, idx] += tap.h * np.exp(2j * np.pi * tap.k * idx / ell)
-    return mat
-
-
 def freq_response(spec: ChannelSpec, n: int) -> np.ndarray:
     """H(m) = sum_r h_r exp(-j 2 pi m l_r / n) for delay-only channels.
 

@@ -2,8 +2,9 @@
 
 Each worker simulates its share of an SNR point's frames in blocks, as
 (frames, N) arrays from the bit draws to the scores (:func:`_run_block`).
-:func:`_run_frame` runs one frame through the public per-frame functions;
-it is the reference that every block row equals bit for bit.
+The tests hold a per-frame reference that runs one frame through the
+public functions and an independent peak search and NMSE; every block row
+equals it bit for bit.
 
 Determinism contract: every frame draws its randomness from a Philox
 generator keyed on the run seed and counted by (SNR point, frame index),
@@ -22,20 +23,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import _baseline_link, baseline_budget, run_baseline_frame
-from .channel import ChannelSpec, ChannelTap, _channel, apply_channel, snr_to_noise_var
-from .core import (BITS_PER_SYMBOL, Domain, Frame, _modulate, frame_draws, frame_rng,
-                   modulate_bits, random_bits)
+from .baseline import _baseline_link, baseline_budget
+from .channel import ChannelSpec, ChannelTap, _channel, snr_to_noise_var
+from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
 from .errors import ConfigError, InvalidLength, SimulationError
-from .framing import (Approach, FrameConfig, _frame_time, _planes, build_frame,
-                      capacity_counts, extract_received_planes, frame_energy_budget,
-                      required_bits_per_user, split_messages)
+from .framing import (Approach, FrameConfig, _frame_time, _planes, capacity_counts,
+                      frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
-                       _detect, _ls_freq, _noise_ratio, _one_tap, _tap_arrays, _tap_mmse,
-                       _taps_nmse, detect_streams,
-                       estimate_channel_affine, estimate_channel_freq,
-                       estimate_nmse, perfect_estimate)
-from .transforms import AffineParams, _freq_to_affine
+                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _tap_mmse,
+                       _taps_nmse, estimate_nmse, perfect_estimate)
+from .transforms import AffineParams
+# not called here; kept as attributes because linkbench/spans.py patches them
+from .baseline import run_baseline_frame  # noqa: F401
+from .channel import apply_channel  # noqa: F401
+from .core import frame_rng, modulate_bits, random_bits  # noqa: F401
+from .framing import (build_frame, extract_received_planes, required_bits_per_user,  # noqa: F401
+                      split_messages)
+from .receiver import detect_streams, estimate_channel_affine, estimate_channel_freq  # noqa: F401
+
+ESTIMATORS = ("auto", "freq", "affine", "perfect-freq", "perfect-affine")
 
 CSV_COLUMNS = ("snr_db", "ber_common", "ber_private", "ber_total", "se",
                "channel_nmse", "frames")
@@ -48,7 +54,7 @@ class SimConfig:
     snr_grid_db: tuple[float, ...]
     frames_per_point: int = 100
     mode: ReceiverMode = ReceiverMode.SIC_FREE
-    estimator: str = "auto"   # auto | freq | affine | perfect-freq | perfect-affine
+    estimator: str = "auto"   # one of ESTIMATORS
     seed: int = 1
     workers: int = 1
     se_cap_db: float = 30.0
@@ -60,6 +66,9 @@ class SimConfig:
             raise ConfigError("frames_per_point must be >= 1")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must be nonempty")
+        if self.estimator not in ESTIMATORS:
+            raise ConfigError(f"unknown estimator {self.estimator!r}; "
+                              f"expected one of {', '.join(ESTIMATORS)}")
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         kind, m = resolve_estimator(self), self.frame.affine.m
@@ -151,23 +160,6 @@ def _affine_search_bounds(cfg: FrameConfig, spec: ChannelSpec) -> tuple[int, int
     return spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
 
 
-def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec,
-              kind: str) -> ChannelEstimate:
-    cfg = sim.frame
-    if kind == "perfect-freq":
-        return perfect_estimate(spec, cfg, Domain.FREQUENCY)
-    if kind == "perfect-affine":
-        return perfect_estimate(spec, cfg, Domain.AFFINE)
-    y_freq, y_aff = planes
-    if kind == "freq":
-        return estimate_channel_freq(y_freq, cfg, max_delay=spec.max_delay)
-    if kind == "affine":
-        l_bound, k_bound = _affine_search_bounds(cfg, spec)
-        return estimate_channel_affine(y_aff, cfg, max_delay=l_bound, max_doppler=k_bound,
-                                       noise_var=spec.noise_var, strict=False)
-    raise ConfigError(f"unknown estimator {kind!r}")
-
-
 class _FrameRecord(NamedTuple):
     """Scores of one simulated frame.  The per-frame bit and resource-element
     counts are fixed by the configuration (see :func:`_stream_res`)."""
@@ -208,34 +200,6 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
     return np.stack(fields, axis=-1).astype(np.float64)
 
 
-def _run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
-               estimator: str) -> _FrameRecord:
-    """One frame through the public per-frame functions: the reference
-    that every row of :func:`_run_block` equals."""
-    rng = frame_rng(sim.seed, point, frame_idx)
-    spec = ChannelSpec(sim.taps, noise_var)
-    cfg = sim.frame
-
-    if sim.baseline:
-        n_bits = cfg.n * BITS_PER_SYMBOL
-        bits = random_bits(rng, n_bits), random_bits(rng, n_bits)
-    else:
-        r1, r2 = required_bits_per_user(cfg)
-        msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
-        # even frames carry user 1's private stream, odd frames user 2's
-        bits = msgs.common_bits, (msgs.private_bits_user2 if frame_idx % 2
-                                  else msgs.private_bits_user1)
-    syms = tuple(modulate_bits(b) for b in bits)
-
-    if sim.baseline:
-        det = run_baseline_frame(*syms, cfg, spec, rng)
-        return _FrameRecord(*_score(sim, bits, syms, det, 0.0))
-    planes = extract_received_planes(apply_channel(build_frame(*syms, cfg), spec, rng), cfg)
-    est = _estimate(sim, planes, spec, estimator)
-    det = detect_streams(planes, cfg, est, sim.mode, noise_var)
-    return _FrameRecord(*_score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n)))
-
-
 # Frames simulated together, as (frames, N) arrays of about this many samples
 _BLOCK_SAMPLES = 4096
 
@@ -253,11 +217,11 @@ def _run_chunk(args) -> np.ndarray:
 
 def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float,
                estimator: str) -> np.ndarray:
-    """:func:`_run_frame` for each of ``frames`` on (frames, N) arrays.
+    """The records of ``frames``, simulated as (frames, N) arrays.
 
-    Row i equals ``_run_frame(sim, point, frames[i], ...)`` bit for bit:
-    each frame keeps its own Philox draws, and every other step acts on the
-    rows independently with the reference's operations in its order.
+    Row i equals the per-frame reference (``tests/oracles.py``) for frame
+    ``frames[i]`` bit for bit: each frame keeps its own Philox draws, and
+    every other step acts on the rows independently.
     """
     cfg = sim.frame
     spec = ChannelSpec(sim.taps, noise_var)
@@ -287,9 +251,9 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float,
 
 def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: ChannelSpec,
                    kind: str, noise_var: float):
-    """:func:`_estimate`, the equalization in ``detect_streams`` and
-    ``estimate_nmse`` on (frames, N) planes: the equalized (frequency,
-    affine) planes and each frame's estimate NMSE."""
+    """Estimate, equalize and score the estimate on (frames, N) planes:
+    the equalized (frequency, affine) planes and each frame's estimate
+    NMSE."""
     cfg = sim.frame
     y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
@@ -305,12 +269,10 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
     if kind == "freq":
         est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, spec.max_delay))
     else:
-        est = _estimate(sim, planes, spec, kind)   # a genie estimate, the same for every frame
-    nmse = estimate_nmse(est, spec, cfg.n)
-    if est.domain is Domain.AFFINE:
-        return (*_tap_mmse(y_freq, y_aff, *_tap_arrays(est), cfg.affine, g), nmse)
-    eq_f = _one_tap(y_freq, est.h_freq, g)
-    return eq_f, _freq_to_affine(eq_f, cfg.affine), nmse
+        # a genie estimate, the same for every frame
+        est = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
+                               else Domain.AFFINE)
+    return (*_equalize_planes(y_freq, y_aff, est, cfg, g), estimate_nmse(est, spec, cfg.n))
 
 
 def _point_noise_var(sim: SimConfig, snr_db: float) -> float:

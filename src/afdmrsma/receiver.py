@@ -25,6 +25,10 @@ the common stream straight off the equalized affine plane and the private
 stream straight off the equalized frequency plane; each SIC round
 additionally rebuilds and subtracts the opposite stream's spread image
 between reads.
+
+Each stage has one implementation, an array kernel that acts on every row
+of a (frames, N) block.  The public per-frame functions run it on a block
+of one row, and the harness runs it on whole blocks.
 """
 from __future__ import annotations
 
@@ -162,81 +166,35 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
                             max_doppler: int | None = None,
                             noise_var: float = 0.0,
                             strict: bool = True) -> ChannelEstimate:
-    """Peak-search tap estimate in the guard zone around affine index 0.
+    """Peak-search tap estimate in the guard zone around affine index 0:
+    :func:`_affine_tap_groups` on one row.
 
     ``max_delay``/``max_doppler`` restrict the candidate search to the
     receiver's design assumptions; an above-threshold shift that cannot
     come from any (l >= 0, 0 <= k < c1') either raises (strict) or is
-    skipped.  The detection floor is the lower quartile of the candidate
-    bins (the guard keeps shifted data off those, while the rest of the
-    zone may hold data images), with zone-bin and known-noise fallbacks
-    when the candidate set is small.
+    skipped.
     """
-    zone = _peak_zone(cfg, max_delay, max_doppler)
-    is_candidate = zone.is_candidate
-    y = y_affine.data
-    mags = np.abs(y[zone.bins])
-    floor_mags = mags[~is_candidate]
-    # The guard keeps channel-shifted data off the candidate bins but not
-    # off the rest of the zone, so the candidate bins themselves (mostly
-    # empty) give the cleanest floor; fall back to the remaining zone bins
-    # or the known noise level when the candidate set is too small.
-    if int(np.sum(is_candidate)) >= 6:
-        threshold = THRESHOLD_SCALE * float(np.quantile(mags[is_candidate], 0.25))
-    elif floor_mags.size >= 4:
-        threshold = THRESHOLD_SCALE * float(np.quantile(floor_mags, 0.25))
-    elif noise_var > 0:
-        threshold = THRESHOLD_SCALE * float(np.sqrt(noise_var))
-    else:
-        threshold = 0.0
-    if mags.size:
-        # keep numerical leakage out of the peak list even at zero noise
-        threshold = max(threshold, 1e-9 * float(np.max(mags)))
-
-    def _tap_at(j: int) -> ChannelTap:
-        h = y[zone.bins[j]] / zone.pilot_gain[j]
-        return ChannelTap(complex(h), int(zone.delays[j]), int(zone.dopplers[j]))
-
-    taps: list[ChannelTap] = []
-    order = np.argsort(mags)[::-1]
-    for j in order:
-        if mags[j] <= threshold:
-            break
-        if not is_candidate[j]:
-            if strict:
-                raise UnresolvableDoppler(
-                    f"peak at shift {zone.offsets[j]} has no (delay >= 0, Doppler < c1') "
-                    f"decomposition within the search bounds")
-            continue
-        taps.append(_tap_at(j))
-    if not taps:
-        # keep the strongest resolvable peak so the receiver always has a
-        # channel to work with, however deep the noise
-        for j in order:
-            if is_candidate[j]:
-                taps.append(_tap_at(j))
-                break
-    if taps:
-        top = max(abs(t.h) for t in taps)
-        taps = [t for t in taps if abs(t.h) > 1e-9 * top]
-
-    taps_t = tuple(taps)
+    [(_, ls, ks, hs)] = _affine_tap_groups(y_affine.data[None], cfg, max_delay, max_doppler,
+                                           noise_var, strict)
+    taps = tuple(ChannelTap(complex(h), l, k) for l, k, h in zip(ls, ks, hs[0]))
     h_freq = None
-    if taps_t and all(t.k == 0 for t in taps_t):
-        h_freq = freq_response(ChannelSpec(taps_t), cfg.n)
-    return ChannelEstimate(Domain.AFFINE, taps=taps_t, h_freq=h_freq)
+    if taps and not any(ks):
+        h_freq = freq_response(ChannelSpec(taps), cfg.n)
+    return ChannelEstimate(Domain.AFFINE, taps=taps, h_freq=h_freq)
 
 
-def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int, max_doppler: int,
-                       noise_var: float):
-    """:func:`estimate_channel_affine` (not strict) on each row of a
-    (frames, N) affine block, with the rows grouped by the taps found.
+def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | None,
+                       max_doppler: int | None, noise_var: float, strict: bool = False):
+    """The affine estimator's peak search on each row of a (rows, N) affine
+    block, with the rows grouped by the taps found.
 
-    Yields ``(rows, delays, dopplers, gains)``: the row indices of one
-    group, the delay and Doppler lists of its taps in the order the
-    estimator lists them (descending peak magnitude), and a (rows, taps)
-    array of the tap gains.  The floor comes from :func:`_lower_quartile`;
-    every other step is the reference's, row-wise.
+    The detection floor is the lower quartile of the candidate bins: the
+    guard keeps channel-shifted data off those, but not off the rest of the
+    zone.  The remaining zone bins or the known noise level stand in when
+    the candidate set is too small.  Yields ``(rows, delays, dopplers,
+    gains)``: the row indices of one group, the delay and Doppler lists of
+    its taps by descending peak magnitude, and a (rows, taps) array of the
+    tap gains.
     """
     zone = _peak_zone(cfg, max_delay, max_doppler)
     cand = zone.is_candidate
@@ -249,12 +207,23 @@ def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int, max_
     else:
         threshold = np.full(len(mags), THRESHOLD_SCALE * float(np.sqrt(noise_var))
                             if noise_var > 0 else 0.0)
+    # keep numerical leakage out of the peak list even at zero noise
     threshold = np.maximum(threshold, 1e-9 * np.max(mags, axis=-1))
 
     order = np.argsort(mags, axis=-1)[:, ::-1]
-    keep = (np.take_along_axis(mags, order, -1) > threshold[:, None]) & cand[order]
+    above = np.take_along_axis(mags, order, -1) > threshold[:, None]
+    resolvable = cand[order]
+    if strict and np.any(above & ~resolvable):
+        stray = order[above & ~resolvable][0]
+        raise UnresolvableDoppler(
+            f"peak at shift {zone.offsets[stray]} has no (delay >= 0, Doppler < c1') "
+            f"decomposition within the search bounds")
+    keep = above & resolvable
+    # keep the strongest resolvable peak so the receiver always has a
+    # channel to work with, however deep the noise
     none = np.flatnonzero(~keep.any(axis=-1))
-    keep[none, np.argmax(cand[order[none]], axis=-1)] = True
+    first = np.argmax(resolvable[none], axis=-1)
+    keep[none, first] = resolvable[none, first]
     gains = peaks / zone.pilot_gain
     size = np.take_along_axis(np.hypot(gains.real, gains.imag), order, -1)
     top = np.max(size, axis=-1, where=keep, initial=0.0)
@@ -506,14 +475,20 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     the private stream from the frequency plane, cleaning them in the mode's
     SIC rounds.  ``planes`` is the (frequency, affine) pair of one received
     frame that :func:`framing.extract_received_planes` returns."""
-    y_freq, y_aff = planes[0].data, planes[1].data
-    g = _noise_ratio(cfg, noise_var)
+    eq_f, eq_a = _equalize_planes(planes[0].data, planes[1].data, est, cfg,
+                                  _noise_ratio(cfg, noise_var))
+    return _detect(eq_f, eq_a, cfg, mode)
+
+
+def _equalize_planes(y_freq: np.ndarray, y_aff: np.ndarray, est: ChannelEstimate,
+                     cfg: FrameConfig, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """The equalized (frequency, affine) planes of received ones, along the
+    last axis: the one-tap rule for a frequency estimate, :func:`_tap_mmse`
+    for a tap estimate."""
     if est.domain is Domain.FREQUENCY:
         eq_f = _one_tap(y_freq, est.h_freq, g)
-        eq_a = _freq_to_affine(eq_f, cfg.affine)
-    else:
-        eq_f, eq_a = _tap_mmse(y_freq, y_aff, *_tap_arrays(est), cfg.affine, g)
-    return _detect(eq_f, eq_a, cfg, mode)
+        return eq_f, _freq_to_affine(eq_f, cfg.affine)
+    return _tap_mmse(y_freq, y_aff, *_tap_arrays(est), cfg.affine, g)
 
 
 def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
@@ -554,9 +529,9 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     Frequency-domain estimates, one response or a (frames, N) block of
     them, compare against H(m) (delay-only) or the
     diagonal of the true frequency-domain channel (Doppler; the off-diagonal
-    ICI is invisible to a one-tap model).  Tap estimates compare tap-wise:
-    matched taps contribute |h_hat - h|^2, missed and spurious taps their
-    full power.
+    ICI is invisible to a one-tap model).  Tap estimates compare tap-wise
+    (:func:`_taps_nmse` on one row): matched taps contribute |h_hat - h|^2,
+    missed and spurious taps their full power.
     """
     if est.h_freq is not None and not true_spec.has_doppler:
         return _response_nmse(est.h_freq, freq_response(true_spec, n))
@@ -564,14 +539,9 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
         # integer-Doppler taps have zero frequency-domain diagonal, so the
         # one-tap reference is the response of the delay-only taps
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    true = {(t.l, t.k): t.h for t in true_spec.taps}
-    got = {(t.l, t.k): t.h for t in (est.taps or ())}
-    err = 0.0
-    for key, h in true.items():
-        err += abs(got.pop(key, 0.0) - h) ** 2
-    err += sum(abs(h) ** 2 for h in got.values())
-    ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
-    return float(err / ref)
+    taps = est.taps or ()
+    hs = np.array([[t.h for t in taps]], dtype=np.complex128)
+    return float(_taps_nmse([t.l for t in taps], [t.k for t in taps], hs, true_spec, n)[0])
 
 
 def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -582,12 +552,13 @@ def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _taps_nmse(ls, ks, hs: np.ndarray, true_spec: ChannelSpec, n: int) -> np.ndarray:
     """:func:`estimate_nmse` of tap estimates that share one (delay,
-    Doppler) list, one per row of the (rows, taps) gains ``hs``.  Each
-    row's error is formed in the reference's order and with its rounding:
-    a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
+    Doppler) list, one per row of the (rows, taps) gains ``hs``.  A
+    delay-only estimate of a delay-only channel compares by its response,
+    as an estimate that carries ``h_freq`` does.  Otherwise each row's error
+    is formed in the order and with the rounding of a Python loop over the
+    taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
     ``np.hypot``."""
     if not any(ks) and not true_spec.has_doppler:
-        # a delay-only estimate of a delay-only channel: by its response
         return _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
     true = {(t.l, t.k): t.h for t in true_spec.taps}
     got = {}

@@ -11,8 +11,7 @@ bookkeeping survives every domain change.
 With N = c1' M the time chirp exp(j pi n^2 / M) is M-periodic whenever M is
 even, which confines the frequency image of affine index i to the
 subcarriers m with i = m (mod c1').  The spreading maps below are computed
-as composed fast transforms (O(N log N)); ``kernel_phi`` is the closed-form
-per-entry kernel of the same map, kept as an independent cross-check.
+as composed fast transforms (O(N log N)); no dense N x N form is built.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Domain, Frame
-from .errors import InvalidIndex, InvalidLength, ConfigError
+from .errors import InvalidLength, ConfigError
 
 
 def _is_pow2(x: int) -> bool:
@@ -157,44 +156,3 @@ def freq_to_affine(x: Frame, p: AffineParams) -> Frame:
     """Spread a frequency frame into the affine domain; inverse of
     :func:`affine_to_freq`."""
     return Frame(_freq_to_affine(_check(x, Domain.FREQUENCY, p.n), p), Domain.AFFINE)
-
-
-def kernel_phi(i: int, m: int, p: AffineParams) -> complex:
-    """Closed-form spreading kernel phi^i(m).
-
-    phi^i(m) = sum_{q=0}^{M-1} exp(j pi q^2 / M) exp(j 2 pi q (i-m) / N)
-             = S_M exp(-j pi d^2 / M),   d = (i - m)/c1',
-    where S_M = sum_q exp(j pi q^2 / M) is a quadratic Gauss sum, and the
-    kernel vanishes unless i = m (mod c1').  Assembling
-
-        Y(m) = (c1'/N) sum_{[i]=[m]} X(i) exp(j 2 pi c2 i^2) phi^i(m)
-
-    reproduces :func:`affine_to_freq` exactly (even M).
-    """
-    if not (0 <= i < p.n and 0 <= m < p.n):
-        raise InvalidIndex(f"indices ({i}, {m}) outside [0, {p.n})")
-    if (i - m) % p.c1_prime != 0:
-        return 0.0 + 0.0j
-    mm = p.m
-    d = (i - m) // p.c1_prime
-    s_m = _gauss_sum(mm)
-    return complex(s_m * np.exp(-1j * np.pi * ((d * d) % (2 * mm)) / mm))
-
-
-@lru_cache(maxsize=32)
-def _gauss_sum(m: int) -> complex:
-    q = np.arange(m, dtype=np.int64)
-    return complex(np.sum(np.exp(1j * np.pi * ((q * q) % (2 * m)) / m)))
-
-
-def idaft_matrix(p: AffineParams) -> np.ndarray:
-    """Dense unitary synthesis matrix (factorized product, production path)."""
-    tc, fc, _, _ = _chirps(p.n, p.c1_prime, p.c2)
-    f_inv = np.fft.ifft(np.eye(p.n), axis=0) * np.sqrt(p.n)
-    return (tc[:, None] * f_inv) * fc[None, :]
-
-
-def daft_matrix(p: AffineParams) -> np.ndarray:
-    """Dense unitary analysis matrix, the conjugate transpose of
-    :func:`idaft_matrix`."""
-    return idaft_matrix(p).conj().T

@@ -1,5 +1,30 @@
-"""Dense reference forms that the fast receiver paths are checked against."""
+"""Dense and per-frame reference forms that the fast package paths are
+checked against.
+
+The per-frame engine (:func:`run_frame`), the loop peak search
+(:func:`estimate_channel_affine`) and the dict-based tap NMSE
+(:func:`estimate_nmse`) are the pre-block implementations, kept
+independent of the package's row-wise kernels: the block engine must equal
+them bit for bit.
+"""
+from functools import lru_cache
+
 import numpy as np
+
+from afdmrsma import (BITS_PER_SYMBOL, AffineParams, ChannelEstimate, ChannelSpec, ChannelTap,
+                      ConfigError, Domain, Frame, FrameConfig, InvalidChannel, InvalidIndex,
+                      SimConfig, UnresolvableDoppler, apply_channel, build_frame,
+                      detect_streams, estimate_channel_freq, extract_received_planes,
+                      frame_rng, freq_response, frequency_diagonal, modulate_bits,
+                      perfect_estimate, random_bits, required_bits_per_user, split_messages)
+from afdmrsma.baseline import run_baseline_frame
+from afdmrsma.harness import _affine_search_bounds, _FrameRecord, _score
+from afdmrsma.receiver import _peak_zone, _response_nmse
+from afdmrsma.transforms import _chirps
+
+# the peak threshold in multiples of the noise floor, kept apart from the
+# package's constant so that a change to either shows as a mismatch
+THRESHOLD_SCALE = 3.0
 
 
 def tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
@@ -22,3 +47,200 @@ def tap_mmse_time(y_time: np.ndarray, taps, n: int, g: float) -> np.ndarray:
     for t in taps:
         x += np.conj(t.h) * np.exp(-2j * np.pi * t.k * idx / n) * z[(idx + t.l) % n]
     return x
+
+
+def kernel_phi(i: int, m: int, p: AffineParams) -> complex:
+    """Closed-form spreading kernel phi^i(m).
+
+    phi^i(m) = sum_{q=0}^{M-1} exp(j pi q^2 / M) exp(j 2 pi q (i-m) / N)
+             = S_M exp(-j pi d^2 / M),   d = (i - m)/c1',
+    where S_M = sum_q exp(j pi q^2 / M) is a quadratic Gauss sum, and the
+    kernel vanishes unless i = m (mod c1').  Assembling
+
+        Y(m) = (c1'/N) sum_{[i]=[m]} X(i) exp(j 2 pi c2 i^2) phi^i(m)
+
+    reproduces ``affine_to_freq`` exactly (even M).
+    """
+    if not (0 <= i < p.n and 0 <= m < p.n):
+        raise InvalidIndex(f"indices ({i}, {m}) outside [0, {p.n})")
+    if (i - m) % p.c1_prime != 0:
+        return 0.0 + 0.0j
+    mm = p.m
+    d = (i - m) // p.c1_prime
+    s_m = _gauss_sum(mm)
+    return complex(s_m * np.exp(-1j * np.pi * ((d * d) % (2 * mm)) / mm))
+
+
+@lru_cache(maxsize=32)
+def _gauss_sum(m: int) -> complex:
+    q = np.arange(m, dtype=np.int64)
+    return complex(np.sum(np.exp(1j * np.pi * ((q * q) % (2 * m)) / m)))
+
+
+def idaft_matrix(p: AffineParams) -> np.ndarray:
+    """Dense unitary synthesis matrix, the factorized product of the chirps
+    and the inverse DFT."""
+    tc, fc, _, _ = _chirps(p.n, p.c1_prime, p.c2)
+    f_inv = np.fft.ifft(np.eye(p.n), axis=0) * np.sqrt(p.n)
+    return (tc[:, None] * f_inv) * fc[None, :]
+
+
+def daft_matrix(p: AffineParams) -> np.ndarray:
+    """Dense unitary analysis matrix, the conjugate transpose of
+    :func:`idaft_matrix`."""
+    return idaft_matrix(p).conj().T
+
+
+def channel_matrix(spec: ChannelSpec, ell: int) -> np.ndarray:
+    """Dense length-ell matrix of the cyclic tap action of ``apply_channel``
+    (noise-free)."""
+    n = np.arange(ell)
+    mat = np.zeros((ell, ell), dtype=np.complex128)
+    for tap in spec.taps:
+        if tap.l >= ell:
+            raise InvalidChannel(f"delay {tap.l} >= frame length {ell}")
+        idx = (n - tap.l) % ell
+        mat[n, idx] += tap.h * np.exp(2j * np.pi * tap.k * idx / ell)
+    return mat
+
+
+def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
+                            max_delay: int | None = None,
+                            max_doppler: int | None = None,
+                            noise_var: float = 0.0,
+                            strict: bool = True) -> ChannelEstimate:
+    """Peak-search tap estimate in the guard zone around affine index 0.
+
+    ``max_delay``/``max_doppler`` restrict the candidate search to the
+    receiver's design assumptions; an above-threshold shift that cannot
+    come from any (l >= 0, 0 <= k < c1') either raises (strict) or is
+    skipped.  The detection floor is the lower quartile of the candidate
+    bins (the guard keeps shifted data off those, while the rest of the
+    zone may hold data images), with zone-bin and known-noise fallbacks
+    when the candidate set is small.
+    """
+    zone = _peak_zone(cfg, max_delay, max_doppler)
+    is_candidate = zone.is_candidate
+    y = y_affine.data
+    mags = np.abs(y[zone.bins])
+    floor_mags = mags[~is_candidate]
+    # The guard keeps channel-shifted data off the candidate bins but not
+    # off the rest of the zone, so the candidate bins themselves (mostly
+    # empty) give the cleanest floor; fall back to the remaining zone bins
+    # or the known noise level when the candidate set is too small.
+    if int(np.sum(is_candidate)) >= 6:
+        threshold = THRESHOLD_SCALE * float(np.quantile(mags[is_candidate], 0.25))
+    elif floor_mags.size >= 4:
+        threshold = THRESHOLD_SCALE * float(np.quantile(floor_mags, 0.25))
+    elif noise_var > 0:
+        threshold = THRESHOLD_SCALE * float(np.sqrt(noise_var))
+    else:
+        threshold = 0.0
+    if mags.size:
+        # keep numerical leakage out of the peak list even at zero noise
+        threshold = max(threshold, 1e-9 * float(np.max(mags)))
+
+    def _tap_at(j: int) -> ChannelTap:
+        h = y[zone.bins[j]] / zone.pilot_gain[j]
+        return ChannelTap(complex(h), int(zone.delays[j]), int(zone.dopplers[j]))
+
+    taps: list[ChannelTap] = []
+    order = np.argsort(mags)[::-1]
+    for j in order:
+        if mags[j] <= threshold:
+            break
+        if not is_candidate[j]:
+            if strict:
+                raise UnresolvableDoppler(
+                    f"peak at shift {zone.offsets[j]} has no (delay >= 0, Doppler < c1') "
+                    f"decomposition within the search bounds")
+            continue
+        taps.append(_tap_at(j))
+    if not taps:
+        # keep the strongest resolvable peak so the receiver always has a
+        # channel to work with, however deep the noise
+        for j in order:
+            if is_candidate[j]:
+                taps.append(_tap_at(j))
+                break
+    if taps:
+        top = max(abs(t.h) for t in taps)
+        taps = [t for t in taps if abs(t.h) > 1e-9 * top]
+
+    taps_t = tuple(taps)
+    h_freq = None
+    if taps_t and all(t.k == 0 for t in taps_t):
+        h_freq = freq_response(ChannelSpec(taps_t), cfg.n)
+    return ChannelEstimate(Domain.AFFINE, taps=taps_t, h_freq=h_freq)
+
+
+def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:
+    """Diagnostic estimate error.
+
+    Frequency-domain estimates, one response or a (frames, N) block of
+    them, compare against H(m) (delay-only) or the
+    diagonal of the true frequency-domain channel (Doppler; the off-diagonal
+    ICI is invisible to a one-tap model).  Tap estimates compare tap-wise:
+    matched taps contribute |h_hat - h|^2, missed and spurious taps their
+    full power.
+    """
+    if est.h_freq is not None and not true_spec.has_doppler:
+        return _response_nmse(est.h_freq, freq_response(true_spec, n))
+    if est.h_freq is not None and est.taps is None:
+        # integer-Doppler taps have zero frequency-domain diagonal, so the
+        # one-tap reference is the response of the delay-only taps
+        return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
+    true = {(t.l, t.k): t.h for t in true_spec.taps}
+    got = {(t.l, t.k): t.h for t in (est.taps or ())}
+    err = 0.0
+    for key, h in true.items():
+        err += abs(got.pop(key, 0.0) - h) ** 2
+    err += sum(abs(h) ** 2 for h in got.values())
+    ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
+    return float(err / ref)
+
+
+def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec,
+              kind: str) -> ChannelEstimate:
+    cfg = sim.frame
+    if kind == "perfect-freq":
+        return perfect_estimate(spec, cfg, Domain.FREQUENCY)
+    if kind == "perfect-affine":
+        return perfect_estimate(spec, cfg, Domain.AFFINE)
+    y_freq, y_aff = planes
+    if kind == "freq":
+        return estimate_channel_freq(y_freq, cfg, max_delay=spec.max_delay)
+    if kind == "affine":
+        l_bound, k_bound = _affine_search_bounds(cfg, spec)
+        return estimate_channel_affine(y_aff, cfg, max_delay=l_bound, max_doppler=k_bound,
+                                       noise_var=spec.noise_var, strict=False)
+    raise ConfigError(f"unknown estimator {kind!r}")
+
+
+def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
+              estimator: str) -> _FrameRecord:
+    """One frame through the public per-frame functions, with this module's
+    peak search and NMSE: the reference that every row of
+    ``harness._run_block`` equals."""
+    rng = frame_rng(sim.seed, point, frame_idx)
+    spec = ChannelSpec(sim.taps, noise_var)
+    cfg = sim.frame
+
+    if sim.baseline:
+        n_bits = cfg.n * BITS_PER_SYMBOL
+        bits = random_bits(rng, n_bits), random_bits(rng, n_bits)
+    else:
+        r1, r2 = required_bits_per_user(cfg)
+        msgs = split_messages(random_bits(rng, r1), random_bits(rng, r2), cfg)
+        # even frames carry user 1's private stream, odd frames user 2's
+        bits = msgs.common_bits, (msgs.private_bits_user2 if frame_idx % 2
+                                  else msgs.private_bits_user1)
+    syms = tuple(modulate_bits(b) for b in bits)
+
+    if sim.baseline:
+        det = run_baseline_frame(*syms, cfg, spec, rng)
+        return _FrameRecord(*_score(sim, bits, syms, det, 0.0))
+    planes = extract_received_planes(apply_channel(build_frame(*syms, cfg), spec, rng), cfg)
+    est = _estimate(sim, planes, spec, estimator)
+    det = detect_streams(planes, cfg, est, sim.mode, noise_var)
+    return _FrameRecord(*_score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n)))

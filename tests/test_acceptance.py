@@ -13,15 +13,16 @@ import pytest
 from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       Frame, FrameConfig, affine_to_freq, apply_channel,
                       build_affine_pilot, build_frame, capacity_counts,
-                      channel_matrix, daft, detect_streams,
+                      daft, detect_streams,
                       estimate_channel_affine, extract_received_planes,
-                      frame_rng, freq_to_affine, idaft, kernel_phi,
+                      frame_rng, freq_to_affine, idaft,
                       modulate_bits, perfect_estimate, random_bits, required_bits_per_user,
                       run_sweep, split_messages, add_cp)
 from afdmrsma.experiments import (BER_SNR_GRID, SE_SNR_GRID, fig5_sweeps,
                                   fig6_sweeps, fig7_sweeps, fig8_sweeps,
                                   fig9_sweeps)
 from afdmrsma.harness import render_csv
+from oracles import channel_matrix, kernel_phi
 
 I16 = SE_SNR_GRID.index(16.0)
 PLATEAU = [i for i, s in enumerate(SE_SNR_GRID) if 10.0 <= s <= 25.0]

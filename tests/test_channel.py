@@ -7,8 +7,9 @@ import pytest
 
 from afdmrsma import (AffineParams, ChannelSpec, ChannelTap, Domain, DopplerPresent,
                       Frame, FrameConfig, InvalidChannel, apply_channel,
-                      build_affine_pilot, channel_matrix, daft, freq_response,
+                      build_affine_pilot, daft, freq_response,
                       idaft, snr_to_noise_var)
+from oracles import channel_matrix
 
 
 def rand_frame(rng, n):

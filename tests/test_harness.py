@@ -15,9 +15,9 @@ from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConf
                       Frame, InvalidLength, LinkResult, ReceiverMode, SimConfig,
                       emit_results, measure_ber, measure_se, run_sweep)
 from afdmrsma.experiments import FIGURES, _ber_frame, fig5_sweeps
-from afdmrsma.harness import (_point_noise_var, _run_block, _run_chunk, _run_frame,
-                              load_config, render_csv, resolve_estimator, run_point,
-                              sim_config_from_dict)
+from afdmrsma.harness import (_point_noise_var, _run_block, _run_chunk, load_config,
+                              render_csv, resolve_estimator, run_point, sim_config_from_dict)
+from oracles import run_frame
 
 
 def small_sim(**kw):
@@ -233,6 +233,9 @@ class TestRunSweep:
             small_sim(frames_per_point=0)
         with pytest.raises(ConfigError):
             small_sim(snr_grid_db=())
+        # refused at construction, not once per SNR point as a NaN row
+        with pytest.raises(ConfigError, match="unknown estimator 'bogus'"):
+            small_sim(estimator="bogus")
 
 
 # every series of the bundled figure presets, fig5 to fig9
@@ -245,15 +248,17 @@ def _point_args(sim, point):
 
 
 def _reference(sim, point, frames):
-    """The records of ``frames`` from the per-frame reference path."""
+    """The records of ``frames`` from the per-frame reference,
+    ``oracles.run_frame``."""
     args = _point_args(sim, point)
-    return np.array([_run_frame(sim, point, f, *args) for f in frames], dtype=np.float64)
+    return np.array([run_frame(sim, point, f, *args) for f in frames], dtype=np.float64)
 
 
 class TestBlockEngine:
     """Each frame of a block keeps its own draws and is computed row by row
     with the reference's operations, so every field (error counts, energies,
-    NMSE, SE, BER) equals the per-frame path's bit for bit."""
+    NMSE, SE, BER) equals the per-frame reference's bit for bit.  The
+    reference has its own loop peak search and dict-based NMSE."""
 
     @pytest.mark.parametrize("sim", [s for _, s in PRESET_SERIES],
                              ids=[name for name, _ in PRESET_SERIES])
@@ -383,6 +388,12 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text("{\"frame\": {}}")
         assert self.run_cli("--config", str(path)).returncode == 1
+        cfg = TestConfigLoading().config_dict()
+        cfg["sweep"]["estimator"] = "bogus"
+        path.write_text(json.dumps(cfg))
+        r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
+        assert r.returncode == 1
+        assert "unknown estimator 'bogus'" in r.stderr
 
     def test_aborted_point_exit_code(self, tmp_path):
         cfg = TestConfigLoading().config_dict()

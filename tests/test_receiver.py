@@ -7,14 +7,17 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       Frame, FrameConfig, GuardViolation, PilotContaminated,
                       ReceiverMode, SingularChannel, UnresolvableDoppler,
                       add_cp, apply_channel, build_affine_pilot, build_frame,
-                      channel_matrix, daft, detect_streams,
+                      daft, detect_streams,
                       equalize, estimate_channel_affine, estimate_channel_freq,
                       estimate_nmse, extract_received_planes, frame_energy_budget,
                       frame_rng, freq_response, idaft, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user,
                       snr_to_noise_var, split_messages)
+from afdmrsma.experiments import FIGURES
+from afdmrsma.harness import _affine_search_bounds
 from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap
-from oracles import tap_mmse_time
+import oracles
+from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
 
 
 def make_cfg(n=256, c1p=64, guard=8, pilot=10.0, phi1=4.0, phi2=1.0,
@@ -202,6 +205,84 @@ class TestAffineEstimator:
         npt.assert_allclose(est.h_freq, freq_response(spec, 256), atol=1e-6)
 
 
+def _outcome(fn, *args, **kw):
+    """What ``fn`` returns, or the type of the exception it raises."""
+    try:
+        return fn(*args, **kw)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestAffineEstimatorOracle:
+    """The public estimator and NMSE run the package's row-wise kernels on
+    one row; both must equal the loop and dict forms in ``oracles``."""
+
+    # every distinct frame of the bundled figure presets, with its own
+    # search bounds
+    GEOMETRIES = sorted({(sim.frame, _affine_search_bounds(sim.frame, ChannelSpec(sim.taps)))
+                         for fig in FIGURES for _, sim in FIGURES[fig](frames=1)}, key=repr)
+
+    def planes(self, cfg, rng):
+        """A pilot-only plane, then noisy planes with 0 to 3 peaks injected
+        at random bins of the guard zone."""
+        pilot = build_affine_pilot(cfg).data
+        yield pilot
+        zone = np.arange(-cfg.guard, cfg.guard + 1) % cfg.n
+        for peaks in range(4):
+            sigma = rng.choice([0.05, 0.5])
+            y = pilot + sigma * (rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n))
+            for b in rng.choice(zone, size=peaks, replace=False):
+                y[b] += np.sqrt(cfg.phi_pilot) * rng.uniform(0.1, 1.0) * np.exp(
+                    2j * np.pi * rng.uniform())
+            yield y
+
+    def test_estimates_equal_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        raised = kept = 0
+        for cfg, own in self.GEOMETRIES:
+            for y in self.planes(cfg, rng):
+                plane = Frame(y, Domain.AFFINE)
+                for bounds in ((None, None), (0, 0), own):
+                    for strict in (True, False):
+                        for noise_var in (0.0, 0.1):
+                            args = (plane, cfg, *bounds, noise_var, strict)
+                            got = _outcome(estimate_channel_affine, *args)
+                            ref = _outcome(oracles.estimate_channel_affine, *args)
+                            if isinstance(ref, type):
+                                assert got is ref
+                                raised += 1
+                                continue
+                            assert got.taps == ref.taps
+                            assert (got.h_freq is None) == (ref.h_freq is None)
+                            if ref.h_freq is not None:
+                                assert np.array_equal(got.h_freq, ref.h_freq)
+                            kept += 1
+        assert raised and kept
+
+    def test_nmse_equals_dict_oracle(self):
+        rng = np.random.default_rng(9)
+        delay_only = ChannelSpec((ChannelTap(0.8, 0, 0), ChannelTap(0.5 + 0.2j, 1, 0)))
+        for cfg, _ in self.GEOMETRIES:
+            for y in self.planes(cfg, rng):
+                est = estimate_channel_affine(Frame(y, Domain.AFFINE), cfg,
+                                              strict=False, noise_var=0.1)
+                # a truth that matches all but the estimate's last tap and
+                # holds two taps the estimate misses
+                late = 1 + max(t.l for t in est.taps)
+                drift = ChannelSpec(tuple(ChannelTap(t.h * (0.9 + 0.1j), t.l, t.k)
+                                          for t in est.taps[:-1])
+                                    + (ChannelTap(0.3, 0, cfg.affine.c1_prime - 1),
+                                       ChannelTap(0.2, late, 0)))
+                for spec in (delay_only, drift):
+                    ests = (est, perfect_estimate(spec, cfg, Domain.AFFINE),
+                            perfect_estimate(delay_only, cfg, Domain.AFFINE),
+                            perfect_estimate(delay_only, cfg, Domain.FREQUENCY),
+                            ChannelEstimate(Domain.FREQUENCY, h_freq=np.fft.fft(y)))
+                    for e in ests:
+                        assert estimate_nmse(e, spec, cfg.n) == \
+                            oracles.estimate_nmse(e, spec, cfg.n)
+
+
 class TestEqualize:
     def test_zf_exact_freq(self):
         cfg = make_cfg(cp_len=4)
@@ -287,7 +368,6 @@ class TestEqualize:
                 / np.sum(np.abs(clean_a.data) ** 2))
         assert nmse < 1e-6
         # dense oracle: x = H^H (H H^H + gI)^{-1} y in the affine plane
-        from afdmrsma import daft_matrix, idaft_matrix
         h_aff = daft_matrix(cfg.affine) @ channel_matrix(spec, 256) \
             @ idaft_matrix(cfg.affine)
         g = 1e-10 / (frame_energy_budget(cfg) / cfg.n)

@@ -10,7 +10,8 @@ import pytest
 
 from afdmrsma import (AffineParams, ConfigError, Domain, Frame, InvalidIndex,
                       InvalidLength, affine_to_freq, daft, dft, freq_to_affine,
-                      idaft, idft, kernel_phi)
+                      idaft, idft)
+from oracles import kernel_phi
 
 
 def synthesis_oracle(p: AffineParams) -> np.ndarray:
