@@ -117,19 +117,30 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
     the bits are stored as int8.  One Philox is re-keyed per frame by
     setting its state, which draws the same numbers as a new generator at
     lower cost.
+
+    The bits come from the generator's raw 64-bit words, ceil(n_bits / 2)
+    per frame: numpy's ``integers(0, 2)`` takes the top bit of each 32-bit
+    half of a word, low half first (Lemire's rule for a range of 2), so bit
+    2j is bit 31 of word j and bit 2j + 1 is bit 63.  The normals do not
+    read the spare half an odd count leaves.  The test
+    ``test_block_draws_equal_frame_rng_draws`` pins this rule against
+    ``random_bits``.
     """
     bg = np.random.Philox(key=np.uint64(seed & _MASK64))
     gen = np.random.Generator(bg)
     state = bg.state   # fresh: empty output buffer, no spare 32-bit half
-    bits = np.empty((len(frames), n_bits), dtype=np.int8)
+    words = np.empty((len(frames), (n_bits + 1) // 2), dtype=np.uint64)
     normals = np.empty((len(frames), n_normals))
     for i, frame in enumerate(frames):
         state["state"]["counter"] = np.array([0, 0, point & _MASK64, frame & _MASK64],
                                              dtype=np.uint64)
         bg.state = state
-        bits[i] = gen.integers(0, 2, size=n_bits, dtype=np.int64)
+        words[i] = bg.random_raw(words.shape[1])
         gen.standard_normal(out=normals[i])
-    return bits, normals
+    bits = np.empty((len(frames), 2 * words.shape[1]), dtype=np.int8)
+    bits[:, 0::2] = (words >> 31) & 1
+    bits[:, 1::2] = words >> 63
+    return bits[:, :n_bits], normals
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

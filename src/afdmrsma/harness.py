@@ -72,10 +72,14 @@ class SimConfig:
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         kind, m = resolve_estimator(self), self.frame.affine.m
-        # the LS estimate on every c1'-th subcarrier resolves only M time taps
-        if kind == "freq" and self.taps and not self.baseline and max(
-                t.l for t in self.taps) >= m:
-            raise ConfigError(f"the freq estimator needs max delay < M={m}")
+        if kind == "freq" and self.taps and not self.baseline:
+            # the LS estimate on every c1'-th subcarrier resolves only M time taps
+            if max(t.l for t in self.taps) >= m:
+                raise ConfigError(f"the freq estimator needs max delay < M={m}")
+            # its score compares against the response of the delay-only taps,
+            # which is zero without one and would make the NMSE inf
+            if all(t.k for t in self.taps):
+                raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
         if kind != "affine":
             return
         # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
@@ -258,14 +262,15 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
     y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
     if kind == "affine":
-        # frames whose estimates hold the same taps are equalized together
-        eq_f, eq_a, nmse = np.empty_like(y_freq), np.empty_like(y_aff), np.empty(len(y_aff))
-        for rows, ls, ks, hs in _affine_tap_groups(y_aff, cfg, *_affine_search_bounds(cfg, spec),
-                                                   noise_var):
-            eq_f[rows], eq_a[rows] = _tap_mmse(y_freq[rows], y_aff[rows], ls, ks, hs,
-                                               cfg.affine, g)
+        # frames whose estimates hold the same taps form a group, scored
+        # group by group; one equalizer call serves every group, with one
+        # domain change per domain and one cyclic reduction per block size
+        groups = list(_affine_tap_groups(y_aff, cfg, *_affine_search_bounds(cfg, spec),
+                                         noise_var))
+        nmse = np.empty(len(y_aff))
+        for rows, ls, ks, hs in groups:
             nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
-        return eq_f, eq_a, nmse
+        return (*_tap_mmse(y_freq, y_aff, groups, cfg.affine, g), nmse)
     if kind == "freq":
         est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, spec.max_delay))
     else:

@@ -20,11 +20,13 @@ zero noise.  A frequency-domain estimate is one tap per subcarrier.  A tap
 estimate is solved in whichever of time (tap shifts l) and unitary
 frequency (tap shifts k) has the narrower spread of tap shifts: one tap
 per sample when all shifts agree, block cyclic reduction of the banded
-cyclic Gram otherwise, so no N x N system is ever formed.  Detection reads
-the common stream straight off the equalized affine plane and the private
-stream straight off the equalized frequency plane; each SIC round
-additionally rebuilds and subtracts the opposite stream's spread image
-between reads.
+cyclic Gram otherwise, so no N x N system is ever formed.  The tap
+estimates of a block, grouped by tap list, are equalized in one call with
+one domain change per domain and one cyclic reduction per block size
+(:func:`_tap_mmse`).  Detection reads the common stream straight off the
+equalized affine plane and the private stream straight off the equalized
+frequency plane; each SIC round additionally rebuilds and subtracts the
+opposite stream's spread image between reads.
 
 Each stage has one implementation, an array kernel that acts on every row
 of a (frames, N) block.  The public per-frame functions run it on a block
@@ -286,20 +288,12 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     if y.domain is not Domain.AFFINE:
         raise ConfigError("affine-domain estimate needs an affine plane")
     y_aff = _check(y, Domain.AFFINE, cfg.n)
-    return Frame(_tap_mmse(None, y_aff, *_tap_arrays(est), cfg.affine, g)[1], Domain.AFFINE)
+    return Frame(_equalize_planes(None, y_aff, est, cfg, g)[1], Domain.AFFINE)
 
 
 def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
     """The MMSE regulariser: noise variance over the mean sample energy."""
     return noise_var / (frame_energy_budget(cfg) / cfg.n)
-
-
-def _tap_arrays(est: ChannelEstimate):
-    """(delays, Dopplers, gains) of a tap estimate."""
-    if not est.taps:
-        raise SingularChannel("empty tap estimate")
-    return ([t.l for t in est.taps], [t.k for t in est.taps],
-            np.array([t.h for t in est.taps], dtype=np.complex128))
 
 
 # Zero-forcing test, shared by the one-tap rule and the banded solve: a
@@ -323,29 +317,49 @@ def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
     return np.multiply(y, np.conj(h)) / (power + g)
 
 
-def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, ls, ks, hs: np.ndarray,
-              p: AffineParams, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE solve for a cyclic tap channel (ZF at g = 0): the equalized
-    (frequency, affine) planes of the received ones.
+def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, groups, p: AffineParams,
+              g: float) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE solve for cyclic tap channels (ZF at g = 0): the equalized
+    (frequency, affine) planes of the received (rows, N) ones.
 
-    The taps have delays ``ls`` and Dopplers ``ks``; ``hs`` holds their
-    gains, (..., taps) with one row per row of the planes.  A tap (h, l, k)
-    shifts a frame by l in time and by k in unitary frequency, so the
-    channel is shift-structured in both domains; the solve runs in the one
-    with the narrower spread of tap shifts (time on a tie).  A frequency
-    solve starts from ``y_freq`` (from ``y_aff`` when None) and its result
-    is the equalized frequency plane.
+    ``groups`` holds ``(rows, delays, dopplers, gains)`` as
+    :func:`_affine_tap_groups` yields them: the block rows that share one
+    tap list, the taps' delays and Dopplers, and a (rows, taps) array of
+    their gains.  A tap (h, l, k) shifts a frame by l in time and by k in
+    unitary frequency, so each group's channel is shift-structured in both
+    domains, and its solve runs in the one with the narrower spread of tap
+    shifts (time on a tie).  The block changes domain once per domain: one
+    ``_idaft`` over every time-solve row on the way in, while frequency
+    solves start from ``y_freq`` (from ``y_aff`` when None); one ``_daft``
+    and ``_affine_to_freq`` over the time-solve rows and one
+    ``_freq_to_affine`` over the frequency-solve rows on the way out.
+    Between them :func:`_shift_mmse` runs one cyclic reduction per block
+    size.  Every step acts on the rows independently, so a row's planes do
+    not depend on the groups that share its block.
     """
-    in_time = max(ls) - min(ls) <= max(ks) - min(ks)
-    gains = [hs[..., t, None] * _tap_ramp(l, k, p.n, in_time)
-             for t, (l, k) in enumerate(zip(ls, ks))]
-    if in_time:
-        eq_a = _daft(_shift_mmse(_idaft(y_aff, p), ls, gains, g), p)
-        return _affine_to_freq(eq_a, p), eq_a
-    if y_freq is None:
-        y_freq = _affine_to_freq(y_aff, p)
-    eq_f = _shift_mmse(y_freq, ks, gains, g)
-    return eq_f, _freq_to_affine(eq_f, p)
+    solves, in_time = [], np.zeros(len(y_aff), dtype=bool)
+    for rows, ls, ks, hs in groups:
+        time_solve = max(ls) - min(ls) <= max(ks) - min(ks)
+        in_time[rows] = time_solve
+        solves.append((rows, ls if time_solve else ks,
+                       [hs[:, t, None] * _tap_ramp(l, k, p.n, time_solve)
+                        for t, (l, k) in enumerate(zip(ls, ks))]))
+    t_rows, f_rows = np.flatnonzero(in_time), np.flatnonzero(~in_time)
+    y = np.empty_like(y_aff)   # each row in the domain of its solve
+    if len(t_rows):
+        y[t_rows] = _idaft(y_aff[t_rows], p)
+    if len(f_rows):
+        y[f_rows] = (_affine_to_freq(y_aff[f_rows], p) if y_freq is None
+                     else y_freq[f_rows])
+    x = _shift_mmse(y, solves, g)
+    eq_f, eq_a = np.empty_like(x), np.empty_like(x)
+    if len(t_rows):
+        eq_a[t_rows] = a = _daft(x[t_rows], p)
+        eq_f[t_rows] = _affine_to_freq(a, p)
+    if len(f_rows):
+        eq_f[f_rows] = x[f_rows]
+        eq_a[f_rows] = _freq_to_affine(x[f_rows], p)
+    return eq_f, eq_a
 
 
 @lru_cache(maxsize=256)
@@ -362,50 +376,70 @@ def _tap_ramp(l: int, k: int, n: int, in_time: bool) -> np.ndarray:
     return ramp
 
 
-def _shift_mmse(y: np.ndarray, shifts, gains, g: float) -> np.ndarray:
+def _shift_mmse(y: np.ndarray, solves, g: float) -> np.ndarray:
     """MMSE ``x = H^H (H H^H + g I)^{-1} y`` for ``(H x)(i) = sum_t a_t(i) x(i - s_t)``,
-    along the last axis.
+    along the last axis of a (rows, N) block.
 
-    With one common shift s, H is a diagonal times a cyclic shift, so the
-    solve is the one-tap rule shifted back by s.  Otherwise H H^H + g I is a
-    cyclic band of half-width b = max s - min s; cut into blocks of size B,
-    the smallest power of two >= b, it is cyclic block-tridiagonal and is
-    solved by block cyclic reduction before H^H is applied tap-wise.
+    ``solves`` holds ``(rows, shifts, gains)``: the block rows of one
+    channel, its tap shifts s_t and its per-sample tap gains a_t, each
+    (rows, N).  With one common shift s, H is a diagonal times a cyclic
+    shift, so the solve is the one-tap rule shifted back by s.  Otherwise
+    H H^H + g I is a cyclic band of half-width b = max s - min s; cut into
+    blocks of size B, the smallest power of two >= b, it is cyclic
+    block-tridiagonal.  The systems of every channel with the same B fill
+    one array and go through one block cyclic reduction, and then each
+    channel's H^H is applied tap-wise.
     """
-    s0 = min(shifts)
-    b = max(shifts) - s0
-    if b == 0:
-        return _ahead(_one_tap(y, sum(gains), g), s0)
-    lead, n = y.shape[:-1], y.shape[-1]
-    bs = 1 << (b - 1).bit_length()
-    # Gram diagonal d: entry (j, j + d) sums a_t(j) conj(a_u(j + d)) over the
-    # tap pairs with s_u - s_t = d
-    band = np.zeros(lead + (n, 2 * b + 1), dtype=np.complex128)
-    for s_t, a_t in zip(shifts, gains):
-        for s_u, a_u in zip(shifts, gains):
-            band[..., s_u - s_t + b] += np.multiply(a_t, _ahead(np.conj(a_u), s_u - s_t))
-    scale = np.max(band[..., b].real, axis=-1)
-    band[..., b] += g
-    # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d) of row
-    # j = i B + r sits in column B + r + d
-    rows = np.arange(n)[:, None]
-    system = np.zeros(lead + (n, 3 * bs + 1), dtype=np.complex128)
-    system[..., rows, bs + rows % bs + np.arange(-b, b + 1)] = band
-    system[..., -1] = y
-    del band
-    try:
-        z = _cyclic_reduction(system.reshape(lead + (n // bs, bs, -1)), g == 0, scale)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
-    z = z.reshape(lead + (n,))
-    return sum(_ahead(np.multiply(np.conj(a), z), s) for s, a in zip(shifts, gains))
+    n = y.shape[-1]
+    x = np.empty_like(y)
+    banded: dict[int, list] = {}
+    for rows, shifts, gains in solves:
+        s0 = min(shifts)
+        b = max(shifts) - s0
+        if b == 0:
+            x[rows] = _ahead(_one_tap(y[rows], sum(gains), g), s0)
+        else:
+            banded.setdefault(1 << (b - 1).bit_length(), []).append((rows, shifts, gains, b))
+    idx = np.arange(n)[:, None]
+    for bs, members in banded.items():
+        bounds = np.cumsum([0] + [len(rows) for rows, *_ in members])
+        system = np.zeros((bounds[-1], n, 3 * bs + 1), dtype=np.complex128)
+        scale = np.empty(bounds[-1])
+        for at, (rows, shifts, gains, b) in zip(bounds, members):
+            part = slice(at, at + len(rows))
+            # Gram diagonal d: entry (j, j + d) sums a_t(j) conj(a_u(j + d))
+            # over the tap pairs with s_u - s_t = d
+            band = np.zeros((len(rows), n, 2 * b + 1), dtype=np.complex128)
+            for s_t, a_t in zip(shifts, gains):
+                for s_u, a_u in zip(shifts, gains):
+                    band[..., s_u - s_t + b] += np.multiply(a_t, _ahead(np.conj(a_u), s_u - s_t))
+            scale[part] = np.max(band[..., b].real, axis=-1)
+            band[..., b] += g
+            # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d)
+            # of row j = i B + r sits in column B + r + d
+            system[part, idx, bs + idx % bs + np.arange(-b, b + 1)] = band
+            system[part, :, -1] = y[rows]
+        try:
+            z = _cyclic_reduction(system.reshape(len(system), n // bs, bs, -1), g == 0, scale)
+        except np.linalg.LinAlgError as exc:
+            raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
+        z = z.reshape(len(system), n)
+        for at, (rows, shifts, gains, _) in zip(bounds, members):
+            zr = z[at:at + len(rows)]
+            x[rows] = sum(_ahead(np.multiply(np.conj(a), zr), s) for s, a in zip(shifts, gains))
+    return x
 
 
-def _ahead(v: np.ndarray, s: int) -> np.ndarray:
-    """``v[..., (i + s) mod n]`` along the last axis: ``np.roll(v, -s, -1)``
-    without its per-call overhead, and ``v`` itself when the shift is 0."""
-    s %= v.shape[-1]
-    return np.concatenate((v[..., s:], v[..., :s]), axis=-1) if s else v
+def _ahead(v: np.ndarray, s: int, axis: int = -1) -> np.ndarray:
+    """``v`` advanced by s along ``axis``, entry i taking entry (i + s) mod n:
+    ``np.roll(v, -s, axis)`` without its per-call overhead, and ``v`` itself
+    when the shift is 0."""
+    s %= v.shape[axis]
+    if not s:
+        return v
+    before = (slice(None),) * (axis % v.ndim)
+    return np.concatenate((v[before + (slice(s, None),)], v[before + (slice(None, s),)]),
+                          axis=axis)
 
 
 def _cyclic_reduction(system: np.ndarray, zf: bool, scale: np.ndarray) -> np.ndarray:
@@ -441,7 +475,7 @@ def _cyclic_reduction(system: np.ndarray, zf: bool, scale: np.ndarray) -> np.nda
         check(odd[..., dg])
         q = mul(inv(odd[..., dg]), odd)
         # even row 2i meets odd row 2i - 1 through L and odd row 2i + 1 through U
-        left, right = mul(even[..., lo], np.roll(q, 1, axis=-3)), mul(even[..., up], q)
+        left, right = mul(even[..., lo], _ahead(q, -1, axis=-3)), mul(even[..., up], q)
         system = np.concatenate((-left[..., lo],
                                  even[..., dg] - left[..., up] - right[..., lo],
                                  -right[..., up],
@@ -451,7 +485,7 @@ def _cyclic_reduction(system: np.ndarray, zf: bool, scale: np.ndarray) -> np.nda
     check(last)
     x = mul(inv(last), system[..., rhs])
     for q in reversed(levels):
-        x_odd = q[..., rhs] - mul(q[..., lo], x) - mul(q[..., up], np.roll(x, -1, axis=-3))
+        x_odd = q[..., rhs] - mul(q[..., lo], x) - mul(q[..., up], _ahead(x, 1, axis=-3))
         x = np.concatenate((x, x_odd), axis=-2).reshape(x.shape[:-3] + (-1, bs, 1))
     return x
 
@@ -484,11 +518,20 @@ def _equalize_planes(y_freq: np.ndarray, y_aff: np.ndarray, est: ChannelEstimate
                      cfg: FrameConfig, g: float) -> tuple[np.ndarray, np.ndarray]:
     """The equalized (frequency, affine) planes of received ones, along the
     last axis: the one-tap rule for a frequency estimate, :func:`_tap_mmse`
-    for a tap estimate."""
+    with every row in one group for a tap estimate.  A frequency plane of
+    None is derived from the affine one where a solve needs it."""
     if est.domain is Domain.FREQUENCY:
         eq_f = _one_tap(y_freq, est.h_freq, g)
         return eq_f, _freq_to_affine(eq_f, cfg.affine)
-    return _tap_mmse(y_freq, y_aff, *_tap_arrays(est), cfg.affine, g)
+    if not est.taps:
+        raise SingularChannel("empty tap estimate")
+    planes = [None if y is None else y.reshape(-1, cfg.n) for y in (y_freq, y_aff)]
+    rows = np.arange(len(planes[1]))
+    hs = np.broadcast_to(np.array([t.h for t in est.taps], dtype=np.complex128),
+                         (len(rows), len(est.taps)))
+    group = (rows, [t.l for t in est.taps], [t.k for t in est.taps], hs)
+    return tuple(eq.reshape(y_aff.shape)
+                 for eq in _tap_mmse(*planes, [group], cfg.affine, g))
 
 
 def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,

@@ -197,6 +197,20 @@ class TestRunSweep:
             small_sim(frame=frame, taps=taps, estimator="perfect-freq")
             small_sim(frame=frame, taps=taps, estimator="freq", baseline=True)
 
+    def test_freq_estimator_needs_a_delay_only_tap(self):
+        # the freq estimate is scored against the response of the k = 0 taps;
+        # without one that response is zero and the NMSE would read inf
+        frame = small_sim().frame
+        for taps in ((ChannelTap(1.0, 0, 1),),
+                     (ChannelTap(0.8, 0, 1), ChannelTap(0.6, 2, 1))):
+            with pytest.raises(ConfigError, match="needs a delay-only"):
+                small_sim(frame=frame, taps=taps, estimator="freq")
+            # the genie estimator and the baseline score nothing that way
+            small_sim(frame=frame, taps=taps, estimator="perfect-freq")
+            small_sim(frame=frame, taps=taps, estimator="freq", baseline=True)
+        small_sim(frame=frame, taps=(ChannelTap(0.8, 0, 0), ChannelTap(0.6, 2, 1)),
+                  estimator="freq")
+
     def test_baseline_null_channel_is_a_diagnostic(self):
         # an all-Doppler channel has a zero one-tap diagonal: zero forcing
         # through it is refused, not turned into NaN
@@ -437,6 +451,18 @@ class TestCli:
             r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
             assert r.returncode == 1
             assert message in r.stderr
+
+    def test_freq_estimator_without_delay_only_tap_exit_code(self, tmp_path):
+        cfg = TestConfigLoading().config_dict()
+        cfg["channel"]["taps"] = [[1.0, 0.0, 0, 1]]
+        cfg["sweep"].update(estimator="freq", snr_db=[10], frames_per_point=4)
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "res.csv"
+        r = self.run_cli("--config", str(path), "--out", str(out))
+        assert r.returncode == 1
+        assert "needs a delay-only (k = 0) tap" in r.stderr
+        assert not out.exists()
 
     def test_doppler_toggle(self, tmp_path):
         cfg = TestConfigLoading().config_dict()

@@ -13,9 +13,11 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       frame_rng, freq_response, idaft, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user,
                       snr_to_noise_var, split_messages)
+from afdmrsma import harness, receiver
 from afdmrsma.experiments import FIGURES
-from afdmrsma.harness import _affine_search_bounds
-from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap
+from afdmrsma.harness import _affine_search_bounds, _point_noise_var, resolve_estimator
+from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse
+from afdmrsma.transforms import _affine_to_freq
 import oracles
 from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
 
@@ -453,6 +455,104 @@ def test_no_dense_solve_on_the_equalizer_path(monkeypatch):
     for nv in (0.0, 0.01):
         assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=nv).data))
     assert all(max(shape, default=0) <= 2 for shape in shapes), shapes
+
+
+# (delays, Dopplers) of one group of each kind the block equalizer solves:
+# the narrower spread picks the domain, and B is the smallest power of two
+# >= that spread
+_KERNEL_GROUPS = [
+    ([2, 2], [0, 3]),         # time, spread 0: one tap per sample, shifted
+    ([0, 1], [0, 1]),         # time, B = 1
+    ([0, 2], [0, 3]),         # time, B = 2
+    ([0, 3, 1], [0, 4, 2]),   # time, B = 4
+    ([0, 2], [0, 1]),         # frequency, B = 1 (the fig9 shape)
+    ([0, 3], [1, 3]),         # frequency, B = 2
+]
+
+
+def _cn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("g", [0.1, 1e-3])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_block_equalizer_is_row_independent(n, g):
+    # one call over a block that mixes every group kind, with the groups of
+    # one block size stacked across domains, gives each row the planes the
+    # kernel gives that row alone
+    p = AffineParams(n, 4)
+    rng = np.random.default_rng(n)
+    rows = rng.permutation(3 * len(_KERNEL_GROUPS)).reshape(len(_KERNEL_GROUPS), 3)
+    groups = [(r, ls, ks, _cn(rng, len(r), len(ls))) for r, (ls, ks) in zip(rows, _KERNEL_GROUPS)]
+    y_aff = _cn(rng, rows.size, n)
+    for y_freq in (_affine_to_freq(y_aff, p), None):
+        eq_f, eq_a = _tap_mmse(y_freq, y_aff, groups, p, g)
+        for r, ls, ks, hs in groups:
+            for i, row in enumerate(r):
+                alone = _tap_mmse(None if y_freq is None else y_freq[row:row + 1],
+                                  y_aff[row:row + 1], [(np.array([0]), ls, ks, hs[i:i + 1])],
+                                  p, g)
+                assert np.array_equal(alone[0][0], eq_f[row]), (ls, ks, row)
+                assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
+
+
+@pytest.mark.parametrize("ls, ks, h", [
+    ([0, 1], [0, 1], [1.0, np.exp(1j * np.pi / 64)]),   # banded, B = 1, as the healthy group
+    ([0, 0], [0, 1], [1.0, 1.0]),                       # spread 0, null at sample N/2
+], ids=["banded", "one-tap"])
+def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
+    # one singular group makes the block call refuse zero forcing, also when
+    # it shares a cyclic reduction with a healthy group
+    p = AffineParams(64, 4)
+    rng = np.random.default_rng(3)
+    healthy = (np.array([0, 2]), [0, 2], [0, 1], np.array([[0.857, 0.514]] * 2, complex))
+    singular = (np.array([1]), ls, ks, np.array([h], complex))
+    y_aff = _cn(rng, 3, 64)
+    _tap_mmse(None, y_aff[[0, 2]], [(np.arange(2), *healthy[1:])], p, 0.0)
+    with pytest.raises(SingularChannel):
+        _tap_mmse(None, y_aff, [healthy, singular], p, 0.0)
+    assert all(np.all(np.isfinite(eq))
+               for eq in _tap_mmse(None, y_aff, [healthy, singular], p, 1e-3))
+
+
+def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
+    # a low-SNR fig9 block splits into groups that solve in both domains;
+    # its equalize step runs one cyclic reduction per block size and FFTs
+    # once per domain: 4 calls over the time-solve rows (_idaft, _daft and
+    # _affine_to_freq's pair) and 2 over the frequency-solve rows
+    # (_freq_to_affine's pair; those rows start from the frequency plane)
+    sim = dict(FIGURES["fig9"](frames=16, seed=1))["sicfree-pilot10"]
+    counts = {"reduction": 0, "fft": 0}
+    seen, inside = [], [False]
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            counts[name] += inside[0]
+            return real(*args, **kwargs)
+        return spy
+    monkeypatch.setattr(receiver, "_cyclic_reduction",
+                        counted("reduction", receiver._cyclic_reduction))
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted("fft", np.fft.ifft))
+    kernel = harness._tap_mmse
+
+    def equalize_step(y_freq, y_aff, groups, p, g):
+        seen.append(groups)
+        inside[0] = True
+        try:
+            return kernel(y_freq, y_aff, groups, p, g)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(harness, "_tap_mmse", equalize_step)
+    harness._run_block(sim, 0, range(16), _point_noise_var(sim, sim.snr_grid_db[0]),
+                       resolve_estimator(sim))
+    [groups] = seen
+    in_time = [max(ls) - min(ls) <= max(ks) - min(ks) for _, ls, ks, _ in groups]
+    spreads = [max(s) - min(s) for t, (_, ls, ks, _) in zip(in_time, groups)
+               for s in [ls if t else ks]]
+    assert len(groups) >= 3 and any(in_time) and not all(in_time)
+    assert counts["reduction"] == len({1 << (b - 1).bit_length() for b in spreads if b}) >= 1
+    assert counts["fft"] == 4 + 2
 
 
 class TestDetect:
