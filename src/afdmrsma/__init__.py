@@ -16,11 +16,10 @@ from .errors import (ConfigError, DegeneratePilot, DopplerPresent, GuardViolatio
 from .framing import (Approach, FrameConfig, ResourceMap, RsmaMessages, add_cp,
                       build_affine_common, build_affine_extra, build_affine_pilot,
                       build_frame, build_freq_private, capacity_counts,
-                      default_guard, extract_received_planes, frame_energy_budget,
-                      merge_messages, remove_cp, required_bits_per_user, resource_map,
-                      split_messages)
+                      extract_received_planes, frame_energy_budget, remove_cp,
+                      required_bits_per_user, resource_map, split_messages)
 from .harness import (CSV_COLUMNS, LinkResult, SimConfig, emit_results, load_config,
-                      measure_ber, measure_se, run_point, run_sweep)
+                      measure_se, run_point, run_sweep)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,
                        equalize, estimate_channel_affine, estimate_channel_freq,
                        estimate_nmse, perfect_estimate)

@@ -39,9 +39,6 @@ class Frame:
     def n(self) -> int:
         return self.data.size
 
-    def with_data(self, data: np.ndarray, domain: Domain | None = None) -> "Frame":
-        return Frame(data, self.domain if domain is None else domain)
-
     def energy(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2))
 

@@ -72,18 +72,12 @@ class FrameConfig:
         return self.affine.n
 
 
-def default_guard(c1_prime: int, l_max: int, k_max: int = 0) -> int:
-    """One pilot-shift span: the largest |shift| a tap can produce."""
-    return c1_prime * l_max + k_max
-
-
 @dataclass(frozen=True)
 class ResourceMap:
     """The frame layout one FrameConfig fixes: where each stream sits, the
     pilot's frequency image, each user's share of the common bits, each
     user's bit budget and the expected frame energy."""
 
-    pilot_index: int
     common_indices: np.ndarray
     extra_indices: np.ndarray
     private_subcarriers: np.ndarray
@@ -136,7 +130,7 @@ def _layout(cfg: FrameConfig) -> ResourceMap:
     energy = (cfg.phi_pilot + cfg.phi1 * common.size + 1.0 * extra.size
               + cfg.phi2 * private.size)
     pilot_freq = affine_to_freq(build_affine_pilot(cfg), cfg.affine).data
-    return ResourceMap(0, common, extra, private, pilot_freq, split,
+    return ResourceMap(common, extra, private, pilot_freq, split,
                        tuple(u + private.size * BITS_PER_SYMBOL for u in split), energy)
 
 
@@ -177,14 +171,6 @@ def split_messages(user1_bits: np.ndarray, user2_bits: np.ndarray,
     u1c, u2c = cfg.layout.common_split
     common = np.concatenate([user1_bits[:u1c], user2_bits[:u2c]])
     return RsmaMessages(common, user1_bits[u1c:], user2_bits[u2c:])
-
-
-def merge_messages(msgs: RsmaMessages, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`split_messages`."""
-    u1c = cfg.layout.common_split[0]
-    user1 = np.concatenate([msgs.common_bits[:u1c], msgs.private_bits_user1])
-    user2 = np.concatenate([msgs.common_bits[u1c:], msgs.private_bits_user2])
-    return user1, user2
 
 
 def _scatter(n: int, indices: np.ndarray, values: np.ndarray,

@@ -1,5 +1,9 @@
 """Monte Carlo link sweeps, metrics and result emission.
 
+A :class:`SimConfig` fixes its receiver and refuses what its stages would
+refuse when it is built (:func:`_receiver_design`); the sweep derives
+neither again.
+
 Each worker simulates its share of an SNR point's frames in blocks, as
 (frames, N) arrays from the bit draws to the scores (:func:`_run_block`).
 The tests hold a per-frame reference that runs one frame through the
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,12 +30,12 @@ import numpy as np
 from .baseline import _baseline_link, baseline_budget
 from .channel import ChannelSpec, ChannelTap, _channel, snr_to_noise_var
 from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
-from .errors import ConfigError, InvalidLength, SimulationError
+from .errors import ConfigError, SimulationError
 from .framing import (Approach, FrameConfig, _frame_time, _planes, capacity_counts,
                       frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
-                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _tap_mmse,
-                       _taps_nmse, estimate_nmse, perfect_estimate)
+                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _peak_zone,
+                       _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
 from .transforms import AffineParams
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
@@ -60,6 +64,7 @@ class SimConfig:
     se_cap_db: float = 30.0
     baseline: bool = False
     noise_override: float | None = None  # fixed sigma^2 instead of SNR-derived
+    design: ReceiverDesign = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frames_per_point < 1:
@@ -71,26 +76,47 @@ class SimConfig:
                               f"expected one of {', '.join(ESTIMATORS)}")
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        kind, m = resolve_estimator(self), self.frame.affine.m
-        if kind == "freq" and self.taps and not self.baseline:
-            # the LS estimate on every c1'-th subcarrier resolves only M time taps
-            if max(t.l for t in self.taps) >= m:
-                raise ConfigError(f"the freq estimator needs max delay < M={m}")
-            # its score compares against the response of the delay-only taps,
-            # which is zero without one and would make the NMSE inf
-            if all(t.k for t in self.taps):
+        object.__setattr__(self, "design", _receiver_design(self))
+
+
+class ReceiverDesign(NamedTuple):
+    """The estimator a :class:`SimConfig` runs ("auto" resolved) and its bounds."""
+    kind: str
+    max_delay: int     # the channel's delay spread
+    max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
+
+
+def _receiver_design(sim: SimConfig) -> ReceiverDesign:
+    """The :class:`ReceiverDesign` of ``sim``; refuses as :class:`ConfigError` what a
+    stage it runs would refuse at every frame, by that stage's own check on an empty block."""
+    cfg, kind = sim.frame, sim.estimator
+    try:
+        spec = ChannelSpec(sim.taps, sim.noise_override or 0.0)
+        if kind == "auto":
+            kind = ("freq" if cfg.approach is Approach.CLEAN_PILOT and not spec.has_doppler
+                    else "affine")
+        design = ReceiverDesign(kind, spec.max_delay,
+                                min(spec.max_doppler, cfg.affine.c1_prime - 1))
+        _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
+        if sim.baseline:   # it runs no estimator
+            return design
+        if kind == "freq":
+            # its NMSE reference, the delay-only taps' response, is zero without one
+            if all(t.k for t in spec.taps):
                 raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
-        if kind != "affine":
-            return
-        # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
-        if any(t.k < 0 for t in self.taps):
-            raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
-        if self.taps and not self.baseline:
-            l_bound, k_bound = _affine_search_bounds(self.frame, ChannelSpec(self.taps))
-            span = self.frame.affine.c1_prime * l_bound + k_bound
-            if span > self.frame.guard:
-                raise ConfigError(f"pilot shift span {span} of the affine search "
-                                  f"exceeds guard {self.frame.guard}")
+            _ls_freq(np.zeros((0, cfg.n), complex), cfg, design.max_delay)
+        elif kind == "affine":
+            # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
+            if any(t.k < 0 for t in spec.taps):
+                raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
+            _peak_zone(cfg, design.max_delay, design.max_doppler)
+        elif kind == "perfect-freq":
+            perfect_estimate(spec, cfg, Domain.FREQUENCY)
+    except ConfigError:
+        raise
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from exc
+    return design
 
 
 @dataclass(frozen=True)
@@ -116,16 +142,6 @@ class LinkResult:
         }
 
 
-def measure_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
-    tx = np.asarray(tx_bits).reshape(-1)
-    rx = np.asarray(rx_bits).reshape(-1)
-    if tx.size != rx.size:
-        raise InvalidLength(f"bit streams differ in length: {tx.size} vs {rx.size}")
-    if tx.size == 0:
-        return 0.0
-    return float(np.mean(tx != rx))
-
-
 def measure_se(stream_stats, frames: int, n: int, cap_db: float = 30.0):
     """EVM-based spectral efficiency.
 
@@ -145,23 +161,6 @@ def measure_se(stream_stats, frames: int, n: int, cap_db: float = 30.0):
         sinr = np.divide(count, err, out=np.full(err.shape, cap), where=~(err <= count / cap))
         se = se + (count / frames) * np.log2(1.0 + np.minimum(sinr, cap))
     return se / n
-
-
-def resolve_estimator(sim: SimConfig) -> str:
-    if sim.estimator != "auto":
-        return sim.estimator
-    spec = ChannelSpec(sim.taps)
-    if spec.has_doppler:
-        return "affine"
-    return "freq" if sim.frame.approach is Approach.CLEAN_PILOT else "affine"
-
-
-def _affine_search_bounds(cfg: FrameConfig, spec: ChannelSpec) -> tuple[int, int]:
-    """(delay, Doppler) bounds of the affine estimator's peak search: the
-    channel's delay spread, which ``SimConfig`` refuses unless the guard
-    holds it, and its Doppler spread clipped to the c1' - 1 the pilot-shift
-    law resolves."""
-    return spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
 
 
 class _FrameRecord(NamedTuple):
@@ -212,15 +211,13 @@ def _run_chunk(args) -> np.ndarray:
     """Records of frames [start, stop) of one SNR point as a C-ordered
     (frames, fields) array, simulated in blocks of ``_BLOCK_SAMPLES // N``
     frames."""
-    sim, point, start, stop, noise_var, estimator = args
+    sim, point, start, stop, noise_var = args
     step = max(1, _BLOCK_SAMPLES // sim.frame.n)
-    return np.concatenate([
-        _run_block(sim, point, range(a, min(a + step, stop)), noise_var, estimator)
-        for a in range(start, stop, step)])
+    return np.concatenate([_run_block(sim, point, range(a, min(a + step, stop)), noise_var)
+                           for a in range(start, stop, step)])
 
 
-def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float,
-               estimator: str) -> np.ndarray:
+def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
     """The records of ``frames``, simulated as (frames, N) arrays.
 
     Row i equals the per-frame reference (``tests/oracles.py``) for frame
@@ -248,31 +245,29 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float,
     if sim.baseline:
         return _score(sim, bits, syms, _baseline_link(*syms, cfg, spec, normals), 0.0)
     received = _channel(_frame_time(*syms, cfg), spec, normals)[:, cfg.cp_len:]
-    eq_f, eq_a, nmse = _receive_block(sim, _planes(received, cfg), spec, estimator,
-                                      noise_var)
+    eq_f, eq_a, nmse = _receive_block(sim, _planes(received, cfg), spec, noise_var)
     return _score(sim, bits, syms, _detect(eq_f, eq_a, cfg, sim.mode), nmse)
 
 
 def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: ChannelSpec,
-                   kind: str, noise_var: float):
-    """Estimate, equalize and score the estimate on (frames, N) planes:
-    the equalized (frequency, affine) planes and each frame's estimate
-    NMSE."""
-    cfg = sim.frame
+                   noise_var: float):
+    """Estimate, equalize and score the estimate on (frames, N) planes, as
+    ``sim.design`` fixes: the equalized (frequency, affine) planes and each
+    frame's estimate NMSE."""
+    cfg, (kind, max_delay, max_doppler) = sim.frame, sim.design
     y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
     if kind == "affine":
         # frames whose estimates hold the same taps form a group, scored
         # group by group; one equalizer call serves every group, with one
         # domain change per domain and one cyclic reduction per block size
-        groups = list(_affine_tap_groups(y_aff, cfg, *_affine_search_bounds(cfg, spec),
-                                         noise_var))
+        groups = list(_affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var))
         nmse = np.empty(len(y_aff))
         for rows, ls, ks, hs in groups:
             nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
         return (*_tap_mmse(y_freq, y_aff, groups, cfg.affine, g), nmse)
     if kind == "freq":
-        est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, spec.max_delay))
+        est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
     else:
         # a genie estimate, the same for every frame
         est = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
@@ -292,15 +287,14 @@ def run_point(sim: SimConfig, point: int, snr_db: float,
               pool: ProcessPoolExecutor | None = None) -> LinkResult:
     cfg = sim.frame
     noise_var = _point_noise_var(sim, snr_db)
-    estimator = resolve_estimator(sim)
 
     t0 = time.perf_counter()
     frames = sim.frames_per_point
     if pool is None or sim.workers <= 1:
-        rows = _run_chunk((sim, point, 0, frames, noise_var, estimator))
+        rows = _run_chunk((sim, point, 0, frames, noise_var))
     else:
         bounds = np.linspace(0, frames, sim.workers + 1).astype(int)
-        tasks = [(sim, point, int(a), int(b), noise_var, estimator)
+        tasks = [(sim, point, int(a), int(b), noise_var)
                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         rows = np.concatenate(list(pool.map(_run_chunk, tasks)))
     wall = time.perf_counter() - t0

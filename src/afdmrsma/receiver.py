@@ -96,7 +96,8 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
     Assumes a delay-only channel; Doppler leaks neighbouring data into the
     pilot subcarriers and degrades the estimate accordingly.
     """
-    return ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq.data, cfg, max_delay))
+    return ChannelEstimate(Domain.FREQUENCY,
+                           h_freq=_ls_freq(_check(y_freq, Domain.FREQUENCY, cfg.n), cfg, max_delay))
 
 
 def _ls_freq(y_freq: np.ndarray, cfg: FrameConfig, max_delay: int | None) -> np.ndarray:
@@ -140,7 +141,7 @@ def _peak_zone(cfg: FrameConfig, max_delay: int | None,
     if max_delay is not None:
         span = c1p * max_delay + (max_doppler or 0)
         if span > g:
-            raise GuardViolation(f"pilot shift span {span} exceeds guard {g}")
+            raise GuardViolation(f"pilot shift span {span} of the affine search exceeds guard {g}")
     offsets = np.arange(-g, g + 1)
     # signed pilot shift -> (delay, Doppler): offset = k - c1' * l
     dopplers = offsets % c1p
@@ -176,8 +177,8 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     come from any (l >= 0, 0 <= k < c1') either raises (strict) or is
     skipped.
     """
-    [(_, ls, ks, hs)] = _affine_tap_groups(y_affine.data[None], cfg, max_delay, max_doppler,
-                                           noise_var, strict)
+    [(_, ls, ks, hs)] = _affine_tap_groups(_check(y_affine, Domain.AFFINE, cfg.n)[None], cfg,
+                                           max_delay, max_doppler, noise_var, strict)
     taps = tuple(ChannelTap(complex(h), l, k) for l, k, h in zip(ls, ks, hs[0]))
     h_freq = None
     if taps and not any(ks):
@@ -279,16 +280,10 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     Both rules refuse zero forcing by one test, see :data:`_PIVOT_RTOL`.
     The output is returned in the plane that came in.
     """
-    g = _noise_ratio(cfg, noise_var)
+    g, data = _noise_ratio(cfg, noise_var), _check(y, est.domain, cfg.n)
     if est.domain is Domain.FREQUENCY:
-        if y.domain is not Domain.FREQUENCY:
-            raise ConfigError("frequency-domain estimate needs a frequency plane")
-        return Frame(_one_tap(y.data, est.h_freq, g), Domain.FREQUENCY)
-
-    if y.domain is not Domain.AFFINE:
-        raise ConfigError("affine-domain estimate needs an affine plane")
-    y_aff = _check(y, Domain.AFFINE, cfg.n)
-    return Frame(_equalize_planes(None, y_aff, est, cfg, g)[1], Domain.AFFINE)
+        return Frame(_one_tap(data, est.h_freq, g), Domain.FREQUENCY)
+    return Frame(_equalize_planes(None, data, est, cfg, g)[1], Domain.AFFINE)
 
 
 def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
@@ -509,7 +504,8 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     the private stream from the frequency plane, cleaning them in the mode's
     SIC rounds.  ``planes`` is the (frequency, affine) pair of one received
     frame that :func:`framing.extract_received_planes` returns."""
-    eq_f, eq_a = _equalize_planes(planes[0].data, planes[1].data, est, cfg,
+    eq_f, eq_a = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n),
+                                  _check(planes[1], Domain.AFFINE, cfg.n), est, cfg,
                                   _noise_ratio(cfg, noise_var))
     return _detect(eq_f, eq_a, cfg, mode)
 

@@ -18,7 +18,7 @@ from afdmrsma import (BITS_PER_SYMBOL, AffineParams, ChannelEstimate, ChannelSpe
                       frame_rng, freq_response, frequency_diagonal, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user, split_messages)
 from afdmrsma.baseline import run_baseline_frame
-from afdmrsma.harness import _affine_search_bounds, _FrameRecord, _score
+from afdmrsma.harness import _FrameRecord, _score
 from afdmrsma.receiver import _peak_zone, _response_nmse
 from afdmrsma.transforms import _chirps
 
@@ -200,25 +200,23 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     return float(err / ref)
 
 
-def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec,
-              kind: str) -> ChannelEstimate:
-    cfg = sim.frame
+def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec) -> ChannelEstimate:
+    """The estimate ``sim.design`` fixes, with its bounds."""
+    cfg, (kind, max_delay, max_doppler) = sim.frame, sim.design
     if kind == "perfect-freq":
         return perfect_estimate(spec, cfg, Domain.FREQUENCY)
     if kind == "perfect-affine":
         return perfect_estimate(spec, cfg, Domain.AFFINE)
     y_freq, y_aff = planes
     if kind == "freq":
-        return estimate_channel_freq(y_freq, cfg, max_delay=spec.max_delay)
+        return estimate_channel_freq(y_freq, cfg, max_delay=max_delay)
     if kind == "affine":
-        l_bound, k_bound = _affine_search_bounds(cfg, spec)
-        return estimate_channel_affine(y_aff, cfg, max_delay=l_bound, max_doppler=k_bound,
+        return estimate_channel_affine(y_aff, cfg, max_delay=max_delay, max_doppler=max_doppler,
                                        noise_var=spec.noise_var, strict=False)
     raise ConfigError(f"unknown estimator {kind!r}")
 
 
-def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
-              estimator: str) -> _FrameRecord:
+def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _FrameRecord:
     """One frame through the public per-frame functions, with this module's
     peak search and NMSE: the reference that every row of
     ``harness._run_block`` equals."""
@@ -241,6 +239,6 @@ def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float,
         det = run_baseline_frame(*syms, cfg, spec, rng)
         return _FrameRecord(*_score(sim, bits, syms, det, 0.0))
     planes = extract_received_planes(apply_channel(build_frame(*syms, cfg), spec, rng), cfg)
-    est = _estimate(sim, planes, spec, estimator)
+    est = _estimate(sim, planes, spec)
     det = detect_streams(planes, cfg, est, sim.mode, noise_var)
     return _FrameRecord(*_score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n)))

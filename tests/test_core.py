@@ -92,11 +92,6 @@ class TestFrame:
         with pytest.raises(ValueError):
             f.data[0] = 0.0
 
-    def test_domain_preserved_by_copy(self):
-        f = Frame(np.ones(8), Domain.AFFINE)
-        g = f.with_data(f.data * 2)
-        assert g.domain is Domain.AFFINE
-
 
 class TestSeeding:
     def test_counter_derivation_reproducible(self):

@@ -7,10 +7,9 @@ from afdmrsma import (BITS_PER_SYMBOL, AffineParams, Approach, ConfigError, Doma
                       FrameConfig, InvalidLength, add_cp, affine_to_freq,
                       build_affine_common, build_affine_extra, build_affine_pilot,
                       build_frame, build_freq_private, capacity_counts,
-                      default_guard, demodulate_symbols, extract_received_planes,
-                      frame_energy_budget, frame_rng, idaft, idft, merge_messages,
-                      modulate_bits, random_bits, required_bits_per_user,
-                      resource_map, split_messages)
+                      demodulate_symbols, extract_received_planes, frame_energy_budget,
+                      frame_rng, idaft, idft, modulate_bits, random_bits,
+                      required_bits_per_user, resource_map, split_messages)
 
 
 def cfg16(approach=Approach.CLEAN_PILOT, **kw):
@@ -50,8 +49,9 @@ class TestResourceMap:
 
     def test_disjoint_sets(self):
         rm = resource_map(cfg16(Approach.PILOT_AND_DATA))
-        assert rm.pilot_index not in rm.common_indices
-        assert rm.pilot_index not in rm.extra_indices
+        # the pilot sits at affine index 0
+        assert 0 not in rm.common_indices
+        assert 0 not in rm.extra_indices
         assert not set(rm.common_indices) & set(rm.extra_indices)
 
     def test_common_load_cap(self):
@@ -62,9 +62,6 @@ class TestResourceMap:
         cfg = cfg16(Approach.PILOT_AND_DATA)
         assert resource_map(cfg) is resource_map(cfg)
         assert capacity_counts(cfg) is resource_map(cfg)
-
-    def test_default_guard(self):
-        assert default_guard(64, 2, 1) == 129
 
     def test_invalid_powers(self):
         with pytest.raises(ConfigError):
@@ -87,9 +84,12 @@ class TestMessages:
         r1, r2 = required_bits_per_user(cfg)
         u1, u2 = random_bits(rng, r1), random_bits(rng, r2)
         msgs = split_messages(u1, u2, cfg)
-        b1, b2 = merge_messages(msgs, cfg)
-        npt.assert_array_equal(b1, u1)
-        npt.assert_array_equal(b2, u2)
+        # each user's bits open with its share of the common stream, user 1's
+        # share first, and go on with its private stream
+        u1c, u2c = cfg.layout.common_split
+        npt.assert_array_equal(msgs.common_bits, np.concatenate([u1[:u1c], u2[:u2c]]))
+        npt.assert_array_equal(msgs.private_bits_user1, u1[u1c:])
+        npt.assert_array_equal(msgs.private_bits_user2, u2[u2c:])
 
     def test_counts_exactly_consumed(self):
         cfg = cfg16(Approach.PILOT_AND_DATA)

@@ -1,4 +1,5 @@
 """Metrics, sweeps, emission, configuration and the CLI."""
+import itertools
 import json
 import os
 import subprocess
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
-                      Frame, InvalidLength, LinkResult, ReceiverMode, SimConfig,
-                      emit_results, measure_ber, measure_se, run_sweep)
+                      Frame, LinkResult, ReceiverMode, SimConfig, emit_results, measure_se,
+                      run_sweep)
 from afdmrsma.experiments import FIGURES, _ber_frame, fig5_sweeps
-from afdmrsma.harness import (_point_noise_var, _run_block, _run_chunk, load_config,
-                              render_csv, resolve_estimator, run_point, sim_config_from_dict)
+from afdmrsma.harness import (ESTIMATORS, _point_noise_var, _run_block, _run_chunk,
+                              load_config, render_csv, run_point, sim_config_from_dict)
 from oracles import run_frame
 
 
@@ -29,25 +30,6 @@ def small_sim(**kw):
                 frames_per_point=40, seed=7)
     base.update(kw)
     return SimConfig(**base)
-
-
-class TestMeasureBer:
-    def test_identical(self):
-        assert measure_ber(np.ones(100, int), np.ones(100, int)) == 0.0
-
-    def test_complementary(self):
-        a = np.zeros(64, int)
-        assert measure_ber(a, 1 - a) == 1.0
-
-    def test_fraction(self):
-        a = np.zeros(1000, int)
-        b = a.copy()
-        b[[3, 500, 999]] = 1
-        assert measure_ber(a, b) == pytest.approx(0.003)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidLength):
-            measure_ber(np.zeros(10, int), np.zeros(9, int))
 
 
 class TestMeasureSe:
@@ -144,13 +126,14 @@ class TestRunSweep:
         assert render_csv(runs[0]) == render_csv(runs[1])
 
     def test_diagnostic_row_on_failure(self):
-        # embedded-pilot frames carry data on the clean-pilot subcarriers, so
-        # the frequency estimator refuses every frame and the point aborts
-        sim = small_sim(frame=replace(small_sim().frame, approach=Approach.PILOT_AND_DATA),
-                        estimator="freq", frames_per_point=3, snr_grid_db=(10.0,))
+        # equal taps at delays 0 and 1 null subcarrier N/2, so zero forcing
+        # through the genie response refuses every frame and the point aborts
+        sim = small_sim(taps=(ChannelTap(0.7, 0, 0), ChannelTap(0.7, 1, 0)),
+                        estimator="perfect-freq", noise_override=0.0, frames_per_point=3,
+                        snr_grid_db=(10.0,))
         res = run_sweep(sim)
         assert len(res) == 1
-        assert res[0].diagnostics.startswith("PilotContaminated: ")
+        assert res[0].diagnostics.startswith("SingularChannel: ")
         assert np.isnan(res[0].ber_total)
         assert res[0].frames == 0
 
@@ -162,6 +145,16 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             small_sim(frame=frame, taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, -1)),
                       estimator="affine")
+
+    def test_baseline_runs_no_estimator(self):
+        # the baseline estimates nothing, so the affine estimator's refusal of
+        # negative Doppler does not reach it
+        taps = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, -1))
+        with pytest.raises(ConfigError, match="negative-Doppler"):
+            small_sim(taps=taps)
+        res = run_sweep(small_sim(taps=taps, baseline=True, frames_per_point=2,
+                                  snr_grid_db=(10.0,)))
+        assert res[0].diagnostics == "" and res[0].frames == 2
 
     def test_guard_too_small_for_affine_search_refused(self):
         # c1' l + k = 4 * 2 + 1 = 9 exceeds guard 8
@@ -205,8 +198,10 @@ class TestRunSweep:
                      (ChannelTap(0.8, 0, 1), ChannelTap(0.6, 2, 1))):
             with pytest.raises(ConfigError, match="needs a delay-only"):
                 small_sim(frame=frame, taps=taps, estimator="freq")
-            # the genie estimator and the baseline score nothing that way
-            small_sim(frame=frame, taps=taps, estimator="perfect-freq")
+            # the genie frequency response is refused too: it needs a
+            # delay-only channel; the baseline estimates nothing
+            with pytest.raises(ConfigError):
+                small_sim(frame=frame, taps=taps, estimator="perfect-freq")
             small_sim(frame=frame, taps=taps, estimator="freq", baseline=True)
         small_sim(frame=frame, taps=(ChannelTap(0.8, 0, 0), ChannelTap(0.6, 2, 1)),
                   estimator="freq")
@@ -252,13 +247,81 @@ class TestRunSweep:
             small_sim(estimator="bogus")
 
 
+# channels of the construction grid below (N = 64, c1' = 4, cp_len = 4), as
+# (h, delay, Doppler) taps
+_GRID_TAPS = {
+    "delay-only": ((0.857, 0, 0), (0.514, 2, 0)),
+    "delay-doppler": ((0.857, 0, 0), (0.514, 2, 1)),
+    "negative-doppler": ((0.857, 0, 0), (0.514, 2, -1)),
+    "doppler-only": ((0.8, 0, 1), (0.6, 1, 2)),
+    "beyond-frame": ((0.857, 0, 0), (0.514, 64 + 4, 0)),   # delay N + cp_len
+}
+
+
+def test_a_config_that_constructs_also_runs():
+    # every estimator, pilot layout, baseline switch and guard over each
+    # channel: SimConfig refuses the configuration, or every point runs
+    # without a diagnostic and with finite results
+    ran = refused = 0
+    for estimator, approach, baseline, guard, taps in itertools.product(
+            ESTIMATORS, Approach, (False, True), (1, 9), _GRID_TAPS.values()):
+        try:
+            sim = small_sim(frame=replace(small_sim().frame, approach=approach, guard=guard),
+                            taps=tuple(ChannelTap(*t) for t in taps), estimator=estimator,
+                            baseline=baseline, frames_per_point=2, snr_grid_db=(10.0,))
+        except ConfigError:
+            refused += 1
+            continue
+        res = run_sweep(sim)
+        assert all(r.diagnostics == "" for r in res), (sim, res)
+        assert all(np.isfinite(v) for r in res for v in r.row().values()), (sim, res)
+        ran += 1
+    assert ran and refused
+
+
+# configurations that a stage would refuse at every SNR point, as edits of
+# TestConfigLoading's config, with the refusal's message
+_REFUSED = {
+    "perfect-freq-over-doppler": (
+        {"channel": {"taps": [[0.857, 0.0, 0, 0], [0.514, 0.0, 2, 1]]},
+         "sweep": {"estimator": "perfect-freq"}}, "defined for delay-only channels"),
+    "freq-on-embedded-pilot": (
+        {"frame": {"approach": 2}, "sweep": {"estimator": "freq"}},
+        "embedded-pilot frames carry data on the pilot subcarriers"),
+    **{f"delay-beyond-frame-{name}": (
+        {"channel": {"taps": [[0.857, 0.0, 0, 0], [0.514, 0.0, 68, 0]]}, "sweep": sweep},
+        "delay 68 >= frame length 68")
+       for name, sweep in (("perfect-freq", {"estimator": "perfect-freq"}),
+                           ("perfect-affine", {"estimator": "perfect-affine"}),
+                           ("baseline", {"baseline": True}))},
+    "no-taps": ({"channel": {"taps": [], "normalize": False}, "sweep": {"estimator": "freq"}},
+                "need at least one tap"),
+    "negative-noise": ({"channel": {"noise_var": -1.0}}, "noise variance must be >= 0"),
+}
+
+
+def _refused_config(case):
+    cfg = TestConfigLoading().config_dict()
+    edits, message = _REFUSED[case]
+    for section, values in edits.items():
+        cfg[section].update(values)
+    return cfg, message
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_refused_at_construction(case):
+    cfg, message = _refused_config(case)
+    with pytest.raises(ConfigError, match=message):
+        sim_config_from_dict(cfg)
+
+
 # every series of the bundled figure presets, fig5 to fig9
 PRESET_SERIES = [(f"{fig}/{label}", sim) for fig in sorted(FIGURES)
                  for label, sim in FIGURES[fig](frames=20)]
 
 
 def _point_args(sim, point):
-    return _point_noise_var(sim, sim.snr_grid_db[point]), resolve_estimator(sim)
+    return (_point_noise_var(sim, sim.snr_grid_db[point]),)
 
 
 def _reference(sim, point, frames):
@@ -410,15 +473,17 @@ class TestCli:
         assert "unknown estimator 'bogus'" in r.stderr
 
     def test_aborted_point_exit_code(self, tmp_path):
+        # zero forcing through the null equal taps at delays 0 and 1 put on
+        # subcarrier N/2
         cfg = TestConfigLoading().config_dict()
-        cfg["frame"]["approach"] = 2
-        cfg["sweep"]["estimator"] = "freq"
+        cfg["channel"] = {"taps": [[0.7, 0.0, 0, 0], [0.7, 0.0, 1, 0]]}
+        cfg["sweep"].update(estimator="perfect-freq", zero_noise=True)
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "res.csv"
         r = self.run_cli("--config", str(path), "--frames", "2", "--out", str(out))
         assert r.returncode == 2
-        assert "aborted: PilotContaminated" in r.stderr
+        assert "aborted: SingularChannel" in r.stderr
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 3 and all(",nan," in row for row in rows)
 
@@ -451,6 +516,17 @@ class TestCli:
             r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
             assert r.returncode == 1
             assert message in r.stderr
+
+    def test_refused_config_exit_code(self, tmp_path):
+        for case in _REFUSED:
+            cfg, message = _refused_config(case)
+            path = tmp_path / "sim.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / "res.csv"
+            r = self.run_cli("--config", str(path), "--out", str(out))
+            assert r.returncode == 1, (case, r.stderr)
+            assert message in r.stderr
+            assert not out.exists()
 
     def test_freq_estimator_without_delay_only_tap_exit_code(self, tmp_path):
         cfg = TestConfigLoading().config_dict()

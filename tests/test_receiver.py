@@ -3,8 +3,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
-                      Frame, FrameConfig, GuardViolation, PilotContaminated,
+from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigError, Domain,
+                      Frame, FrameConfig, GuardViolation, InvalidLength, PilotContaminated,
                       ReceiverMode, SingularChannel, UnresolvableDoppler,
                       add_cp, apply_channel, build_affine_pilot, build_frame,
                       daft, detect_streams,
@@ -15,7 +15,7 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       snr_to_noise_var, split_messages)
 from afdmrsma import harness, receiver
 from afdmrsma.experiments import FIGURES
-from afdmrsma.harness import _affine_search_bounds, _point_noise_var, resolve_estimator
+from afdmrsma.harness import _point_noise_var
 from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse
 from afdmrsma.transforms import _affine_to_freq
 import oracles
@@ -221,7 +221,7 @@ class TestAffineEstimatorOracle:
 
     # every distinct frame of the bundled figure presets, with its own
     # search bounds
-    GEOMETRIES = sorted({(sim.frame, _affine_search_bounds(sim.frame, ChannelSpec(sim.taps)))
+    GEOMETRIES = sorted({(sim.frame, (sim.design.max_delay, sim.design.max_doppler))
                          for fig in FIGURES for _, sim in FIGURES[fig](frames=1)}, key=repr)
 
     def planes(self, cfg, rng):
@@ -544,8 +544,7 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
         finally:
             inside[0] = False
     monkeypatch.setattr(harness, "_tap_mmse", equalize_step)
-    harness._run_block(sim, 0, range(16), _point_noise_var(sim, sim.snr_grid_db[0]),
-                       resolve_estimator(sim))
+    harness._run_block(sim, 0, range(16), _point_noise_var(sim, sim.snr_grid_db[0]))
     [groups] = seen
     in_time = [max(ls) - min(ls) <= max(ks) - min(ks) for _, ls, ks, _ in groups]
     spreads = [max(s) - min(s) for t, (_, ls, ks, _) in zip(in_time, groups)
@@ -553,6 +552,38 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
     assert len(groups) >= 3 and any(in_time) and not all(in_time)
     assert counts["reduction"] == len({1 << (b - 1).bit_length() for b in spreads if b}) >= 1
     assert counts["fft"] == 4 + 2
+
+
+class TestPlaneChecks:
+    """The public estimators and detector refuse a plane of the wrong domain
+    (ConfigError) or length (InvalidLength), as equalize does."""
+
+    def planes(self):
+        cfg = make_cfg(n=64, c1p=4, guard=8)
+        return cfg, extract_received_planes(make_frame(cfg)[1], cfg)
+
+    def test_estimate_channel_freq(self):
+        cfg, (y_f, y_a) = self.planes()
+        with pytest.raises(ConfigError):
+            estimate_channel_freq(Frame(y_f.data, Domain.AFFINE), cfg)
+        with pytest.raises(InvalidLength):
+            estimate_channel_freq(Frame(y_f.data[:32], Domain.FREQUENCY), cfg)
+
+    def test_estimate_channel_affine(self):
+        cfg, (y_f, y_a) = self.planes()
+        with pytest.raises(ConfigError):
+            estimate_channel_affine(Frame(y_a.data, Domain.FREQUENCY), cfg)
+        with pytest.raises(InvalidLength):
+            estimate_channel_affine(Frame(y_a.data[:32], Domain.AFFINE), cfg)
+
+    def test_detect_streams(self):
+        cfg, (y_f, y_a) = self.planes()
+        est = perfect_estimate(ChannelSpec((ChannelTap(1.0, 0, 0),)), cfg, Domain.FREQUENCY)
+        with pytest.raises(ConfigError):
+            detect_streams((y_a, y_f), cfg, est)
+        with pytest.raises(InvalidLength):
+            detect_streams((Frame(y_f.data[:32], Domain.FREQUENCY),
+                            Frame(y_a.data[:32], Domain.AFFINE)), cfg, est)
 
 
 class TestDetect:
