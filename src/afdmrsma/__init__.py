@@ -19,7 +19,7 @@ from .framing import (Approach, FrameConfig, ResourceMap, RsmaMessages, add_cp,
                       extract_received_planes, frame_energy_budget, remove_cp,
                       required_bits_per_user, resource_map, split_messages)
 from .harness import (CSV_COLUMNS, LinkResult, SimConfig, emit_results, load_config,
-                      measure_se, run_point, run_sweep)
+                      measure_se, run_point, run_sweep, run_sweeps)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,
                        equalize, estimate_channel_affine, estimate_channel_freq,
                        estimate_nmse, perfect_estimate)

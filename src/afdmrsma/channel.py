@@ -49,6 +49,10 @@ class ChannelSpec:
             raise InvalidChannel("need at least one tap")
         if self.noise_var < 0:
             raise InvalidChannel("noise variance must be >= 0")
+        if len({(t.l, t.k) for t in taps}) < len(taps):
+            raise InvalidChannel("two taps share one (delay, Doppler) pair")
+        if not any(t.h for t in taps):
+            raise InvalidChannel("the taps have zero total power")
         if self.normalize:
             p = _rt(sum(abs(t.h) ** 2 for t in taps))
             taps = tuple(ChannelTap(t.h / p, t.l, t.k) for t in taps)
@@ -136,10 +140,9 @@ def frequency_diagonal(spec: ChannelSpec, n: int) -> np.ndarray:
     delay-only taps contribute; this is the best one-tap reference a
     conventional per-subcarrier receiver can use under Doppler.
     """
-    static = tuple(t for t in spec.taps if t.k == 0)
-    if not static:
-        return np.zeros(n, dtype=np.complex128)
-    return freq_response(ChannelSpec(static), n)
+    static = [t for t in spec.taps if t.k == 0]
+    return _delay_response(np.array([t.h for t in static], dtype=np.complex128),
+                           [t.l for t in static], n)
 
 
 def snr_to_noise_var(snr_db: float, avg_sample_energy: float) -> float:

@@ -6,25 +6,24 @@
              [--out PATH] [--format {csv,json}] [--workers W]
              [--emit-plot-data [DIR]]
 
-Without --config, --emit-plot-data runs only the bundled presets, which
-read --frames and --workers alone; any other option is refused (exit 1).
+With --config, each option sets the key of the JSON config it stands for
+before the config is parsed.  Without --config, --emit-plot-data runs only
+the bundled presets, which read --frames and --workers alone; any other
+option is refused (exit 1).
 
 Exit codes: 0 success, 1 configuration error (including options that
-would be ignored), 2 runtime error, including an SNR point that aborted
-(its row holds NaN and the reason goes to stderr).
+would be ignored and unknown config keys), 2 runtime error, including an
+SNR point that aborted (its row holds NaN and the reason goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .channel import ChannelTap
 from .errors import ConfigError, SimulationError
 from .experiments import emit_plot_data
-from .framing import Approach, FrameConfig
-from .harness import ReceiverMode, emit_results, load_config, run_sweep
-from .transforms import AffineParams
+from .harness import (DEFAULT_TAPS, ReceiverMode, emit_results, load_config, run_sweep,
+                      sim_config_from_dict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,49 +51,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# options that only a --config sweep reads (the presets take --frames and
-# --workers alone)
-_SWEEP_OPTIONS = ("--out", "--format", "--seed", "--mode", "--snr-min", "--snr-max",
-                  "--snr-step", "--approach", "--c1prime", "--pilot-db", "--doppler")
+# option -> the (section, key) of the JSON config it sets
+_FLAG_KEYS = {
+    "frames": ("sweep", "frames_per_point"), "mode": ("sweep", "mode"),
+    "seed": ("sweep", "seed"), "workers": ("sweep", "workers"),
+    "approach": ("frame", "approach"), "c1prime": ("frame", "c1_prime"),
+    "pilot_db": ("frame", "pilot_power_db"),
+    "out": ("output", "path"), "format": ("output", "format"),
+}
 
 
-def _override_frame(frame: FrameConfig, args) -> FrameConfig:
-    kw = {}
-    if args.approach is not None:
-        kw["approach"] = Approach(args.approach)
-    if args.c1prime is not None:
-        kw["affine"] = AffineParams(frame.affine.n, args.c1prime, frame.affine.c2)
-    if args.pilot_db is not None:
-        kw["phi_pilot"] = 10.0 ** (args.pilot_db / 10.0)
-    return replace(frame, **kw) if kw else frame
-
-
-def _override_sim(sim, args):
-    kw = {}
+def _set_flag_keys(raw: dict, args) -> None:
+    """Write each option given into the key of the JSON config ``raw`` it sets."""
+    values = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()}
     if None not in (args.snr_min, args.snr_max, args.snr_step):
         grid, v = [], args.snr_min
         while v <= args.snr_max + 1e-9:
             grid.append(round(v, 9))
             v += args.snr_step
-        kw["snr_grid_db"] = tuple(grid)
-    if args.frames is not None:
-        kw["frames_per_point"] = args.frames
-    if args.mode is not None:
-        kw["mode"] = ReceiverMode(args.mode)
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.workers is not None:
-        kw["workers"] = args.workers
-    frame = _override_frame(sim.frame, args)
-    if frame is not sim.frame:
-        kw["frame"] = frame
-    if args.doppler == "off":
-        kw["taps"] = tuple(ChannelTap(t.h, t.l, 0) for t in sim.taps)
-    elif args.doppler == "on" and not any(t.k for t in sim.taps):
-        taps = list(sim.taps)
-        taps[-1] = ChannelTap(taps[-1].h, taps[-1].l, 1)
-        kw["taps"] = tuple(taps)
-    return replace(sim, **kw) if kw else sim
+        values["sweep", "snr_db"] = grid
+    if args.doppler is not None:
+        # off: every tap delay-only; on: the last tap gets Doppler 1 if none has any
+        taps = [[re, im, l, k if args.doppler == "on" else 0]
+                for re, im, l, k in raw.get("channel", {}).get("taps", DEFAULT_TAPS)]
+        if args.doppler == "on" and not any(k for *_, k in taps):
+            taps[-1][3] = 1
+        values["channel", "taps"] = taps
+    for (section, key), value in values.items():
+        if value is not None:
+            raw.setdefault(section, {})[key] = value
 
 
 def main(argv=None) -> int:
@@ -103,8 +88,9 @@ def main(argv=None) -> int:
         print("error: need --config and/or --emit-plot-data", file=sys.stderr)
         return 1
     if args.config is None:
-        ignored = [opt for opt in _SWEEP_OPTIONS
-                   if getattr(args, opt[2:].replace("-", "_")) is not None]
+        # the presets read --frames and --workers alone
+        ignored = ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
+                   if value is not None and dest not in ("emit_plot_data", "frames", "workers")]
         if ignored:
             print(f"error: --emit-plot-data without --config ignores {', '.join(ignored)}",
                   file=sys.stderr)
@@ -112,12 +98,15 @@ def main(argv=None) -> int:
     status = 0
     try:
         if args.config is not None:
-            sim, out_opts = load_config(args.config)
-            sim = _override_sim(sim, args)
-            results = run_sweep(sim)
-            path = args.out or out_opts.get("path", "results.csv")
-            fmt = args.format or out_opts.get("format", "csv")
-            emit_results(results, fmt, path)
+            raw = load_config(args.config)
+            try:
+                _set_flag_keys(raw, args)
+            except (AttributeError, IndexError, TypeError, ValueError) as exc:
+                raise ConfigError(f"cannot apply the options to {args.config}: {exc}") from exc
+            results = run_sweep(sim_config_from_dict(raw))
+            output = raw.get("output", {})
+            path = output.get("path", "results.csv")
+            emit_results(results, output.get("format", "csv"), path)
             for r in results:
                 if r.diagnostics:
                     print(f"point {r.snr_db} dB aborted: {r.diagnostics}", file=sys.stderr)

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 from .channel import two_tap
 from .framing import Approach, FrameConfig
-from .harness import LinkResult, ReceiverMode, SimConfig, render_csv, run_sweep
+from .harness import LinkResult, ReceiverMode, SimConfig, render_csv, run_sweeps
 from .transforms import AffineParams
 
 SE_SNR_GRID = (0.0, 5.0, 10.0, 13.0, 16.0, 20.0, 25.0)
@@ -119,29 +119,30 @@ FIGURES = {
 }
 
 
+def figure_series(names, frames: int | None = None, seed: int | None = None,
+                  workers: int = 1) -> list[tuple[str, str, SimConfig]]:
+    """(figure, label, config) of every series of the named figures."""
+    kwargs = {k: v for k, v in (("frames", frames), ("seed", seed)) if v is not None}
+    return [(name, label, replace(sim, workers=workers))
+            for name in names for label, sim in FIGURES[name](**kwargs)]
+
+
 def run_figure(name: str, frames: int | None = None, seed: int | None = None,
                workers: int = 1) -> list[tuple[str, LinkResult]]:
-    kwargs = {}
-    if frames is not None:
-        kwargs["frames"] = frames
-    if seed is not None:
-        kwargs["seed"] = seed
-    rows: list[tuple[str, LinkResult]] = []
-    for label, sim in FIGURES[name](**kwargs):
-        sim = replace(sim, workers=workers)
-        for res in run_sweep(sim):
-            rows.append((label, res))
-    return rows
+    series = figure_series([name], frames, seed, workers)
+    results = run_sweeps([sim for *_, sim in series])
+    return [(label, res) for (_, label, _), sweep in zip(series, results) for res in sweep]
 
 
 def emit_plot_data(directory: str, frames: int | None = None,
                    workers: int = 1) -> list[str]:
+    """Run every figure in one call of the runner and write fig5.csv .. fig9.csv."""
+    series = figure_series(FIGURES, frames, workers=workers)
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name in FIGURES:
-        rows = run_figure(name, frames=frames, workers=workers)
-        path = os.path.join(directory, f"{name}.csv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(render_csv(rows, extra_key="series"))
-        paths.append(path)
-    return paths
+    rows: dict[str, list[tuple[str, LinkResult]]] = {}
+    for (name, label, _), sweep in zip(series, run_sweeps([sim for *_, sim in series])):
+        rows.setdefault(name, []).extend((label, res) for res in sweep)
+    for name, figure_rows in rows.items():
+        with open(os.path.join(directory, f"{name}.csv"), "w", encoding="utf-8") as f:
+            f.write(render_csv(figure_rows, extra_key="series"))
+    return [os.path.join(directory, f"{name}.csv") for name in rows]

@@ -4,7 +4,8 @@ A :class:`SimConfig` fixes its receiver and refuses what its stages would
 refuse when it is built (:func:`_receiver_design`); the sweep derives
 neither again.
 
-Each worker simulates its share of an SNR point's frames in blocks, as
+:func:`run_sweeps` runs each (configuration, SNR point) as one task, in
+process or on one process pool; a task simulates its frames in blocks, as
 (frames, N) arrays from the bit draws to the scores (:func:`_run_block`).
 The tests hold a per-frame reference that runs one frame through the
 public functions and an independent peak search and NMSE; every block row
@@ -14,8 +15,8 @@ Determinism contract: every frame draws its randomness from a Philox
 generator keyed on the run seed and counted by (SNR point, frame index),
 every step after the draws acts on a block's rows independently, and
 per-point aggregation sums fixed-order per-frame records.  Results are
-therefore byte-identical across runs, across worker counts and across
-block boundaries.
+therefore byte-identical across runs, across worker counts, and across
+task and block bounds.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ class SimConfig:
     estimator: str = "auto"   # one of ESTIMATORS
     seed: int = 1
     workers: int = 1
-    se_cap_db: float = 30.0
     baseline: bool = False
     noise_override: float | None = None  # fixed sigma^2 instead of SNR-derived
     design: ReceiverDesign = field(init=False, repr=False, compare=False)
@@ -134,12 +134,7 @@ class LinkResult:
     diagnostics: str = ""
 
     def row(self) -> dict:
-        return {
-            "snr_db": self.snr_db, "ber_common": self.ber_common,
-            "ber_private": self.ber_private, "ber_total": self.ber_total,
-            "se": self.se, "channel_nmse": self.channel_nmse,
-            "frames": self.frames,
-        }
+        return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
 def measure_se(stream_stats, frames: int, n: int, cap_db: float = 30.0):
@@ -197,7 +192,7 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
                 np.sum(np.abs(det.private_syms - tx_private) ** 2, axis=-1))
     ec = np.sum(det.common_bits != common_bits, axis=-1)
     ep = np.sum(det.private_bits != private_bits, axis=-1)
-    se = measure_se(zip(energies, res), 1, sim.frame.n, sim.se_cap_db)
+    se = measure_se(zip(energies, res), 1, sim.frame.n)
     ber = (ec + ep) / max(common_bits.shape[-1] + private_bits.shape[-1], 1)
     fields = np.broadcast_arrays(ec, ep, *energies, nmse, se, ber)
     return np.stack(fields, axis=-1).astype(np.float64)
@@ -205,16 +200,6 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
 
 # Frames simulated together, as (frames, N) arrays of about this many samples
 _BLOCK_SAMPLES = 4096
-
-
-def _run_chunk(args) -> np.ndarray:
-    """Records of frames [start, stop) of one SNR point as a C-ordered
-    (frames, fields) array, simulated in blocks of ``_BLOCK_SAMPLES // N``
-    frames."""
-    sim, point, start, stop, noise_var = args
-    step = max(1, _BLOCK_SAMPLES // sim.frame.n)
-    return np.concatenate([_run_block(sim, point, range(a, min(a + step, stop)), noise_var)
-                           for a in range(start, stop, step)])
 
 
 def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
@@ -283,25 +268,35 @@ def _point_noise_var(sim: SimConfig, snr_db: float) -> float:
     return snr_to_noise_var(snr_db, budget / sim.frame.n)
 
 
-def run_point(sim: SimConfig, point: int, snr_db: float,
-              pool: ProcessPoolExecutor | None = None) -> LinkResult:
-    cfg = sim.frame
-    noise_var = _point_noise_var(sim, snr_db)
-
+def _run_task(task) -> tuple[np.ndarray | str, float]:
+    """Frame range ``cut`` of ``cuts`` of SNR point ``point``, in blocks of
+    ``_BLOCK_SAMPLES // N`` frames: its records as a C-ordered (frames, fields)
+    array, or the reason the point aborted; and the compute seconds."""
+    sim, point, cut, cuts = task
     t0 = time.perf_counter()
-    frames = sim.frames_per_point
-    if pool is None or sim.workers <= 1:
-        rows = _run_chunk((sim, point, 0, frames, noise_var))
-    else:
-        bounds = np.linspace(0, frames, sim.workers + 1).astype(int)
-        tasks = [(sim, point, int(a), int(b), noise_var)
-                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        rows = np.concatenate(list(pool.map(_run_chunk, tasks)))
-    wall = time.perf_counter() - t0
+    start, stop = sim.frames_per_point * cut // cuts, sim.frames_per_point * (cut + 1) // cuts
+    noise_var = _point_noise_var(sim, sim.snr_grid_db[point])
+    step = max(1, _BLOCK_SAMPLES // sim.frame.n)
+    try:
+        out = np.concatenate([_run_block(sim, point, range(a, min(a + step, stop)), noise_var)
+                              for a in range(start, stop, step)])
+    except (SimulationError, np.linalg.LinAlgError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    return out, time.perf_counter() - t0
 
+
+def _point_result(sim: SimConfig, point: int, outputs) -> LinkResult:
+    """The :class:`LinkResult` of SNR point ``point`` from the outputs of its
+    tasks in frame order; a task that aborted makes it a diagnostic row."""
+    snr_db, wall = sim.snr_grid_db[point], sum(seconds for _, seconds in outputs)
+    failed = [out for out, _ in outputs if isinstance(out, str)]
+    if failed:
+        return LinkResult(snr_db, *[float("nan")] * 5, 0, wall_time=wall, diagnostics=failed[0])
     # a C-ordered (frames, fields) array summed over axis 0 adds each field
-    # in frame order, which keeps the sums independent of the worker count
-    # and of the block bounds
+    # in frame order, which keeps the sums independent of the task and
+    # block bounds
+    rows = np.concatenate([out for out, _ in outputs])
+    frames = len(rows)
     total = _FrameRecord(*rows.sum(axis=0))
     per_frame = _FrameRecord(*rows.T)
     res = _stream_res(sim)
@@ -309,10 +304,9 @@ def run_point(sim: SimConfig, point: int, snr_db: float,
     bp = frames * res[2] * BITS_PER_SYMBOL
     ec, ep = total.common_errors, total.private_errors
     energies = (total.common_err_energy, total.extra_err_energy, total.private_err_energy)
-    se = measure_se([(e, frames * r) for e, r in zip(energies, res)], frames, cfg.n,
-                    sim.se_cap_db)
+    se = measure_se([(e, frames * r) for e, r in zip(energies, res)], frames, sim.frame.n)
     return LinkResult(
-        snr_db=float(snr_db),
+        snr_db=snr_db,
         ber_common=float(ec / bc) if bc else 0.0,
         ber_private=float(ep / bp) if bp else 0.0,
         ber_total=float((ec + ep) / (bc + bp)) if (bc + bp) else 0.0,
@@ -325,25 +319,33 @@ def run_point(sim: SimConfig, point: int, snr_db: float,
     )
 
 
+def run_point(sim: SimConfig, point: int) -> LinkResult:
+    """SNR point ``point`` of ``sim`` as one task in this process."""
+    return _point_result(sim, point, [_run_task((sim, point, 0, 1))])
+
+
+def run_sweeps(sims) -> list[list[LinkResult]]:
+    """One LinkResult per SNR point of each configuration (a diagnostic row
+    if it raises), in this process at one worker, else on one process pool of
+    the largest ``workers``; points are cut only if fewer than the workers."""
+    workers = max((sim.workers for sim in sims), default=1)
+    if workers <= 1:
+        return [[run_point(sim, p) for p in range(len(sim.snr_grid_db))] for sim in sims]
+    points = [(sim, p) for sim in sims for p in range(len(sim.snr_grid_db))]
+    # no frame range may be empty
+    cuts = (min(workers, *(sim.frames_per_point for sim in sims)) if len(points) < workers
+            else 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        outputs = iter(pool.map(_run_task, [(sim, p, cut, cuts) for sim, p in points
+                                            for cut in range(cuts)]))
+        results = iter([_point_result(sim, p, [next(outputs) for _ in range(cuts)])
+                        for sim, p in points])
+    return [[next(results) for _ in sim.snr_grid_db] for sim in sims]
+
+
 def run_sweep(sim: SimConfig) -> list[LinkResult]:
-    """One LinkResult per SNR point; a point that raises is recorded as a
-    diagnostic row instead of aborting the sweep."""
-    results = []
-    pool = None
-    try:
-        if sim.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=sim.workers)
-        for point, snr in enumerate(sim.snr_grid_db):
-            try:
-                results.append(run_point(sim, point, snr, pool))
-            except (SimulationError, np.linalg.LinAlgError) as exc:
-                results.append(LinkResult(float(snr), float("nan"), float("nan"),
-                                          float("nan"), float("nan"), float("nan"),
-                                          0, diagnostics=f"{type(exc).__name__}: {exc}"))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return results
+    """:func:`run_sweeps` of one configuration."""
+    return run_sweeps([sim])[0]
 
 
 def _fmt(x) -> str:
@@ -381,57 +383,61 @@ def emit_results(results, fmt: str, path) -> None:
         raise IOError(f"cannot write results to {path}: {exc}") from exc
 
 
-def frame_config_from_dict(d: dict) -> FrameConfig:
-    try:
-        affine = AffineParams(int(d["n"]), int(d["c1_prime"]), float(d.get("c2", 0.0)))
-        if "phi_pilot" in d:
-            pilot = float(d["phi_pilot"])
-        else:
-            pilot = 10.0 ** (float(d.get("pilot_power_db", 10.0)) / 10.0)
-        cpc = d.get("common_per_class")
-        return FrameConfig(
-            affine=affine, guard=int(d["guard"]), phi_pilot=pilot,
-            phi1=float(d["phi1"]), phi2=float(d["phi2"]),
-            approach=Approach(int(d.get("approach", 1))),
-            cp_len=int(d.get("cp_len", 0)),
-            common_per_class=None if cpc is None else int(cpc),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad frame config: {exc}") from exc
+DEFAULT_TAPS = [[1.0, 0.0, 0, 0]]   # a config without "taps": [re(h), im(h), delay, Doppler]
+
+# the keys each part of a JSON config may hold ("" is the top level)
+_CONFIG_KEYS = {
+    "": "frame channel sweep output",
+    "frame": "n c1_prime c2 guard pilot_power_db phi1 phi2 approach cp_len common_per_class",
+    "channel": "taps normalize noise_var",
+    "sweep": "snr_db frames_per_point mode estimator seed workers baseline zero_noise",
+    "output": "path format",
+}
 
 
 def sim_config_from_dict(d: dict) -> SimConfig:
+    """The :class:`SimConfig` of a JSON config; a key that nothing reads is refused."""
     try:
-        frame = frame_config_from_dict(d["frame"])
-        ch = d.get("channel", {})
+        for part, keys in _CONFIG_KEYS.items():
+            for key in d.get(part, {}) if part else d:
+                if key not in keys.split():
+                    raise ConfigError(f"unknown config key {part + '.' if part else ''}{key}")
+        fr, ch, sw = d["frame"], d.get("channel", {}), d.get("sweep", {})
+        cpc = fr.get("common_per_class")
+        frame = FrameConfig(
+            affine=AffineParams(int(fr["n"]), int(fr["c1_prime"]), float(fr.get("c2", 0.0))),
+            guard=int(fr["guard"]),
+            phi_pilot=10.0 ** (float(fr.get("pilot_power_db", 10.0)) / 10.0),
+            phi1=float(fr["phi1"]), phi2=float(fr["phi2"]),
+            approach=Approach(int(fr.get("approach", 1))),
+            cp_len=int(fr.get("cp_len", 0)),
+            common_per_class=None if cpc is None else int(cpc),
+        )
         taps = tuple(ChannelTap(complex(re, im), int(l), int(k))
-                     for re, im, l, k in ch.get("taps", [[1.0, 0.0, 0, 0]]))
+                     for re, im, l, k in ch.get("taps", DEFAULT_TAPS))
         if ch.get("normalize", False):
             taps = ChannelSpec(taps, normalize=True).taps
-        sw = d.get("sweep", {})
-        mode = ReceiverMode(sw.get("mode", "sicfree"))
         # a noiseless sweep takes precedence over channel.noise_var
         nv = 0.0 if sw.get("zero_noise", False) else ch.get("noise_var")
         return SimConfig(
             frame=frame, taps=taps,
             snr_grid_db=tuple(sw.get("snr_db", [0, 5, 10, 15, 20, 25])),
             frames_per_point=int(sw.get("frames_per_point", 100)),
-            mode=mode, estimator=sw.get("estimator", "auto"),
+            mode=ReceiverMode(sw.get("mode", "sicfree")), estimator=sw.get("estimator", "auto"),
             seed=int(sw.get("seed", 1)), workers=int(sw.get("workers", 1)),
-            se_cap_db=float(sw.get("se_cap_db", 30.0)),
             baseline=bool(sw.get("baseline", False)),
             noise_override=None if nv is None else float(nv),
         )
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from exc
 
 
-def load_config(path) -> tuple[SimConfig, dict]:
+def load_config(path) -> dict:
+    """The JSON config at ``path``, for :func:`sim_config_from_dict`."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
-    return sim_config_from_dict(raw), raw.get("output", {})

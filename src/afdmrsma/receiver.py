@@ -334,6 +334,8 @@ def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, groups, p: AffinePar
     """
     solves, in_time = [], np.zeros(len(y_aff), dtype=bool)
     for rows, ls, ks, hs in groups:
+        if not ls:
+            raise SingularChannel("no channel tap found to equalize with")
         time_solve = max(ls) - min(ls) <= max(ks) - min(ks)
         in_time[rows] = time_solve
         solves.append((rows, ls if time_solve else ks,
@@ -600,9 +602,7 @@ def _taps_nmse(ls, ks, hs: np.ndarray, true_spec: ChannelSpec, n: int) -> np.nda
     if not any(ks) and not true_spec.has_doppler:
         return _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
     true = {(t.l, t.k): t.h for t in true_spec.taps}
-    got = {}
-    for col, key in enumerate(zip(ls, ks)):
-        got[key] = col   # a repeated key keeps its first place and its last gain
+    got = {key: col for col, key in enumerate(zip(ls, ks))}
 
     def power(v):
         return np.float_power(np.hypot(v.real, v.imag), 2)

@@ -17,10 +17,8 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, Domain,
                       estimate_channel_affine, extract_received_planes,
                       frame_rng, freq_to_affine, idaft,
                       modulate_bits, perfect_estimate, random_bits, required_bits_per_user,
-                      run_sweep, split_messages, add_cp)
-from afdmrsma.experiments import (BER_SNR_GRID, SE_SNR_GRID, fig5_sweeps,
-                                  fig6_sweeps, fig7_sweeps, fig8_sweeps,
-                                  fig9_sweeps)
+                      run_sweep, run_sweeps, split_messages, add_cp)
+from afdmrsma.experiments import BER_SNR_GRID, SE_SNR_GRID, fig8_sweeps, figure_series
 from afdmrsma.harness import render_csv
 from oracles import channel_matrix, kernel_phi
 
@@ -42,18 +40,15 @@ def synthesis_oracle(p):
 
 @pytest.fixture(scope="module")
 def figures():
+    # the SE figures in one run of the runner and the BER figures in another,
+    # each on two workers
     out = {}
-    t0 = time.perf_counter()
-    for name, builder in [("fig5", fig5_sweeps), ("fig6", fig6_sweeps),
-                          ("fig7", fig7_sweeps)]:
+    for names, key in ((("fig5", "fig6", "fig7"), "se_time"), (("fig8", "fig9"), "ber_time")):
         t = time.perf_counter()
-        out[name] = {label: run_sweep(sim) for label, sim in builder()}
-        out[name + "_time"] = time.perf_counter() - t
-    t = time.perf_counter()
-    out["fig8"] = {label: run_sweep(sim) for label, sim in fig8_sweeps()}
-    out["fig9"] = {label: run_sweep(sim) for label, sim in fig9_sweeps()}
-    out["ber_time"] = time.perf_counter() - t
-    out["total_time"] = time.perf_counter() - t0
+        series = figure_series(names, workers=2)
+        for (name, label, _), res in zip(series, run_sweeps([sim for *_, sim in series])):
+            out.setdefault(name, {})[label] = res
+        out[key] = time.perf_counter() - t
     return out
 
 
@@ -212,10 +207,10 @@ def test_criterion_07_fig5_se(figures):
     assert all(2.0 <= v <= 4.0 for v in plateau)
     variation = (max(plateau) - min(plateau)) / min(plateau)
     assert variation < 0.25
-    assert figures["fig5_time"] < 300.0
+    assert figures["se_time"] < 300.0
     _report(7, f"embedded/clean SE ratio {ratio:.2f} at 16 dB; clean-pilot "
                f"plateau {min(plateau):.2f}..{max(plateau):.2f} "
-               f"(variation {variation:.0%}, {figures['fig5_time']:.0f} s)")
+               f"(variation {variation:.0%}; fig5-7 in {figures['se_time']:.0f} s)")
 
 
 def test_criterion_08_fig6_sic_orderings(figures):

@@ -42,12 +42,17 @@ class TestApplyChannel:
                 spec = ChannelSpec((ChannelTap(0.7 - 0.2j, l, k),))
                 ref = channel_matrix(spec, ell) @ x.data
                 npt.assert_allclose(apply_channel(x, spec).data, ref, atol=1e-10)
-            # multi-tap combinations
+            # multi-tap combinations; one that repeats a (delay, Doppler)
+            # pair is refused
             for _ in range(10):
                 taps = tuple(
                     ChannelTap(complex(rng.normal(), rng.normal()),
                                int(rng.integers(0, 3)), int(rng.integers(0, 3)))
                     for _ in range(int(rng.integers(2, 4))))
+                if len({(t.l, t.k) for t in taps}) < len(taps):
+                    with pytest.raises(InvalidChannel, match="share one"):
+                        ChannelSpec(taps)
+                    continue
                 spec = ChannelSpec(taps)
                 ref = channel_matrix(spec, ell) @ x.data
                 npt.assert_allclose(apply_channel(x, spec).data, ref, atol=1e-10)

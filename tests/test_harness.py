@@ -14,9 +14,10 @@ import pytest
 
 from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
                       Frame, LinkResult, ReceiverMode, SimConfig, emit_results, measure_se,
-                      run_sweep)
-from afdmrsma.experiments import FIGURES, _ber_frame, fig5_sweeps
-from afdmrsma.harness import (ESTIMATORS, _point_noise_var, _run_block, _run_chunk,
+                      run_sweep, run_sweeps)
+from afdmrsma import cli, harness
+from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
+from afdmrsma.harness import (ESTIMATORS, _point_noise_var, _run_block, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
 from oracles import run_frame
 
@@ -259,24 +260,31 @@ _GRID_TAPS = {
 
 
 def test_a_config_that_constructs_also_runs():
-    # every estimator, pilot layout, baseline switch and guard over each
-    # channel: SimConfig refuses the configuration, or every point runs
-    # without a diagnostic and with finite results
-    ran = refused = 0
-    for estimator, approach, baseline, guard, taps in itertools.product(
-            ESTIMATORS, Approach, (False, True), (1, 9), _GRID_TAPS.values()):
+    # every estimator, pilot layout, baseline switch, guard and noise level
+    # over each channel, in one run on two workers: SimConfig refuses the
+    # configuration, or every point runs without a diagnostic and with finite
+    # results; at zero noise a point may instead abort on zero forcing
+    # through a singular channel
+    sims, refused = [], 0
+    for estimator, approach, baseline, guard, taps, noise in itertools.product(
+            ESTIMATORS, Approach, (False, True), (1, 9), _GRID_TAPS.values(), (None, 0.0)):
         try:
-            sim = small_sim(frame=replace(small_sim().frame, approach=approach, guard=guard),
-                            taps=tuple(ChannelTap(*t) for t in taps), estimator=estimator,
-                            baseline=baseline, frames_per_point=2, snr_grid_db=(10.0,))
+            sims.append(small_sim(
+                frame=replace(small_sim().frame, approach=approach, guard=guard),
+                taps=tuple(ChannelTap(*t) for t in taps), estimator=estimator,
+                baseline=baseline, frames_per_point=2, snr_grid_db=(10.0,),
+                noise_override=noise, workers=2))
         except ConfigError:
             refused += 1
+    aborted = 0
+    for sim, res in zip(sims, run_sweeps(sims)):
+        if sim.noise_override == 0.0 and res[0].diagnostics:
+            assert res[0].diagnostics.startswith("SingularChannel: "), (sim, res)
+            aborted += 1
             continue
-        res = run_sweep(sim)
         assert all(r.diagnostics == "" for r in res), (sim, res)
         assert all(np.isfinite(v) for r in res for v in r.row().values()), (sim, res)
-        ran += 1
-    assert ran and refused
+    assert len(sims) > aborted > 0 and refused
 
 
 # configurations that a stage would refuse at every SNR point, as edits of
@@ -297,6 +305,19 @@ _REFUSED = {
     "no-taps": ({"channel": {"taps": [], "normalize": False}, "sweep": {"estimator": "freq"}},
                 "need at least one tap"),
     "negative-noise": ({"channel": {"noise_var": -1.0}}, "noise variance must be >= 0"),
+    # taps that cancel would leave the affine estimator no tap at zero noise
+    "cancelling-taps": (
+        {"channel": {"taps": [[1.0, 0.0, 0, 0], [-1.0, 0.0, 0, 0]], "normalize": False},
+         "sweep": {"estimator": "affine", "zero_noise": True}},
+        "two taps share one"),
+    # scored against the last of the repeated taps, not against their sum
+    "repeated-taps": (
+        {"frame": {"guard": 9},
+         "channel": {"taps": [[0.7, 0.0, 0, 0], [0.6, 0.0, 2, 1], [0.3, 0.0, 2, 1]]},
+         "sweep": {"estimator": "affine"}}, "two taps share one"),
+    "zero-power": ({"channel": {"taps": [[0.0, 0.0, 0, 0]]}}, "zero total power"),
+    "unknown-key": ({"sweep": {"frames_per_pont": 5}},
+                    "unknown config key sweep.frames_per_pont"),
 }
 
 
@@ -313,6 +334,79 @@ def test_refused_at_construction(case):
     cfg, message = _refused_config(case)
     with pytest.raises(ConfigError, match=message):
         sim_config_from_dict(cfg)
+
+
+# LinkResult fields that depend on the frames alone, not on the clock
+_RECORD_FIELDS = ("snr_db", "ber_common", "ber_private", "ber_total", "se", "channel_nmse",
+                  "frames", "se_stderr", "ber_total_stderr")
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert [r.diagnostics for r in a] == [r.diagnostics for r in b]
+        assert np.array_equal([[getattr(r, f) for f in _RECORD_FIELDS] for r in a],
+                              [[getattr(r, f) for f in _RECORD_FIELDS] for r in b],
+                              equal_nan=True)
+
+
+class TestRunSweeps:
+    # zero forcing through the null equal taps at delays 0 and 1 put on
+    # subcarrier N/2 aborts every frame
+    failing = small_sim(taps=(ChannelTap(0.7, 0, 0), ChannelTap(0.7, 1, 0)),
+                        estimator="perfect-freq", noise_override=0.0, frames_per_point=3,
+                        snr_grid_db=(10.0,))
+    single = small_sim(estimator="freq", frames_per_point=9, snr_grid_db=(10.0,))
+
+    def mix(self):
+        """Frame sizes 64 and 128, three estimators, the baseline and a
+        failing point: 8 points in all."""
+        frame = small_sim().frame
+        return [
+            small_sim(estimator="freq", frames_per_point=5, snr_grid_db=(0.0, 20.0)),
+            small_sim(frame=replace(frame, affine=AffineParams(128, 4)), frames_per_point=4,
+                      estimator="perfect-affine", snr_grid_db=(5.0, 15.0)),
+            small_sim(frame=replace(frame, guard=9), estimator="affine", frames_per_point=7,
+                      taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1)),
+                      snr_grid_db=(10.0, 25.0)),
+            small_sim(baseline=True, frames_per_point=3, snr_grid_db=(10.0,)),
+            self.failing,
+        ]
+
+    def test_records_equal_at_every_worker_count(self, monkeypatch):
+        cuts = []
+        point_result = harness._point_result
+
+        def counted(sim, point, outputs):
+            cuts.append(len(outputs))
+            return point_result(sim, point, outputs)
+        monkeypatch.setattr(harness, "_point_result", counted)
+        runs = {}
+        for w in (1, 2, 3):
+            cuts.clear()
+            runs[w] = [run_sweeps([replace(sim, workers=w) for sim in sims])
+                       for sims in (self.mix(), [self.single], [self.failing])]
+            # the mix has more points than workers, so no point is cut; a
+            # single point run alone is cut into one frame range per worker
+            assert cuts == [1] * 8 + [w, w]
+        assert runs[1][0][-1][0].diagnostics.startswith("SingularChannel: ")
+        assert runs[1][0][-1][0].frames == 0
+        assert runs[1][1][0][0].frames == 9
+        for w in (2, 3):
+            for got, want in zip(runs[w], runs[1]):
+                _assert_same_records(got, want)
+
+    def test_emit_plot_data_starts_one_pool(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Counted(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+        paths = emit_plot_data(str(tmp_path), frames=1, workers=2)
+        assert pools == [{"max_workers": 2}]
+        assert [Path(p).name for p in paths] == [f"{name}.csv" for name in FIGURES]
 
 
 # every series of the bundled figure presets, fig5 to fig9
@@ -342,7 +436,7 @@ class TestBlockEngine:
     def test_preset_records_equal_run_frame(self, sim):
         # 20 frames run as one full block and a partial one
         for point in (0, len(sim.snr_grid_db) - 1):
-            got = _run_chunk((sim, point, 0, 20, *_point_args(sim, point)))
+            got, _ = _run_task((sim, point, 0, 1))
             assert np.array_equal(got, _reference(sim, point, range(20)))
 
     @pytest.mark.parametrize("kw", [
@@ -383,10 +477,10 @@ class TestBlockEngine:
 
         def peak(frames):
             s = replace(sim, frames_per_point=frames)
-            run_point(s, 0, 20.0)   # fill the caches outside the measurement
+            run_point(s, 5)   # 20 dB; fill the caches outside the measurement
             tracemalloc.start()
             try:
-                run_point(s, 0, 20.0)
+                run_point(s, 5)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -409,11 +503,12 @@ class TestConfigLoading:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(self.config_dict()))
-        sim, out = load_config(path)
+        raw = load_config(path)
+        assert raw == self.config_dict()
+        sim = sim_config_from_dict(raw)
         assert sim.frame.n == 64
         assert sim.frame.phi_pilot == pytest.approx(10.0)
         assert sum(abs(t.h) ** 2 for t in sim.taps) == pytest.approx(1.0)
-        assert out["path"] == "r.csv"
 
     def test_zero_noise_overrides_channel_noise(self):
         d = self.config_dict()
@@ -517,15 +612,15 @@ class TestCli:
             assert r.returncode == 1
             assert message in r.stderr
 
-    def test_refused_config_exit_code(self, tmp_path):
+    def test_refused_config_exit_code(self, tmp_path, capsys):
+        # in this process: the entry point's exit status is main's return value
         for case in _REFUSED:
             cfg, message = _refused_config(case)
             path = tmp_path / "sim.json"
             path.write_text(json.dumps(cfg))
             out = tmp_path / "res.csv"
-            r = self.run_cli("--config", str(path), "--out", str(out))
-            assert r.returncode == 1, (case, r.stderr)
-            assert message in r.stderr
+            assert cli.main(["--config", str(path), "--out", str(out)]) == 1, case
+            assert message in capsys.readouterr().err
             assert not out.exists()
 
     def test_freq_estimator_without_delay_only_tap_exit_code(self, tmp_path):
@@ -550,3 +645,48 @@ class TestCli:
         r = self.run_cli("--config", str(path), "--frames", "2", "--doppler", "on",
                          "--out", str(out))
         assert r.returncode == 0, r.stderr
+
+
+# each option of a --config run with the edit of the JSON key it sets: (an
+# edit of the base config first, the option, the key edit)
+_DOPPLER_TAPS = [[1.0, 0.0, 0, 0], [0.6, 0.0, 2, 1]]
+_FLAG_CASES = {
+    "snr": ({}, ["--snr-min", "0", "--snr-max", "10", "--snr-step", "5"],
+            {"sweep": {"snr_db": [0, 5, 10]}}),
+    "frames": ({}, ["--frames", "3"], {"sweep": {"frames_per_point": 3}}),
+    "mode": ({}, ["--mode", "sic-full"], {"sweep": {"mode": "sic-full"}}),
+    "seed": ({}, ["--seed", "9"], {"sweep": {"seed": 9}}),
+    "workers": ({}, ["--workers", "2"], {"sweep": {"workers": 2}}),
+    "approach": ({}, ["--approach", "2"], {"frame": {"approach": 2}}),
+    "c1prime": ({}, ["--c1prime", "8"], {"frame": {"c1_prime": 8}}),
+    "pilot-db": ({}, ["--pilot-db", "15"], {"frame": {"pilot_power_db": 15.0}}),
+    "doppler-on": ({}, ["--doppler", "on"], {"channel": {"taps": _DOPPLER_TAPS}}),
+    "doppler-off": ({"channel": {"taps": _DOPPLER_TAPS}}, ["--doppler", "off"],
+                    {"channel": {"taps": [[1.0, 0.0, 0, 0], [0.6, 0.0, 2, 0]]}}),
+    "out": ({}, ["--out", "flag-out.csv"], {"output": {"path": "key-out.csv"}}),
+    "format": ({}, ["--format", "json"], {"output": {"format": "json"}}),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLAG_CASES))
+def test_option_equals_its_config_key(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before, flags, edits = _FLAG_CASES[case]
+
+    def run(flags, *edits):
+        cfg = TestConfigLoading().config_dict()
+        # guard 9 holds the (l=2, k=1) tap's shift span of c1' l + k = 9
+        cfg["frame"]["guard"] = 9
+        cfg["output"]["path"] = "result.out"
+        for part in (before, *edits):
+            for section, values in part.items():
+                cfg[section].update(values)
+        Path("sim.json").write_text(json.dumps(cfg))
+        assert cli.main(["--config", "sim.json", *flags]) == 0
+        path = flags[flags.index("--out") + 1] if "--out" in flags else cfg["output"]["path"]
+        return Path(path).read_text()
+
+    got = run(flags)
+    assert got == run([], edits)
+    # every option but these two changes the results
+    assert (got == run([])) == (case in ("workers", "out"))

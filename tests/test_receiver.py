@@ -269,11 +269,12 @@ class TestAffineEstimatorOracle:
                 est = estimate_channel_affine(Frame(y, Domain.AFFINE), cfg,
                                               strict=False, noise_var=0.1)
                 # a truth that matches all but the estimate's last tap and
-                # holds two taps the estimate misses
+                # holds two taps the estimate misses (beyond its delays, so
+                # that no (delay, Doppler) pair repeats)
                 late = 1 + max(t.l for t in est.taps)
                 drift = ChannelSpec(tuple(ChannelTap(t.h * (0.9 + 0.1j), t.l, t.k)
                                           for t in est.taps[:-1])
-                                    + (ChannelTap(0.3, 0, cfg.affine.c1_prime - 1),
+                                    + (ChannelTap(0.3, late, cfg.affine.c1_prime - 1),
                                        ChannelTap(0.2, late, 0)))
                 for spec in (delay_only, drift):
                     ests = (est, perfect_estimate(spec, cfg, Domain.AFFINE),
@@ -422,7 +423,10 @@ def test_banded_mmse_matches_dense_oracle():
                 est = ChannelEstimate(Domain.AFFINE, taps=taps)
                 y = Frame(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                           Domain.AFFINE)
-                cond = np.linalg.cond(channel_matrix(ChannelSpec(taps), n)) ** 2
+                # tap by tap: a random list may repeat a (delay, Doppler) pair,
+                # which a ChannelSpec refuses
+                cond = np.linalg.cond(sum(channel_matrix(ChannelSpec((t,)), n)
+                                          for t in taps)) ** 2
                 for g in (1e-3, 0.1, 0.0):
                     if g == 0 and cond >= 1e4:
                         continue
@@ -513,6 +517,17 @@ def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
         _tap_mmse(None, y_aff, [healthy, singular], p, 0.0)
     assert all(np.all(np.isfinite(eq))
                for eq in _tap_mmse(None, y_aff, [healthy, singular], p, 1e-3))
+
+
+def test_block_with_an_empty_group_refuses_equalization():
+    # taps that cancel leave the peak search no tap; no rule equalizes that
+    p = AffineParams(64, 4)
+    y_aff = _cn(np.random.default_rng(3), 3, 64)
+    healthy = (np.array([0, 2]), [0, 2], [0, 1], np.array([[0.857, 0.514]] * 2, complex))
+    empty = (np.array([1]), [], [], np.zeros((1, 0), complex))
+    for g in (0.0, 1e-3):
+        with pytest.raises(SingularChannel, match="no channel tap found"):
+            _tap_mmse(None, y_aff, [healthy, empty], p, g)
 
 
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
