@@ -12,8 +12,9 @@ the bundled presets, which read --frames and --workers alone; any other
 option is refused (exit 1).
 
 Exit codes: 0 success, 1 configuration error (including options that
-would be ignored and unknown config keys), 2 runtime error, including an
-SNR point that aborted (its row holds NaN and the reason goes to stderr).
+would be ignored, a partial --snr-* set, unknown config keys and output
+formats), 2 runtime error, including an SNR point that aborted (its row
+holds NaN and the reason goes to stderr).
 """
 from __future__ import annotations
 
@@ -22,8 +23,28 @@ import sys
 
 from .errors import ConfigError, SimulationError
 from .experiments import emit_plot_data
-from .harness import (DEFAULT_TAPS, ReceiverMode, emit_results, load_config, run_sweep,
-                      sim_config_from_dict)
+from .harness import (DEFAULT_TAPS, OUTPUT_FORMATS, ReceiverMode, emit_results, load_config,
+                      run_sweep, sim_config_from_dict)
+
+
+# option dest -> (the section and key of the JSON config it sets, its
+# argparse arguments); the option is --dest with "-" for "_"
+_OPTION_KEYS = {
+    "frames": ("sweep", "frames_per_point", dict(type=int)),
+    "approach": ("frame", "approach", dict(type=int, choices=(1, 2))),
+    "mode": ("sweep", "mode", dict(choices=[m.value for m in ReceiverMode])),
+    "c1prime": ("frame", "c1_prime", dict(type=int)),
+    "pilot_db": ("frame", "pilot_power_db", dict(type=float)),
+    "seed": ("sweep", "seed", dict(type=int)),
+    "out": ("output", "path", dict(help="result path (default results.csv)")),
+    "format": ("output", "format", dict(choices=OUTPUT_FORMATS)),
+    "workers": ("sweep", "workers", dict(type=int)),
+}
+_SNR_OPTIONS = ("snr_min", "snr_max", "snr_step")   # set sweep.snr_db together
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,39 +53,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link-level sweeps for the dual-domain AFDM/OFDM "
                     "rate-splitting scheme.")
     p.add_argument("--config", help="JSON simulation config")
-    p.add_argument("--snr-min", type=float)
-    p.add_argument("--snr-max", type=float)
-    p.add_argument("--snr-step", type=float)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--approach", type=int, choices=(1, 2))
-    p.add_argument("--mode", choices=[m.value for m in ReceiverMode])
-    p.add_argument("--c1prime", type=int)
-    p.add_argument("--pilot-db", type=float)
+    for dest in _SNR_OPTIONS:
+        p.add_argument(_option(dest), type=float)
+    for dest, (*_, arguments) in _OPTION_KEYS.items():
+        p.add_argument(_option(dest), **arguments)
     p.add_argument("--doppler", choices=("on", "off"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="result path (default results.csv)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--workers", type=int)
     p.add_argument("--emit-plot-data", nargs="?", const=".", metavar="DIR",
                    help="also write the bundled experiment sweeps as "
                         "fig5.csv .. fig9.csv into DIR")
     return p
 
 
-# option -> the (section, key) of the JSON config it sets
-_FLAG_KEYS = {
-    "frames": ("sweep", "frames_per_point"), "mode": ("sweep", "mode"),
-    "seed": ("sweep", "seed"), "workers": ("sweep", "workers"),
-    "approach": ("frame", "approach"), "c1prime": ("frame", "c1_prime"),
-    "pilot_db": ("frame", "pilot_power_db"),
-    "out": ("output", "path"), "format": ("output", "format"),
-}
-
-
 def _set_flag_keys(raw: dict, args) -> None:
     """Write each option given into the key of the JSON config ``raw`` it sets."""
-    values = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()}
-    if None not in (args.snr_min, args.snr_max, args.snr_step):
+    values = {(section, key): getattr(args, dest)
+              for dest, (section, key, _) in _OPTION_KEYS.items()}
+    if args.snr_min is not None:   # main refuses a partial --snr-* set
         grid, v = [], args.snr_min
         while v <= args.snr_max + 1e-9:
             grid.append(round(v, 9))
@@ -89,12 +93,17 @@ def main(argv=None) -> int:
         return 1
     if args.config is None:
         # the presets read --frames and --workers alone
-        ignored = ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
+        ignored = [_option(dest) for dest, value in vars(args).items()
                    if value is not None and dest not in ("emit_plot_data", "frames", "workers")]
         if ignored:
             print(f"error: --emit-plot-data without --config ignores {', '.join(ignored)}",
                   file=sys.stderr)
             return 1
+    missing = [_option(dest) for dest in _SNR_OPTIONS if getattr(args, dest) is None]
+    if 0 < len(missing) < len(_SNR_OPTIONS):
+        print(f"error: the --snr-* options set the grid together; missing {', '.join(missing)}",
+              file=sys.stderr)
+        return 1
     status = 0
     try:
         if args.config is not None:

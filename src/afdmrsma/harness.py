@@ -21,22 +21,23 @@ task and block bounds.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .baseline import _baseline_link, baseline_budget
-from .channel import ChannelSpec, ChannelTap, _channel, snr_to_noise_var
+from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
 from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
 from .errors import ConfigError, SimulationError
 from .framing import (Approach, FrameConfig, _frame_time, _planes, capacity_counts,
                       frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
-                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _peak_zone,
-                       _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
+                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _one_tap,
+                       _peak_zone, _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
 from .transforms import AffineParams
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
@@ -98,9 +99,10 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
         design = ReceiverDesign(kind, spec.max_delay,
                                 min(spec.max_doppler, cfg.affine.c1_prime - 1))
         _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
+        response = None   # the one-tap response a genie receiver equalizes with
         if sim.baseline:   # it runs no estimator
-            return design
-        if kind == "freq":
+            response = frequency_diagonal(spec, cfg.n)
+        elif kind == "freq":
             # its NMSE reference, the delay-only taps' response, is zero without one
             if all(t.k for t in spec.taps):
                 raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
@@ -111,7 +113,10 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
                 raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
             _peak_zone(cfg, design.max_delay, design.max_doppler)
         elif kind == "perfect-freq":
-            perfect_estimate(spec, cfg, Domain.FREQUENCY)
+            response = perfect_estimate(spec, cfg, Domain.FREQUENCY).h_freq
+        if response is not None and sim.noise_override == 0:
+            # zero forcing through a response the config fixes: every frame or none
+            _one_tap(np.zeros((0, cfg.n)), response, 0.0)
     except ConfigError:
         raise
     except SimulationError as exc:
@@ -194,8 +199,8 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
     ep = np.sum(det.private_bits != private_bits, axis=-1)
     se = measure_se(zip(energies, res), 1, sim.frame.n)
     ber = (ec + ep) / max(common_bits.shape[-1] + private_bits.shape[-1], 1)
-    fields = np.broadcast_arrays(ec, ep, *energies, nmse, se, ber)
-    return np.stack(fields, axis=-1).astype(np.float64)
+    scores = np.broadcast_arrays(ec, ep, *energies, nmse, se, ber)
+    return np.stack(scores, axis=-1).astype(np.float64)
 
 
 # Frames simulated together, as (frames, N) arrays of about this many samples
@@ -366,16 +371,25 @@ def render_csv(results, extra_key: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_results(results, fmt: str, path) -> None:
-    """Write per-point results; CSV columns are fixed and floats carry 10
-    significant digits."""
+# the formats emit_results writes, matched case-insensitively
+OUTPUT_FORMATS = ("csv", "json")
+
+
+def _output_format(fmt: str) -> str:
+    """``fmt`` in lower case; one that :func:`emit_results` cannot write is refused."""
     fmt = fmt.lower()
-    if fmt == "csv":
-        text = render_csv(results)
-    elif fmt == "json":
-        text = json.dumps([r.row() for r in results], indent=2) + "\n"
-    else:
+    if fmt not in OUTPUT_FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
+    return fmt
+
+
+def emit_results(results, fmt: str, path) -> None:
+    """Write per-point results in one of :data:`OUTPUT_FORMATS`; CSV columns
+    are fixed and floats carry 10 significant digits."""
+    if _output_format(fmt) == "csv":
+        text = render_csv(results)
+    else:
+        text = json.dumps([r.row() for r in results], indent=2) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
@@ -385,52 +399,74 @@ def emit_results(results, fmt: str, path) -> None:
 
 DEFAULT_TAPS = [[1.0, 0.0, 0, 0]]   # a config without "taps": [re(h), im(h), delay, Doppler]
 
-# the keys each part of a JSON config may hold ("" is the top level)
-_CONFIG_KEYS = {
-    "": "frame channel sweep output",
-    "frame": "n c1_prime c2 guard pilot_power_db phi1 phi2 approach cp_len common_per_class",
-    "channel": "taps normalize noise_var",
-    "sweep": "snr_db frames_per_point mode estimator seed workers baseline zero_noise",
-    "output": "path format",
+
+def _taps(rows) -> tuple[ChannelTap, ...]:
+    return tuple(ChannelTap(complex(re, im), int(l), int(k)) for re, im, l, k in rows)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+# the keys of each part of a JSON config: key -> (the field it sets, its
+# conversion); a missing key leaves the field's dataclass default
+_CONFIG_PARTS = {
+    "frame": {   # n, c1_prime and c2 set AffineParams, the others FrameConfig
+        "n": ("n", int), "c1_prime": ("c1_prime", int), "c2": ("c2", float),
+        "guard": ("guard", int), "phi1": ("phi1", float), "phi2": ("phi2", float),
+        "pilot_power_db": ("phi_pilot", lambda db: 10.0 ** (float(db) / 10.0)),
+        "approach": ("approach", lambda a: Approach(int(a))), "cp_len": ("cp_len", int),
+        "common_per_class": ("common_per_class", _optional(int)),
+    },
+    "channel": {   # normalize scales the taps; the others set SimConfig
+        "taps": ("taps", _taps), "normalize": ("normalize", bool),
+        "noise_var": ("noise_override", _optional(float)),
+    },
+    "sweep": {   # SimConfig
+        "snr_db": ("snr_grid_db", tuple), "frames_per_point": ("frames_per_point", int),
+        "mode": ("mode", ReceiverMode), "estimator": ("estimator", str),
+        "seed": ("seed", int), "workers": ("workers", int), "baseline": ("baseline", bool),
+    },
+    "output": {"path": ("path", os.fspath), "format": ("format", _output_format)},
+}
+
+# keys read when missing, as their fields have no default, or another name or unit
+_READER_DEFAULTS = {
+    "frame": {"pilot_power_db": 10.0},
+    "channel": {"taps": DEFAULT_TAPS, "normalize": False},
+    "sweep": {"snr_db": [0, 5, 10, 15, 20, 25]},
 }
 
 
+def _read_part(d: dict, part: str) -> dict:
+    """The fields that the keys of config part ``part`` set; a key outside its
+    table is refused."""
+    keys, given = _CONFIG_PARTS[part], {**_READER_DEFAULTS.get(part, {}), **d.get(part, {})}
+    for key in given:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {part}.{key}")
+    return {keys[key][0]: keys[key][1](value) for key, value in given.items()}
+
+
 def sim_config_from_dict(d: dict) -> SimConfig:
-    """The :class:`SimConfig` of a JSON config; a key that nothing reads is refused."""
+    """The :class:`SimConfig` of a JSON config, read by the tables of
+    ``_CONFIG_PARTS``; a key that nothing reads and an ``output`` that
+    :func:`emit_results` cannot write are refused."""
     try:
-        for part, keys in _CONFIG_KEYS.items():
-            for key in d.get(part, {}) if part else d:
-                if key not in keys.split():
-                    raise ConfigError(f"unknown config key {part + '.' if part else ''}{key}")
-        fr, ch, sw = d["frame"], d.get("channel", {}), d.get("sweep", {})
-        cpc = fr.get("common_per_class")
-        frame = FrameConfig(
-            affine=AffineParams(int(fr["n"]), int(fr["c1_prime"]), float(fr.get("c2", 0.0))),
-            guard=int(fr["guard"]),
-            phi_pilot=10.0 ** (float(fr.get("pilot_power_db", 10.0)) / 10.0),
-            phi1=float(fr["phi1"]), phi2=float(fr["phi2"]),
-            approach=Approach(int(fr.get("approach", 1))),
-            cp_len=int(fr.get("cp_len", 0)),
-            common_per_class=None if cpc is None else int(cpc),
-        )
-        taps = tuple(ChannelTap(complex(re, im), int(l), int(k))
-                     for re, im, l, k in ch.get("taps", DEFAULT_TAPS))
-        if ch.get("normalize", False):
+        for part in d:
+            if part not in _CONFIG_PARTS:
+                raise ConfigError(f"unknown config key {part}")
+        frame, channel, sweep, _ = (_read_part(d, part) for part in _CONFIG_PARTS)
+        affine = AffineParams(**{f.name: frame.pop(f.name) for f in fields(AffineParams)
+                                 if f.name in frame})
+        taps = channel.pop("taps")
+        if channel.pop("normalize"):
             taps = ChannelSpec(taps, normalize=True).taps
-        # a noiseless sweep takes precedence over channel.noise_var
-        nv = 0.0 if sw.get("zero_noise", False) else ch.get("noise_var")
-        return SimConfig(
-            frame=frame, taps=taps,
-            snr_grid_db=tuple(sw.get("snr_db", [0, 5, 10, 15, 20, 25])),
-            frames_per_point=int(sw.get("frames_per_point", 100)),
-            mode=ReceiverMode(sw.get("mode", "sicfree")), estimator=sw.get("estimator", "auto"),
-            seed=int(sw.get("seed", 1)), workers=int(sw.get("workers", 1)),
-            baseline=bool(sw.get("baseline", False)),
-            noise_override=None if nv is None else float(nv),
-        )
+        return SimConfig(frame=FrameConfig(affine=affine, **frame), taps=taps, **channel,
+                         **sweep)
     except ConfigError:
         raise
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from exc
 
 

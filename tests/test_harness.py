@@ -2,10 +2,10 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +31,18 @@ def small_sim(**kw):
                 frames_per_point=40, seed=7)
     base.update(kw)
     return SimConfig(**base)
+
+
+def aborting_sim():
+    """A point that aborts on a frame the configuration does not decide: on
+    an embedded pilot at zero noise, data on the pilot's residue class leaks
+    into the affine peak search, and frame 6 of point 0 (seed 7) gets a tap
+    estimate that zero forcing refuses."""
+    return small_sim(frame=replace(small_sim().frame, approach=Approach.PILOT_AND_DATA,
+                                   guard=9),
+                     taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1)),
+                     estimator="affine", noise_override=0.0, frames_per_point=7,
+                     snr_grid_db=(10.0,))
 
 
 class TestMeasureSe:
@@ -127,12 +139,8 @@ class TestRunSweep:
         assert render_csv(runs[0]) == render_csv(runs[1])
 
     def test_diagnostic_row_on_failure(self):
-        # equal taps at delays 0 and 1 null subcarrier N/2, so zero forcing
-        # through the genie response refuses every frame and the point aborts
-        sim = small_sim(taps=(ChannelTap(0.7, 0, 0), ChannelTap(0.7, 1, 0)),
-                        estimator="perfect-freq", noise_override=0.0, frames_per_point=3,
-                        snr_grid_db=(10.0,))
-        res = run_sweep(sim)
+        # one frame that zero forcing refuses aborts the point
+        res = run_sweep(aborting_sim())
         assert len(res) == 1
         assert res[0].diagnostics.startswith("SingularChannel: ")
         assert np.isnan(res[0].ber_total)
@@ -207,17 +215,17 @@ class TestRunSweep:
         small_sim(frame=frame, taps=(ChannelTap(0.8, 0, 0), ChannelTap(0.6, 2, 1)),
                   estimator="freq")
 
-    def test_baseline_null_channel_is_a_diagnostic(self):
+    def test_baseline_null_channel_is_refused(self):
         # an all-Doppler channel has a zero one-tap diagonal: zero forcing
-        # through it is refused, not turned into NaN
+        # through it would fail at every frame, so the config is refused
+        with pytest.raises(ConfigError, match="zero-forcing through a channel null"):
+            SimConfig(frame=_ber_frame(10.0), taps=(ChannelTap(1.0, 0, 1),),
+                      snr_grid_db=(10.0,), frames_per_point=3, baseline=True,
+                      noise_override=0.0)
+        # at nonzero noise the one-tap MMSE runs through it
         sim = SimConfig(frame=_ber_frame(10.0), taps=(ChannelTap(1.0, 0, 1),),
-                        snr_grid_db=(10.0,), frames_per_point=3, baseline=True,
-                        noise_override=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = run_sweep(sim)
-        assert res[0].diagnostics.startswith("SingularChannel: ")
-        assert res[0].frames == 0
+                        snr_grid_db=(10.0,), frames_per_point=3, baseline=True)
+        assert run_sweep(sim)[0].frames == 3
 
     def test_frame_objects_only_at_the_public_boundary(self, monkeypatch):
         # build_frame, apply_channel, the two received planes and equalize
@@ -263,8 +271,7 @@ def test_a_config_that_constructs_also_runs():
     # every estimator, pilot layout, baseline switch, guard and noise level
     # over each channel, in one run on two workers: SimConfig refuses the
     # configuration, or every point runs without a diagnostic and with finite
-    # results; at zero noise a point may instead abort on zero forcing
-    # through a singular channel
+    # results
     sims, refused = [], 0
     for estimator, approach, baseline, guard, taps, noise in itertools.product(
             ESTIMATORS, Approach, (False, True), (1, 9), _GRID_TAPS.values(), (None, 0.0)):
@@ -276,15 +283,10 @@ def test_a_config_that_constructs_also_runs():
                 noise_override=noise, workers=2))
         except ConfigError:
             refused += 1
-    aborted = 0
     for sim, res in zip(sims, run_sweeps(sims)):
-        if sim.noise_override == 0.0 and res[0].diagnostics:
-            assert res[0].diagnostics.startswith("SingularChannel: "), (sim, res)
-            aborted += 1
-            continue
         assert all(r.diagnostics == "" for r in res), (sim, res)
         assert all(np.isfinite(v) for r in res for v in r.row().values()), (sim, res)
-    assert len(sims) > aborted > 0 and refused
+    assert sims and refused
 
 
 # configurations that a stage would refuse at every SNR point, as edits of
@@ -307,8 +309,9 @@ _REFUSED = {
     "negative-noise": ({"channel": {"noise_var": -1.0}}, "noise variance must be >= 0"),
     # taps that cancel would leave the affine estimator no tap at zero noise
     "cancelling-taps": (
-        {"channel": {"taps": [[1.0, 0.0, 0, 0], [-1.0, 0.0, 0, 0]], "normalize": False},
-         "sweep": {"estimator": "affine", "zero_noise": True}},
+        {"channel": {"taps": [[1.0, 0.0, 0, 0], [-1.0, 0.0, 0, 0]], "normalize": False,
+                     "noise_var": 0.0},
+         "sweep": {"estimator": "affine"}},
         "two taps share one"),
     # scored against the last of the repeated taps, not against their sum
     "repeated-taps": (
@@ -318,6 +321,17 @@ _REFUSED = {
     "zero-power": ({"channel": {"taps": [[0.0, 0.0, 0, 0]]}}, "zero total power"),
     "unknown-key": ({"sweep": {"frames_per_pont": 5}},
                     "unknown config key sweep.frames_per_pont"),
+    # the noiseless sweep is "channel": {"noise_var": 0}
+    "zero-noise-key": ({"sweep": {"zero_noise": True}}, "unknown config key sweep.zero_noise"),
+    "output-format": ({"output": {"format": "xml"}}, "unknown output format 'xml'"),
+    # zero forcing through a genie response: equal taps at delays 0 and 1
+    # null subcarrier N/2, and an all-Doppler channel has a zero diagonal
+    "null-response-perfect-freq": (
+        {"channel": {"taps": [[0.7, 0.0, 0, 0], [0.7, 0.0, 1, 0]], "noise_var": 0.0},
+         "sweep": {"estimator": "perfect-freq"}}, "zero-forcing through a channel null"),
+    "null-diagonal-baseline": (
+        {"channel": {"taps": [[1.0, 0.0, 0, 1]], "noise_var": 0.0}, "sweep": {"baseline": True}},
+        "zero-forcing through a channel null"),
 }
 
 
@@ -351,11 +365,7 @@ def _assert_same_records(got, want):
 
 
 class TestRunSweeps:
-    # zero forcing through the null equal taps at delays 0 and 1 put on
-    # subcarrier N/2 aborts every frame
-    failing = small_sim(taps=(ChannelTap(0.7, 0, 0), ChannelTap(0.7, 1, 0)),
-                        estimator="perfect-freq", noise_override=0.0, frames_per_point=3,
-                        snr_grid_db=(10.0,))
+    failing = aborting_sim()
     single = small_sim(estimator="freq", frames_per_point=9, snr_grid_db=(10.0,))
 
     def mix(self):
@@ -510,12 +520,25 @@ class TestConfigLoading:
         assert sim.frame.phi_pilot == pytest.approx(10.0)
         assert sum(abs(t.h) ** 2 for t in sim.taps) == pytest.approx(1.0)
 
-    def test_zero_noise_overrides_channel_noise(self):
-        d = self.config_dict()
-        d["channel"]["noise_var"] = 0.5
-        assert sim_config_from_dict(d).noise_override == 0.5
-        d["sweep"]["zero_noise"] = True
-        assert sim_config_from_dict(d).noise_override == 0.0
+    def test_missing_keys_leave_the_dataclass_defaults(self):
+        # only pilot_power_db, taps, normalize and snr_db are read when missing
+        frame = {"n": 64, "c1_prime": 4, "guard": 8, "phi1": 4.0, "phi2": 1.0}
+        want = SimConfig(frame=FrameConfig(AffineParams(64, 4), guard=8, phi_pilot=10.0,
+                                           phi1=4.0, phi2=1.0),
+                         taps=(ChannelTap(1.0, 0, 0),), snr_grid_db=(0, 5, 10, 15, 20, 25))
+        assert sim_config_from_dict({"frame": frame}) == want
+        noiseless = {"frame": frame, "channel": {"noise_var": 0}}
+        assert sim_config_from_dict(noiseless) == replace(want, noise_override=0.0)
+
+    def test_readme_config_runs(self, tmp_path, monkeypatch):
+        # the README's example config, the one JSON block it holds
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        (block,) = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        monkeypatch.chdir(tmp_path)
+        Path("sim.json").write_text(block)
+        assert cli.main(["--config", "sim.json", "--frames", "2"]) == 0
+        rows = Path(json.loads(block)["output"]["path"]).read_text().strip().split("\n")
+        assert len(rows) == 1 + len(json.loads(block)["sweep"]["snr_db"])
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -524,6 +547,10 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+
+def _no_sweep(sims):
+    raise AssertionError("a refused config ran")
 
 
 class TestCli:
@@ -568,19 +595,20 @@ class TestCli:
         assert "unknown estimator 'bogus'" in r.stderr
 
     def test_aborted_point_exit_code(self, tmp_path):
-        # zero forcing through the null equal taps at delays 0 and 1 put on
-        # subcarrier N/2
+        # aborting_sim as a config: frame 6 fails zero forcing
         cfg = TestConfigLoading().config_dict()
-        cfg["channel"] = {"taps": [[0.7, 0.0, 0, 0], [0.7, 0.0, 1, 0]]}
-        cfg["sweep"].update(estimator="perfect-freq", zero_noise=True)
+        cfg["frame"].update(approach=2, guard=9)
+        cfg["channel"] = {"taps": [[0.857, 0.0, 0, 0], [0.514, 0.0, 2, 1]], "noise_var": 0}
+        cfg["sweep"].update(estimator="affine", seed=7, snr_db=[10], frames_per_point=7)
+        assert sim_config_from_dict(cfg) == aborting_sim()
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "res.csv"
-        r = self.run_cli("--config", str(path), "--frames", "2", "--out", str(out))
+        r = self.run_cli("--config", str(path), "--out", str(out))
         assert r.returncode == 2
         assert "aborted: SingularChannel" in r.stderr
         rows = out.read_text().strip().split("\n")[1:]
-        assert len(rows) == 3 and all(",nan," in row for row in rows)
+        assert len(rows) == 1 and ",nan," in rows[0]
 
     def test_plot_data_refuses_sweep_options(self, tmp_path):
         out = tmp_path / "plots"
@@ -612,8 +640,10 @@ class TestCli:
             assert r.returncode == 1
             assert message in r.stderr
 
-    def test_refused_config_exit_code(self, tmp_path, capsys):
-        # in this process: the entry point's exit status is main's return value
+    def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys):
+        # in this process: the entry point's exit status is main's return
+        # value, and no refused config reaches the sweep
+        monkeypatch.setattr(harness, "run_sweeps", _no_sweep)
         for case in _REFUSED:
             cfg, message = _refused_config(case)
             path = tmp_path / "sim.json"
@@ -622,6 +652,17 @@ class TestCli:
             assert cli.main(["--config", str(path), "--out", str(out)]) == 1, case
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_partial_snr_options_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_sweeps", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        cfg = TestConfigLoading().config_dict()
+        Path("sim.json").write_text(json.dumps(cfg))
+        for flags, message in ((["--snr-min", "5", "--snr-max", "15"], "missing --snr-step"),
+                               (["--snr-step", "5"], "missing --snr-min, --snr-max")):
+            assert cli.main(["--config", "sim.json", *flags]) == 1, message
+            assert message in capsys.readouterr().err
+            assert not Path(cfg["output"]["path"]).exists()
 
     def test_freq_estimator_without_delay_only_tap_exit_code(self, tmp_path):
         cfg = TestConfigLoading().config_dict()
