@@ -33,24 +33,25 @@ def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
     """Send ``cfg.n`` symbols of each stream superposed on every subcarrier
     and detect them with genie one-tap equalization and SIC."""
     normals = rng.standard_normal(2 * (cfg.n + cfg.cp_len)) if spec.noise_var > 0 else None
-    return _baseline_link(common_syms, private_syms, cfg, spec, normals)
+    # Conventional OFDM processing: one tap per subcarrier with genie
+    # knowledge.  Under Doppler the one-tap reference is the diagonal of
+    # the true frequency-domain channel; the off-diagonal ICI is noise to
+    # this receiver.
+    h = frequency_diagonal(spec, cfg.n)
+    return _baseline_link(common_syms, private_syms, cfg, spec, h, normals)
 
 
 def _baseline_link(common_syms: np.ndarray, private_syms: np.ndarray, cfg: FrameConfig,
-                   spec: ChannelSpec, normals: np.ndarray | None) -> DetectionResult:
-    """:func:`run_baseline_frame` along the last axis, with the channel
-    noise made from ``normals`` (see ``channel._channel``)."""
+                   spec: ChannelSpec, h: np.ndarray,
+                   normals: np.ndarray | None) -> DetectionResult:
+    """:func:`run_baseline_frame` along the last axis, equalizing with ``h``, and
+    with the channel noise made from ``normals`` (see ``channel._channel``)."""
     s = np.sqrt(cfg.phi1) * common_syms + np.sqrt(cfg.phi2) * private_syms
 
     rx = _channel(_add_cp(_idft(s), cfg.cp_len), spec, normals)
     y_f = _dft(rx[..., cfg.cp_len:])
 
-    # Conventional OFDM processing: one tap per subcarrier with genie
-    # knowledge.  Under Doppler the one-tap reference is the diagonal of
-    # the true frequency-domain channel; the off-diagonal ICI is noise to
-    # this receiver.
     p_avg = baseline_budget(cfg) / cfg.n
-    h = frequency_diagonal(spec, cfg.n)
     g = spec.noise_var / p_avg
     eq = _one_tap(y_f, h, g)
 

@@ -119,8 +119,7 @@ def freq_response(spec: ChannelSpec, n: int) -> np.ndarray:
     """
     if spec.has_doppler:
         raise DopplerPresent("frequency response is defined for delay-only channels")
-    return _delay_response(np.array([t.h for t in spec.taps], dtype=np.complex128),
-                           [t.l for t in spec.taps], n)
+    return frequency_diagonal(spec, n)
 
 
 def _delay_response(gains: np.ndarray, delays, n: int) -> np.ndarray:

@@ -11,10 +11,10 @@ before the config is parsed.  Without --config, --emit-plot-data runs only
 the bundled presets, which read --frames and --workers alone; any other
 option is refused (exit 1).
 
-Exit codes: 0 success, 1 configuration error (including options that
-would be ignored, a partial --snr-* set, unknown config keys and output
-formats), 2 runtime error, including an SNR point that aborted (its row
-holds NaN and the reason goes to stderr).
+Exit codes: 0 success, 1 configuration error (including usage errors, options
+that would be ignored, a partial --snr-* set, and unknown config keys and values,
+which the config reader alone checks), 2 runtime error, including an SNR point
+that aborted (its row holds NaN and the reason goes to stderr).
 """
 from __future__ import annotations
 
@@ -23,21 +23,22 @@ import sys
 
 from .errors import ConfigError, SimulationError
 from .experiments import emit_plot_data
-from .harness import (DEFAULT_TAPS, OUTPUT_FORMATS, ReceiverMode, emit_results, load_config,
-                      run_sweep, sim_config_from_dict)
+from .harness import (DEFAULT_TAPS, OUTPUT_FORMATS, Approach, ReceiverMode, emit_results,
+                      load_config, run_sweep, sim_config_from_dict)
 
 
 # option dest -> (the section and key of the JSON config it sets, its
 # argparse arguments); the option is --dest with "-" for "_"
 _OPTION_KEYS = {
     "frames": ("sweep", "frames_per_point", dict(type=int)),
-    "approach": ("frame", "approach", dict(type=int, choices=(1, 2))),
-    "mode": ("sweep", "mode", dict(choices=[m.value for m in ReceiverMode])),
+    "approach": ("frame", "approach",
+                 dict(type=int, metavar="{%s}" % ",".join(str(a.value) for a in Approach))),
+    "mode": ("sweep", "mode", dict(metavar="{%s}" % ",".join(m.value for m in ReceiverMode))),
     "c1prime": ("frame", "c1_prime", dict(type=int)),
     "pilot_db": ("frame", "pilot_power_db", dict(type=float)),
     "seed": ("sweep", "seed", dict(type=int)),
     "out": ("output", "path", dict(help="result path (default results.csv)")),
-    "format": ("output", "format", dict(choices=OUTPUT_FORMATS)),
+    "format": ("output", "format", dict(metavar="{%s}" % ",".join(OUTPUT_FORMATS))),
     "workers": ("sweep", "workers", dict(type=int)),
 }
 _SNR_OPTIONS = ("snr_min", "snr_max", "snr_step")   # set sweep.snr_db together
@@ -47,8 +48,13 @@ def _option(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error is a configuration error: exit 1, not 2
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="simulate",
         description="Link-level sweeps for the dual-domain AFDM/OFDM "
                     "rate-splitting scheme.")

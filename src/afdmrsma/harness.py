@@ -36,8 +36,8 @@ from .errors import ConfigError, SimulationError
 from .framing import (Approach, FrameConfig, _frame_time, _planes, capacity_counts,
                       frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
-                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _one_tap,
-                       _peak_zone, _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
+                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _peak_zone,
+                       _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
 from .transforms import AffineParams
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
@@ -51,6 +51,8 @@ ESTIMATORS = ("auto", "freq", "affine", "perfect-freq", "perfect-affine")
 
 CSV_COLUMNS = ("snr_db", "ber_common", "ber_private", "ber_total", "se",
                "channel_nmse", "frames")
+
+SE_CAP_DB = 30.0   # the cap of the SINR that measure_se measures
 
 
 @dataclass(frozen=True)
@@ -81,47 +83,49 @@ class SimConfig:
 
 
 class ReceiverDesign(NamedTuple):
-    """The estimator a :class:`SimConfig` runs ("auto" resolved) and its bounds."""
+    """The estimator a :class:`SimConfig` runs ("auto" resolved), its bounds and its genie."""
     kind: str
     max_delay: int     # the channel's delay spread
     max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
+    genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
 
 
 def _receiver_design(sim: SimConfig) -> ReceiverDesign:
     """The :class:`ReceiverDesign` of ``sim``; refuses as :class:`ConfigError` what a
-    stage it runs would refuse at every frame, by that stage's own check on an empty block."""
+    stage it runs would refuse at every frame, by that stage's own check on an empty block
+    (on one zero row for zero forcing, whose pivot tests read the channel alone)."""
     cfg, kind = sim.frame, sim.estimator
     try:
         spec = ChannelSpec(sim.taps, sim.noise_override or 0.0)
         if kind == "auto":
             kind = ("freq" if cfg.approach is Approach.CLEAN_PILOT and not spec.has_doppler
                     else "affine")
-        design = ReceiverDesign(kind, spec.max_delay,
-                                min(spec.max_doppler, cfg.affine.c1_prime - 1))
+        max_delay, max_doppler = spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
         _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
-        response = None   # the one-tap response a genie receiver equalizes with
+        genie = None
         if sim.baseline:   # it runs no estimator
-            response = frequency_diagonal(spec, cfg.n)
+            genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(spec, cfg.n))
         elif kind == "freq":
             # its NMSE reference, the delay-only taps' response, is zero without one
             if all(t.k for t in spec.taps):
                 raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
-            _ls_freq(np.zeros((0, cfg.n), complex), cfg, design.max_delay)
+            _ls_freq(np.zeros((0, cfg.n), complex), cfg, max_delay)
         elif kind == "affine":
             # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
             if any(t.k < 0 for t in spec.taps):
                 raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
-            _peak_zone(cfg, design.max_delay, design.max_doppler)
-        elif kind == "perfect-freq":
-            response = perfect_estimate(spec, cfg, Domain.FREQUENCY).h_freq
-        if response is not None and sim.noise_override == 0:
-            # zero forcing through a response the config fixes: every frame or none
-            _one_tap(np.zeros((0, cfg.n)), response, 0.0)
+            _peak_zone(cfg, max_delay, max_doppler)
+        else:
+            genie = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
+                                     else Domain.AFFINE)
+        if genie is not None and sim.noise_override == 0:
+            # zero forcing through an estimate the config fixes: every frame or none
+            _equalize_planes(*np.zeros((2, 1, cfg.n), complex), genie, cfg, 0.0)
     except ConfigError:
         raise
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
-    return design
+    return ReceiverDesign(kind, max_delay, max_doppler, genie)
 
 
 @dataclass(frozen=True)
@@ -142,17 +146,17 @@ class LinkResult:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
-def measure_se(stream_stats, frames: int, n: int, cap_db: float = 30.0):
+def measure_se(stream_stats, frames: int, n: int):
     """EVM-based spectral efficiency.
 
     ``stream_stats`` holds (error energy, resource-element count) per
     stream, accumulated over ``frames`` frames of unit-energy symbols.
     Each stream contributes count/frames REs at log2(1 + SINR) with its
-    measured SINR capped at ``cap_db``; pilot and guard carry nothing.
-    An array of error energies per stream (one per frame of a block) gives
-    an array of SEs.
+    measured SINR capped at :data:`SE_CAP_DB`; pilot and guard carry
+    nothing.  An array of error energies per stream (one per frame of a
+    block) gives an array of SEs.
     """
-    cap = 10.0 ** (cap_db / 10.0)
+    cap = 10.0 ** (SE_CAP_DB / 10.0)
     se = 0.0
     for err_energy, count in stream_stats:
         if count == 0:
@@ -233,7 +237,8 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
     syms = tuple(_modulate(b) for b in bits)
 
     if sim.baseline:
-        return _score(sim, bits, syms, _baseline_link(*syms, cfg, spec, normals), 0.0)
+        det = _baseline_link(*syms, cfg, spec, sim.design.genie.h_freq, normals)
+        return _score(sim, bits, syms, det, 0.0)
     received = _channel(_frame_time(*syms, cfg), spec, normals)[:, cfg.cp_len:]
     eq_f, eq_a, nmse = _receive_block(sim, _planes(received, cfg), spec, noise_var)
     return _score(sim, bits, syms, _detect(eq_f, eq_a, cfg, sim.mode), nmse)
@@ -244,7 +249,7 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
     """Estimate, equalize and score the estimate on (frames, N) planes, as
     ``sim.design`` fixes: the equalized (frequency, affine) planes and each
     frame's estimate NMSE."""
-    cfg, (kind, max_delay, max_doppler) = sim.frame, sim.design
+    cfg, (kind, max_delay, max_doppler, genie) = sim.frame, sim.design
     y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
     if kind == "affine":
@@ -256,12 +261,7 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
         for rows, ls, ks, hs in groups:
             nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
         return (*_tap_mmse(y_freq, y_aff, groups, cfg.affine, g), nmse)
-    if kind == "freq":
-        est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
-    else:
-        # a genie estimate, the same for every frame
-        est = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
-                               else Domain.AFFINE)
+    est = genie or ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
     return (*_equalize_planes(y_freq, y_aff, est, cfg, g), estimate_nmse(est, spec, cfg.n))
 
 

@@ -78,11 +78,18 @@ _SIC_ROUNDS = {ReceiverMode.SIC_FREE: 0, ReceiverMode.SIC_CLEAN_PILOT: 1,
 
 @dataclass(frozen=True)
 class ChannelEstimate:
+    """A channel estimate in one form: a frequency response (``FREQUENCY``,
+    ``h_freq``) or a tap list (``AFFINE``, ``taps``)."""
+
     domain: Domain
     taps: tuple[ChannelTap, ...] | None = None
     h_freq: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.domain, self.taps is None, self.h_freq is None) not in (
+                (Domain.FREQUENCY, True, False), (Domain.AFFINE, False, True)):
+            raise ConfigError("a channel estimate is a frequency response (FREQUENCY, h_freq) "
+                              "or a tap list (AFFINE, taps)")
         if self.h_freq is not None:
             arr = np.asarray(self.h_freq, dtype=np.complex128)
             arr.flags.writeable = False
@@ -180,10 +187,7 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     [(_, ls, ks, hs)] = _affine_tap_groups(_check(y_affine, Domain.AFFINE, cfg.n)[None], cfg,
                                            max_delay, max_doppler, noise_var, strict)
     taps = tuple(ChannelTap(complex(h), l, k) for l, k, h in zip(ls, ks, hs[0]))
-    h_freq = None
-    if taps and not any(ks):
-        h_freq = freq_response(ChannelSpec(taps), cfg.n)
-    return ChannelEstimate(Domain.AFFINE, taps=taps, h_freq=h_freq)
+    return ChannelEstimate(Domain.AFFINE, taps=taps)
 
 
 def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | None,
@@ -259,8 +263,7 @@ def _lower_quartile(x: np.ndarray) -> np.ndarray:
 def perfect_estimate(spec: ChannelSpec, cfg: FrameConfig, domain: Domain) -> ChannelEstimate:
     """Genie estimate from the true taps."""
     if domain is Domain.FREQUENCY:
-        return ChannelEstimate(Domain.FREQUENCY, taps=spec.taps,
-                               h_freq=freq_response(spec, cfg.n))
+        return ChannelEstimate(Domain.FREQUENCY, h_freq=freq_response(spec, cfg.n))
     return ChannelEstimate(Domain.AFFINE, taps=spec.taps)
 
 
@@ -283,7 +286,8 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     g, data = _noise_ratio(cfg, noise_var), _check(y, est.domain, cfg.n)
     if est.domain is Domain.FREQUENCY:
         return Frame(_one_tap(data, est.h_freq, g), Domain.FREQUENCY)
-    return Frame(_equalize_planes(None, data, est, cfg, g)[1], Domain.AFFINE)
+    return Frame(_equalize_planes(_affine_to_freq(data, cfg.affine), data, est, cfg, g)[1],
+                 Domain.AFFINE)
 
 
 def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
@@ -312,7 +316,7 @@ def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
     return np.multiply(y, np.conj(h)) / (power + g)
 
 
-def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, groups, p: AffineParams,
+def _tap_mmse(y_freq: np.ndarray, y_aff: np.ndarray, groups, p: AffineParams,
               g: float) -> tuple[np.ndarray, np.ndarray]:
     """MMSE solve for cyclic tap channels (ZF at g = 0): the equalized
     (frequency, affine) planes of the received (rows, N) ones.
@@ -325,9 +329,9 @@ def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, groups, p: AffinePar
     domains, and its solve runs in the one with the narrower spread of tap
     shifts (time on a tie).  The block changes domain once per domain: one
     ``_idaft`` over every time-solve row on the way in, while frequency
-    solves start from ``y_freq`` (from ``y_aff`` when None); one ``_daft``
-    and ``_affine_to_freq`` over the time-solve rows and one
-    ``_freq_to_affine`` over the frequency-solve rows on the way out.
+    solves start from ``y_freq``; one ``_daft`` and ``_affine_to_freq``
+    over the time-solve rows and one ``_freq_to_affine`` over the
+    frequency-solve rows on the way out.
     Between them :func:`_shift_mmse` runs one cyclic reduction per block
     size.  Every step acts on the rows independently, so a row's planes do
     not depend on the groups that share its block.
@@ -342,12 +346,9 @@ def _tap_mmse(y_freq: np.ndarray | None, y_aff: np.ndarray, groups, p: AffinePar
                        [hs[:, t, None] * _tap_ramp(l, k, p.n, time_solve)
                         for t, (l, k) in enumerate(zip(ls, ks))]))
     t_rows, f_rows = np.flatnonzero(in_time), np.flatnonzero(~in_time)
-    y = np.empty_like(y_aff)   # each row in the domain of its solve
+    y = y_freq.copy()   # each row in the domain of its solve
     if len(t_rows):
         y[t_rows] = _idaft(y_aff[t_rows], p)
-    if len(f_rows):
-        y[f_rows] = (_affine_to_freq(y_aff[f_rows], p) if y_freq is None
-                     else y_freq[f_rows])
     x = _shift_mmse(y, solves, g)
     eq_f, eq_a = np.empty_like(x), np.empty_like(x)
     if len(t_rows):
@@ -515,15 +516,12 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
 def _equalize_planes(y_freq: np.ndarray, y_aff: np.ndarray, est: ChannelEstimate,
                      cfg: FrameConfig, g: float) -> tuple[np.ndarray, np.ndarray]:
     """The equalized (frequency, affine) planes of received ones, along the
-    last axis: the one-tap rule for a frequency estimate, :func:`_tap_mmse`
-    with every row in one group for a tap estimate.  A frequency plane of
-    None is derived from the affine one where a solve needs it."""
+    last axis: the one-tap rule for a response, :func:`_tap_mmse` with every
+    row in one group for a tap list."""
     if est.domain is Domain.FREQUENCY:
         eq_f = _one_tap(y_freq, est.h_freq, g)
         return eq_f, _freq_to_affine(eq_f, cfg.affine)
-    if not est.taps:
-        raise SingularChannel("empty tap estimate")
-    planes = [None if y is None else y.reshape(-1, cfg.n) for y in (y_freq, y_aff)]
+    planes = [y.reshape(-1, cfg.n) for y in (y_freq, y_aff)]
     rows = np.arange(len(planes[1]))
     hs = np.broadcast_to(np.array([t.h for t in est.taps], dtype=np.complex128),
                          (len(rows), len(est.taps)))
@@ -567,20 +565,15 @@ def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:
     """Diagnostic estimate error.
 
-    Frequency-domain estimates, one response or a (frames, N) block of
-    them, compare against H(m) (delay-only) or the
-    diagonal of the true frequency-domain channel (Doppler; the off-diagonal
-    ICI is invisible to a one-tap model).  Tap estimates compare tap-wise
-    (:func:`_taps_nmse` on one row): matched taps contribute |h_hat - h|^2,
-    missed and spurious taps their full power.
+    A response, or a (frames, N) block of them, compares against the
+    diagonal of the true frequency-domain channel: H(m) on a delay-only
+    channel, the delay-only taps' response under Doppler (the off-diagonal
+    ICI is invisible to a one-tap model).  A tap list compares by
+    :func:`_taps_nmse` on one row.
     """
-    if est.h_freq is not None and not true_spec.has_doppler:
-        return _response_nmse(est.h_freq, freq_response(true_spec, n))
-    if est.h_freq is not None and est.taps is None:
-        # integer-Doppler taps have zero frequency-domain diagonal, so the
-        # one-tap reference is the response of the delay-only taps
+    if est.domain is Domain.FREQUENCY:
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    taps = est.taps or ()
+    taps = est.taps
     hs = np.array([[t.h for t in taps]], dtype=np.complex128)
     return float(_taps_nmse([t.l for t in taps], [t.k for t in taps], hs, true_spec, n)[0])
 
@@ -594,11 +587,11 @@ def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _taps_nmse(ls, ks, hs: np.ndarray, true_spec: ChannelSpec, n: int) -> np.ndarray:
     """:func:`estimate_nmse` of tap estimates that share one (delay,
     Doppler) list, one per row of the (rows, taps) gains ``hs``.  A
-    delay-only estimate of a delay-only channel compares by its response,
-    as an estimate that carries ``h_freq`` does.  Otherwise each row's error
-    is formed in the order and with the rounding of a Python loop over the
-    taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
-    ``np.hypot``."""
+    delay-only estimate of a delay-only channel compares by its response.
+    Otherwise matched taps contribute |h_hat - h|^2, missed and spurious
+    taps their full power, and each row's error is formed in the order and
+    with the rounding of a Python loop over the taps: a Python ``x ** 2`` is
+    ``np.float_power``, ``abs`` of a complex ``np.hypot``."""
     if not any(ks) and not true_spec.has_doppler:
         return _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
     true = {(t.l, t.k): t.h for t in true_spec.taps}

@@ -166,32 +166,27 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     if taps:
         top = max(abs(t.h) for t in taps)
         taps = [t for t in taps if abs(t.h) > 1e-9 * top]
-
-    taps_t = tuple(taps)
-    h_freq = None
-    if taps_t and all(t.k == 0 for t in taps_t):
-        h_freq = freq_response(ChannelSpec(taps_t), cfg.n)
-    return ChannelEstimate(Domain.AFFINE, taps=taps_t, h_freq=h_freq)
+    return ChannelEstimate(Domain.AFFINE, taps=tuple(taps))
 
 
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:
     """Diagnostic estimate error.
 
-    Frequency-domain estimates, one response or a (frames, N) block of
-    them, compare against H(m) (delay-only) or the
-    diagonal of the true frequency-domain channel (Doppler; the off-diagonal
-    ICI is invisible to a one-tap model).  Tap estimates compare tap-wise:
-    matched taps contribute |h_hat - h|^2, missed and spurious taps their
-    full power.
+    A frequency response, one or a (frames, N) block of them, compares
+    against the diagonal of the true frequency-domain channel: integer-Doppler
+    taps have a zero diagonal, so the one-tap reference is the response of
+    the delay-only taps (H(m) itself on a delay-only channel).  A delay-only
+    tap list of a delay-only channel compares by its response too.  Other
+    tap lists compare tap-wise: matched taps contribute |h_hat - h|^2, missed
+    and spurious taps their full power.
     """
-    if est.h_freq is not None and not true_spec.has_doppler:
-        return _response_nmse(est.h_freq, freq_response(true_spec, n))
-    if est.h_freq is not None and est.taps is None:
-        # integer-Doppler taps have zero frequency-domain diagonal, so the
-        # one-tap reference is the response of the delay-only taps
+    if est.domain is Domain.FREQUENCY:
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
+    if est.taps and not any(t.k for t in est.taps) and not true_spec.has_doppler:
+        return _response_nmse(freq_response(ChannelSpec(est.taps), n),
+                              freq_response(true_spec, n))
     true = {(t.l, t.k): t.h for t in true_spec.taps}
-    got = {(t.l, t.k): t.h for t in (est.taps or ())}
+    got = {(t.l, t.k): t.h for t in est.taps}
     err = 0.0
     for key, h in true.items():
         err += abs(got.pop(key, 0.0) - h) ** 2
@@ -202,18 +197,19 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
 
 def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec) -> ChannelEstimate:
     """The estimate ``sim.design`` fixes, with its bounds."""
-    cfg, (kind, max_delay, max_doppler) = sim.frame, sim.design
-    if kind == "perfect-freq":
+    cfg, design = sim.frame, sim.design
+    if design.kind == "perfect-freq":
         return perfect_estimate(spec, cfg, Domain.FREQUENCY)
-    if kind == "perfect-affine":
+    if design.kind == "perfect-affine":
         return perfect_estimate(spec, cfg, Domain.AFFINE)
     y_freq, y_aff = planes
-    if kind == "freq":
-        return estimate_channel_freq(y_freq, cfg, max_delay=max_delay)
-    if kind == "affine":
-        return estimate_channel_affine(y_aff, cfg, max_delay=max_delay, max_doppler=max_doppler,
+    if design.kind == "freq":
+        return estimate_channel_freq(y_freq, cfg, max_delay=design.max_delay)
+    if design.kind == "affine":
+        return estimate_channel_affine(y_aff, cfg, max_delay=design.max_delay,
+                                       max_doppler=design.max_doppler,
                                        noise_var=spec.noise_var, strict=False)
-    raise ConfigError(f"unknown estimator {kind!r}")
+    raise ConfigError(f"unknown estimator {design.kind!r}")
 
 
 def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _FrameRecord:

@@ -48,7 +48,8 @@ def aborting_sim():
 class TestMeasureSe:
     def test_cap_at_30db(self):
         # perfect equalization: the per-RE rate caps at ~9.97 bits
-        se = measure_se([(0.0, 256)], frames=1, n=256, cap_db=30.0)
+        assert harness.SE_CAP_DB == 30.0
+        se = measure_se([(0.0, 256)], frames=1, n=256)
         assert se == pytest.approx(np.log2(1 + 1000.0), abs=1e-9)
         assert se == pytest.approx(9.9672, abs=1e-3)
 
@@ -227,6 +228,23 @@ class TestRunSweep:
                         snr_grid_db=(10.0,), frames_per_point=3, baseline=True)
         assert run_sweep(sim)[0].frames == 3
 
+    def test_genie_estimates_are_built_at_construction(self, monkeypatch):
+        # the baseline's diagonal and the perfect-* estimates are fixed by the
+        # config, so no block builds them again
+        frame = replace(small_sim().frame, guard=9)
+        sims = [small_sim(frames_per_point=5, snr_grid_db=(0.0, 20.0), **kw) for kw in (
+            dict(estimator="perfect-freq"), dict(baseline=True),
+            dict(estimator="perfect-affine", frame=frame,
+                 taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))))]
+        want = run_sweeps(sims)
+
+        def built(*args):
+            raise AssertionError("a genie estimate was built after construction")
+        for name in ("harness.perfect_estimate", "harness.frequency_diagonal",
+                     "baseline.frequency_diagonal"):
+            monkeypatch.setattr(f"afdmrsma.{name}", built)
+        _assert_same_records(run_sweeps(sims), want)
+
     def test_frame_objects_only_at_the_public_boundary(self, monkeypatch):
         # build_frame, apply_channel, the two received planes and equalize
         # return a Frame per scheme frame; add_cp and apply_channel per
@@ -332,6 +350,10 @@ _REFUSED = {
     "null-diagonal-baseline": (
         {"channel": {"taps": [[1.0, 0.0, 0, 1]], "noise_var": 0.0}, "sweep": {"baseline": True}},
         "zero-forcing through a channel null"),
+    # the same null through the genie's taps: one shift, so a one-tap solve
+    "null-response-perfect-affine": (
+        {"channel": {"taps": [[0.7, 0.0, 0, 0], [0.7, 0.0, 1, 0]], "noise_var": 0.0},
+         "sweep": {"estimator": "perfect-affine"}}, "zero-forcing through a channel null"),
 }
 
 
@@ -664,6 +686,42 @@ class TestCli:
             assert message in capsys.readouterr().err
             assert not Path(cfg["output"]["path"]).exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--format", "xml"], "unknown output format 'xml'"),
+        (["--approach", "3"], "3 is not a valid Approach"),
+        (["--mode", "bogus"], "'bogus' is not a valid ReceiverMode"),
+    ], ids=["format", "approach", "mode"])
+    def test_option_value_refused_by_the_config_reader(self, flags, message, tmp_path,
+                                                       monkeypatch, capsys):
+        # the config reader is the one check of an option's value: exit 1, as
+        # for the same value in the JSON config
+        monkeypatch.setattr(harness, "run_sweeps", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        cfg = TestConfigLoading().config_dict()
+        Path("sim.json").write_text(json.dumps(cfg))
+        assert cli.main(["--config", "sim.json", *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not Path(cfg["output"]["path"]).exists()
+
+    def test_option_metavars_list_the_accepted_values(self):
+        usage = cli.build_parser().format_usage()
+        for option in ("--approach {1,2}", "--mode {sicfree,sic-clean,sic-full}",
+                       "--format {csv,json}"):
+            assert option in usage
+
+    @pytest.mark.parametrize("flags", [["--frames", "x"], ["--bogus"], ["--doppler", "up"]],
+                             ids=["bad-type", "unknown-option", "bad-choice"])
+    def test_usage_error_exit_code(self, flags, tmp_path, monkeypatch, capsys):
+        # argparse's own refusals are configuration errors too: exit 1, not
+        # the 2 of a runtime error
+        monkeypatch.setattr(harness, "run_sweeps", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        Path("sim.json").write_text(json.dumps(TestConfigLoading().config_dict()))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--config", "sim.json", *flags])
+        assert exit_.value.code == 1
+        assert "usage: simulate" in capsys.readouterr().err
+
     def test_freq_estimator_without_delay_only_tap_exit_code(self, tmp_path):
         cfg = TestConfigLoading().config_dict()
         cfg["channel"]["taps"] = [[1.0, 0.0, 0, 1]]
@@ -706,6 +764,8 @@ _FLAG_CASES = {
                     {"channel": {"taps": [[1.0, 0.0, 0, 0], [0.6, 0.0, 2, 0]]}}),
     "out": ({}, ["--out", "flag-out.csv"], {"output": {"path": "key-out.csv"}}),
     "format": ({}, ["--format", "json"], {"output": {"format": "json"}}),
+    # the config reader matches a format in any case
+    "format-upper": ({}, ["--format", "JSON"], {"output": {"format": "json"}}),
 }
 
 

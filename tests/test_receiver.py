@@ -199,12 +199,50 @@ class TestAffineEstimator:
             estimate_channel_affine(extract_received_planes(rx, cfg)[1], cfg,
                                     max_doppler=0)
 
-    def test_delay_only_freq_response_attached(self):
+    def test_delay_only_nmse_is_the_response_nmse(self):
+        # a delay-only tap list of a delay-only channel is scored by its
+        # response, as a frequency estimate holding that response would be
         cfg = make_cfg(c1p=16, guard=40)
         spec = ChannelSpec((ChannelTap(0.9, 0, 0), ChannelTap(0.4, 2, 0)))
         rx = apply_channel(pilot_frame(cfg), spec)
         est = estimate_channel_affine(extract_received_planes(rx, cfg)[1], cfg)
-        npt.assert_allclose(est.h_freq, freq_response(spec, 256), atol=1e-6)
+        est = ChannelEstimate(Domain.AFFINE, taps=tuple(
+            ChannelTap(t.h * (1 + 0.01j), t.l, t.k) for t in est.taps))
+        response = ChannelEstimate(Domain.FREQUENCY,
+                                   h_freq=freq_response(ChannelSpec(est.taps), cfg.n))
+        nmse = estimate_nmse(est, spec, cfg.n)
+        assert 0 < nmse < 1e-3
+        assert nmse == estimate_nmse(response, spec, cfg.n)
+
+
+class TestEstimateForms:
+    """An estimate holds one form: a response (FREQUENCY) or a tap list
+    (AFFINE)."""
+
+    def test_every_estimator_returns_one_form(self):
+        cfg = make_cfg(c1p=16, guard=40, cp_len=4)
+        spec = ChannelSpec((ChannelTap(0.9, 0, 0), ChannelTap(0.4, 2, 0)))
+        y_f, y_a = extract_received_planes(apply_channel(make_frame(cfg)[1], spec), cfg)
+        for est, domain in ((estimate_channel_freq(y_f, cfg), Domain.FREQUENCY),
+                            (estimate_channel_affine(y_a, cfg, strict=False), Domain.AFFINE),
+                            (perfect_estimate(spec, cfg, Domain.FREQUENCY), Domain.FREQUENCY),
+                            (perfect_estimate(spec, cfg, Domain.AFFINE), Domain.AFFINE)):
+            assert est.domain is domain
+            assert (est.h_freq is None) == (domain is Domain.AFFINE)
+            assert (est.taps is None) == (domain is Domain.FREQUENCY)
+
+    def test_constructor_refuses_any_other_form(self):
+        taps, h = (ChannelTap(1.0, 0, 0),), np.ones(256)
+        ChannelEstimate(Domain.FREQUENCY, h_freq=h)
+        ChannelEstimate(Domain.AFFINE, taps=taps)
+        ChannelEstimate(Domain.AFFINE, taps=())   # a peak search may find no tap
+        for domain in Domain:
+            for kw in ({}, dict(taps=taps, h_freq=h), dict(taps=taps), dict(h_freq=h)):
+                if (domain, tuple(kw)) in ((Domain.FREQUENCY, ("h_freq",)),
+                                           (Domain.AFFINE, ("taps",))):
+                    continue
+                with pytest.raises(ConfigError, match="a channel estimate is"):
+                    ChannelEstimate(domain, **kw)
 
 
 def _outcome(fn, *args, **kw):
@@ -254,10 +292,7 @@ class TestAffineEstimatorOracle:
                                 assert got is ref
                                 raised += 1
                                 continue
-                            assert got.taps == ref.taps
-                            assert (got.h_freq is None) == (ref.h_freq is None)
-                            if ref.h_freq is not None:
-                                assert np.array_equal(got.h_freq, ref.h_freq)
+                            assert got == ref
                             kept += 1
         assert raised and kept
 
@@ -489,15 +524,14 @@ def test_block_equalizer_is_row_independent(n, g):
     rows = rng.permutation(3 * len(_KERNEL_GROUPS)).reshape(len(_KERNEL_GROUPS), 3)
     groups = [(r, ls, ks, _cn(rng, len(r), len(ls))) for r, (ls, ks) in zip(rows, _KERNEL_GROUPS)]
     y_aff = _cn(rng, rows.size, n)
-    for y_freq in (_affine_to_freq(y_aff, p), None):
-        eq_f, eq_a = _tap_mmse(y_freq, y_aff, groups, p, g)
-        for r, ls, ks, hs in groups:
-            for i, row in enumerate(r):
-                alone = _tap_mmse(None if y_freq is None else y_freq[row:row + 1],
-                                  y_aff[row:row + 1], [(np.array([0]), ls, ks, hs[i:i + 1])],
-                                  p, g)
-                assert np.array_equal(alone[0][0], eq_f[row]), (ls, ks, row)
-                assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
+    y_freq = _affine_to_freq(y_aff, p)
+    eq_f, eq_a = _tap_mmse(y_freq, y_aff, groups, p, g)
+    for r, ls, ks, hs in groups:
+        for i, row in enumerate(r):
+            alone = _tap_mmse(y_freq[row:row + 1], y_aff[row:row + 1],
+                              [(np.array([0]), ls, ks, hs[i:i + 1])], p, g)
+            assert np.array_equal(alone[0][0], eq_f[row]), (ls, ks, row)
+            assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
 
 
 @pytest.mark.parametrize("ls, ks, h", [
@@ -512,11 +546,12 @@ def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
     healthy = (np.array([0, 2]), [0, 2], [0, 1], np.array([[0.857, 0.514]] * 2, complex))
     singular = (np.array([1]), ls, ks, np.array([h], complex))
     y_aff = _cn(rng, 3, 64)
-    _tap_mmse(None, y_aff[[0, 2]], [(np.arange(2), *healthy[1:])], p, 0.0)
+    y_freq = _affine_to_freq(y_aff, p)
+    _tap_mmse(y_freq[[0, 2]], y_aff[[0, 2]], [(np.arange(2), *healthy[1:])], p, 0.0)
     with pytest.raises(SingularChannel):
-        _tap_mmse(None, y_aff, [healthy, singular], p, 0.0)
+        _tap_mmse(y_freq, y_aff, [healthy, singular], p, 0.0)
     assert all(np.all(np.isfinite(eq))
-               for eq in _tap_mmse(None, y_aff, [healthy, singular], p, 1e-3))
+               for eq in _tap_mmse(y_freq, y_aff, [healthy, singular], p, 1e-3))
 
 
 def test_block_with_an_empty_group_refuses_equalization():
@@ -527,7 +562,7 @@ def test_block_with_an_empty_group_refuses_equalization():
     empty = (np.array([1]), [], [], np.zeros((1, 0), complex))
     for g in (0.0, 1e-3):
         with pytest.raises(SingularChannel, match="no channel tap found"):
-            _tap_mmse(None, y_aff, [healthy, empty], p, g)
+            _tap_mmse(_affine_to_freq(y_aff, p), y_aff, [healthy, empty], p, g)
 
 
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
