@@ -88,6 +88,7 @@ class ReceiverDesign(NamedTuple):
     max_delay: int     # the channel's delay spread
     max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
     genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
+    genie_nmse: float   # perfect-*'s estimate NMSE, which the config fixes (0.0 for the rest)
 
 
 def _receiver_design(sim: SimConfig) -> ReceiverDesign:
@@ -102,7 +103,7 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
                     else "affine")
         max_delay, max_doppler = spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
         _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
-        genie = None
+        genie, genie_nmse = None, 0.0
         if sim.baseline:   # it runs no estimator
             genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(spec, cfg.n))
         elif kind == "freq":
@@ -118,6 +119,7 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
         else:
             genie = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
                                      else Domain.AFFINE)
+            genie_nmse = estimate_nmse(genie, spec, cfg.n)
         if genie is not None and sim.noise_override == 0:
             # zero forcing through an estimate the config fixes: every frame or none
             _equalize_planes(*np.zeros((2, 1, cfg.n), complex), genie, cfg, 0.0)
@@ -125,7 +127,7 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
         raise
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
-    return ReceiverDesign(kind, max_delay, max_doppler, genie)
+    return ReceiverDesign(kind, max_delay, max_doppler, genie, genie_nmse)
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
     """Estimate, equalize and score the estimate on (frames, N) planes, as
     ``sim.design`` fixes: the equalized (frequency, affine) planes and each
     frame's estimate NMSE."""
-    cfg, (kind, max_delay, max_doppler, genie) = sim.frame, sim.design
+    cfg, (kind, max_delay, max_doppler, genie, genie_nmse) = sim.frame, sim.design
     y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
     if kind == "affine":
@@ -261,7 +263,9 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
         for rows, ls, ks, hs in groups:
             nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
         return (*_tap_mmse(y_freq, y_aff, groups, cfg.affine, g), nmse)
-    est = genie or ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
+    if genie is not None:
+        return (*_equalize_planes(y_freq, y_aff, genie, cfg, g), genie_nmse)
+    est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
     return (*_equalize_planes(y_freq, y_aff, est, cfg, g), estimate_nmse(est, spec, cfg.n))
 
 

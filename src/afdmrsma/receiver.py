@@ -17,16 +17,18 @@ Both estimators and the detector read the same (frequency, affine) pair of
 planes, which the caller analyses once per frame with
 ``framing.extract_received_planes``.  The equalizer is MMSE, which is ZF at
 zero noise.  A frequency-domain estimate is one tap per subcarrier.  A tap
-estimate is solved in whichever of time (tap shifts l) and unitary
-frequency (tap shifts k) has the narrower spread of tap shifts: one tap
-per sample when all shifts agree, block cyclic reduction of the banded
-cyclic Gram otherwise, so no N x N system is ever formed.  The tap
-estimates of a block, grouped by tap list, are equalized in one call with
-one domain change per domain and one cyclic reduction per block size
-(:func:`_tap_mmse`).  Detection reads the common stream straight off the
-equalized affine plane and the private stream straight off the equalized
-frequency plane; each SIC round additionally rebuilds and subtracts the
-opposite stream's spread image between reads.
+estimate is solved in time (tap shifts l) or unitary frequency (tap shifts
+k) by one of three rules: one tap per sample when all shifts agree
+(spread 0); for a collinear tap list, which a chirp turns into a diagonal
+times a circulant, the one-tap rule between one FFT pair; and for a general
+one, block cyclic reduction of the banded cyclic Gram.  No N x N system is
+ever formed.  The tap estimates of a block, grouped by tap list, are
+equalized in one call with one domain change per domain, one stacked FFT
+pair and one cyclic reduction per block size (:func:`_tap_mmse`).
+Detection reads the common stream straight off the equalized affine plane
+and the private stream straight off the equalized frequency plane; each SIC
+round additionally rebuilds and subtracts the opposite stream's spread
+image between reads.
 
 Each stage has one implementation, an array kernel that acts on every row
 of a (frames, N) block.  The public per-frame functions run it on a block
@@ -275,12 +277,15 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
 
     Frequency-domain estimates (delay-only) use the one-tap per-subcarrier
     rule.  Affine-domain (tap) estimates solve the MMSE system of the cyclic
-    tap channel in time or in unitary frequency, whichever has the narrower
-    spread of tap shifts (delays l in time, Dopplers k in frequency); by
-    unitarity this equals the full-matrix affine-domain solve.  At spread 0
-    the channel is a diagonal times a cyclic shift and the one-tap rule
-    applies; otherwise the banded Gram is solved by block cyclic reduction.
-    Both rules refuse zero forcing by one test, see :data:`_PIVOT_RTOL`.
+    tap channel in time or in unitary frequency (tap shifts: delays l in
+    time, Dopplers k in frequency); by unitarity this equals the
+    full-matrix affine-domain solve.  At spread 0 the channel is a diagonal
+    times a cyclic shift and the one-tap rule applies.  A collinear tap list
+    (Doppler linear in delay mod N, in either domain's terms) is a chirp
+    diagonal times a circulant, so the one-tap rule applies to the
+    circulant's eigenvalues between one FFT pair.  A general one solves the
+    banded Gram by block cyclic reduction.  Every rule refuses zero forcing
+    by one tolerance, see :data:`_PIVOT_RTOL`.
     The output is returned in the plane that came in.
     """
     g, data = _noise_ratio(cfg, noise_var), _check(y, est.domain, cfg.n)
@@ -295,14 +300,18 @@ def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
     return noise_var / (frame_energy_budget(cfg) / cfg.n)
 
 
-# Zero-forcing test, shared by the one-tap rule and the banded solve: a
-# pivot (|h|^2 per sample, or a reduced diagonal block's smallest singular
-# value) at most this fraction of the Gram's largest diagonal entry marks
-# the channel as singular.  A pivot bounds the Gram's smallest eigenvalue
-# from above, so only channels with cond(H H^H) >= 1e6 are refused; and
-# while the earlier pivots pass, rounding moves a later one by about
-# eps / 1e-6 ~ 2e-10 of that entry, so a singular channel's zero pivot stays
-# far below the bound (at most 8.5e-8 over 329 sampled singular tap sets).
+# Zero-forcing tolerance, shared by the three tap rules.  The one-tap rule
+# (spread 0, or a collinear group's circulant) reads the eigenvalues of
+# H H^H themselves, |h|^2 per sample or per frequency, and refuses a frame
+# whose smallest is at most this fraction of its largest: exactly
+# cond(H H^H) >= 1e6.  The banded solve refuses a pivot (a reduced diagonal
+# block's smallest singular value) at most this fraction of the Gram's
+# largest diagonal entry.  The pivot bounds the smallest eigenvalue from
+# above and the entry bounds the largest from below, so the banded test
+# refuses no channel that the eigenvalue test passes.  While the earlier
+# pivots pass, rounding moves a later one by about eps / 1e-6 ~ 2e-10 of
+# that entry, so a singular channel's zero pivot stays far below the bound
+# (at most 8.5e-8 over 329 sampled singular tap sets).
 _PIVOT_RTOL = 1e-6
 
 
@@ -326,30 +335,37 @@ def _tap_mmse(y_freq: np.ndarray, y_aff: np.ndarray, groups, p: AffineParams,
     tap list, the taps' delays and Dopplers, and a (rows, taps) array of
     their gains.  A tap (h, l, k) shifts a frame by l in time and by k in
     unitary frequency, so each group's channel is shift-structured in both
-    domains, and its solve runs in the one with the narrower spread of tap
-    shifts (time on a tie).  The block changes domain once per domain: one
-    ``_idaft`` over every time-solve row on the way in, while frequency
-    solves start from ``y_freq``; one ``_daft`` and ``_affine_to_freq``
-    over the time-solve rows and one ``_freq_to_affine`` over the
-    frequency-solve rows on the way out.
-    Between them :func:`_shift_mmse` runs one cyclic reduction per block
-    size.  Every step acts on the rows independently, so a row's planes do
-    not depend on the groups that share its block.
+    domains, and :func:`_solve_rule` picks the domain of its solve and one of
+    three rules: one tap per sample at spread 0, one FFT pair for a
+    collinear group (:func:`_chirp_mmse`), block cyclic reduction for a
+    general one (:func:`_shift_mmse`).  The block changes domain once per
+    domain: one ``_idaft`` over every time-solve row on the way in, while
+    frequency solves start from ``y_freq``; one ``_daft`` and
+    ``_affine_to_freq`` over the time-solve rows and one ``_freq_to_affine``
+    over the frequency-solve rows on the way out.  Between them the
+    collinear groups share one stacked FFT pair and the general ones one
+    cyclic reduction per block size.  Every step acts on the rows
+    independently, so a row's planes do not depend on the groups that share
+    its block.
     """
-    solves, in_time = [], np.zeros(len(y_aff), dtype=bool)
+    solves, chirped, in_time = [], [], np.zeros(len(y_aff), dtype=bool)
     for rows, ls, ks, hs in groups:
         if not ls:
             raise SingularChannel("no channel tap found to equalize with")
-        time_solve = max(ls) - min(ls) <= max(ks) - min(ks)
+        time_solve, chirp = _solve_rule(tuple(ls), tuple(ks), p.n)
         in_time[rows] = time_solve
-        solves.append((rows, ls if time_solve else ks,
-                       [hs[:, t, None] * _tap_ramp(l, k, p.n, time_solve)
-                        for t, (l, k) in enumerate(zip(ls, ks))]))
+        if chirp is not None:
+            chirped.append((rows, chirp, hs))
+        else:
+            solves.append((rows, ls if time_solve else ks,
+                           [hs[:, t, None] * _tap_ramp(l, k, p.n, time_solve)
+                            for t, (l, k) in enumerate(zip(ls, ks))]))
     t_rows, f_rows = np.flatnonzero(in_time), np.flatnonzero(~in_time)
     y = y_freq.copy()   # each row in the domain of its solve
     if len(t_rows):
         y[t_rows] = _idaft(y_aff[t_rows], p)
     x = _shift_mmse(y, solves, g)
+    _chirp_mmse(x, y, chirped, g)
     eq_f, eq_a = np.empty_like(x), np.empty_like(x)
     if len(t_rows):
         eq_a[t_rows] = a = _daft(x[t_rows], p)
@@ -374,9 +390,104 @@ def _tap_ramp(l: int, k: int, n: int, in_time: bool) -> np.ndarray:
     return ramp
 
 
+class _Chirp(NamedTuple):
+    """A collinear group's channel as ``H = D C P^H``: D and P unit-modulus
+    diagonals, C the circulant with gain ``g_t = h_t phases[t]`` at shift
+    s_t, whose eigenvalues are ``sum_t g_t spectra[t]``."""
+
+    unchirp: np.ndarray                # conj(D)
+    chirp: np.ndarray                  # P
+    phases: np.ndarray                 # (taps,)
+    spectra: tuple[np.ndarray, ...]    # per tap, the FFT of a unit impulse at s_t
+
+
+@lru_cache(maxsize=256)
+def _solve_rule(ls: tuple, ks: tuple, n: int) -> tuple[bool, _Chirp | None]:
+    """The solve of the tap list (ls, ks): whether it runs in time, and the
+    chirp of a collinear group or None.
+
+    In time a tap shifts by s = l and ramps by alpha = k with phase
+    beta = -k l; in frequency it shifts by s = k and ramps by alpha = -l with
+    beta = 0 (see :func:`_tap_ramp`).  The domain with the narrower spread of
+    shifts (time on a tie) is tried first.  Spread 0 takes the one-tap rule
+    there.  Otherwise the group is collinear in a domain when some integer c
+    gives ``alpha_t - c s_t = gamma (mod N)`` for every tap: with the chirp
+    ``p(i) = exp(j pi c i^2 / N)``, ``D(i) = p(i) exp(2 pi j gamma i / N)`` and
+    ``g_t = h_t exp(2 pi j beta_t / N) exp(j pi c s_t^2 / N)``, the channel
+    is ``D C P^H`` (Bemani, Ksairi, Kountouris, IEEE TWC 2023, the chirp of
+    the DAFT).  Every two-tap group is collinear in one of the domains, as N
+    is a power of two.  A group collinear in neither is general, and solves
+    by cyclic reduction in the first domain.
+    """
+    time_first = max(ls) - min(ls) <= max(ks) - min(ks)
+    if len(set(ls if time_first else ks)) == 1:
+        return time_first, None
+    for in_time in (time_first, not time_first):
+        if in_time:
+            s, alpha, beta = np.array(ls), np.array(ks), -np.multiply(ks, ls)
+        else:
+            s, alpha, beta = np.array(ks), -np.array(ls), np.zeros(len(ls), dtype=int)
+        # every candidate rate c in [0, N) at once, one row each
+        c = np.flatnonzero(np.all((alpha - alpha[0] - np.outer(np.arange(n), s - s[0])) % n == 0,
+                                  axis=1))
+        if len(c):
+            c = int(c[0])
+            phases = _unit(2 * beta + c * s * s, n)
+            phases.flags.writeable = False
+            return in_time, _Chirp(*_chirp_pair(c, int(alpha[0] - c * s[0]) % n, n), phases,
+                                   tuple(_shift_spectrum(int(st), n) for st in s))
+    return time_first, None
+
+
+def _unit(phase: np.ndarray, n: int) -> np.ndarray:
+    """``exp(j pi phase / N)`` of integer phases, reduced mod 2N first."""
+    return np.exp(1j * np.pi * (phase % (2 * n)) / n)
+
+
+@lru_cache(maxsize=64)
+def _chirp_pair(c: int, gamma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """conj(D) and P of :class:`_Chirp` for chirp rate c and ramp gamma."""
+    i = np.arange(n)
+    pair = _unit(-(c * i * i + 2 * gamma * i), n), _unit(c * i * i, n)
+    for arr in pair:
+        arr.flags.writeable = False
+    return pair
+
+
+@lru_cache(maxsize=256)
+def _shift_spectrum(s: int, n: int) -> np.ndarray:
+    """The FFT of a unit impulse at s: ``exp(-2 pi j m s / N)``."""
+    spectrum = _unit(-2 * s * np.arange(n), n)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _chirp_mmse(x: np.ndarray, y: np.ndarray, chirped, g: float) -> None:
+    """MMSE of collinear groups into ``x``: ``chirped`` holds ``(rows,
+    chirp, gains)``, the block rows of one channel ``H = D C P^H`` (see
+    :class:`_Chirp`) and its (rows, taps) tap gains.  D and P are unitary,
+    so ``x = P C^H (C C^H + g I)^{-1} D^H y``, the one-tap rule on C's
+    eigenvalues between one stacked FFT and its inverse; those eigenvalues
+    squared are the eigenvalues of ``H H^H``, which the one-tap rule's
+    zero-forcing test reads."""
+    if not chirped:
+        return
+    bounds = np.cumsum([0] + [len(rows) for rows, *_ in chirped])
+    z = np.empty((bounds[-1], x.shape[-1]), dtype=np.complex128)
+    eig = np.empty_like(z)
+    for at, (rows, chirp, hs) in zip(bounds, chirped):
+        z[at:at + len(rows)] = y[rows] * chirp.unchirp
+        eig[at:at + len(rows)] = sum((hs[:, t] * phase)[:, None] * spectrum
+                                     for t, (phase, spectrum)
+                                     in enumerate(zip(chirp.phases, chirp.spectra)))
+    z = np.fft.ifft(_one_tap(np.fft.fft(z), eig, g))
+    for at, (rows, chirp, _) in zip(bounds, chirped):
+        x[rows] = z[at:at + len(rows)] * chirp.chirp
+
+
 def _shift_mmse(y: np.ndarray, solves, g: float) -> np.ndarray:
     """MMSE ``x = H^H (H H^H + g I)^{-1} y`` for ``(H x)(i) = sum_t a_t(i) x(i - s_t)``,
-    along the last axis of a (rows, N) block.
+    along the last axis of a (rows, N) block; rows in no solve are left unset.
 
     ``solves`` holds ``(rows, shifts, gains)``: the block rows of one
     channel, its tap shifts s_t and its per-sample tap gains a_t, each

@@ -229,8 +229,8 @@ class TestRunSweep:
         assert run_sweep(sim)[0].frames == 3
 
     def test_genie_estimates_are_built_at_construction(self, monkeypatch):
-        # the baseline's diagonal and the perfect-* estimates are fixed by the
-        # config, so no block builds them again
+        # the baseline's diagonal and the perfect-* estimates and their NMSE
+        # are fixed by the config, so no block builds or scores them again
         frame = replace(small_sim().frame, guard=9)
         sims = [small_sim(frames_per_point=5, snr_grid_db=(0.0, 20.0), **kw) for kw in (
             dict(estimator="perfect-freq"), dict(baseline=True),
@@ -239,9 +239,9 @@ class TestRunSweep:
         want = run_sweeps(sims)
 
         def built(*args):
-            raise AssertionError("a genie estimate was built after construction")
+            raise AssertionError("a genie estimate was built or scored after construction")
         for name in ("harness.perfect_estimate", "harness.frequency_diagonal",
-                     "baseline.frequency_diagonal"):
+                     "baseline.frequency_diagonal", "harness.estimate_nmse"):
             monkeypatch.setattr(f"afdmrsma.{name}", built)
         _assert_same_records(run_sweeps(sims), want)
 

@@ -1,4 +1,6 @@
 """Estimators, equalizers and the dual-domain detector."""
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -419,10 +421,22 @@ class TestEqualize:
                             atol=1e-8)
 
 
+def _rule(ls, ks, n):
+    """(rule, solves in time, spread of tap shifts) of a tap list, as the
+    equalizer picks them (see ``receiver._solve_rule``)."""
+    in_time, chirp = receiver._solve_rule(tuple(ls), tuple(ks), n)
+    shifts = ls if in_time else ks
+    spread = max(shifts) - min(shifts)
+    return ("collinear" if chirp is not None else "general" if spread else "one-tap",
+            in_time, spread)
+
+
 # (taps, first delay, delay spread, first Doppler, Doppler spread) of the
 # random tap sets below; the solve runs in time when the delay spread is
-# the narrower (or equal) one, in frequency otherwise, with block size B the
-# smallest power of two >= the chosen spread and P = N / B blocks
+# the narrower (or equal) one, in frequency otherwise.  Two-tap sets are
+# collinear; the three- and four-tap ones mostly general, solved by cyclic
+# reduction with block size B the smallest power of two >= the chosen
+# spread and P = N / B blocks
 def _oracle_cases(n):
     q = n // 4
     return [
@@ -430,55 +444,71 @@ def _oracle_cases(n):
         (1, 3, 0, 2, 0),            # one delayed Doppler tap: one-tap, shifted
         (3, 2, 0, 0, 3),            # common delay: time one-tap, shifted
         (2, 0, 3, 1, 0),            # common Doppler: frequency one-tap, shifted
-        (2, 0, 1, 0, 1),            # B = 1, time
+        (2, 0, 1, 0, 1),            # collinear
         (3, 0, 2, 0, 1),            # B = 1, frequency (the fig9 shape)
         (4, 0, 2, 0, 5),            # B = 2, time
         (4, 0, 5, 0, 3),            # B = 4, frequency
         (3, 1, 3, 0, 3),            # B = 4, time, every tap delayed
-        (2, 0, q + 1, 0, q + 2),    # P = 2, time
+        (2, 0, q + 1, 0, q + 2),    # collinear
         (3, 0, q + 2, 0, q + 1),    # P = 2, frequency
-        (2, 0, 2 * q + 1, 0, 2 * q + 1),  # P = 1, time
+        (2, 0, 2 * q + 1, 0, 2 * q + 1),  # collinear
         (4, 0, 2 * q + 2, 0, 2 * q + 1),  # P = 1, frequency
+    ]
+
+
+# (delays, Dopplers) of collinear tap lists with chirp rate c != 0:
+# Doppler linear in delay mod N in time, delay linear in Doppler in frequency
+def _collinear_cases(n):
+    return [
+        ([0, 2], [0, 1]),             # frequency, c = -2 (fig9's taps)
+        ([0, 1], [0, 1]),             # time, c = 1
+        ([0, 1, 2], [0, 3, 6]),       # time, c = 3
+        ([2, 0, 4], [1, 0, 2]),       # frequency, c = -2
+        ([0, 3], [1, 3]),             # time, c = 2/3 mod N; no c fits frequency
+        ([0, 1, 2], [0, n // 2 + 1, 2]),  # time, c = N/2 + 1, the Doppler ramp wrapped mod N
     ]
 
 
 def test_banded_mmse_matches_dense_oracle():
     rng = np.random.default_rng(2024)
-    zf_checked = 0
+    zf_checked, rules = 0, Counter()
     for n in (16, 64, 256):
         cfg = make_cfg(n=n, c1p=4, guard=2)
         per_sample = frame_energy_budget(cfg) / cfg.n
-        for n_taps, l0, l_span, k0, k_span in _oracle_cases(n):
-            for _ in range(3):
-                ls = [l0, l0 + l_span, *rng.integers(l0, l0 + l_span + 1, 2)][:n_taps]
-                ks = [k0 + k_span, k0, *rng.integers(k0, k0 + k_span + 1, 2)][:n_taps]
-                taps = tuple(ChannelTap(complex(rng.standard_normal(),
-                                                rng.standard_normal()), int(l), int(k))
-                             for l, k in zip(ls, ks))
-                est = ChannelEstimate(Domain.AFFINE, taps=taps)
-                y = Frame(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                          Domain.AFFINE)
-                # tap by tap: a random list may repeat a (delay, Doppler) pair,
-                # which a ChannelSpec refuses
-                cond = np.linalg.cond(sum(channel_matrix(ChannelSpec((t,)), n)
-                                          for t in taps)) ** 2
-                for g in (1e-3, 0.1, 0.0):
-                    if g == 0 and cond >= 1e4:
-                        continue
-                    zf_checked += g == 0
-                    nv = g * per_sample
-                    got = equalize(y, est, cfg, noise_var=nv).data
-                    ref = daft(Frame(tap_mmse_time(idaft(y, cfg.affine).data, taps, n,
-                                                   nv / per_sample), Domain.TIME),
-                               cfg.affine).data
-                    err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
-                    assert err < 1e-9, (n, taps, g, err)
+        tap_lists = [([l0, l0 + l_span, *rng.integers(l0, l0 + l_span + 1, 2)][:n_taps],
+                      [k0 + k_span, k0, *rng.integers(k0, k0 + k_span + 1, 2)][:n_taps])
+                     for n_taps, l0, l_span, k0, k_span in _oracle_cases(n) for _ in range(3)]
+        for ls, ks in tap_lists + _collinear_cases(n):
+            ls, ks = [int(l) for l in ls], [int(k) for k in ks]
+            rule, in_time, _ = _rule(ls, ks, n)
+            rules[rule, in_time] += 1
+            taps = tuple(ChannelTap(complex(rng.standard_normal(), rng.standard_normal()), l, k)
+                         for l, k in zip(ls, ks))
+            est = ChannelEstimate(Domain.AFFINE, taps=taps)
+            y = Frame(rng.standard_normal(n) + 1j * rng.standard_normal(n), Domain.AFFINE)
+            # tap by tap: a random list may repeat a (delay, Doppler) pair,
+            # which a ChannelSpec refuses
+            cond = np.linalg.cond(sum(channel_matrix(ChannelSpec((t,)), n) for t in taps)) ** 2
+            for g in (1e-3, 0.1, 0.0):
+                if g == 0 and cond >= 1e4:
+                    continue
+                zf_checked += g == 0
+                nv = g * per_sample
+                got = equalize(y, est, cfg, noise_var=nv).data
+                ref = daft(Frame(tap_mmse_time(idaft(y, cfg.affine).data, taps, n,
+                                               nv / per_sample), Domain.TIME),
+                           cfg.affine).data
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert err < 1e-9, (n, taps, g, err)
     assert zf_checked >= 30
+    # the chirp FFT pair in both domains, and the cyclic reduction
+    assert rules["collinear", True] >= 10 and rules["collinear", False] >= 10, rules
+    assert rules["general", True] + rules["general", False] >= 10, rules
 
 
 def test_no_dense_solve_on_the_equalizer_path(monkeypatch):
-    # fig9's taps at N = 256 reach numpy's dense solvers with nothing
-    # larger than 2 x 2
+    # fig9's taps at N = 256, and the spurious third peak of its noisy
+    # estimates, reach numpy's dense solvers with nothing larger than 2 x 2
     shapes = []
     for name in ("solve", "inv"):
         real = getattr(np.linalg, name)
@@ -488,24 +518,29 @@ def test_no_dense_solve_on_the_equalizer_path(monkeypatch):
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
     cfg = make_cfg(n=256, c1p=4, guard=9)
-    est = ChannelEstimate(Domain.AFFINE, taps=(ChannelTap(0.857, 0, 0),
-                                               ChannelTap(0.514, 2, 1)))
+    fig9 = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
     y = Frame(np.random.default_rng(9).standard_normal(256) + 0j, Domain.AFFINE)
-    for nv in (0.0, 0.01):
-        assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=nv).data))
+    for taps in (fig9, fig9 + (ChannelTap(0.1, 1, 1),)):
+        est = ChannelEstimate(Domain.AFFINE, taps=taps)
+        for nv in (0.0, 0.01):
+            assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=nv).data))
     assert all(max(shape, default=0) <= 2 for shape in shapes), shapes
 
 
-# (delays, Dopplers) of one group of each kind the block equalizer solves:
-# the narrower spread picks the domain, and B is the smallest power of two
-# >= that spread
+# (delays, Dopplers) of one group of each kind the block equalizer solves
+# (see _rule): spread 0 takes the one-tap rule, a collinear group the chirp
+# FFT pair, and a general one the cyclic reduction with block size B the
+# smallest power of two >= its spread
 _KERNEL_GROUPS = [
     ([2, 2], [0, 3]),         # time, spread 0: one tap per sample, shifted
-    ([0, 1], [0, 1]),         # time, B = 1
-    ([0, 2], [0, 3]),         # time, B = 2
-    ([0, 3, 1], [0, 4, 2]),   # time, B = 4
-    ([0, 2], [0, 1]),         # frequency, B = 1 (the fig9 shape)
-    ([0, 3], [1, 3]),         # frequency, B = 2
+    ([0, 1], [0, 1]),         # time, collinear
+    ([0, 3], [1, 3]),         # time, collinear only there
+    ([0, 2], [0, 1]),         # frequency, collinear (the fig9 shape)
+    ([0, 2], [0, 3]),         # frequency, collinear
+    ([0, 1, 0], [0, 1, 2]),   # time, general, B = 1
+    ([0, 3, 1], [0, 4, 2]),   # time, general, B = 4
+    ([0, 2, 1], [0, 1, 1]),   # frequency, general, B = 1 (fig9 with a spurious peak)
+    ([0, 3, 5], [0, 1, 2]),   # frequency, general, B = 2
 ]
 
 
@@ -516,9 +551,10 @@ def _cn(rng, *shape):
 @pytest.mark.parametrize("g", [0.1, 1e-3])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_block_equalizer_is_row_independent(n, g):
-    # one call over a block that mixes every group kind, with the groups of
-    # one block size stacked across domains, gives each row the planes the
-    # kernel gives that row alone
+    # one call over a block that mixes every group kind, with the collinear
+    # groups in one FFT pair and the general groups of one block size
+    # stacked across domains, gives each row the planes the kernel gives
+    # that row alone
     p = AffineParams(n, 4)
     rng = np.random.default_rng(n)
     rows = rng.permutation(3 * len(_KERNEL_GROUPS)).reshape(len(_KERNEL_GROUPS), 3)
@@ -534,24 +570,37 @@ def test_block_equalizer_is_row_independent(n, g):
             assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
 
 
+def _singular_general_gains(n):
+    """Gains that make the general tap list (0, 0), (1, 1), (0, 2) singular:
+    the last is minus an eigenvalue of the other two taps' channel seen
+    through the last tap's (unitary) one."""
+    first = channel_matrix(ChannelSpec((ChannelTap(1.0, 0, 0), ChannelTap(0.6, 1, 1))), n)
+    last = channel_matrix(ChannelSpec((ChannelTap(1.0, 0, 2),)), n)
+    mu = np.linalg.eigvals(np.linalg.solve(last, first))
+    return [1.0, 0.6, -mu[np.argmax(np.abs(mu))]]
+
+
 @pytest.mark.parametrize("ls, ks, h", [
-    ([0, 1], [0, 1], [1.0, np.exp(1j * np.pi / 64)]),   # banded, B = 1, as the healthy group
+    ([0, 1], [0, 1], [1.0, np.exp(1j * np.pi / 64)]),   # collinear (c = 1), null at N/2
     ([0, 0], [0, 1], [1.0, 1.0]),                       # spread 0, null at sample N/2
-], ids=["banded", "one-tap"])
+    ([0, 1, 0], [0, 1, 2], _singular_general_gains(64)),  # general, B = 1 as a healthy group
+], ids=["collinear", "one-tap", "banded"])
 def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
     # one singular group makes the block call refuse zero forcing, also when
-    # it shares a cyclic reduction with a healthy group
+    # it shares the chirp FFT pair or a cyclic reduction with a healthy group
     p = AffineParams(64, 4)
     rng = np.random.default_rng(3)
-    healthy = (np.array([0, 2]), [0, 2], [0, 1], np.array([[0.857, 0.514]] * 2, complex))
+    healthy = [(np.array([0]), [0, 2], [0, 1], np.array([[0.857, 0.514]], complex)),
+               (np.array([2]), [0, 2, 1], [0, 1, 1], np.array([[0.857, 0.514, 0.1]], complex))]
     singular = (np.array([1]), ls, ks, np.array([h], complex))
     y_aff = _cn(rng, 3, 64)
     y_freq = _affine_to_freq(y_aff, p)
-    _tap_mmse(y_freq[[0, 2]], y_aff[[0, 2]], [(np.arange(2), *healthy[1:])], p, 0.0)
+    _tap_mmse(y_freq[[0, 2]], y_aff[[0, 2]],
+              [(np.array([i]), *group[1:]) for i, group in enumerate(healthy)], p, 0.0)
     with pytest.raises(SingularChannel):
-        _tap_mmse(y_freq, y_aff, [healthy, singular], p, 0.0)
+        _tap_mmse(y_freq, y_aff, [*healthy, singular], p, 0.0)
     assert all(np.all(np.isfinite(eq))
-               for eq in _tap_mmse(y_freq, y_aff, [healthy, singular], p, 1e-3))
+               for eq in _tap_mmse(y_freq, y_aff, [*healthy, singular], p, 1e-3))
 
 
 def test_block_with_an_empty_group_refuses_equalization():
@@ -566,11 +615,13 @@ def test_block_with_an_empty_group_refuses_equalization():
 
 
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
-    # a low-SNR fig9 block splits into groups that solve in both domains;
-    # its equalize step runs one cyclic reduction per block size and FFTs
-    # once per domain: 4 calls over the time-solve rows (_idaft, _daft and
-    # _affine_to_freq's pair) and 2 over the frequency-solve rows
+    # a fig9 block at 5 dB splits into groups of every rule, solving in both
+    # domains; its equalize step runs one cyclic reduction per block size of
+    # the general groups, and FFTs once per domain and once for the
+    # collinear groups: 4 calls over the time-solve rows (_idaft, _daft and
+    # _affine_to_freq's pair), 2 over the frequency-solve rows
     # (_freq_to_affine's pair; those rows start from the frequency plane)
+    # and the collinear rows' one pair
     sim = dict(FIGURES["fig9"](frames=16, seed=1))["sicfree-pilot10"]
     counts = {"reduction": 0, "fft": 0}
     seen, inside = [], [False]
@@ -594,14 +645,14 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
         finally:
             inside[0] = False
     monkeypatch.setattr(harness, "_tap_mmse", equalize_step)
-    harness._run_block(sim, 0, range(16), _point_noise_var(sim, sim.snr_grid_db[0]))
+    harness._run_block(sim, 1, range(16), _point_noise_var(sim, sim.snr_grid_db[1]))
     [groups] = seen
-    in_time = [max(ls) - min(ls) <= max(ks) - min(ks) for _, ls, ks, _ in groups]
-    spreads = [max(s) - min(s) for t, (_, ls, ks, _) in zip(in_time, groups)
-               for s in [ls if t else ks]]
-    assert len(groups) >= 3 and any(in_time) and not all(in_time)
-    assert counts["reduction"] == len({1 << (b - 1).bit_length() for b in spreads if b}) >= 1
-    assert counts["fft"] == 4 + 2
+    rules = [_rule(ls, ks, sim.frame.n) for _, ls, ks, _ in groups]
+    assert {rule for rule, *_ in rules} == {"one-tap", "collinear", "general"}
+    assert len({in_time for _, in_time, _ in rules}) == 2
+    assert counts["reduction"] == len({1 << (b - 1).bit_length()
+                                       for rule, _, b in rules if rule == "general"})
+    assert counts["fft"] == 4 + 2 + 2
 
 
 class TestPlaneChecks:
