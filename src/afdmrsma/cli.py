@@ -12,9 +12,10 @@ the bundled presets, which read --frames and --workers alone; any other
 option is refused (exit 1).
 
 Exit codes: 0 success, 1 configuration error (including usage errors, options
-that would be ignored, a partial --snr-* set, and unknown config keys and values,
-which the config reader alone checks), 2 runtime error, including an SNR point
-that aborted (its row holds NaN and the reason goes to stderr).
+that would be ignored, a partial --snr-* set, an --snr-step <= 0, and unknown
+config keys and values, which the config reader alone checks), 2 runtime error,
+including an SNR point that aborted (its row holds NaN and the reason goes to
+stderr).
 """
 from __future__ import annotations
 
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
         print(f"error: the --snr-* options set the grid together; missing {', '.join(missing)}",
               file=sys.stderr)
         return 1
+    if args.snr_step is not None and args.snr_step <= 0:
+        print(f"error: --snr-step must be > 0, got {args.snr_step:g}", file=sys.stderr)
+        return 1
     status = 0
     try:
         if args.config is not None:
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         if args.emit_plot_data is not None:
             for p in emit_plot_data(args.emit_plot_data, frames=args.frames,
-                                    workers=args.workers or 1):
+                                    workers=1 if args.workers is None else args.workers):
                 print(f"wrote {p}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -72,6 +72,8 @@ class SimConfig:
     def __post_init__(self):
         if self.frames_per_point < 1:
             raise ConfigError("frames_per_point must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must be nonempty")
         if self.estimator not in ESTIMATORS:
@@ -122,7 +124,7 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
             genie_nmse = estimate_nmse(genie, spec, cfg.n)
         if genie is not None and sim.noise_override == 0:
             # zero forcing through an estimate the config fixes: every frame or none
-            _equalize_planes(*np.zeros((2, 1, cfg.n), complex), genie, cfg, 0.0)
+            _equalize_planes(np.zeros((1, cfg.n), complex), genie, cfg, 0.0)
     except ConfigError:
         raise
     except SimulationError as exc:
@@ -257,16 +259,17 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
     if kind == "affine":
         # frames whose estimates hold the same taps form a group, scored
         # group by group; one equalizer call serves every group, with one
-        # domain change per domain and one cyclic reduction per block size
+        # FFT pair for the collinear groups, one cyclic reduction per block
+        # size and one change to the affine plane
         groups = list(_affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var))
         nmse = np.empty(len(y_aff))
         for rows, ls, ks, hs in groups:
             nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
-        return (*_tap_mmse(y_freq, y_aff, groups, cfg.affine, g), nmse)
+        return (*_tap_mmse(y_freq, groups, cfg.affine, g), nmse)
     if genie is not None:
-        return (*_equalize_planes(y_freq, y_aff, genie, cfg, g), genie_nmse)
+        return (*_equalize_planes(y_freq, genie, cfg, g), genie_nmse)
     est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
-    return (*_equalize_planes(y_freq, y_aff, est, cfg, g), estimate_nmse(est, spec, cfg.n))
+    return (*_equalize_planes(y_freq, est, cfg, g), estimate_nmse(est, spec, cfg.n))
 
 
 def _point_noise_var(sim: SimConfig, snr_db: float) -> float:

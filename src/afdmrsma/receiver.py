@@ -17,14 +17,15 @@ Both estimators and the detector read the same (frequency, affine) pair of
 planes, which the caller analyses once per frame with
 ``framing.extract_received_planes``.  The equalizer is MMSE, which is ZF at
 zero noise.  A frequency-domain estimate is one tap per subcarrier.  A tap
-estimate is solved in time (tap shifts l) or unitary frequency (tap shifts
-k) by one of three rules: one tap per sample when all shifts agree
-(spread 0); for a collinear tap list, which a chirp turns into a diagonal
-times a circulant, the one-tap rule between one FFT pair; and for a general
-one, block cyclic reduction of the banded cyclic Gram.  No N x N system is
-ever formed.  The tap estimates of a block, grouped by tap list, are
-equalized in one call with one domain change per domain, one stacked FFT
-pair and one cyclic reduction per block size (:func:`_tap_mmse`).
+estimate is solved in unitary frequency, where a tap (h, l, k) shifts by its
+Doppler k, from the received frequency plane, by one of three rules: one
+tap per subcarrier when all Dopplers agree (spread 0); for a collinear tap
+list, which a chirp turns into a diagonal times a circulant, the one-tap
+rule between one FFT pair; and for a general one, block cyclic reduction of
+the banded cyclic Gram.  No N x N system is ever formed.  The tap estimates
+of a block, grouped by tap list, are equalized in one call with one stacked
+FFT pair and one cyclic reduction per block size, and leave for the affine
+plane by one ``_freq_to_affine`` (:func:`_tap_mmse`).
 Detection reads the common stream straight off the equalized affine plane
 and the private stream straight off the equalized frequency plane; each SIC
 round additionally rebuilds and subtracts the opposite stream's spread
@@ -51,8 +52,7 @@ from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
                       frame_energy_budget)
-from .transforms import (AffineParams, _affine_to_freq, _check, _daft, _freq_to_affine,
-                         _idaft)
+from .transforms import AffineParams, _affine_to_freq, _check, _freq_to_affine
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .core import demodulate_symbols, modulate_bits  # noqa: F401
 from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
@@ -277,21 +277,20 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
 
     Frequency-domain estimates (delay-only) use the one-tap per-subcarrier
     rule.  Affine-domain (tap) estimates solve the MMSE system of the cyclic
-    tap channel in time or in unitary frequency (tap shifts: delays l in
-    time, Dopplers k in frequency); by unitarity this equals the
-    full-matrix affine-domain solve.  At spread 0 the channel is a diagonal
-    times a cyclic shift and the one-tap rule applies.  A collinear tap list
-    (Doppler linear in delay mod N, in either domain's terms) is a chirp
-    diagonal times a circulant, so the one-tap rule applies to the
-    circulant's eigenvalues between one FFT pair.  A general one solves the
-    banded Gram by block cyclic reduction.  Every rule refuses zero forcing
-    by one tolerance, see :data:`_PIVOT_RTOL`.
+    tap channel in unitary frequency, where a tap (h, l, k) shifts by its
+    Doppler k; by unitarity this equals the full-matrix affine-domain solve.
+    At Doppler spread 0 the channel is a diagonal times a cyclic shift and
+    the one-tap rule applies.  A collinear tap list (delay linear in Doppler
+    mod N) is a chirp diagonal times a circulant, so the one-tap rule applies
+    to the circulant's eigenvalues between one FFT pair.  A general one
+    solves the banded Gram by block cyclic reduction.  Every rule refuses
+    zero forcing by one tolerance, see :data:`_PIVOT_RTOL`.
     The output is returned in the plane that came in.
     """
     g, data = _noise_ratio(cfg, noise_var), _check(y, est.domain, cfg.n)
     if est.domain is Domain.FREQUENCY:
         return Frame(_one_tap(data, est.h_freq, g), Domain.FREQUENCY)
-    return Frame(_equalize_planes(_affine_to_freq(data, cfg.affine), data, est, cfg, g)[1],
+    return Frame(_equalize_planes(_affine_to_freq(data, cfg.affine), est, cfg, g)[1],
                  Domain.AFFINE)
 
 
@@ -302,9 +301,9 @@ def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
 
 # Zero-forcing tolerance, shared by the three tap rules.  The one-tap rule
 # (spread 0, or a collinear group's circulant) reads the eigenvalues of
-# H H^H themselves, |h|^2 per sample or per frequency, and refuses a frame
-# whose smallest is at most this fraction of its largest: exactly
-# cond(H H^H) >= 1e6.  The banded solve refuses a pivot (a reduced diagonal
+# H H^H themselves, |h|^2 per subcarrier or per circulant frequency, and
+# refuses a frame whose smallest is at most this fraction of its largest:
+# exactly cond(H H^H) >= 1e6.  The banded solve refuses a pivot (a reduced diagonal
 # block's smallest singular value) at most this fraction of the Gram's
 # largest diagonal entry.  The pivot bounds the smallest eigenvalue from
 # above and the entry bounds the largest from below, so the banded test
@@ -325,75 +324,46 @@ def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
     return np.multiply(y, np.conj(h)) / (power + g)
 
 
-def _tap_mmse(y_freq: np.ndarray, y_aff: np.ndarray, groups, p: AffineParams,
+def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
               g: float) -> tuple[np.ndarray, np.ndarray]:
     """MMSE solve for cyclic tap channels (ZF at g = 0): the equalized
-    (frequency, affine) planes of the received (rows, N) ones.
+    (frequency, affine) planes of a received (rows, N) frequency plane.
 
     ``groups`` holds ``(rows, delays, dopplers, gains)`` as
     :func:`_affine_tap_groups` yields them: the block rows that share one
     tap list, the taps' delays and Dopplers, and a (rows, taps) array of
-    their gains.  A tap (h, l, k) shifts a frame by l in time and by k in
-    unitary frequency, so each group's channel is shift-structured in both
-    domains, and :func:`_solve_rule` picks the domain of its solve and one of
-    three rules: one tap per sample at spread 0, one FFT pair for a
-    collinear group (:func:`_chirp_mmse`), block cyclic reduction for a
-    general one (:func:`_shift_mmse`).  The block changes domain once per
-    domain: one ``_idaft`` over every time-solve row on the way in, while
-    frequency solves start from ``y_freq``; one ``_daft`` and
-    ``_affine_to_freq`` over the time-solve rows and one ``_freq_to_affine``
-    over the frequency-solve rows on the way out.  Between them the
-    collinear groups share one stacked FFT pair and the general ones one
-    cyclic reduction per block size.  Every step acts on the rows
+    their gains.  A tap (h, l, k) shifts a frame by k in unitary frequency
+    and ramps it by its delay's phase, the spectrum of a shift by l
+    (:func:`_shift_spectrum`), so every group solves there, from ``y_freq``,
+    by the rule :func:`_solve_rule` picks: one tap per subcarrier at Doppler
+    spread 0, one FFT pair for a collinear group (:func:`_chirp_mmse`), block
+    cyclic reduction for a general one (:func:`_shift_mmse`).  The collinear
+    groups share one stacked FFT pair and the general ones one cyclic
+    reduction per block size, and the whole block leaves for the affine
+    plane by one ``_freq_to_affine``.  Every step acts on the rows
     independently, so a row's planes do not depend on the groups that share
     its block.
     """
-    solves, chirped, in_time = [], [], np.zeros(len(y_aff), dtype=bool)
+    solves, chirped = [], []
     for rows, ls, ks, hs in groups:
         if not ls:
             raise SingularChannel("no channel tap found to equalize with")
-        time_solve, chirp = _solve_rule(tuple(ls), tuple(ks), p.n)
-        in_time[rows] = time_solve
+        chirp = _solve_rule(tuple(ls), tuple(ks), p.n)
         if chirp is not None:
             chirped.append((rows, chirp, hs))
         else:
-            solves.append((rows, ls if time_solve else ks,
-                           [hs[:, t, None] * _tap_ramp(l, k, p.n, time_solve)
-                            for t, (l, k) in enumerate(zip(ls, ks))]))
-    t_rows, f_rows = np.flatnonzero(in_time), np.flatnonzero(~in_time)
-    y = y_freq.copy()   # each row in the domain of its solve
-    if len(t_rows):
-        y[t_rows] = _idaft(y_aff[t_rows], p)
-    x = _shift_mmse(y, solves, g)
-    _chirp_mmse(x, y, chirped, g)
-    eq_f, eq_a = np.empty_like(x), np.empty_like(x)
-    if len(t_rows):
-        eq_a[t_rows] = a = _daft(x[t_rows], p)
-        eq_f[t_rows] = _affine_to_freq(a, p)
-    if len(f_rows):
-        eq_f[f_rows] = x[f_rows]
-        eq_a[f_rows] = _freq_to_affine(x[f_rows], p)
-    return eq_f, eq_a
-
-
-@lru_cache(maxsize=256)
-def _tap_ramp(l: int, k: int, n: int, in_time: bool) -> np.ndarray:
-    """The per-sample gain of a unit tap (l, k) that shifts by l in time or
-    by k in frequency: in time the Doppler ramp of the delayed sample, in
-    frequency the delay's phase ramp."""
-    idx = np.arange(n)
-    if in_time:
-        ramp = np.exp(2j * np.pi * k * _ahead(idx, -l) / n)
-    else:
-        ramp = np.exp(-2j * np.pi * (idx * l % n) / n)
-    ramp.flags.writeable = False
-    return ramp
+            solves.append((rows, ks, [hs[:, t, None] * _shift_spectrum(l, p.n)
+                                      for t, l in enumerate(ls)]))
+    x = _shift_mmse(y_freq, solves, g)
+    _chirp_mmse(x, y_freq, chirped, g)
+    return x, _freq_to_affine(x, p)
 
 
 class _Chirp(NamedTuple):
-    """A collinear group's channel as ``H = D C P^H``: D and P unit-modulus
-    diagonals, C the circulant with gain ``g_t = h_t phases[t]`` at shift
-    s_t, whose eigenvalues are ``sum_t g_t spectra[t]``."""
+    """A collinear tap list's channel in unitary frequency as
+    ``H = D C P^H``: D and P unit-modulus diagonals, C the circulant with
+    gain ``g_t = h_t phases[t]`` at shift s_t, whose eigenvalues are
+    ``sum_t g_t spectra[t]``."""
 
     unchirp: np.ndarray                # conj(D)
     chirp: np.ndarray                  # P
@@ -402,41 +372,33 @@ class _Chirp(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _solve_rule(ls: tuple, ks: tuple, n: int) -> tuple[bool, _Chirp | None]:
-    """The solve of the tap list (ls, ks): whether it runs in time, and the
-    chirp of a collinear group or None.
+def _solve_rule(ls: tuple, ks: tuple, n: int) -> _Chirp | None:
+    """The chirp of the tap list (ls, ks) if it is collinear, else None.
 
-    In time a tap shifts by s = l and ramps by alpha = k with phase
-    beta = -k l; in frequency it shifts by s = k and ramps by alpha = -l with
-    beta = 0 (see :func:`_tap_ramp`).  The domain with the narrower spread of
-    shifts (time on a tie) is tried first.  Spread 0 takes the one-tap rule
-    there.  Otherwise the group is collinear in a domain when some integer c
-    gives ``alpha_t - c s_t = gamma (mod N)`` for every tap: with the chirp
+    In unitary frequency a tap shifts by s = k and ramps by alpha = -l.  A
+    list with one Doppler (spread 0) takes the one-tap rule: None.
+    Otherwise it is collinear when some integer c gives
+    ``alpha_t - c s_t = gamma (mod N)`` for every tap: with the chirp
     ``p(i) = exp(j pi c i^2 / N)``, ``D(i) = p(i) exp(2 pi j gamma i / N)`` and
-    ``g_t = h_t exp(2 pi j beta_t / N) exp(j pi c s_t^2 / N)``, the channel
-    is ``D C P^H`` (Bemani, Ksairi, Kountouris, IEEE TWC 2023, the chirp of
-    the DAFT).  Every two-tap group is collinear in one of the domains, as N
-    is a power of two.  A group collinear in neither is general, and solves
-    by cyclic reduction in the first domain.
+    ``g_t = h_t exp(j pi c s_t^2 / N)``, the channel is ``D C P^H`` (Bemani,
+    Ksairi, Kountouris, IEEE TWC 2023, the chirp of the DAFT).  Rate c = 0
+    serves every list whose taps share one delay, and a two-tap list with an
+    odd Doppler difference is collinear, as N is a power of two.  A list
+    collinear at no rate is general (None), and solves by cyclic reduction.
     """
-    time_first = max(ls) - min(ls) <= max(ks) - min(ks)
-    if len(set(ls if time_first else ks)) == 1:
-        return time_first, None
-    for in_time in (time_first, not time_first):
-        if in_time:
-            s, alpha, beta = np.array(ls), np.array(ks), -np.multiply(ks, ls)
-        else:
-            s, alpha, beta = np.array(ks), -np.array(ls), np.zeros(len(ls), dtype=int)
-        # every candidate rate c in [0, N) at once, one row each
-        c = np.flatnonzero(np.all((alpha - alpha[0] - np.outer(np.arange(n), s - s[0])) % n == 0,
-                                  axis=1))
-        if len(c):
-            c = int(c[0])
-            phases = _unit(2 * beta + c * s * s, n)
-            phases.flags.writeable = False
-            return in_time, _Chirp(*_chirp_pair(c, int(alpha[0] - c * s[0]) % n, n), phases,
-                                   tuple(_shift_spectrum(int(st), n) for st in s))
-    return time_first, None
+    if len(set(ks)) == 1:
+        return None
+    s, alpha = np.array(ks), -np.array(ls)
+    # every candidate rate c in [0, N) at once, one row each
+    c = np.flatnonzero(np.all((alpha - alpha[0] - np.outer(np.arange(n), s - s[0])) % n == 0,
+                              axis=1))
+    if not len(c):
+        return None
+    c = int(c[0])
+    phases = _unit(c * s * s, n)
+    phases.flags.writeable = False
+    return _Chirp(*_chirp_pair(c, int(alpha[0] - c * s[0]) % n, n), phases,
+                  tuple(_shift_spectrum(int(st), n) for st in s))
 
 
 def _unit(phase: np.ndarray, n: int) -> np.ndarray:
@@ -617,28 +579,28 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     """Equalize once, then read the common stream from the affine plane and
     the private stream from the frequency plane, cleaning them in the mode's
     SIC rounds.  ``planes`` is the (frequency, affine) pair of one received
-    frame that :func:`framing.extract_received_planes` returns."""
-    eq_f, eq_a = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n),
-                                  _check(planes[1], Domain.AFFINE, cfg.n), est, cfg,
+    frame that :func:`framing.extract_received_planes` returns; the
+    equalizer reads its frequency plane."""
+    _check(planes[1], Domain.AFFINE, cfg.n)
+    eq_f, eq_a = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n), est, cfg,
                                   _noise_ratio(cfg, noise_var))
     return _detect(eq_f, eq_a, cfg, mode)
 
 
-def _equalize_planes(y_freq: np.ndarray, y_aff: np.ndarray, est: ChannelEstimate,
-                     cfg: FrameConfig, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """The equalized (frequency, affine) planes of received ones, along the
-    last axis: the one-tap rule for a response, :func:`_tap_mmse` with every
-    row in one group for a tap list."""
+def _equalize_planes(y_freq: np.ndarray, est: ChannelEstimate, cfg: FrameConfig,
+                     g: float) -> tuple[np.ndarray, np.ndarray]:
+    """The equalized (frequency, affine) planes of a received frequency
+    plane, along the last axis: the one-tap rule for a response,
+    :func:`_tap_mmse` with every row in one group for a tap list."""
     if est.domain is Domain.FREQUENCY:
         eq_f = _one_tap(y_freq, est.h_freq, g)
         return eq_f, _freq_to_affine(eq_f, cfg.affine)
-    planes = [y.reshape(-1, cfg.n) for y in (y_freq, y_aff)]
-    rows = np.arange(len(planes[1]))
+    y = y_freq.reshape(-1, cfg.n)
+    rows = np.arange(len(y))
     hs = np.broadcast_to(np.array([t.h for t in est.taps], dtype=np.complex128),
                          (len(rows), len(est.taps)))
     group = (rows, [t.l for t in est.taps], [t.k for t in est.taps], hs)
-    return tuple(eq.reshape(y_aff.shape)
-                 for eq in _tap_mmse(*planes, [group], cfg.affine, g))
+    return tuple(eq.reshape(y_freq.shape) for eq in _tap_mmse(y, [group], cfg.affine, g))
 
 
 def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,

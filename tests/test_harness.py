@@ -15,7 +15,7 @@ import pytest
 from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
                       Frame, LinkResult, ReceiverMode, SimConfig, emit_results, measure_se,
                       run_sweep, run_sweeps)
-from afdmrsma import cli, harness
+from afdmrsma import cli, experiments, harness
 from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
 from afdmrsma.harness import (ESTIMATORS, _point_noise_var, _run_block, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
@@ -337,6 +337,7 @@ _REFUSED = {
          "channel": {"taps": [[0.7, 0.0, 0, 0], [0.6, 0.0, 2, 1], [0.3, 0.0, 2, 1]]},
          "sweep": {"estimator": "affine"}}, "two taps share one"),
     "zero-power": ({"channel": {"taps": [[0.0, 0.0, 0, 0]]}}, "zero total power"),
+    "no-workers": ({"sweep": {"workers": 0}}, "workers must be >= 1"),
     "unknown-key": ({"sweep": {"frames_per_pont": 5}},
                     "unknown config key sweep.frames_per_pont"),
     # the noiseless sweep is "channel": {"noise_var": 0}
@@ -640,6 +641,19 @@ class TestCli:
         assert "ignores --out" in r.stderr
         assert not out.exists()
 
+    def test_workers_below_one_refused(self, tmp_path, monkeypatch, capsys):
+        # --workers is passed on as given, so 0 is refused with or without --config
+        monkeypatch.setattr(harness, "run_sweeps", _no_sweep)
+        monkeypatch.setattr(experiments, "run_sweeps", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        cfg = TestConfigLoading().config_dict()
+        Path("sim.json").write_text(json.dumps(cfg))
+        for flags in (["--config", "sim.json", "--workers", "-3"],
+                      ["--emit-plot-data", "plots", "--frames", "1", "--workers", "0"]):
+            assert cli.main(flags) == 1, flags
+            assert "workers must be >= 1" in capsys.readouterr().err
+        assert not Path(cfg["output"]["path"]).exists() and not Path("plots").exists()
+
     def test_missing_args_exit_code(self):
         assert self.run_cli().returncode == 1
 
@@ -680,8 +694,12 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         cfg = TestConfigLoading().config_dict()
         Path("sim.json").write_text(json.dumps(cfg))
+        grid = ["--snr-min", "0", "--snr-max", "10"]
         for flags, message in ((["--snr-min", "5", "--snr-max", "15"], "missing --snr-step"),
-                               (["--snr-step", "5"], "missing --snr-min, --snr-max")):
+                               (["--snr-step", "5"], "missing --snr-min, --snr-max"),
+                               # such a step never reaches --snr-max
+                               ([*grid, "--snr-step", "0"], "--snr-step must be > 0, got 0"),
+                               ([*grid, "--snr-step", "-5"], "--snr-step must be > 0, got -5")):
             assert cli.main(["--config", "sim.json", *flags]) == 1, message
             assert message in capsys.readouterr().err
             assert not Path(cfg["output"]["path"]).exists()

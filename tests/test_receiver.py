@@ -19,7 +19,6 @@ from afdmrsma import harness, receiver
 from afdmrsma.experiments import FIGURES
 from afdmrsma.harness import _point_noise_var
 from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse
-from afdmrsma.transforms import _affine_to_freq
 import oracles
 from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
 
@@ -422,50 +421,51 @@ class TestEqualize:
 
 
 def _rule(ls, ks, n):
-    """(rule, solves in time, spread of tap shifts) of a tap list, as the
-    equalizer picks them (see ``receiver._solve_rule``)."""
-    in_time, chirp = receiver._solve_rule(tuple(ls), tuple(ks), n)
-    shifts = ls if in_time else ks
-    spread = max(shifts) - min(shifts)
-    return ("collinear" if chirp is not None else "general" if spread else "one-tap",
-            in_time, spread)
+    """(rule, Doppler spread) of a tap list, as the equalizer picks them (see
+    ``receiver._solve_rule``): every list solves in unitary frequency, where
+    a tap shifts by its Doppler."""
+    chirp = receiver._solve_rule(tuple(ls), tuple(ks), n)
+    spread = max(ks) - min(ks)
+    return "collinear" if chirp is not None else "general" if spread else "one-tap", spread
 
 
 # (taps, first delay, delay spread, first Doppler, Doppler spread) of the
-# random tap sets below; the solve runs in time when the delay spread is
-# the narrower (or equal) one, in frequency otherwise.  Two-tap sets are
-# collinear; the three- and four-tap ones mostly general, solved by cyclic
-# reduction with block size B the smallest power of two >= the chosen
-# spread and P = N / B blocks
+# random tap sets below.  Two-tap sets are collinear when their Doppler
+# difference is odd, and three-tap sets whose taps share one delay are
+# collinear at rate 0; the other three- and four-tap ones are mostly
+# general, solved by cyclic reduction with block size B the smallest power
+# of two >= the Doppler spread and P = N / B blocks
 def _oracle_cases(n):
     q = n // 4
     return [
-        (1, 0, 0, 0, 0),            # single tap: one-tap in time
+        (1, 0, 0, 0, 0),            # single tap: one-tap
         (1, 3, 0, 2, 0),            # one delayed Doppler tap: one-tap, shifted
-        (3, 2, 0, 0, 3),            # common delay: time one-tap, shifted
-        (2, 0, 3, 1, 0),            # common Doppler: frequency one-tap, shifted
+        (3, 2, 0, 0, 3),            # common delay: collinear, c = 0
+        (2, 0, 3, 1, 0),            # common Doppler: one-tap, shifted
         (2, 0, 1, 0, 1),            # collinear
-        (3, 0, 2, 0, 1),            # B = 1, frequency (the fig9 shape)
-        (4, 0, 2, 0, 5),            # B = 2, time
-        (4, 0, 5, 0, 3),            # B = 4, frequency
-        (3, 1, 3, 0, 3),            # B = 4, time, every tap delayed
-        (2, 0, q + 1, 0, q + 2),    # collinear
-        (3, 0, q + 2, 0, q + 1),    # P = 2, frequency
+        (3, 0, 2, 0, 1),            # B = 1 (the fig9 shape)
+        (4, 0, 2, 0, 5),            # B = 8
+        (4, 0, 5, 0, 3),            # B = 4
+        (3, 1, 3, 0, 3),            # B = 4, every tap delayed
+        (2, 0, q + 1, 0, q + 2),    # even Doppler difference, odd delay one: P = 2
+        (3, 0, q + 2, 0, q + 1),    # P = 2
         (2, 0, 2 * q + 1, 0, 2 * q + 1),  # collinear
-        (4, 0, 2 * q + 2, 0, 2 * q + 1),  # P = 1, frequency
+        (4, 0, 2 * q + 2, 0, 2 * q + 1),  # P = 1
     ]
 
 
-# (delays, Dopplers) of collinear tap lists with chirp rate c != 0:
-# Doppler linear in delay mod N in time, delay linear in Doppler in frequency
+# (delays, Dopplers) of tap lists for the chirp rule: a collinear list has
+# its delay linear in its Doppler mod N, at rate c
 def _collinear_cases(n):
     return [
-        ([0, 2], [0, 1]),             # frequency, c = -2 (fig9's taps)
-        ([0, 1], [0, 1]),             # time, c = 1
-        ([0, 1, 2], [0, 3, 6]),       # time, c = 3
-        ([2, 0, 4], [1, 0, 2]),       # frequency, c = -2
-        ([0, 3], [1, 3]),             # time, c = 2/3 mod N; no c fits frequency
-        ([0, 1, 2], [0, n // 2 + 1, 2]),  # time, c = N/2 + 1, the Doppler ramp wrapped mod N
+        ([0, 2], [0, 1]),             # c = -2 (fig9's taps)
+        ([0, 1], [0, 1]),             # c = -1
+        ([0, 1, 2], [0, 3, 6]),       # c = -1/3 mod N
+        ([2, 0, 4], [1, 0, 2]),       # c = -2
+        ([0, 3], [1, 3]),             # general, B = 2: no rate fits
+        ([0, 1, 2], [0, n // 2 + 1, 2]),  # c = N/2 - 1, the Doppler wrapped mod N
+        ([0, 0, 0], [0, 9, 3]),       # c = 0 (fig7's delay-free taps, spurious Dopplers)
+        ([3, 3], [1, 2]),             # c = 0, both taps delayed
     ]
 
 
@@ -480,8 +480,9 @@ def test_banded_mmse_matches_dense_oracle():
                      for n_taps, l0, l_span, k0, k_span in _oracle_cases(n) for _ in range(3)]
         for ls, ks in tap_lists + _collinear_cases(n):
             ls, ks = [int(l) for l in ls], [int(k) for k in ks]
-            rule, in_time, _ = _rule(ls, ks, n)
-            rules[rule, in_time] += 1
+            rule, _ = _rule(ls, ks, n)
+            # the chirp rate is 0 exactly when the taps share one delay
+            rules[rule, len(set(ls)) == 1] += 1
             taps = tuple(ChannelTap(complex(rng.standard_normal(), rng.standard_normal()), l, k)
                          for l, k in zip(ls, ks))
             est = ChannelEstimate(Domain.AFFINE, taps=taps)
@@ -501,14 +502,16 @@ def test_banded_mmse_matches_dense_oracle():
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err < 1e-9, (n, taps, g, err)
     assert zf_checked >= 30
-    # the chirp FFT pair in both domains, and the cyclic reduction
-    assert rules["collinear", True] >= 10 and rules["collinear", False] >= 10, rules
+    # the chirp FFT pair at rates c != 0 and c = 0, and the cyclic reduction
+    assert rules["collinear", False] >= 10 and rules["collinear", True] >= 10, rules
     assert rules["general", True] + rules["general", False] >= 10, rules
 
 
 def test_no_dense_solve_on_the_equalizer_path(monkeypatch):
     # fig9's taps at N = 256, and the spurious third peak of its noisy
-    # estimates, reach numpy's dense solvers with nothing larger than 2 x 2
+    # estimates, reach numpy's dense solvers with nothing larger than 2 x 2;
+    # fig7's delay-free taps with spurious Doppler peaks, a rate-0 chirp,
+    # reach them not at all
     shapes = []
     for name in ("solve", "inv"):
         real = getattr(np.linalg, name)
@@ -518,29 +521,35 @@ def test_no_dense_solve_on_the_equalizer_path(monkeypatch):
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
     cfg = make_cfg(n=256, c1p=4, guard=9)
-    fig9 = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
     y = Frame(np.random.default_rng(9).standard_normal(256) + 0j, Domain.AFFINE)
-    for taps in (fig9, fig9 + (ChannelTap(0.1, 1, 1),)):
+
+    def run(taps):
         est = ChannelEstimate(Domain.AFFINE, taps=taps)
         for nv in (0.0, 0.01):
             assert np.all(np.isfinite(equalize(y, est, cfg, noise_var=nv).data))
+    run((ChannelTap(0.9, 0, 0), ChannelTap(0.3, 0, 9), ChannelTap(0.2, 0, 3)))
+    assert shapes == []
+    fig9 = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
+    for taps in (fig9, fig9 + (ChannelTap(0.1, 1, 1),)):
+        run(taps)
     assert all(max(shape, default=0) <= 2 for shape in shapes), shapes
 
 
 # (delays, Dopplers) of one group of each kind the block equalizer solves
-# (see _rule): spread 0 takes the one-tap rule, a collinear group the chirp
-# FFT pair, and a general one the cyclic reduction with block size B the
-# smallest power of two >= its spread
+# (see _rule): Doppler spread 0 takes the one-tap rule, a collinear group
+# the chirp FFT pair, and a general one the cyclic reduction with block
+# size B the smallest power of two >= its Doppler spread
 _KERNEL_GROUPS = [
-    ([2, 2], [0, 3]),         # time, spread 0: one tap per sample, shifted
-    ([0, 1], [0, 1]),         # time, collinear
-    ([0, 3], [1, 3]),         # time, collinear only there
-    ([0, 2], [0, 1]),         # frequency, collinear (the fig9 shape)
-    ([0, 2], [0, 3]),         # frequency, collinear
-    ([0, 1, 0], [0, 1, 2]),   # time, general, B = 1
-    ([0, 3, 1], [0, 4, 2]),   # time, general, B = 4
-    ([0, 2, 1], [0, 1, 1]),   # frequency, general, B = 1 (fig9 with a spurious peak)
-    ([0, 3, 5], [0, 1, 2]),   # frequency, general, B = 2
+    ([0, 2], [3, 3]),         # spread 0: one tap per subcarrier, shifted
+    ([2, 2], [0, 3]),         # collinear, c = 0
+    ([0, 1], [0, 1]),         # collinear, c = -1
+    ([0, 3], [1, 3]),         # general, B = 2: no rate fits
+    ([0, 2], [0, 1]),         # collinear (the fig9 shape)
+    ([0, 2], [0, 3]),         # collinear
+    ([0, 1, 0], [0, 1, 2]),   # general, B = 2
+    ([0, 3, 1], [0, 4, 2]),   # general, B = 4
+    ([0, 2, 1], [0, 1, 1]),   # general, B = 1 (fig9 with a spurious peak)
+    ([0, 3, 5], [0, 1, 2]),   # general, B = 2
 ]
 
 
@@ -552,39 +561,39 @@ def _cn(rng, *shape):
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_block_equalizer_is_row_independent(n, g):
     # one call over a block that mixes every group kind, with the collinear
-    # groups in one FFT pair and the general groups of one block size
-    # stacked across domains, gives each row the planes the kernel gives
-    # that row alone
+    # groups in one FFT pair and the general groups of one block size in
+    # one cyclic reduction, gives each row the planes the kernel gives that
+    # row alone
     p = AffineParams(n, 4)
     rng = np.random.default_rng(n)
     rows = rng.permutation(3 * len(_KERNEL_GROUPS)).reshape(len(_KERNEL_GROUPS), 3)
     groups = [(r, ls, ks, _cn(rng, len(r), len(ls))) for r, (ls, ks) in zip(rows, _KERNEL_GROUPS)]
-    y_aff = _cn(rng, rows.size, n)
-    y_freq = _affine_to_freq(y_aff, p)
-    eq_f, eq_a = _tap_mmse(y_freq, y_aff, groups, p, g)
+    y_freq = _cn(rng, rows.size, n)
+    eq_f, eq_a = _tap_mmse(y_freq, groups, p, g)
     for r, ls, ks, hs in groups:
         for i, row in enumerate(r):
-            alone = _tap_mmse(y_freq[row:row + 1], y_aff[row:row + 1],
-                              [(np.array([0]), ls, ks, hs[i:i + 1])], p, g)
+            alone = _tap_mmse(y_freq[row:row + 1], [(np.array([0]), ls, ks, hs[i:i + 1])], p, g)
             assert np.array_equal(alone[0][0], eq_f[row]), (ls, ks, row)
             assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
 
 
-def _singular_general_gains(n):
-    """Gains that make the general tap list (0, 0), (1, 1), (0, 2) singular:
-    the last is minus an eigenvalue of the other two taps' channel seen
-    through the last tap's (unitary) one."""
-    first = channel_matrix(ChannelSpec((ChannelTap(1.0, 0, 0), ChannelTap(0.6, 1, 1))), n)
-    last = channel_matrix(ChannelSpec((ChannelTap(1.0, 0, 2),)), n)
+def _singular_general_gains(ls, ks, n):
+    """Gains that make the three-tap list (ls, ks) singular: the last is
+    minus an eigenvalue of the other two taps' channel seen through the
+    last tap's (unitary) one."""
+    first = channel_matrix(ChannelSpec((ChannelTap(1.0, ls[0], ks[0]),
+                                        ChannelTap(0.6, ls[1], ks[1]))), n)
+    last = channel_matrix(ChannelSpec((ChannelTap(1.0, ls[2], ks[2]),)), n)
     mu = np.linalg.eigvals(np.linalg.solve(last, first))
     return [1.0, 0.6, -mu[np.argmax(np.abs(mu))]]
 
 
 @pytest.mark.parametrize("ls, ks, h", [
-    ([0, 1], [0, 1], [1.0, np.exp(1j * np.pi / 64)]),   # collinear (c = 1), null at N/2
-    ([0, 0], [0, 1], [1.0, 1.0]),                       # spread 0, null at sample N/2
-    ([0, 1, 0], [0, 1, 2], _singular_general_gains(64)),  # general, B = 1 as a healthy group
-], ids=["collinear", "one-tap", "banded"])
+    ([0, 1], [0, 1], [1.0, np.exp(1j * np.pi / 64)]),   # collinear (c = -1), null at N/2
+    ([0, 0], [0, 1], [1.0, 1.0]),                       # collinear (c = 0), null at sample N/2
+    ([0, 1], [0, 0], [1.0, 1.0]),                       # spread 0, null at subcarrier N/2
+    ([0, 1, 3], [0, 1, 0], _singular_general_gains([0, 1, 3], [0, 1, 0], 64)),  # general, B = 1
+], ids=["collinear", "collinear-rate-0", "one-tap", "banded"])
 def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
     # one singular group makes the block call refuse zero forcing, also when
     # it shares the chirp FFT pair or a cyclic reduction with a healthy group
@@ -593,35 +602,30 @@ def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
     healthy = [(np.array([0]), [0, 2], [0, 1], np.array([[0.857, 0.514]], complex)),
                (np.array([2]), [0, 2, 1], [0, 1, 1], np.array([[0.857, 0.514, 0.1]], complex))]
     singular = (np.array([1]), ls, ks, np.array([h], complex))
-    y_aff = _cn(rng, 3, 64)
-    y_freq = _affine_to_freq(y_aff, p)
-    _tap_mmse(y_freq[[0, 2]], y_aff[[0, 2]],
-              [(np.array([i]), *group[1:]) for i, group in enumerate(healthy)], p, 0.0)
+    y_freq = _cn(rng, 3, 64)
+    _tap_mmse(y_freq[[0, 2]], [(np.array([i]), *group[1:]) for i, group in enumerate(healthy)],
+              p, 0.0)
     with pytest.raises(SingularChannel):
-        _tap_mmse(y_freq, y_aff, [*healthy, singular], p, 0.0)
-    assert all(np.all(np.isfinite(eq))
-               for eq in _tap_mmse(y_freq, y_aff, [*healthy, singular], p, 1e-3))
+        _tap_mmse(y_freq, [*healthy, singular], p, 0.0)
+    assert all(np.all(np.isfinite(eq)) for eq in _tap_mmse(y_freq, [*healthy, singular], p, 1e-3))
 
 
 def test_block_with_an_empty_group_refuses_equalization():
     # taps that cancel leave the peak search no tap; no rule equalizes that
     p = AffineParams(64, 4)
-    y_aff = _cn(np.random.default_rng(3), 3, 64)
+    y_freq = _cn(np.random.default_rng(3), 3, 64)
     healthy = (np.array([0, 2]), [0, 2], [0, 1], np.array([[0.857, 0.514]] * 2, complex))
     empty = (np.array([1]), [], [], np.zeros((1, 0), complex))
     for g in (0.0, 1e-3):
         with pytest.raises(SingularChannel, match="no channel tap found"):
-            _tap_mmse(_affine_to_freq(y_aff, p), y_aff, [healthy, empty], p, g)
+            _tap_mmse(y_freq, [healthy, empty], p, g)
 
 
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
-    # a fig9 block at 5 dB splits into groups of every rule, solving in both
-    # domains; its equalize step runs one cyclic reduction per block size of
-    # the general groups, and FFTs once per domain and once for the
-    # collinear groups: 4 calls over the time-solve rows (_idaft, _daft and
-    # _affine_to_freq's pair), 2 over the frequency-solve rows
-    # (_freq_to_affine's pair; those rows start from the frequency plane)
-    # and the collinear rows' one pair
+    # a fig9 block at 5 dB splits into groups of every rule; its equalize
+    # step runs one cyclic reduction per block size of the general groups
+    # and FFTs twice: once for the collinear groups and once on the way to
+    # the affine plane (_freq_to_affine's pair), 2 + 2 calls
     sim = dict(FIGURES["fig9"](frames=16, seed=1))["sicfree-pilot10"]
     counts = {"reduction": 0, "fft": 0}
     seen, inside = [], [False]
@@ -637,22 +641,21 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", counted("fft", np.fft.ifft))
     kernel = harness._tap_mmse
 
-    def equalize_step(y_freq, y_aff, groups, p, g):
+    def equalize_step(y_freq, groups, p, g):
         seen.append(groups)
         inside[0] = True
         try:
-            return kernel(y_freq, y_aff, groups, p, g)
+            return kernel(y_freq, groups, p, g)
         finally:
             inside[0] = False
     monkeypatch.setattr(harness, "_tap_mmse", equalize_step)
     harness._run_block(sim, 1, range(16), _point_noise_var(sim, sim.snr_grid_db[1]))
     [groups] = seen
     rules = [_rule(ls, ks, sim.frame.n) for _, ls, ks, _ in groups]
-    assert {rule for rule, *_ in rules} == {"one-tap", "collinear", "general"}
-    assert len({in_time for _, in_time, _ in rules}) == 2
+    assert {rule for rule, _ in rules} == {"one-tap", "collinear", "general"}
     assert counts["reduction"] == len({1 << (b - 1).bit_length()
-                                       for rule, _, b in rules if rule == "general"})
-    assert counts["fft"] == 4 + 2 + 2
+                                       for rule, b in rules if rule == "general"})
+    assert counts["fft"] == 2 + 2
 
 
 class TestPlaneChecks:
