@@ -17,6 +17,7 @@ guard, Dopplers to the near side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,18 +99,31 @@ def _channel(x: np.ndarray, spec: ChannelSpec, normals: np.ndarray | None) -> np
     parts first, then the imaginary parts.  ``normals`` is not read at zero
     noise."""
     ell = x.shape[-1]
-    n = np.arange(ell)
-    y = np.zeros(x.shape, dtype=np.complex128)
-    for tap in spec.taps:
-        if tap.l >= ell:
-            raise InvalidChannel(f"delay {tap.l} >= frame length {ell}")
-        idx = (n - tap.l) % ell
-        gain = tap.h * np.exp(2j * np.pi * tap.k * idx / ell)
-        y += np.multiply(gain, x[..., idx])
+    idx, gain = _tap_ramps(spec.taps, ell)
+    # every tap's product at once (C-ordered, as the gather by np.take
+    # leaves it), added up tap by tap in list order
+    y = np.multiply(gain, np.take(x, idx, axis=-1)).sum(axis=-2)
     if spec.noise_var > 0:
         scale = _rt(spec.noise_var / 2.0)
         y += scale * (normals[..., :ell] + 1j * normals[..., ell:])
     return y
+
+
+@lru_cache(maxsize=64)
+def _tap_ramps(taps: tuple[ChannelTap, ...], ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_channel` gathers and multiplies on length-``ell``
+    frames, one row per tap, read-only: the gather index ``(n - l) mod ell``
+    and the gain ``h exp(j 2 pi k idx / ell)``."""
+    n = np.arange(ell)
+    rows = []
+    for tap in taps:
+        if tap.l >= ell:
+            raise InvalidChannel(f"delay {tap.l} >= frame length {ell}")
+        idx = (n - tap.l) % ell
+        rows.append((idx, tap.h * np.exp(2j * np.pi * tap.k * idx / ell)))
+    idx, gain = np.array([i for i, _ in rows]), np.array([g for _, g in rows])
+    idx.flags.writeable = gain.flags.writeable = False
+    return idx, gain
 
 
 def freq_response(spec: ChannelSpec, n: int) -> np.ndarray:
@@ -137,11 +151,20 @@ def frequency_diagonal(spec: ChannelSpec, n: int) -> np.ndarray:
 
     Integer-Doppler taps average to zero along the diagonal, so only the
     delay-only taps contribute; this is the best one-tap reference a
-    conventional per-subcarrier receiver can use under Doppler.
+    conventional per-subcarrier receiver can use under Doppler.  The array
+    is read-only: it is computed once per tap list and length.
     """
-    static = [t for t in spec.taps if t.k == 0]
-    return _delay_response(np.array([t.h for t in static], dtype=np.complex128),
-                           [t.l for t in static], n)
+    return _static_response(spec.taps, n)
+
+
+@lru_cache(maxsize=64)
+def _static_response(taps: tuple[ChannelTap, ...], n: int) -> np.ndarray:
+    """:func:`frequency_diagonal` of a tap list, read-only."""
+    static = [t for t in taps if t.k == 0]
+    h = _delay_response(np.array([t.h for t in static], dtype=np.complex128),
+                        [t.l for t in static], n)
+    h.flags.writeable = False
+    return h
 
 
 def snr_to_noise_var(snr_db: float, avg_sample_energy: float) -> float:

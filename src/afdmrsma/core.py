@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,10 +85,8 @@ def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
 
 def _demodulate(s: np.ndarray) -> np.ndarray:
     """:func:`demodulate_symbols` along the last axis of a complex array."""
-    out = np.empty(s.shape[:-1] + (BITS_PER_SYMBOL * s.shape[-1],), dtype=np.int64)
-    out[..., 0::2] = s.real < 0
-    out[..., 1::2] = s.imag < 0
-    return out
+    # (re, im) pairs side by side: the bits in their order
+    return (np.ascontiguousarray(s).view(np.float64) < 0).astype(np.int64)
 
 
 _MASK64 = (1 << 64) - 1
@@ -123,21 +122,34 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
     ``test_block_draws_equal_frame_rng_draws`` pins this rule against
     ``random_bits``.
     """
-    bg = np.random.Philox(key=np.uint64(seed & _MASK64))
-    gen = np.random.Generator(bg)
-    state = bg.state   # fresh: empty output buffer, no spare 32-bit half
+    bg, gen, fresh = _philox(seed & _MASK64)
+    state = {**fresh, "state": dict(fresh["state"])}
+    counters = np.zeros((len(frames), 4), dtype=np.uint64)
+    counters[:, 2] = point & _MASK64
+    counters[:, 3] = [frame & _MASK64 for frame in frames]
     words = np.empty((len(frames), (n_bits + 1) // 2), dtype=np.uint64)
     normals = np.empty((len(frames), n_normals))
-    for i, frame in enumerate(frames):
-        state["state"]["counter"] = np.array([0, 0, point & _MASK64, frame & _MASK64],
-                                             dtype=np.uint64)
+    for i, counter in enumerate(counters):
+        state["state"]["counter"] = counter
         bg.state = state
         words[i] = bg.random_raw(words.shape[1])
         gen.standard_normal(out=normals[i])
-    bits = np.empty((len(frames), 2 * words.shape[1]), dtype=np.int8)
-    bits[:, 0::2] = (words >> 31) & 1
-    bits[:, 1::2] = words >> 63
+    # a word's 32-bit halves, low half first, side by side: bit 31 of each
+    bits = (words.astype("<u8", copy=False).view("<u4") >> 31).astype(np.int8)
     return bits[:, :n_bits], normals
+
+
+@lru_cache(maxsize=8)
+def _philox(key: int):
+    """A Philox keyed on ``key``, its Generator and its fresh state (empty
+    output buffer, no spare 32-bit half) with read-only arrays.  Every draw
+    of :func:`frame_draws` sets the state first, so what an earlier call
+    left in the generator is never read."""
+    bg = np.random.Philox(key=np.uint64(key))
+    state = bg.state
+    for arr in (state["state"]["key"], state["state"]["counter"], state["buffer"]):
+        arr.flags.writeable = False
+    return bg, np.random.Generator(bg), state
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -85,12 +85,20 @@ class ResourceMap:
     common_split: tuple[int, int]
     bits_per_user: tuple[int, int]
     energy_budget: float
+    # each symbol's amplitude along the whole common stream: sqrt(phi1) for
+    # the common symbols, then 1 for the extra ones
+    common_gain: np.ndarray
+    # the affine indices of the whole common stream in symbol order
+    common_stream: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("common_indices", "extra_indices", "private_subcarriers"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "common_stream",
+                           np.concatenate([self.common_indices, self.extra_indices]))
+        self.common_stream.flags.writeable = self.common_gain.flags.writeable = False
 
     @property
     def n_common(self) -> int:
@@ -131,7 +139,9 @@ def _layout(cfg: FrameConfig) -> ResourceMap:
               + cfg.phi2 * private.size)
     pilot_freq = affine_to_freq(build_affine_pilot(cfg), cfg.affine).data
     return ResourceMap(common, extra, private, pilot_freq, split,
-                       tuple(u + private.size * BITS_PER_SYMBOL for u in split), energy)
+                       tuple(u + private.size * BITS_PER_SYMBOL for u in split), energy,
+                       np.concatenate([np.full(common.size, np.sqrt(cfg.phi1)),
+                                       np.ones(extra.size)]))
 
 
 def resource_map(cfg: FrameConfig) -> ResourceMap:
@@ -177,7 +187,9 @@ def _scatter(n: int, indices: np.ndarray, values: np.ndarray,
              scale: float) -> np.ndarray:
     """``scale * values`` placed at ``indices`` of zero planes of length n,
     along the last axis."""
-    values = np.atleast_1d(np.asarray(values, complex))
+    values = np.asarray(values, complex)
+    if values.ndim == 0:
+        values = values.reshape(1)
     if values.shape[-1] != indices.size:
         raise InvalidLength(f"expected {indices.size} symbols, got {values.shape[-1]}")
     data = np.zeros(values.shape[:-1] + (n,), dtype=np.complex128)
@@ -194,8 +206,8 @@ def _common_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         raise InvalidLength(
             f"common stream carries {symbols.shape[-1]} symbols, frame needs "
             f"{rm.n_common + rm.n_extra}")
-    plane = _scatter(cfg.n, rm.common_indices, symbols[..., :rm.n_common], np.sqrt(cfg.phi1))
-    plane[..., rm.extra_indices] = symbols[..., rm.n_common:]
+    plane = np.zeros(symbols.shape[:-1] + (cfg.n,), dtype=np.complex128)
+    plane[..., rm.common_stream] = rm.common_gain * symbols
     return plane
 
 
@@ -235,7 +247,10 @@ def add_cp(time_frame: Frame | np.ndarray, cp_len: int) -> Frame:
 
 
 def _add_cp(x: np.ndarray, cp_len: int) -> np.ndarray:
-    """The last cp_len samples put in front, along the last axis."""
+    """The last cp_len samples put in front, along the last axis; ``x``
+    itself at cp_len = 0."""
+    if not cp_len:
+        return x
     return np.concatenate([x[..., x.shape[-1] - cp_len:], x], axis=-1)
 
 

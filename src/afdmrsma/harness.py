@@ -21,10 +21,12 @@ task and block bounds.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,12 +35,12 @@ from .baseline import _baseline_link, baseline_budget
 from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
 from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
 from .errors import ConfigError, SimulationError
-from .framing import (Approach, FrameConfig, _frame_time, _planes, capacity_counts,
+from .framing import (Approach, FrameConfig, _frame_time, capacity_counts,
                       frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
                        _detect, _equalize_planes, _ls_freq, _noise_ratio, _peak_zone,
                        _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
-from .transforms import AffineParams
+from .transforms import AffineParams, _daft, _dft
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
 from .channel import apply_channel  # noqa: F401
@@ -160,15 +162,32 @@ def measure_se(stream_stats, frames: int, n: int):
     nothing.  An array of error energies per stream (one per frame of a
     block) gives an array of SEs.
     """
-    cap = 10.0 ** (SE_CAP_DB / 10.0)
+    stats = [(err, count) for err, count in stream_stats if count]
+    if not stats:
+        return 0.0
+    # one row per stream that carries resource elements
+    err = np.array([err for err, _ in stats], dtype=np.float64)
+    count, floor, weight = _se_counts(tuple(count for _, count in stats), frames, err.ndim)
+    sinr = np.divide(count, err, out=np.full(err.shape, _SE_CAP), where=~(err <= floor))
     se = 0.0
-    for err_energy, count in stream_stats:
-        if count == 0:
-            continue
-        err = np.asarray(err_energy, dtype=np.float64)
-        sinr = np.divide(count, err, out=np.full(err.shape, cap), where=~(err <= count / cap))
-        se = se + (count / frames) * np.log2(1.0 + np.minimum(sinr, cap))
+    for term in weight * np.log2(1.0 + np.minimum(sinr, _SE_CAP)):
+        se = se + term
     return se / n
+
+
+_SE_CAP = 10.0 ** (SE_CAP_DB / 10.0)
+
+
+@lru_cache(maxsize=64)
+def _se_counts(counts: tuple[int, ...], frames: int, ndim: int):
+    """The resource-element counts of :func:`measure_se`'s streams as a
+    column for ``ndim``-dimensional error energies, the error energy below
+    which each stream's SINR is capped, and each stream's REs per frame."""
+    count = np.array(counts).reshape((-1,) + (1,) * (ndim - 1))
+    out = (count, count / _SE_CAP, count / frames)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 class _FrameRecord(NamedTuple):
@@ -200,15 +219,21 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
     per frame of a block."""
     res = _stream_res(sim)
     (common_bits, private_bits), (tx_common, tx_private) = bits, syms
-    energies = (np.sum(np.abs(det.common_syms - tx_common[..., :res[0]]) ** 2, axis=-1),
-                np.sum(np.abs(det.extra_syms - tx_common[..., res[0]:]) ** 2, axis=-1),
-                np.sum(np.abs(det.private_syms - tx_private) ** 2, axis=-1))
-    ec = np.sum(det.common_bits != common_bits, axis=-1)
-    ep = np.sum(det.private_bits != private_bits, axis=-1)
+    # a stream with no resource element has no error
+    energies = tuple((np.abs(got - sent) ** 2).sum(axis=-1) if count else 0.0
+                     for count, got, sent in zip(res, (det.common_syms, det.extra_syms,
+                                                       det.private_syms),
+                                                 (tx_common[..., :res[0]],
+                                                  tx_common[..., res[0]:], tx_private)))
+    ec = (det.common_bits != common_bits).sum(axis=-1)
+    ep = (det.private_bits != private_bits).sum(axis=-1)
     se = measure_se(zip(energies, res), 1, sim.frame.n)
     ber = (ec + ep) / max(common_bits.shape[-1] + private_bits.shape[-1], 1)
-    scores = np.broadcast_arrays(ec, ep, *energies, nmse, se, ber)
-    return np.stack(scores, axis=-1).astype(np.float64)
+    scores = (ec, ep, *energies, nmse, se, ber)
+    out = np.empty(np.shape(ec) + (len(scores),))
+    for i, score in enumerate(scores):
+        out[..., i] = score
+    return out
 
 
 # Frames simulated together, as (frames, N) arrays of about this many samples
@@ -216,14 +241,15 @@ _BLOCK_SAMPLES = 4096
 
 
 def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
-    """The records of ``frames``, simulated as (frames, N) arrays.
+    """The records of ``frames``, consecutive frame indices, simulated as
+    (frames, N) arrays.
 
     Row i equals the per-frame reference (``tests/oracles.py``) for frame
     ``frames[i]`` bit for bit: each frame keeps its own Philox draws, and
     every other step acts on the rows independently.
     """
     cfg = sim.frame
-    spec = ChannelSpec(sim.taps, noise_var)
+    spec = _point_spec(sim.taps, noise_var)
     if sim.baseline:
         n_bits = 2 * cfg.n * BITS_PER_SYMBOL
     else:
@@ -234,25 +260,37 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
     if sim.baseline:
         bits = drawn[:, :n_bits // 2], drawn[:, n_bits // 2:]
     else:
-        # even frames carry user 1's private stream, odd frames user 2's
-        odd = (np.array(frames) % 2 == 1)[:, None]
-        bits = (np.concatenate([drawn[:, :u1c], drawn[:, r1:r1 + u2c]], axis=1),
-                np.where(odd, drawn[:, r1 + u2c:], drawn[:, u1c:r1]))
+        # even frames carry user 1's private stream, odd frames user 2's:
+        # every other row, from the first odd frame
+        odd = slice((frames.start + 1) % 2, None, 2)
+        private = drawn[:, u1c:r1].copy()
+        private[odd] = drawn[odd, r1 + u2c:]
+        bits = np.concatenate([drawn[:, :u1c], drawn[:, r1:r1 + u2c]], axis=1), private
     syms = tuple(_modulate(b) for b in bits)
 
     if sim.baseline:
         det = _baseline_link(*syms, cfg, spec, sim.design.genie.h_freq, normals)
         return _score(sim, bits, syms, det, 0.0)
     received = _channel(_frame_time(*syms, cfg), spec, normals)[:, cfg.cp_len:]
-    eq_f, eq_a, nmse = _receive_block(sim, _planes(received, cfg), spec, noise_var)
+    # only the affine estimator reads the affine plane
+    planes = _dft(received), (_daft(received, cfg.affine) if sim.design.kind == "affine"
+                              else None)
+    eq_f, eq_a, nmse = _receive_block(sim, planes, spec, noise_var)
     return _score(sim, bits, syms, _detect(eq_f, eq_a, cfg, sim.mode), nmse)
 
 
-def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: ChannelSpec,
-                   noise_var: float):
+@lru_cache(maxsize=64)
+def _point_spec(taps: tuple[ChannelTap, ...], noise_var: float) -> ChannelSpec:
+    """The channel of an SNR point, checked once per tap list and noise level."""
+    return ChannelSpec(taps, noise_var)
+
+
+def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray | None],
+                   spec: ChannelSpec, noise_var: float):
     """Estimate, equalize and score the estimate on (frames, N) planes, as
     ``sim.design`` fixes: the equalized (frequency, affine) planes and each
-    frame's estimate NMSE."""
+    frame's estimate NMSE.  The affine plane is None unless the design's
+    estimator is ``affine``."""
     cfg, (kind, max_delay, max_doppler, genie, genie_nmse) = sim.frame, sim.design
     y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
@@ -261,11 +299,8 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray], spec: 
         # group by group; one equalizer call serves every group, with one
         # FFT pair for the collinear groups, one cyclic reduction per block
         # size and one change to the affine plane
-        groups = list(_affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var))
-        nmse = np.empty(len(y_aff))
-        for rows, ls, ks, hs in groups:
-            nmse[rows] = _taps_nmse(ls, ks, hs, spec, cfg.n)
-        return (*_tap_mmse(y_freq, groups, cfg.affine, g), nmse)
+        est = _affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var)
+        return (*_tap_mmse(y_freq, est.groups, cfg.affine, g), _taps_nmse(est, spec, cfg.n))
     if genie is not None:
         return (*_equalize_planes(y_freq, genie, cfg, g), genie_nmse)
     est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
@@ -407,8 +442,25 @@ def emit_results(results, fmt: str, path) -> None:
 DEFAULT_TAPS = [[1.0, 0.0, 0, 0]]   # a config without "taps": [re(h), im(h), delay, Doppler]
 
 
+def _integer(value) -> int:
+    """A JSON integer: an integer, or a number with no fractional part; a
+    bool, a string or a fraction is refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
+def _boolean(value) -> bool:
+    """A JSON true or false; anything else is refused."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _taps(rows) -> tuple[ChannelTap, ...]:
-    return tuple(ChannelTap(complex(re, im), int(l), int(k)) for re, im, l, k in rows)
+    return tuple(ChannelTap(complex(re, im), _integer(l), _integer(k)) for re, im, l, k in rows)
 
 
 def _optional(convert):
@@ -419,20 +471,22 @@ def _optional(convert):
 # conversion); a missing key leaves the field's dataclass default
 _CONFIG_PARTS = {
     "frame": {   # n, c1_prime and c2 set AffineParams, the others FrameConfig
-        "n": ("n", int), "c1_prime": ("c1_prime", int), "c2": ("c2", float),
-        "guard": ("guard", int), "phi1": ("phi1", float), "phi2": ("phi2", float),
+        "n": ("n", _integer), "c1_prime": ("c1_prime", _integer), "c2": ("c2", float),
+        "guard": ("guard", _integer), "phi1": ("phi1", float), "phi2": ("phi2", float),
         "pilot_power_db": ("phi_pilot", lambda db: 10.0 ** (float(db) / 10.0)),
-        "approach": ("approach", lambda a: Approach(int(a))), "cp_len": ("cp_len", int),
-        "common_per_class": ("common_per_class", _optional(int)),
+        "approach": ("approach", lambda a: Approach(_integer(a))),
+        "cp_len": ("cp_len", _integer),
+        "common_per_class": ("common_per_class", _optional(_integer)),
     },
     "channel": {   # normalize scales the taps; the others set SimConfig
-        "taps": ("taps", _taps), "normalize": ("normalize", bool),
+        "taps": ("taps", _taps), "normalize": ("normalize", _boolean),
         "noise_var": ("noise_override", _optional(float)),
     },
     "sweep": {   # SimConfig
-        "snr_db": ("snr_grid_db", tuple), "frames_per_point": ("frames_per_point", int),
+        "snr_db": ("snr_grid_db", tuple), "frames_per_point": ("frames_per_point", _integer),
         "mode": ("mode", ReceiverMode), "estimator": ("estimator", str),
-        "seed": ("seed", int), "workers": ("workers", int), "baseline": ("baseline", bool),
+        "seed": ("seed", _integer), "workers": ("workers", _integer),
+        "baseline": ("baseline", _boolean),
     },
     "output": {"path": ("path", os.fspath), "format": ("format", _output_format)},
 }
@@ -447,12 +501,19 @@ _READER_DEFAULTS = {
 
 def _read_part(d: dict, part: str) -> dict:
     """The fields that the keys of config part ``part`` set; a key outside its
-    table is refused."""
+    table is refused, and so is a value its conversion refuses (a bool key
+    takes only true or false, an integer key only an integral number)."""
     keys, given = _CONFIG_PARTS[part], {**_READER_DEFAULTS.get(part, {}), **d.get(part, {})}
-    for key in given:
+    fields_set = {}
+    for key, value in given.items():
         if key not in keys:
             raise ConfigError(f"unknown config key {part}.{key}")
-    return {keys[key][0]: keys[key][1](value) for key, value in given.items()}
+        name, convert = keys[key]
+        try:
+            fields_set[name] = convert(value)
+        except ConfigError as exc:
+            raise ConfigError(f"config key {part}.{key}: {exc}") from exc
+    return fields_set
 
 
 def sim_config_from_dict(d: dict) -> SimConfig:

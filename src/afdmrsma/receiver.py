@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -111,14 +110,7 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
 
 def _ls_freq(y_freq: np.ndarray, cfg: FrameConfig, max_delay: int | None) -> np.ndarray:
     """:func:`estimate_channel_freq`'s response along the last axis."""
-    if cfg.approach is not Approach.CLEAN_PILOT:
-        raise PilotContaminated("embedded-pilot frames carry data on the pilot subcarriers")
-    c1p, m = cfg.affine.c1_prime, cfg.affine.m
-    if max_delay is not None and max_delay >= m:
-        raise ConfigError(f"delay spread {max_delay} aliases: needs max delay < M={m}")
-    p0 = cfg.layout.pilot_freq[::c1p]
-    if np.min(np.abs(p0)) < 1e-12:
-        raise DegeneratePilot("pilot subcarrier magnitude too small for LS division")
+    c1p, p0 = cfg.affine.c1_prime, _pilot_subcarriers(cfg, max_delay)
     h0 = y_freq[..., ::c1p] / p0
     h_time = np.fft.ifft(h0)                    # <= M time taps
     if max_delay is not None:
@@ -127,11 +119,29 @@ def _ls_freq(y_freq: np.ndarray, cfg: FrameConfig, max_delay: int | None) -> np.
     return np.fft.fft(h_time, n=cfg.n)          # re-expanded to N subcarriers
 
 
+@lru_cache(maxsize=32)
+def _pilot_subcarriers(cfg: FrameConfig, max_delay: int | None) -> np.ndarray:
+    """The pilot on the class-0 subcarriers that :func:`_ls_freq` divides by,
+    once the frame and the delay bound pass its checks."""
+    if cfg.approach is not Approach.CLEAN_PILOT:
+        raise PilotContaminated("embedded-pilot frames carry data on the pilot subcarriers")
+    m = cfg.affine.m
+    if max_delay is not None and max_delay >= m:
+        raise ConfigError(f"delay spread {max_delay} aliases: needs max delay < M={m}")
+    p0 = cfg.layout.pilot_freq[::cfg.affine.c1_prime]
+    if np.min(np.abs(p0)) < 1e-12:
+        raise DegeneratePilot("pilot subcarrier magnitude too small for LS division")
+    return p0
+
+
 class _PeakZone(NamedTuple):
     """The guard zone the affine estimator searches, one entry per signed
     pilot shift -G..G: the affine bin it lands on, the (delay, Doppler) it
     decodes to (shift = k - c1' l), whether the search bounds admit it, and
-    the pilot's gain at that bin through a unit tap of that (delay, Doppler)."""
+    the pilot's gain at that bin through a unit tap of that (delay, Doppler).
+    ``floor`` holds the entries whose lower quartile is the detection
+    floor: the candidates if there are 6 or more, else the rest of the zone
+    if 4 or more, else None (the known noise level stands in)."""
 
     offsets: np.ndarray
     bins: np.ndarray
@@ -139,6 +149,8 @@ class _PeakZone(NamedTuple):
     dopplers: np.ndarray
     is_candidate: np.ndarray
     pilot_gain: np.ndarray
+    floor: np.ndarray | None
+    keys: np.ndarray   # each entry's (delay l, Doppler k) as l + 1j k
 
 
 @lru_cache(maxsize=32)
@@ -166,10 +178,14 @@ def _peak_zone(cfg: FrameConfig, max_delay: int | None,
         b = off % n
         phase = np.exp(-2j * np.pi * c2 * b * b) * np.exp(2j * np.pi * (c1 * l * l - k * l / n))
         gain.append(np.sqrt(cfg.phi_pilot) * phase)
+    cand, rest = np.flatnonzero(is_candidate), np.flatnonzero(~is_candidate)
     zone = _PeakZone(offsets, offsets % n, delays, dopplers, is_candidate,
-                     np.array(gain, dtype=np.complex128))
+                     np.array(gain, dtype=np.complex128),
+                     cand if len(cand) >= 6 else rest if len(rest) >= 4 else None,
+                     delays + 1j * dopplers)
     for arr in zone:
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return zone
 
 
@@ -187,40 +203,52 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     skipped.
     """
     [(_, ls, ks, hs)] = _affine_tap_groups(_check(y_affine, Domain.AFFINE, cfg.n)[None], cfg,
-                                           max_delay, max_doppler, noise_var, strict)
+                                           max_delay, max_doppler, noise_var, strict).groups
     taps = tuple(ChannelTap(complex(h), l, k) for l, k, h in zip(ls, ks, hs[0]))
     return ChannelEstimate(Domain.AFFINE, taps=taps)
 
 
+class _TapEstimates(NamedTuple):
+    """The tap lists of a block's rows, in two forms: ``groups`` of ``(rows,
+    delays, dopplers, gains)``, the rows that share one tap list, its delay
+    and Doppler lists and their (rows, taps) gains, as :func:`_tap_mmse`
+    reads them; and every row's list on its own, as (rows, K) ``keys``, a
+    tap's (delay l, Doppler k) as ``l + 1j k``, and ``gains``, padded to the
+    longest list with key -1 and gain 0."""
+
+    groups: list
+    keys: np.ndarray
+    gains: np.ndarray
+
+
 def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | None,
-                       max_doppler: int | None, noise_var: float, strict: bool = False):
+                       max_doppler: int | None, noise_var: float,
+                       strict: bool = False) -> _TapEstimates:
     """The affine estimator's peak search on each row of a (rows, N) affine
-    block, with the rows grouped by the taps found.
+    block: the :class:`_TapEstimates` of the taps found, each list by
+    descending peak magnitude.
 
     The detection floor is the lower quartile of the candidate bins: the
     guard keeps channel-shifted data off those, but not off the rest of the
     zone.  The remaining zone bins or the known noise level stand in when
-    the candidate set is too small.  Yields ``(rows, delays, dopplers,
-    gains)``: the row indices of one group, the delay and Doppler lists of
-    its taps by descending peak magnitude, and a (rows, taps) array of the
-    tap gains.
+    the candidate set is too small (``_PeakZone.floor``).  Rows are grouped
+    by sorting their padded lists, with no loop over the rows.
     """
     zone = _peak_zone(cfg, max_delay, max_doppler)
     cand = zone.is_candidate
     peaks = y_aff[:, zone.bins]
     mags = np.abs(peaks)
-    if int(np.sum(cand)) >= 6:
-        threshold = THRESHOLD_SCALE * _lower_quartile(mags[:, cand])
-    elif int(np.sum(~cand)) >= 4:
-        threshold = THRESHOLD_SCALE * _lower_quartile(mags[:, ~cand])
+    if zone.floor is not None:
+        threshold = THRESHOLD_SCALE * _lower_quartile(mags[:, zone.floor])
     else:
         threshold = np.full(len(mags), THRESHOLD_SCALE * float(np.sqrt(noise_var))
                             if noise_var > 0 else 0.0)
     # keep numerical leakage out of the peak list even at zero noise
-    threshold = np.maximum(threshold, 1e-9 * np.max(mags, axis=-1))
+    threshold = np.maximum(threshold, 1e-9 * mags.max(axis=-1))
 
-    order = np.argsort(mags, axis=-1)[:, ::-1]
-    above = np.take_along_axis(mags, order, -1) > threshold[:, None]
+    row = np.arange(len(mags))[:, None]
+    order = mags.argsort(axis=-1)[:, ::-1]
+    above = mags[row, order] > threshold[:, None]
     resolvable = cand[order]
     if strict and np.any(above & ~resolvable):
         stray = order[above & ~resolvable][0]
@@ -228,23 +256,39 @@ def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | Non
             f"peak at shift {zone.offsets[stray]} has no (delay >= 0, Doppler < c1') "
             f"decomposition within the search bounds")
     keep = above & resolvable
-    # keep the strongest resolvable peak so the receiver always has a
-    # channel to work with, however deep the noise
-    none = np.flatnonzero(~keep.any(axis=-1))
-    first = np.argmax(resolvable[none], axis=-1)
-    keep[none, first] = resolvable[none, first]
+    found_any = keep.any(axis=-1)
+    if not found_any.all():
+        # keep the strongest resolvable peak so the receiver always has a
+        # channel to work with, however deep the noise
+        none = (~found_any).nonzero()[0]
+        first = resolvable[none].argmax(axis=-1)
+        keep[none, first] = resolvable[none, first]
     gains = peaks / zone.pilot_gain
-    size = np.take_along_axis(np.hypot(gains.real, gains.imag), order, -1)
-    top = np.max(size, axis=-1, where=keep, initial=0.0)
+    size = np.hypot(gains.real, gains.imag)[row, order]
+    top = size.max(axis=-1, where=keep, initial=0.0)
     keep &= size > 1e-9 * top[:, None]
 
-    groups: dict[tuple, list[int]] = {}
-    for row, (found, kept) in enumerate(zip(order.tolist(), keep.tolist())):
-        groups.setdefault(tuple(compress(found, kept)), []).append(row)
-    for found, rows in groups.items():
-        rows, found = np.array(rows), list(found)
-        yield (rows, zone.delays[found].tolist(), zone.dopplers[found].tolist(),
-               gains[rows[:, None], found])
+    # each row's kept zone entries first, in order, then padding
+    count = keep.sum(axis=-1)
+    width = max(1, int(count.max(initial=0)))
+    found = order[row, (~keep).argsort(axis=-1, kind="stable")[:, :width]]
+    pad = np.arange(width) >= count[:, None]
+    keys = np.where(pad, -1, zone.keys[found])
+    gains = np.where(pad, 0, gains[row, found])
+    # rows sorted by tap list (stable, so ascending within one); a group
+    # starts where the list changes
+    perm = np.lexsort(keys.T[::-1])
+    lists, by_list = keys[perm], gains[perm]
+    starts = np.concatenate(([len(perm) > 0],
+                             (lists[1:] != lists[:-1]).any(axis=-1))).nonzero()[0]
+    heads = perm[starts]
+    firsts = found[heads]
+    groups = [(perm[a:b], ls[:c], ks[:c], by_list[a:b, :c])
+              for a, b, ls, ks, c in zip(starts.tolist(), [*starts[1:].tolist(), len(perm)],
+                                         zone.delays[firsts].tolist(),
+                                         zone.dopplers[firsts].tolist(),
+                                         count[heads].tolist())]
+    return _TapEstimates(groups, keys, gains)
 
 
 def _lower_quartile(x: np.ndarray) -> np.ndarray:
@@ -334,7 +378,7 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
     tap list, the taps' delays and Dopplers, and a (rows, taps) array of
     their gains.  A tap (h, l, k) shifts a frame by k in unitary frequency
     and ramps it by its delay's phase, the spectrum of a shift by l
-    (:func:`_shift_spectrum`), so every group solves there, from ``y_freq``,
+    (:func:`_spectra`), so every group solves there, from ``y_freq``,
     by the rule :func:`_solve_rule` picks: one tap per subcarrier at Doppler
     spread 0, one FFT pair for a collinear group (:func:`_chirp_mmse`), block
     cyclic reduction for a general one (:func:`_shift_mmse`).  The collinear
@@ -344,31 +388,54 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
     independently, so a row's planes do not depend on the groups that share
     its block.
     """
-    solves, chirped = [], []
+    n = p.n
+    flat, general, chirped = [], [], []
     for rows, ls, ks, hs in groups:
         if not ls:
             raise SingularChannel("no channel tap found to equalize with")
-        chirp = _solve_rule(tuple(ls), tuple(ks), p.n)
+        chirp = _solve_rule(tuple(ls), tuple(ks), n)
         if chirp is not None:
-            chirped.append((rows, chirp, hs))
+            chirped.append((rows, hs * chirp.phases, _spectra(tuple(ks), n), chirp))
+        elif len(set(ks)) == 1:
+            flat.append((rows, hs, _spectra(tuple(ls), n), ks[0]))
         else:
-            solves.append((rows, ks, [hs[:, t, None] * _shift_spectrum(l, p.n)
-                                      for t, l in enumerate(ls)]))
-    x = _shift_mmse(y_freq, solves, g)
+            general.append((rows, hs[:, :, None] * _spectra(tuple(ls), n),
+                            _band_plan(tuple(ks), n)))
+    x = np.empty_like(y_freq)
+    if flat:
+        # H is a diagonal times a cyclic shift by the common Doppler s: the
+        # one-tap rule, shifted back by s
+        rows, h = _stack_rows(flat)
+        eq = _one_tap(y_freq[rows], h, g)
+        at = 0
+        for part, _, _, shift in flat:
+            x[part] = _ahead(eq[at:at + len(part)], shift)
+            at += len(part)
+    _shift_mmse(x, y_freq, general, g)
     _chirp_mmse(x, y_freq, chirped, g)
     return x, _freq_to_affine(x, p)
+
+
+def _stack_rows(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The block rows of ``parts``, one ``(rows, coefficients, spectra, ...)``
+    per group, stacked in order, and each row's sum over the group's taps of
+    its coefficient (a (rows, taps) array) times the tap's spectrum (a
+    (taps, N) array), tap by tap from 0 as Python's ``sum`` adds them."""
+    sums = [np.multiply(coefs[:, :, None], spectra).sum(axis=1) for _, coefs, spectra, _ in parts]
+    if len(parts) == 1:
+        return parts[0][0], sums[0]
+    return np.concatenate([part[0] for part in parts]), np.concatenate(sums)
 
 
 class _Chirp(NamedTuple):
     """A collinear tap list's channel in unitary frequency as
     ``H = D C P^H``: D and P unit-modulus diagonals, C the circulant with
     gain ``g_t = h_t phases[t]`` at shift s_t, whose eigenvalues are
-    ``sum_t g_t spectra[t]``."""
+    ``sum_t g_t`` times the :func:`_spectra` row of s_t."""
 
     unchirp: np.ndarray                # conj(D)
     chirp: np.ndarray                  # P
     phases: np.ndarray                 # (taps,)
-    spectra: tuple[np.ndarray, ...]    # per tap, the FFT of a unit impulse at s_t
 
 
 @lru_cache(maxsize=256)
@@ -397,8 +464,7 @@ def _solve_rule(ls: tuple, ks: tuple, n: int) -> _Chirp | None:
     c = int(c[0])
     phases = _unit(c * s * s, n)
     phases.flags.writeable = False
-    return _Chirp(*_chirp_pair(c, int(alpha[0] - c * s[0]) % n, n), phases,
-                  tuple(_shift_spectrum(int(st), n) for st in s))
+    return _Chirp(*_chirp_pair(c, int(alpha[0] - c * s[0]) % n, n), phases)
 
 
 def _unit(phase: np.ndarray, n: int) -> np.ndarray:
@@ -416,9 +482,19 @@ def _chirp_pair(c: int, gamma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+@lru_cache(maxsize=32)
+def _spectra(shifts: tuple, n: int) -> np.ndarray:
+    """The :func:`_shift_spectrum` of each shift, as one read-only (shifts,
+    N) array.  Only the latest lists keep theirs: a sweep can meet hundreds
+    (fig7 does), and each list holds a copy of its rows."""
+    spectra = np.array([_shift_spectrum(s, n) for s in shifts])
+    spectra.flags.writeable = False
+    return spectra
+
+
 @lru_cache(maxsize=256)
 def _shift_spectrum(s: int, n: int) -> np.ndarray:
-    """The FFT of a unit impulse at s: ``exp(-2 pi j m s / N)``."""
+    """The FFT of a unit impulse at s: ``exp(-2 pi j m s / N)``, read-only."""
     spectrum = _unit(-2 * s * np.arange(n), n)
     spectrum.flags.writeable = False
     return spectrum
@@ -426,79 +502,120 @@ def _shift_spectrum(s: int, n: int) -> np.ndarray:
 
 def _chirp_mmse(x: np.ndarray, y: np.ndarray, chirped, g: float) -> None:
     """MMSE of collinear groups into ``x``: ``chirped`` holds ``(rows,
-    chirp, gains)``, the block rows of one channel ``H = D C P^H`` (see
-    :class:`_Chirp`) and its (rows, taps) tap gains.  D and P are unitary,
-    so ``x = P C^H (C C^H + g I)^{-1} D^H y``, the one-tap rule on C's
-    eigenvalues between one stacked FFT and its inverse; those eigenvalues
-    squared are the eigenvalues of ``H H^H``, which the one-tap rule's
-    zero-forcing test reads."""
+    gains, spectra, chirp)``, the block rows of one channel ``H = D C P^H``
+    (see :class:`_Chirp`), their (rows, taps) circulant gains g_t and its tap
+    spectra.  D and P are unitary, so ``x = P C^H (C C^H + g I)^{-1}
+    D^H y``, the one-tap rule on C's eigenvalues between one stacked FFT and
+    its inverse; those eigenvalues squared are the eigenvalues of ``H H^H``,
+    which the one-tap rule's zero-forcing test reads.  Every group's rows
+    are unchirped, solved and chirped back in one call each."""
     if not chirped:
         return
-    bounds = np.cumsum([0] + [len(rows) for rows, *_ in chirped])
-    z = np.empty((bounds[-1], x.shape[-1]), dtype=np.complex128)
-    eig = np.empty_like(z)
-    for at, (rows, chirp, hs) in zip(bounds, chirped):
-        z[at:at + len(rows)] = y[rows] * chirp.unchirp
-        eig[at:at + len(rows)] = sum((hs[:, t] * phase)[:, None] * spectrum
-                                     for t, (phase, spectrum)
-                                     in enumerate(zip(chirp.phases, chirp.spectra)))
-    z = np.fft.ifft(_one_tap(np.fft.fft(z), eig, g))
-    for at, (rows, chirp, _) in zip(bounds, chirped):
-        x[rows] = z[at:at + len(rows)] * chirp.chirp
+    rows, eig = _stack_rows(chirped)
+    if len(chirped) == 1:
+        unchirp, chirp = chirped[0][-1].unchirp, chirped[0][-1].chirp
+    else:
+        # each row's pair, repeated over the rows of its group
+        counts = [len(part) for part, *_ in chirped]
+        unchirp = np.repeat([group.unchirp for *_, group in chirped], counts, axis=0)
+        chirp = np.repeat([group.chirp for *_, group in chirped], counts, axis=0)
+    z = np.fft.ifft(_one_tap(np.fft.fft(np.multiply(y[rows], unchirp)), eig, g))
+    x[rows] = np.multiply(z, chirp)
 
 
-def _shift_mmse(y: np.ndarray, solves, g: float) -> np.ndarray:
-    """MMSE ``x = H^H (H H^H + g I)^{-1} y`` for ``(H x)(i) = sum_t a_t(i) x(i - s_t)``,
-    along the last axis of a (rows, N) block; rows in no solve are left unset.
+def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
+    """MMSE ``x = H^H (H H^H + g I)^{-1} y`` into ``x`` for general channels
+    ``(H x)(i) = sum_t a_t(i) x(i - s_t)``, along the last axis of a (rows, N)
+    block.
 
-    ``solves`` holds ``(rows, shifts, gains)``: the block rows of one
-    channel, its tap shifts s_t and its per-sample tap gains a_t, each
-    (rows, N).  With one common shift s, H is a diagonal times a cyclic
-    shift, so the solve is the one-tap rule shifted back by s.  Otherwise
+    ``solves`` holds ``(rows, gains, plan)``: the block rows of one channel,
+    its per-sample tap gains a_t as a (rows, taps, N) array, and the
+    :func:`_band_plan` of its tap shifts s_t, at least two of them.
     H H^H + g I is a cyclic band of half-width b = max s - min s; cut into
     blocks of size B, the smallest power of two >= b, it is cyclic
-    block-tridiagonal.  The systems of every channel with the same B fill
-    one array and go through one block cyclic reduction, and then each
-    channel's H^H is applied tap-wise.
+    block-tridiagonal.  The channels with the same B fill one band of
+    half-width B, scattered into one system, and go through one block cyclic
+    reduction; then each channel's H^H is applied, every tap at once.
     """
     n = y.shape[-1]
-    x = np.empty_like(y)
     banded: dict[int, list] = {}
-    for rows, shifts, gains in solves:
-        s0 = min(shifts)
-        b = max(shifts) - s0
-        if b == 0:
-            x[rows] = _ahead(_one_tap(y[rows], sum(gains), g), s0)
-        else:
-            banded.setdefault(1 << (b - 1).bit_length(), []).append((rows, shifts, gains, b))
-    idx = np.arange(n)[:, None]
+    for rows, gains, plan in solves:
+        banded.setdefault(plan.block, []).append((rows, gains, np.conj(gains), plan))
     for bs, members in banded.items():
-        bounds = np.cumsum([0] + [len(rows) for rows, *_ in members])
-        system = np.zeros((bounds[-1], n, 3 * bs + 1), dtype=np.complex128)
-        scale = np.empty(bounds[-1])
-        for at, (rows, shifts, gains, b) in zip(bounds, members):
-            part = slice(at, at + len(rows))
-            # Gram diagonal d: entry (j, j + d) sums a_t(j) conj(a_u(j + d))
-            # over the tap pairs with s_u - s_t = d
-            band = np.zeros((len(rows), n, 2 * b + 1), dtype=np.complex128)
-            for s_t, a_t in zip(shifts, gains):
-                for s_u, a_u in zip(shifts, gains):
-                    band[..., s_u - s_t + b] += np.multiply(a_t, _ahead(np.conj(a_u), s_u - s_t))
-            scale[part] = np.max(band[..., b].real, axis=-1)
-            band[..., b] += g
-            # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d)
-            # of row j = i B + r sits in column B + r + d
-            system[part, idx, bs + idx % bs + np.arange(-b, b + 1)] = band
-            system[part, :, -1] = y[rows]
+        rows = np.concatenate([part for part, *_ in members])
+        # Gram diagonal d (row bs + d): entry (j, j + d) sums
+        # a_t(j) conj(a_u(j + d)) over the tap pairs with s_u - s_t = d
+        band = np.zeros((len(rows), 2 * bs + 1, n), dtype=np.complex128)
+        at = 0
+        for part, gains, conj, plan in members:
+            pairs = gains[:, plan.t]
+            pairs *= conj[:, plan.u, plan.pair_index]
+            # a diagonal's pairs are added in loop order, one rank at a time
+            member = band[at:at + len(part)]
+            for ranked, columns in zip(plan.ranks, plan.columns):
+                member[:, columns] += pairs[:, ranked]
+            at += len(part)
+        scale = band[:, bs].real.max(axis=-1)
+        band[:, bs] += g
+        # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d) of
+        # row j = i B + r sits in column B + r + d: the band of the rows with
+        # one r fills columns r to r + 2B
+        system = np.zeros((len(rows), n, 3 * bs + 1), dtype=np.complex128)
+        for r in range(bs):
+            system[:, r::bs, r:r + 2 * bs + 1] = band[:, :, r::bs].transpose(0, 2, 1)
+        system[:, :, -1] = y[rows]
         try:
             z = _cyclic_reduction(system.reshape(len(system), n // bs, bs, -1), g == 0, scale)
         except np.linalg.LinAlgError as exc:
             raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
         z = z.reshape(len(system), n)
-        for at, (rows, shifts, gains, _) in zip(bounds, members):
-            zr = z[at:at + len(rows)]
-            x[rows] = sum(_ahead(np.multiply(np.conj(a), zr), s) for s, a in zip(shifts, gains))
-    return x
+        at = 0
+        for part, _, conj, plan in members:
+            # tap t's conj(a_t) z advanced by s_t, added up in tap order
+            terms = np.multiply(conj, z[at:at + len(part), None])
+            x[part] = terms[:, plan.taps, plan.tap_index].sum(axis=1)
+            at += len(part)
+
+
+class _BandPlan(NamedTuple):
+    """The index arrays :func:`_shift_mmse` gathers with for one list of
+    tap shifts s_t.  The tap pairs (t, u) of the Gram, sorted by rank: a
+    pair's rank counts the pairs before it in loop order (t outer, u inner)
+    on its diagonal d = s_u - s_t.  Per pair, ``t``, ``u`` (a column) and
+    the index ``(i + d) mod N``; per rank, the slice of its pairs and their
+    band rows ``B + d``, no row twice.  Per tap, its row number ``taps`` (a
+    column) and the index ``(i + s_t) mod N``.  And the block size B."""
+
+    t: np.ndarray
+    u: np.ndarray
+    pair_index: np.ndarray
+    ranks: tuple[slice, ...]
+    columns: tuple[np.ndarray, ...]
+    taps: np.ndarray
+    tap_index: np.ndarray
+    block: int
+
+
+@lru_cache(maxsize=256)
+def _band_plan(shifts: tuple, n: int) -> _BandPlan:
+    """The :class:`_BandPlan` of tap shifts ``shifts`` on length-``n``
+    frames, read-only."""
+    s, i = np.array(shifts), np.arange(n)
+    b = int(s.max() - s.min())
+    block = 1 << (b - 1).bit_length()
+    t, u = np.divmod(np.arange(len(s) ** 2), len(s))
+    d = s[u] - s[t]
+    rank = np.array([np.count_nonzero(d[:p] == d[p]) for p in range(len(d))])
+    order = np.argsort(rank, kind="stable")
+    t, u, d = t[order], u[order], d[order]
+    bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2)).tolist()
+    ranks = tuple(slice(a, z) for a, z in zip(bounds[:-1], bounds[1:]))
+    plan = _BandPlan(t, u[:, None], (i + d[:, None]) % n, ranks,
+                     tuple(d[r] + block for r in ranks), np.arange(len(s))[:, None],
+                     (i + s[:, None]) % n, block)
+    for arr in (plan.t, plan.u, plan.pair_index, *plan.columns, plan.taps, plan.tap_index):
+        arr.flags.writeable = False
+    return plan
 
 
 def _ahead(v: np.ndarray, s: int, axis: int = -1) -> np.ndarray:
@@ -522,11 +639,14 @@ def _cyclic_reduction(system: np.ndarray, zf: bool, scale: np.ndarray) -> np.nda
     solves the odd rows for their own blocks, ``x_{2i+1} = q_y - q_L x_{2i}
     - q_U x_{2i+2}`` with ``q = D^{-1} [L | D | U | y]``, and substitutes
     that into the even rows, halving P; at P = 1 both neighbours are the
-    block itself and ``L + D + U`` is solved directly.  The pivots D are
-    diagonal blocks of Schur complements of the Gram, so at g > 0 they are
-    positive definite; at zero forcing (``zf``) each system's pivots are
-    tested against ``_PIVOT_RTOL`` times its ``scale`` (shape ...), and a
-    failing one raises :class:`SingularChannel`.
+    block itself and ``L + D + U`` is solved directly.  The levels keep L
+    and U negated, which makes the negation of the substituted neighbour
+    terms exact sign flips that cost no call: every value equals the one
+    the plain layout gives, bit for bit.  The pivots D are diagonal blocks
+    of Schur complements of the Gram, so at g > 0 they are positive
+    definite; at zero forcing (``zf``) each system's pivots are tested
+    against ``_PIVOT_RTOL`` times its ``scale`` (shape ...), and a failing
+    one raises :class:`SingularChannel`.
     """
     bs = system.shape[-2]
     mul, inv = (np.multiply, np.reciprocal) if bs == 1 else (np.matmul, np.linalg.inv)
@@ -534,29 +654,37 @@ def _cyclic_reduction(system: np.ndarray, zf: bool, scale: np.ndarray) -> np.nda
                        slice(3 * bs, None))
 
     def check(pivots):
-        if zf:
-            sv = np.abs(pivots) if bs == 1 else np.linalg.svd(pivots, compute_uv=False)
-            if np.any(np.min(sv.reshape(np.shape(scale) + (-1,)), axis=-1)
-                      <= _PIVOT_RTOL * scale):
-                raise SingularChannel("zero-forcing through a singular tap channel")
+        sv = np.abs(pivots) if bs == 1 else np.linalg.svd(pivots, compute_uv=False)
+        if np.any(np.min(sv.reshape(np.shape(scale) + (-1,)), axis=-1) <= _PIVOT_RTOL * scale):
+            raise SingularChannel("zero-forcing through a singular tap channel")
 
+    # block row i as [-L_i | D_i | -U_i | y_i] from here on
+    system = np.concatenate((-system[..., lo], system[..., dg], -system[..., up],
+                             system[..., rhs]), axis=-1)
     levels = []
     while system.shape[-3] > 1:
         even, odd = system[..., 0::2, :, :], system[..., 1::2, :, :]
-        check(odd[..., dg])
-        q = mul(inv(odd[..., dg]), odd)
-        # even row 2i meets odd row 2i - 1 through L and odd row 2i + 1 through U
-        left, right = mul(even[..., lo], _ahead(q, -1, axis=-3)), mul(even[..., up], q)
-        system = np.concatenate((-left[..., lo],
+        if zf:
+            check(odd[..., dg])
+        q = mul(inv(odd[..., dg]), odd)   # [-q_L | q_D | -q_U | q_y]
+        # even row 2i meets odd row 2i - 1 through L and odd row 2i + 1
+        # through U; left and right hold the plain L and U products and the
+        # negated y products
+        left = mul(even[..., lo], np.concatenate((q[..., -1:, :, :], q[..., :-1, :, :]),
+                                                 axis=-3))
+        right = mul(even[..., up], q)
+        system = np.concatenate((left[..., lo],
                                  even[..., dg] - left[..., up] - right[..., lo],
-                                 -right[..., up],
-                                 even[..., rhs] - left[..., rhs] - right[..., rhs]), axis=-1)
+                                 right[..., up],
+                                 even[..., rhs] + left[..., rhs] + right[..., rhs]), axis=-1)
         levels.append(q)
-    last = system[..., lo] + system[..., dg] + system[..., up]
-    check(last)
+    last = system[..., dg] - system[..., lo] - system[..., up]
+    if zf:
+        check(last)
     x = mul(inv(last), system[..., rhs])
     for q in reversed(levels):
-        x_odd = q[..., rhs] - mul(q[..., lo], x) - mul(q[..., up], _ahead(x, 1, axis=-3))
+        ahead = np.concatenate((x[..., 1:, :, :], x[..., :1, :, :]), axis=-3)
+        x_odd = q[..., rhs] + mul(q[..., lo], x) + mul(q[..., up], ahead)
         x = np.concatenate((x, x_odd), axis=-2).reshape(x.shape[:-3] + (-1, bs, 1))
     return x
 
@@ -609,14 +737,14 @@ def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
     rm = cfg.layout
 
     def read_common(plane_a):
-        com = plane_a[..., rm.common_indices] / np.sqrt(cfg.phi1)
-        ext = plane_a[..., rm.extra_indices]
-        return com, ext, _demodulate(com), _demodulate(ext)
+        # the common symbols with their power removed, then the extra ones
+        syms = plane_a[..., rm.common_stream] / rm.common_gain
+        return syms, _demodulate(syms)
 
     def read_private(plane_f):
         return plane_f[..., rm.private_subcarriers] / np.sqrt(cfg.phi2)
 
-    com, ext, com_bits, ext_bits = read_common(eq_a)
+    com, com_bits = read_common(eq_a)
     plane_f = eq_f
     for sic_round in range(_SIC_ROUNDS[mode]):
         if sic_round:
@@ -624,15 +752,12 @@ def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
             # the affine plane and read the common stream again
             priv_bits = _demodulate(read_private(plane_f))
             priv_hat = _private_plane(_modulate(priv_bits), cfg)
-            com, ext, com_bits, ext_bits = read_common(
-                eq_a - _freq_to_affine(priv_hat, cfg.affine))
+            com, com_bits = read_common(eq_a - _freq_to_affine(priv_hat, cfg.affine))
         # subtract the detected common image from the frequency plane
-        com_hat = _common_plane(
-            _modulate(np.concatenate([com_bits, ext_bits], axis=-1)), cfg)
-        plane_f = eq_f - _affine_to_freq(com_hat, cfg.affine)
+        plane_f = eq_f - _affine_to_freq(_common_plane(_modulate(com_bits), cfg), cfg.affine)
     priv = read_private(plane_f)
-    return DetectionResult(np.concatenate([com_bits, ext_bits], axis=-1),
-                           _demodulate(priv), com, ext, priv)
+    return DetectionResult(com_bits, _demodulate(priv), com[..., :rm.n_common],
+                           com[..., rm.n_common:], priv)
 
 
 def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:
@@ -646,9 +771,24 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     """
     if est.domain is Domain.FREQUENCY:
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    taps = est.taps
-    hs = np.array([[t.h for t in taps]], dtype=np.complex128)
-    return float(_taps_nmse([t.l for t in taps], [t.k for t in taps], hs, true_spec, n)[0])
+    ls, ks = [t.l for t in est.taps], [t.k for t in est.taps]
+    hs = np.array([[t.h for t in est.taps]], dtype=np.complex128)
+    keys = np.array([[complex(t.l, t.k) for t in est.taps]], dtype=np.complex128)
+    return float(_taps_nmse(_TapEstimates([(np.array([0]), ls, ks, hs)], keys, hs),
+                            true_spec, n)[0])
+
+
+@lru_cache(maxsize=64)
+def _true_taps(taps: tuple[ChannelTap, ...]):
+    """What :func:`_taps_nmse` reads of the true taps: their (delay,
+    Doppler) pairs as ``l + 1j k``, their gains, the error of missing each,
+    ``abs(0.0 - h) ** 2``, and their total power, read-only."""
+    keys = np.array([complex(t.l, t.k) for t in taps])
+    gains = np.array([t.h for t in taps], dtype=np.complex128)
+    missed = np.array([abs(0.0 - t.h) ** 2 for t in taps])
+    for arr in (keys, gains, missed):
+        arr.flags.writeable = False
+    return keys, gains, missed, sum(abs(t.h) ** 2 for t in taps)
 
 
 def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -657,27 +797,36 @@ def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(h_est - h) ** 2, axis=-1) / np.sum(np.abs(h) ** 2)
 
 
-def _taps_nmse(ls, ks, hs: np.ndarray, true_spec: ChannelSpec, n: int) -> np.ndarray:
-    """:func:`estimate_nmse` of tap estimates that share one (delay,
-    Doppler) list, one per row of the (rows, taps) gains ``hs``.  A
-    delay-only estimate of a delay-only channel compares by its response.
-    Otherwise matched taps contribute |h_hat - h|^2, missed and spurious
-    taps their full power, and each row's error is formed in the order and
-    with the rounding of a Python loop over the taps: a Python ``x ** 2`` is
-    ``np.float_power``, ``abs`` of a complex ``np.hypot``."""
-    if not any(ks) and not true_spec.has_doppler:
-        return _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
-    true = {(t.l, t.k): t.h for t in true_spec.taps}
-    got = {key: col for col, key in enumerate(zip(ls, ks))}
+def _taps_nmse(est: _TapEstimates, true_spec: ChannelSpec, n: int) -> np.ndarray:
+    """:func:`estimate_nmse` of the tap estimates of a block, one per row of
+    ``est``.  A delay-only estimate of a delay-only channel compares by its
+    response.  Otherwise matched taps contribute |h_hat - h|^2, missed and
+    spurious taps their full power, and each row's error is formed in the
+    order and with the rounding of a Python loop over the taps: a Python
+    ``x ** 2`` is ``np.float_power``, ``abs`` of a complex ``np.hypot``.  The
+    padded form of ``est`` serves every row at once: one comparison finds
+    every true tap's match, and the spurious taps add up column by column,
+    where padding and matched taps add 0."""
+    hs = est.gains
+    true_keys, true_h, missed, ref = _true_taps(true_spec.taps)
 
     def power(v):
         return np.float_power(np.hypot(v.real, v.imag), 2)
 
-    err = np.zeros(len(hs))
-    for key, h in true.items():
-        col = got.pop(key, None)
-        err = err + (abs(0.0 - h) ** 2 if col is None else power(hs[:, col] - h))
+    # hit[row, col, t]: the row's tap col is true tap t
+    hit = est.keys[..., None] == true_keys
+    got = np.where(hit, hs[..., None], 0).sum(axis=1)
+    err = 0
+    for term in np.where(hit.any(axis=1), power(got - true_h), missed).T:
+        err = err + term
+    # a padding column has gain 0, so it adds 0 too
     spurious = 0
-    for col in got.values():
-        spurious = spurious + power(hs[:, col])
-    return (err + spurious) / sum(abs(t.h) ** 2 for t in true_spec.taps)
+    for col in np.where(hit.any(axis=-1), 0.0, power(hs)).T:
+        spurious = spurious + col
+    nmse = (err + spurious) / ref
+    if not true_spec.has_doppler:
+        for rows, gls, gks, ghs in est.groups:
+            if not any(gks):
+                nmse[rows] = _response_nmse(_delay_response(ghs, gls, n),
+                                            freq_response(true_spec, n))
+    return nmse

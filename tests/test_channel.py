@@ -9,6 +9,7 @@ from afdmrsma import (AffineParams, ChannelSpec, ChannelTap, Domain, DopplerPres
                       Frame, FrameConfig, InvalidChannel, apply_channel,
                       build_affine_pilot, daft, freq_response,
                       idaft, snr_to_noise_var)
+from afdmrsma.channel import _channel
 from oracles import channel_matrix
 
 
@@ -65,6 +66,24 @@ class TestApplyChannel:
         lhs = apply_channel(Frame(a * x1.data + b * x2.data, Domain.TIME), spec)
         rhs = a * apply_channel(x1, spec).data + b * apply_channel(x2, spec).data
         npt.assert_allclose(lhs.data, rhs, atol=1e-12)
+
+    def test_cached_ramps_follow_the_taps_and_the_length(self):
+        # _channel computes each tap's gather index and ramp once per tap
+        # list and frame length; alternating both (N and N + cp) still gives
+        # the per-tap formula, bit for bit
+        rng = np.random.default_rng(4)
+        specs = (ChannelSpec((ChannelTap(0.8, 0, 0), ChannelTap(0.6, 2, 1))),
+                 ChannelSpec((ChannelTap(0.5 + 0.5j, 1, 3),)))
+        for ell in (16, 20, 16, 20):
+            for spec in specs:
+                x = rng.normal(size=(2, ell)) + 1j * rng.normal(size=(2, ell))
+                n = np.arange(ell)
+                want = np.zeros((2, ell), dtype=complex)
+                for tap in spec.taps:
+                    idx = (n - tap.l) % ell
+                    ramp = tap.h * np.exp(2j * np.pi * tap.k * idx / ell)
+                    want += np.multiply(ramp, x[..., idx])
+                assert np.array_equal(_channel(x, spec, None), want)
 
     def test_delay_too_long(self):
         x = rand_frame(np.random.default_rng(5), 8)

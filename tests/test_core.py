@@ -125,6 +125,17 @@ class TestSeeding:
                                    rng.standard_normal(n_normals - n_normals // 2)])
             assert np.array_equal(normals[row], want)
 
+    def test_cached_generator_keeps_no_state_between_calls(self):
+        # frame_draws reuses one Philox per seed: calls interleaved over two
+        # seeds and two points draw what fresh per-frame generators draw
+        for seed, point in [(11, 0), (12, 0), (11, 3), (12, 3), (11, 0), (12, 3)]:
+            frames = range(point, point + 3)
+            bits, normals = frame_draws(seed, point, frames, 8, 5)
+            for row, f in enumerate(frames):
+                rng = frame_rng(seed, point, f)
+                npt.assert_array_equal(bits[row], random_bits(rng, 8))
+                assert np.array_equal(normals[row], rng.standard_normal(5))
+
     def test_block_draws_mask_large_counters(self):
         big = (1 << 64) + 9
         bits, normals = frame_draws(big, big, range(big, big + 1), 8, 4)

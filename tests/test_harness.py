@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afdmrsma import (AffineParams, Approach, ChannelTap, ConfigError, FrameConfig,
+from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigError, FrameConfig,
                       Frame, LinkResult, ReceiverMode, SimConfig, emit_results, measure_se,
                       run_sweep, run_sweeps)
-from afdmrsma import cli, experiments, harness
+from afdmrsma import channel, cli, core, experiments, harness, receiver, transforms
 from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
 from afdmrsma.harness import (ESTIMATORS, _point_noise_var, _run_block, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
@@ -467,10 +467,30 @@ class TestBlockEngine:
     @pytest.mark.parametrize("sim", [s for _, s in PRESET_SERIES],
                              ids=[name for name, _ in PRESET_SERIES])
     def test_preset_records_equal_run_frame(self, sim):
-        # 20 frames run as one full block and a partial one
+        # one full block and a partial one, at whatever block size
+        step = harness._BLOCK_SAMPLES // sim.frame.n
+        frames = step + max(1, step // 4)
+        assert 0 < frames - step < step
+        sim = replace(sim, frames_per_point=frames)
         for point in (0, len(sim.snr_grid_db) - 1):
             got, _ = _run_task((sim, point, 0, 1))
-            assert np.array_equal(got, _reference(sim, point, range(20)))
+            assert np.array_equal(got, _reference(sim, point, range(frames)))
+
+    def test_only_the_affine_estimator_analyses_the_affine_plane(self, monkeypatch):
+        # the affine plane feeds the affine peak search alone
+        calls = []
+        daft = harness._daft
+
+        def counted(*args):
+            calls.append(args)
+            return daft(*args)
+        monkeypatch.setattr(harness, "_daft", counted)
+        frame = replace(small_sim().frame, guard=9)
+        for estimator, want in (("freq", 0), ("perfect-affine", 0), ("affine", 1)):
+            sim = small_sim(frame=frame, estimator=estimator)
+            calls.clear()
+            _run_block(sim, 0, range(4), *_point_args(sim, 0))
+            assert len(calls) == want, estimator
 
     @pytest.mark.parametrize("kw", [
         dict(estimator="affine"),            # delay-only taps: NMSE by the response
@@ -520,6 +540,34 @@ class TestBlockEngine:
         assert peak(400) <= 1.25 * peak(50)
 
 
+def _arrays(obj):
+    """Every numpy array in ``obj`` and the tuples, lists and dicts it holds."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value)
+
+
+def test_cached_arrays_are_read_only():
+    # the per-configuration caches hand the same arrays to every block that
+    # asks, so none of them may be written to
+    cfg = replace(small_sim().frame, guard=9)
+    taps = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
+    cached = [core._philox(7), channel._tap_ramps(taps, cfg.n + cfg.cp_len),
+              channel.frequency_diagonal(ChannelSpec(taps), cfg.n),
+              receiver._pilot_subcarriers(cfg, 2), receiver._peak_zone(cfg, 2, 1),
+              receiver._true_taps(taps), receiver._solve_rule((0, 2), (0, 1), cfg.n),
+              receiver._spectra((0, 1, 3), cfg.n), receiver._band_plan((0, 1, 3), cfg.n),
+              harness._se_counts((8, 0, 12), 1, 1), cfg.layout.common_gain,
+              transforms._chirps(cfg.n, cfg.affine.c1_prime, cfg.affine.c2)]
+    arrays = list(_arrays(cached))
+    assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+
+
 class TestConfigLoading:
     def config_dict(self):
         return {
@@ -566,6 +614,36 @@ class TestConfigLoading:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             sim_config_from_dict({"frame": {"n": 64}})
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("sweep", "baseline", "false"), ("sweep", "baseline", 0), ("channel", "normalize", "no"),
+        ("channel", "normalize", 1), ("frame", "n", 64.9), ("frame", "n", "64"),
+        ("frame", "n", True), ("frame", "approach", 1.5), ("frame", "approach", "1"),
+        ("frame", "common_per_class", 0.5), ("sweep", "frames_per_point", 5.5),
+        ("sweep", "seed", "3"), ("sweep", "seed", False), ("sweep", "workers", 1.25),
+        ("channel", "taps", [[1.0, 0.0, 0.5, 0]]), ("channel", "taps", [[1.0, 0.0, 0, "1"]]),
+    ])
+    def test_value_of_the_wrong_type_refused(self, part, key, value):
+        # bool keys take only JSON true or false; integer keys refuse bools,
+        # strings and fractions, where int() or bool() would have run them
+        raw = self.config_dict()
+        raw[part][key] = value
+        with pytest.raises(ConfigError, match=f"{part}.{key}"):
+            sim_config_from_dict(raw)
+
+    def test_integral_numbers_read_as_integers(self):
+        raw = self.config_dict()
+        raw["frame"].update(n=64.0, guard=8.0)
+        raw["sweep"].update(frames_per_point=5.0, seed=3.0)
+        raw["channel"]["taps"] = [[1.0, 0.0, 0.0, 0.0], [0.6, 0.0, 2.0, 0]]
+        assert sim_config_from_dict(raw) == sim_config_from_dict(self.config_dict())
+
+    def test_wrong_type_exit_code(self, tmp_path):
+        raw = self.config_dict()
+        raw["sweep"]["baseline"] = "false"
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["--config", str(path)]) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

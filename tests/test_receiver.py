@@ -621,6 +621,33 @@ def test_block_with_an_empty_group_refuses_equalization():
             _tap_mmse(y_freq, [healthy, empty], p, g)
 
 
+@pytest.mark.parametrize("shifts", [(0, 1), (0, 1, 2), (3, 0, 1), (0, 2, 1, 3), (5, 1, 2, 0)])
+def test_band_plan_adds_each_diagonal_in_loop_order(shifts):
+    # the Gram band takes one rank of tap pairs per call; read rank by rank,
+    # each diagonal d = s_u - s_t meets its pairs in the order of the loop
+    # over t, then u, so its sum rounds as that loop's does
+    n = 16
+    plan = receiver._band_plan(shifts, n)
+    loop = {}
+    for t, s_t in enumerate(shifts):
+        for u, s_u in enumerate(shifts):
+            loop.setdefault(s_u - s_t, []).append((t, u))
+    got = {}
+    for ranked, columns in zip(plan.ranks, plan.columns):
+        assert len(set(columns.tolist())) == len(columns)   # one row per diagonal per call
+        for t, u, index, column in zip(plan.t[ranked], plan.u[ranked, 0],
+                                       plan.pair_index[ranked], columns):
+            d = shifts[u] - shifts[t]
+            assert column == plan.block + d
+            assert np.array_equal(index, (np.arange(n) + d) % n)
+            got.setdefault(d, []).append((t, u))
+    assert got == loop
+    b = max(shifts) - min(shifts)
+    assert plan.block >= b > plan.block // 2
+    for t, s_t in enumerate(shifts):
+        assert np.array_equal(plan.tap_index[t], (np.arange(n) + s_t) % n)
+
+
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
     # a fig9 block at 5 dB splits into groups of every rule; its equalize
     # step runs one cyclic reduction per block size of the general groups
