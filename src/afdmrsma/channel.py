@@ -16,6 +16,8 @@ guard, Dopplers to the near side.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +38,8 @@ class ChannelTap:
     def __post_init__(self):
         if self.l < 0:
             raise InvalidChannel(f"negative delay {self.l}")
+        if not cmath.isfinite(self.h):
+            raise InvalidChannel(f"tap gain {self.h} is not finite")
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,8 @@ class ChannelSpec:
         taps = tuple(self.taps)
         if not taps:
             raise InvalidChannel("need at least one tap")
-        if self.noise_var < 0:
-            raise InvalidChannel("noise variance must be >= 0")
+        if not 0 <= self.noise_var < math.inf:
+            raise InvalidChannel(f"noise variance must be >= 0 and finite, got {self.noise_var}")
         if len({(t.l, t.k) for t in taps}) < len(taps):
             raise InvalidChannel("two taps share one (delay, Doppler) pair")
         if not any(t.h for t in taps):

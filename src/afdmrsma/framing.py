@@ -19,6 +19,7 @@ index 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,6 +56,9 @@ class FrameConfig:
     def __post_init__(self):
         if self.affine.c1_prime < 1:
             raise ConfigError("framing needs a real chirp slope (c1_prime >= 1)")
+        for name in ("phi_pilot", "phi1", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
         if not (self.phi1 > self.phi2 > 0):
             raise ConfigError(f"need phi1 > phi2 > 0, got {self.phi1}, {self.phi2}")
         if self.phi_pilot <= 0:

@@ -21,6 +21,7 @@ task and block bounds.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import time
@@ -83,6 +84,8 @@ class SimConfig:
                               f"expected one of {', '.join(ESTIMATORS)}")
         object.__setattr__(self, "taps", tuple(self.taps))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ConfigError(f"SNR grid must hold finite numbers, got {self.snr_grid_db}")
         object.__setattr__(self, "design", _receiver_design(self))
 
 
@@ -299,8 +302,8 @@ def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray | None],
         # group by group; one equalizer call serves every group, with one
         # FFT pair for the collinear groups, one cyclic reduction per block
         # size and one change to the affine plane
-        est = _affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var)
-        return (*_tap_mmse(y_freq, est.groups, cfg.affine, g), _taps_nmse(est, spec, cfg.n))
+        groups = _affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var)
+        return (*_tap_mmse(y_freq, groups, cfg.affine, g), _taps_nmse(groups, spec, cfg.n))
     if genie is not None:
         return (*_equalize_planes(y_freq, genie, cfg, g), genie_nmse)
     est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
@@ -374,7 +377,8 @@ def run_point(sim: SimConfig, point: int) -> LinkResult:
 def run_sweeps(sims) -> list[list[LinkResult]]:
     """One LinkResult per SNR point of each configuration (a diagnostic row
     if it raises), in this process at one worker, else on one process pool of
-    the largest ``workers``; points are cut only if fewer than the workers."""
+    the largest ``workers``, but no more processes than tasks; points are cut
+    only if fewer than the workers."""
     workers = max((sim.workers for sim in sims), default=1)
     if workers <= 1:
         return [[run_point(sim, p) for p in range(len(sim.snr_grid_db))] for sim in sims]
@@ -382,9 +386,10 @@ def run_sweeps(sims) -> list[list[LinkResult]]:
     # no frame range may be empty
     cuts = (min(workers, *(sim.frames_per_point for sim in sims)) if len(points) < workers
             else 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        outputs = iter(pool.map(_run_task, [(sim, p, cut, cuts) for sim, p in points
-                                            for cut in range(cuts)]))
+    tasks = [(sim, p, cut, cuts) for sim, p in points for cut in range(cuts)]
+    # a forked pool starts all its processes at the first task
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        outputs = iter(pool.map(_run_task, tasks))
         results = iter([_point_result(sim, p, [next(outputs) for _ in range(cuts)])
                         for sim, p in points])
     return [[next(results) for _ in sim.snr_grid_db] for sim in sims]
@@ -427,11 +432,14 @@ def _output_format(fmt: str) -> str:
 
 def emit_results(results, fmt: str, path) -> None:
     """Write per-point results in one of :data:`OUTPUT_FORMATS`; CSV columns
-    are fixed and floats carry 10 significant digits."""
+    are fixed and floats carry 10 significant digits.  JSON has no NaN, so
+    an aborted point's fields are written as null."""
     if _output_format(fmt) == "csv":
         text = render_csv(results)
     else:
-        text = json.dumps([r.row() for r in results], indent=2) + "\n"
+        rows = [{key: value if math.isfinite(value) else None for key, value in r.row().items()}
+                for r in results]
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)

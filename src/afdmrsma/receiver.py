@@ -203,36 +203,25 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     skipped.
     """
     [(_, ls, ks, hs)] = _affine_tap_groups(_check(y_affine, Domain.AFFINE, cfg.n)[None], cfg,
-                                           max_delay, max_doppler, noise_var, strict).groups
+                                           max_delay, max_doppler, noise_var, strict)
     taps = tuple(ChannelTap(complex(h), l, k) for l, k, h in zip(ls, ks, hs[0]))
     return ChannelEstimate(Domain.AFFINE, taps=taps)
 
 
-class _TapEstimates(NamedTuple):
-    """The tap lists of a block's rows, in two forms: ``groups`` of ``(rows,
-    delays, dopplers, gains)``, the rows that share one tap list, its delay
-    and Doppler lists and their (rows, taps) gains, as :func:`_tap_mmse`
-    reads them; and every row's list on its own, as (rows, K) ``keys``, a
-    tap's (delay l, Doppler k) as ``l + 1j k``, and ``gains``, padded to the
-    longest list with key -1 and gain 0."""
-
-    groups: list
-    keys: np.ndarray
-    gains: np.ndarray
-
-
 def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | None,
                        max_doppler: int | None, noise_var: float,
-                       strict: bool = False) -> _TapEstimates:
+                       strict: bool = False) -> list:
     """The affine estimator's peak search on each row of a (rows, N) affine
-    block: the :class:`_TapEstimates` of the taps found, each list by
-    descending peak magnitude.
+    block: the taps found as groups of ``(rows, delays, dopplers, gains)``,
+    the block rows that share one tap list, its delay and Doppler lists and
+    their (rows, taps) gains, each list by descending peak magnitude.
 
     The detection floor is the lower quartile of the candidate bins: the
     guard keeps channel-shifted data off those, but not off the rest of the
     zone.  The remaining zone bins or the known noise level stand in when
     the candidate set is too small (``_PeakZone.floor``).  Rows are grouped
-    by sorting their padded lists, with no loop over the rows.
+    by sorting their lists, padded to the longest, with no loop over the
+    rows.
     """
     zone = _peak_zone(cfg, max_delay, max_doppler)
     cand = zone.is_candidate
@@ -283,12 +272,11 @@ def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | Non
                              (lists[1:] != lists[:-1]).any(axis=-1))).nonzero()[0]
     heads = perm[starts]
     firsts = found[heads]
-    groups = [(perm[a:b], ls[:c], ks[:c], by_list[a:b, :c])
-              for a, b, ls, ks, c in zip(starts.tolist(), [*starts[1:].tolist(), len(perm)],
-                                         zone.delays[firsts].tolist(),
-                                         zone.dopplers[firsts].tolist(),
-                                         count[heads].tolist())]
-    return _TapEstimates(groups, keys, gains)
+    return [(perm[a:b], ls[:c], ks[:c], by_list[a:b, :c])
+            for a, b, ls, ks, c in zip(starts.tolist(), [*starts[1:].tolist(), len(perm)],
+                                       zone.delays[firsts].tolist(),
+                                       zone.dopplers[firsts].tolist(),
+                                       count[heads].tolist())]
 
 
 def _lower_quartile(x: np.ndarray) -> np.ndarray:
@@ -373,20 +361,21 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
     """MMSE solve for cyclic tap channels (ZF at g = 0): the equalized
     (frequency, affine) planes of a received (rows, N) frequency plane.
 
-    ``groups`` holds ``(rows, delays, dopplers, gains)`` as
-    :func:`_affine_tap_groups` yields them: the block rows that share one
-    tap list, the taps' delays and Dopplers, and a (rows, taps) array of
-    their gains.  A tap (h, l, k) shifts a frame by k in unitary frequency
-    and ramps it by its delay's phase, the spectrum of a shift by l
-    (:func:`_spectra`), so every group solves there, from ``y_freq``,
-    by the rule :func:`_solve_rule` picks: one tap per subcarrier at Doppler
-    spread 0, one FFT pair for a collinear group (:func:`_chirp_mmse`), block
-    cyclic reduction for a general one (:func:`_shift_mmse`).  The collinear
-    groups share one stacked FFT pair and the general ones one cyclic
-    reduction per block size, and the whole block leaves for the affine
-    plane by one ``_freq_to_affine``.  Every step acts on the rows
-    independently, so a row's planes do not depend on the groups that share
-    its block.
+    ``groups`` holds ``(rows, delays, dopplers, gains)``, the one block
+    form of a tap estimate, as :func:`_affine_tap_groups` yields it and
+    :func:`_taps_nmse` scores it: the block rows that share one tap list,
+    the taps' delays and Dopplers, and a (rows, taps) array of their gains.
+    A tap (h, l, k) shifts a frame by k in unitary frequency and ramps it by
+    its delay's phase, the spectrum of a shift by l (:func:`_spectra`), so
+    every group solves there, from ``y_freq``, by the rule
+    :func:`_solve_rule` picks: one tap per subcarrier at Doppler spread 0,
+    one FFT pair for a collinear group (:func:`_chirp_mmse`), block cyclic
+    reduction for a general one, which :func:`_shift_mmse` receives with its
+    Doppler list.  The collinear groups share one stacked FFT pair and the
+    general ones one cyclic reduction per block size, and the whole block
+    leaves for the affine plane by one ``_freq_to_affine``.  Every step acts
+    on the rows independently, so a row's planes do not depend on the
+    groups that share its block.
     """
     n = p.n
     flat, general, chirped = [], [], []
@@ -399,8 +388,7 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
         elif len(set(ks)) == 1:
             flat.append((rows, hs, _spectra(tuple(ls), n), ks[0]))
         else:
-            general.append((rows, hs[:, :, None] * _spectra(tuple(ls), n),
-                            _band_plan(tuple(ks), n)))
+            general.append((rows, hs[:, :, None] * _spectra(tuple(ls), n), ks))
     x = np.empty_like(y_freq)
     if flat:
         # H is a diagonal times a cyclic shift by the common Doppler s: the
@@ -528,32 +516,33 @@ def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
     ``(H x)(i) = sum_t a_t(i) x(i - s_t)``, along the last axis of a (rows, N)
     block.
 
-    ``solves`` holds ``(rows, gains, plan)``: the block rows of one channel,
-    its per-sample tap gains a_t as a (rows, taps, N) array, and the
-    :func:`_band_plan` of its tap shifts s_t, at least two of them.
-    H H^H + g I is a cyclic band of half-width b = max s - min s; cut into
-    blocks of size B, the smallest power of two >= b, it is cyclic
-    block-tridiagonal.  The channels with the same B fill one band of
-    half-width B, scattered into one system, and go through one block cyclic
-    reduction; then each channel's H^H is applied, every tap at once.
+    ``solves`` holds ``(rows, gains, shifts)``: the block rows of one
+    channel, its per-sample tap gains a_t as a (rows, taps, N) array, and
+    its tap shifts s_t, at least two distinct ones.  H H^H + g I is a cyclic
+    band of half-width b = max s - min s; cut into blocks of size B, the
+    smallest power of two >= b, it is cyclic block-tridiagonal.  The
+    channels with the same B fill one band of half-width B, tap pair by tap
+    pair in loop order, are scattered into one system and go through one
+    block cyclic reduction; then each channel's H^H is applied tap by tap.
     """
     n = y.shape[-1]
     banded: dict[int, list] = {}
-    for rows, gains, plan in solves:
-        banded.setdefault(plan.block, []).append((rows, gains, np.conj(gains), plan))
+    for rows, gains, shifts in solves:
+        b = max(shifts) - min(shifts)
+        banded.setdefault(1 << (b - 1).bit_length(), []).append(
+            (rows, gains, np.conj(gains), shifts))
     for bs, members in banded.items():
         rows = np.concatenate([part for part, *_ in members])
         # Gram diagonal d (row bs + d): entry (j, j + d) sums
         # a_t(j) conj(a_u(j + d)) over the tap pairs with s_u - s_t = d
         band = np.zeros((len(rows), 2 * bs + 1, n), dtype=np.complex128)
         at = 0
-        for part, gains, conj, plan in members:
-            pairs = gains[:, plan.t]
-            pairs *= conj[:, plan.u, plan.pair_index]
-            # a diagonal's pairs are added in loop order, one rank at a time
+        for part, gains, conj, shifts in members:
             member = band[at:at + len(part)]
-            for ranked, columns in zip(plan.ranks, plan.columns):
-                member[:, columns] += pairs[:, ranked]
+            for t, s_t in enumerate(shifts):
+                for u, s_u in enumerate(shifts):
+                    d = s_u - s_t
+                    member[:, bs + d] += gains[:, t] * _ahead(conj[:, u], d)
             at += len(part)
         scale = band[:, bs].real.max(axis=-1)
         band[:, bs] += g
@@ -570,52 +559,12 @@ def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
             raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
         z = z.reshape(len(system), n)
         at = 0
-        for part, _, conj, plan in members:
+        for part, _, conj, shifts in members:
             # tap t's conj(a_t) z advanced by s_t, added up in tap order
-            terms = np.multiply(conj, z[at:at + len(part), None])
-            x[part] = terms[:, plan.taps, plan.tap_index].sum(axis=1)
+            zr = z[at:at + len(part)]
+            terms = [_ahead(np.multiply(conj[:, t], zr), s) for t, s in enumerate(shifts)]
+            x[part] = sum(terms[1:], terms[0])
             at += len(part)
-
-
-class _BandPlan(NamedTuple):
-    """The index arrays :func:`_shift_mmse` gathers with for one list of
-    tap shifts s_t.  The tap pairs (t, u) of the Gram, sorted by rank: a
-    pair's rank counts the pairs before it in loop order (t outer, u inner)
-    on its diagonal d = s_u - s_t.  Per pair, ``t``, ``u`` (a column) and
-    the index ``(i + d) mod N``; per rank, the slice of its pairs and their
-    band rows ``B + d``, no row twice.  Per tap, its row number ``taps`` (a
-    column) and the index ``(i + s_t) mod N``.  And the block size B."""
-
-    t: np.ndarray
-    u: np.ndarray
-    pair_index: np.ndarray
-    ranks: tuple[slice, ...]
-    columns: tuple[np.ndarray, ...]
-    taps: np.ndarray
-    tap_index: np.ndarray
-    block: int
-
-
-@lru_cache(maxsize=256)
-def _band_plan(shifts: tuple, n: int) -> _BandPlan:
-    """The :class:`_BandPlan` of tap shifts ``shifts`` on length-``n``
-    frames, read-only."""
-    s, i = np.array(shifts), np.arange(n)
-    b = int(s.max() - s.min())
-    block = 1 << (b - 1).bit_length()
-    t, u = np.divmod(np.arange(len(s) ** 2), len(s))
-    d = s[u] - s[t]
-    rank = np.array([np.count_nonzero(d[:p] == d[p]) for p in range(len(d))])
-    order = np.argsort(rank, kind="stable")
-    t, u, d = t[order], u[order], d[order]
-    bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2)).tolist()
-    ranks = tuple(slice(a, z) for a, z in zip(bounds[:-1], bounds[1:]))
-    plan = _BandPlan(t, u[:, None], (i + d[:, None]) % n, ranks,
-                     tuple(d[r] + block for r in ranks), np.arange(len(s))[:, None],
-                     (i + s[:, None]) % n, block)
-    for arr in (plan.t, plan.u, plan.pair_index, *plan.columns, plan.taps, plan.tap_index):
-        arr.flags.writeable = False
-    return plan
 
 
 def _ahead(v: np.ndarray, s: int, axis: int = -1) -> np.ndarray:
@@ -724,11 +673,16 @@ def _equalize_planes(y_freq: np.ndarray, est: ChannelEstimate, cfg: FrameConfig,
         eq_f = _one_tap(y_freq, est.h_freq, g)
         return eq_f, _freq_to_affine(eq_f, cfg.affine)
     y = y_freq.reshape(-1, cfg.n)
-    rows = np.arange(len(y))
-    hs = np.broadcast_to(np.array([t.h for t in est.taps], dtype=np.complex128),
-                         (len(rows), len(est.taps)))
-    group = (rows, [t.l for t in est.taps], [t.k for t in est.taps], hs)
-    return tuple(eq.reshape(y_freq.shape) for eq in _tap_mmse(y, [group], cfg.affine, g))
+    return tuple(eq.reshape(y_freq.shape)
+                 for eq in _tap_mmse(y, [_tap_group(est.taps, len(y))], cfg.affine, g))
+
+
+def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
+    """A tap list as the one group ``(rows, delays, dopplers, gains)`` of a
+    block of ``rows`` rows that :func:`_tap_mmse` and :func:`_taps_nmse`
+    read."""
+    hs = np.broadcast_to(np.array([t.h for t in taps], dtype=np.complex128), (rows, len(taps)))
+    return np.arange(rows), [t.l for t in taps], [t.k for t in taps], hs
 
 
 def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
@@ -771,24 +725,7 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     """
     if est.domain is Domain.FREQUENCY:
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    ls, ks = [t.l for t in est.taps], [t.k for t in est.taps]
-    hs = np.array([[t.h for t in est.taps]], dtype=np.complex128)
-    keys = np.array([[complex(t.l, t.k) for t in est.taps]], dtype=np.complex128)
-    return float(_taps_nmse(_TapEstimates([(np.array([0]), ls, ks, hs)], keys, hs),
-                            true_spec, n)[0])
-
-
-@lru_cache(maxsize=64)
-def _true_taps(taps: tuple[ChannelTap, ...]):
-    """What :func:`_taps_nmse` reads of the true taps: their (delay,
-    Doppler) pairs as ``l + 1j k``, their gains, the error of missing each,
-    ``abs(0.0 - h) ** 2``, and their total power, read-only."""
-    keys = np.array([complex(t.l, t.k) for t in taps])
-    gains = np.array([t.h for t in taps], dtype=np.complex128)
-    missed = np.array([abs(0.0 - t.h) ** 2 for t in taps])
-    for arr in (keys, gains, missed):
-        arr.flags.writeable = False
-    return keys, gains, missed, sum(abs(t.h) ** 2 for t in taps)
+    return float(_taps_nmse([_tap_group(est.taps, 1)], true_spec, n)[0])
 
 
 def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -797,36 +734,31 @@ def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(h_est - h) ** 2, axis=-1) / np.sum(np.abs(h) ** 2)
 
 
-def _taps_nmse(est: _TapEstimates, true_spec: ChannelSpec, n: int) -> np.ndarray:
-    """:func:`estimate_nmse` of the tap estimates of a block, one per row of
-    ``est``.  A delay-only estimate of a delay-only channel compares by its
-    response.  Otherwise matched taps contribute |h_hat - h|^2, missed and
-    spurious taps their full power, and each row's error is formed in the
-    order and with the rounding of a Python loop over the taps: a Python
-    ``x ** 2`` is ``np.float_power``, ``abs`` of a complex ``np.hypot``.  The
-    padded form of ``est`` serves every row at once: one comparison finds
-    every true tap's match, and the spurious taps add up column by column,
-    where padding and matched taps add 0."""
-    hs = est.gains
-    true_keys, true_h, missed, ref = _true_taps(true_spec.taps)
-
+def _taps_nmse(groups, true_spec: ChannelSpec, n: int) -> np.ndarray:
+    """:func:`estimate_nmse` of the tap estimates of a block, one per row,
+    from its ``(rows, delays, dopplers, gains)`` groups as
+    :func:`_tap_mmse` reads them.  A delay-only estimate of a delay-only
+    channel compares by its response.  Otherwise matched taps contribute
+    |h_hat - h|^2, missed and spurious taps their full power, and each row's
+    error is formed in the order and with the rounding of a Python loop over
+    the taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a
+    complex ``np.hypot``."""
     def power(v):
         return np.float_power(np.hypot(v.real, v.imag), 2)
 
-    # hit[row, col, t]: the row's tap col is true tap t
-    hit = est.keys[..., None] == true_keys
-    got = np.where(hit, hs[..., None], 0).sum(axis=1)
-    err = 0
-    for term in np.where(hit.any(axis=1), power(got - true_h), missed).T:
-        err = err + term
-    # a padding column has gain 0, so it adds 0 too
-    spurious = 0
-    for col in np.where(hit.any(axis=-1), 0.0, power(hs)).T:
-        spurious = spurious + col
-    nmse = (err + spurious) / ref
-    if not true_spec.has_doppler:
-        for rows, gls, gks, ghs in est.groups:
-            if not any(gks):
-                nmse[rows] = _response_nmse(_delay_response(ghs, gls, n),
-                                            freq_response(true_spec, n))
+    ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
+    nmse = np.empty(sum(len(rows) for rows, *_ in groups))
+    for rows, ls, ks, hs in groups:
+        if not any(ks) and not true_spec.has_doppler:
+            nmse[rows] = _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
+            continue
+        got = {key: col for col, key in enumerate(zip(ls, ks))}
+        err = 0
+        for t in true_spec.taps:
+            col = got.pop((t.l, t.k), None)
+            err = err + (abs(0.0 - t.h) ** 2 if col is None else power(hs[:, col] - t.h))
+        spurious = 0
+        for col in got.values():
+            spurious = spurious + power(hs[:, col])
+        nmse[rows] = (err + spurious) / ref
     return nmse

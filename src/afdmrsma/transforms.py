@@ -15,6 +15,7 @@ as composed fast transforms (O(N log N)); no dense N x N form is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +45,8 @@ class AffineParams:
     def __post_init__(self):
         if not _is_pow2(self.n):
             raise ConfigError(f"frame length {self.n} is not a power of 2")
+        if not math.isfinite(self.c2):
+            raise ConfigError(f"c2 must be a finite number, got {self.c2}")
         if self.c1_prime == 0:
             return  # degenerate chirp-off geometry: the pair reduces to DFT/IDFT
         if not _is_pow2(self.c1_prime):

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigError, FrameConfig,
-                      Frame, LinkResult, ReceiverMode, SimConfig, emit_results, measure_se,
-                      run_sweep, run_sweeps)
+                      Frame, InvalidChannel, LinkResult, ReceiverMode, SimConfig, emit_results,
+                      measure_se, run_sweep, run_sweeps)
 from afdmrsma import channel, cli, core, experiments, harness, receiver, transforms
 from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
-from afdmrsma.harness import (ESTIMATORS, _point_noise_var, _run_block, _run_task,
+from afdmrsma.harness import (CSV_COLUMNS, ESTIMATORS, _point_noise_var, _run_block, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
 from oracles import run_frame
+
+NAN, INF = float("nan"), float("inf")
 
 
 def small_sim(**kw):
@@ -88,10 +90,15 @@ class TestEmit:
 
     def test_json_round_trip(self, tmp_path):
         r = LinkResult(10.0, 0.1, 0.01, 0.05, 3.25, 1e-3, 40)
+        # an aborted point's fields are NaN, which strict JSON cannot hold
+        aborted = LinkResult(15.0, *[NAN] * 5, 0, diagnostics="SingularChannel: null")
         path = tmp_path / "out.json"
-        emit_results([r], "json", path)
-        back = json.loads(path.read_text())
-        assert back == [r.row()]
+        emit_results([r, aborted], "json", path)
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+        back = json.loads(path.read_text(), parse_constant=strict)
+        assert back == [r.row(), {**{c: None for c in CSV_COLUMNS}, "snr_db": 15.0, "frames": 0}]
 
     def test_unwritable_path(self):
         with pytest.raises(IOError):
@@ -355,6 +362,17 @@ _REFUSED = {
     "null-response-perfect-affine": (
         {"channel": {"taps": [[0.7, 0.0, 0, 0], [0.7, 0.0, 1, 0]], "noise_var": 0.0},
          "sweep": {"estimator": "perfect-affine"}}, "zero-forcing through a channel null"),
+    # JSON's NaN and Infinity read as floats; each would run to a nan result
+    "nan-tap-gain": ({"channel": {"taps": [[NAN, 0.0, 0, 0], [0.6, 0.0, 2, 0]]}},
+                     "is not finite"),
+    "infinite-tap-gain": ({"channel": {"taps": [[1.0, INF, 0, 0]]}}, "is not finite"),
+    "nan-c2": ({"frame": {"c2": NAN}}, "c2 must be a finite number"),
+    # NaN passes the pilot's "<= 0" test
+    "nan-pilot-power": ({"frame": {"pilot_power_db": NAN}}, "phi_pilot must be a finite number"),
+    "infinite-phi1": ({"frame": {"phi1": INF}}, "phi1 must be a finite number"),
+    "nan-noise": ({"channel": {"noise_var": NAN}}, "noise variance must be >= 0 and finite"),
+    "nan-snr": ({"sweep": {"snr_db": [NAN]}}, "SNR grid must hold finite numbers"),
+    "infinite-snr": ({"sweep": {"snr_db": [0, -INF]}}, "SNR grid must hold finite numbers"),
 }
 
 
@@ -371,6 +389,22 @@ def test_refused_at_construction(case):
     cfg, message = _refused_config(case)
     with pytest.raises(ConfigError, match=message):
         sim_config_from_dict(cfg)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_numbers_refused_by_the_constructors(value):
+    frame = small_sim().frame
+    for build in (lambda: AffineParams(64, 4, c2=value),
+                  lambda: replace(frame, phi_pilot=value),
+                  lambda: replace(frame, phi1=value),
+                  lambda: replace(frame, phi2=value),
+                  lambda: ChannelTap(complex(1.0, value), 0, 0),
+                  lambda: ChannelTap(value, 0, 0),
+                  lambda: ChannelSpec((ChannelTap(1.0, 0, 0),), noise_var=value),
+                  lambda: small_sim(snr_grid_db=(0.0, value)),
+                  lambda: small_sim(noise_override=value)):
+        with pytest.raises((ConfigError, InvalidChannel)):
+            build()
 
 
 # LinkResult fields that depend on the frames alone, not on the clock
@@ -440,6 +474,33 @@ class TestRunSweeps:
         paths = emit_plot_data(str(tmp_path), frames=1, workers=2)
         assert pools == [{"max_workers": 2}]
         assert [Path(p).name for p in paths] == [f"{name}.csv" for name in FIGURES]
+
+    def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
+        # a forked pool starts every worker at its first task, so one point
+        # of 2 frames, cut into 2 tasks, must not ask for 4 workers; an
+        # in-process fake records what the sweep asks for and forks nothing
+        pools = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, list(tasks))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        two = replace(self.single, frames_per_point=2)
+        want = run_sweeps([two])
+        for w in (4, 2):
+            _assert_same_records(run_sweeps([replace(two, workers=w)]), want)
+        # 8 points are 8 tasks, more than 3 workers
+        run_sweeps([replace(sim, workers=3) for sim in self.mix()])
+        assert pools == [2, 2, 3]
 
 
 # every series of the bundled figure presets, fig5 to fig9
@@ -560,8 +621,7 @@ def test_cached_arrays_are_read_only():
     cached = [core._philox(7), channel._tap_ramps(taps, cfg.n + cfg.cp_len),
               channel.frequency_diagonal(ChannelSpec(taps), cfg.n),
               receiver._pilot_subcarriers(cfg, 2), receiver._peak_zone(cfg, 2, 1),
-              receiver._true_taps(taps), receiver._solve_rule((0, 2), (0, 1), cfg.n),
-              receiver._spectra((0, 1, 3), cfg.n), receiver._band_plan((0, 1, 3), cfg.n),
+              receiver._solve_rule((0, 2), (0, 1), cfg.n), receiver._spectra((0, 1, 3), cfg.n),
               harness._se_counts((8, 0, 12), 1, 1), cfg.layout.common_gain,
               transforms._chirps(cfg.n, cfg.affine.c1_prime, cfg.affine.c2)]
     arrays = list(_arrays(cached))

@@ -44,3 +44,35 @@ def test_every_imported_name_is_read_or_patched():
                 if name not in read and name not in patched.get(path.stem, ()):
                     unused.append(f"{path.stem}: {name}")
     assert not unused
+
+
+def _bound_names(statement):
+    """The names a top-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    # a private helper that nothing in the package reads, besides its own
+    # definition, is dead code that only the tests would keep alive; names
+    # match across modules, and an attribute or an import counts as a read
+    defined, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined += [(path.stem, name, statement) for name in _bound_names(statement)
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.append((statement, node.id))
+                elif isinstance(node, ast.Attribute):
+                    reads.append((statement, node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    reads += [(statement, alias.name) for alias in node.names]
+    unread = [f"{module}: {name}" for module, name, statement in defined
+              if not any(read == name and where is not statement for where, read in reads)]
+    assert defined and not unread

@@ -18,7 +18,8 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigErr
 from afdmrsma import harness, receiver
 from afdmrsma.experiments import FIGURES
 from afdmrsma.harness import _point_noise_var
-from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse
+from afdmrsma.receiver import (ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse,
+                               _taps_nmse)
 import oracles
 from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
 
@@ -322,6 +323,27 @@ class TestAffineEstimatorOracle:
                             oracles.estimate_nmse(e, spec, cfg.n)
 
 
+@pytest.mark.parametrize("k2", [0, 1], ids=["delay-only-truth", "doppler-truth"])
+def test_tap_scorer_rows_equal_the_dict_oracle(k2):
+    # one block whose groups, their rows interleaved, hold a matched list
+    # with a spurious tap, a list that misses a true tap, a delay-only list
+    # and a list that both misses and adds one; each row scores as the dict
+    # oracle scores that row's list on its own, bit for bit
+    n = 64
+    spec = ChannelSpec((ChannelTap(0.8, 0, 0), ChannelTap(0.5 + 0.2j, 2, k2)))
+    lists = [([0, 2, 1], [0, k2, 3]), ([2], [k2]), ([0, 1], [0, 0]), ([3, 0], [1, 0])]
+    rng = np.random.default_rng(5)
+    rows = rng.permutation(2 * len(lists)).reshape(len(lists), 2)
+    groups = [(r, ls, ks, _cn(rng, len(r), len(ls))) for r, (ls, ks) in zip(rows, lists)]
+    got = _taps_nmse(groups, spec, n)
+    assert got.shape == (rows.size,)
+    for r, ls, ks, hs in groups:
+        for row, h in zip(r, hs):
+            est = ChannelEstimate(Domain.AFFINE, taps=tuple(
+                ChannelTap(complex(g), l, k) for l, k, g in zip(ls, ks, h)))
+            assert got[row] == oracles.estimate_nmse(est, spec, n), (ls, ks)
+
+
 class TestEqualize:
     def test_zf_exact_freq(self):
         cfg = make_cfg(cp_len=4)
@@ -619,33 +641,6 @@ def test_block_with_an_empty_group_refuses_equalization():
     for g in (0.0, 1e-3):
         with pytest.raises(SingularChannel, match="no channel tap found"):
             _tap_mmse(y_freq, [healthy, empty], p, g)
-
-
-@pytest.mark.parametrize("shifts", [(0, 1), (0, 1, 2), (3, 0, 1), (0, 2, 1, 3), (5, 1, 2, 0)])
-def test_band_plan_adds_each_diagonal_in_loop_order(shifts):
-    # the Gram band takes one rank of tap pairs per call; read rank by rank,
-    # each diagonal d = s_u - s_t meets its pairs in the order of the loop
-    # over t, then u, so its sum rounds as that loop's does
-    n = 16
-    plan = receiver._band_plan(shifts, n)
-    loop = {}
-    for t, s_t in enumerate(shifts):
-        for u, s_u in enumerate(shifts):
-            loop.setdefault(s_u - s_t, []).append((t, u))
-    got = {}
-    for ranked, columns in zip(plan.ranks, plan.columns):
-        assert len(set(columns.tolist())) == len(columns)   # one row per diagonal per call
-        for t, u, index, column in zip(plan.t[ranked], plan.u[ranked, 0],
-                                       plan.pair_index[ranked], columns):
-            d = shifts[u] - shifts[t]
-            assert column == plan.block + d
-            assert np.array_equal(index, (np.arange(n) + d) % n)
-            got.setdefault(d, []).append((t, u))
-    assert got == loop
-    b = max(shifts) - min(shifts)
-    assert plan.block >= b > plan.block // 2
-    for t, s_t in enumerate(shifts):
-        assert np.array_equal(plan.tap_index[t], (np.arange(n) + s_t) % n)
 
 
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
