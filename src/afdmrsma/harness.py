@@ -242,6 +242,17 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
 # Frames simulated together, as (frames, N) arrays of about this many samples
 _BLOCK_SAMPLES = 4096
 
+# A block's arrays peak at about 1.1 MiB (fig6, fig7: 17 complex planes).
+# glibc hands the free top of its heap back to the kernel beyond a trim
+# threshold of twice the largest mmap-served buffer freed so far, by default
+# a few hundred KiB, so every block would fault its pages in again.  Freeing
+# one mmap-served buffer of this size, once per process at import, raises
+# glibc's mmap threshold to it and its trim threshold to twice it (mallopt(3),
+# "dynamic mmap threshold", capped at 32 MiB): later blocks come from the
+# heap and keep its pages.  Other allocators only allocate and free it.
+_HEAP_KEEP_BYTES = 128 * _BLOCK_SAMPLES * np.dtype(complex).itemsize   # 8 MiB
+np.empty(_HEAP_KEEP_BYTES, np.uint8)
+
 
 def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
     """The records of ``frames``, consecutive frame indices, simulated as

@@ -426,7 +426,10 @@ class _Chirp(NamedTuple):
     phases: np.ndarray                 # (taps,)
 
 
-@lru_cache(maxsize=256)
+# fig7 at its preset 400 frames/point meets 446 distinct tap lists (its
+# spurious Doppler peaks), fig5-9 at their presets 476; a collinear entry
+# holds only its phases beside a shared _chirp_pair
+@lru_cache(maxsize=1024)
 def _solve_rule(ls: tuple, ks: tuple, n: int) -> _Chirp | None:
     """The chirp of the tap list (ls, ks) if it is collinear, else None.
 

@@ -2,6 +2,7 @@
 import itertools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -508,6 +509,13 @@ PRESET_SERIES = [(f"{fig}/{label}", sim) for fig in sorted(FIGURES)
                  for label, sim in FIGURES[fig](frames=20)]
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this tree's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _point_args(sim, point):
     return (_point_noise_var(sim, sim.snr_grid_db[point]),)
 
@@ -599,6 +607,25 @@ class TestBlockEngine:
             finally:
                 tracemalloc.stop()
         assert peak(400) <= 1.25 * peak(50)
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap")
+    def test_blocks_keep_their_heap_pages(self):
+        # a fig7 block's arrays peak at about 1.1 MiB; unless glibc keeps the
+        # freed heap top, every block faults its pages in again (about 15
+        # minor faults per frame); a fresh interpreter, so that no earlier
+        # test has raised glibc's thresholds
+        code = ("import resource\n"
+                "from afdmrsma.experiments import FIGURES\n"
+                "from afdmrsma.harness import run_point\n"
+                "sim = dict(FIGURES['fig7'](frames=200))['c1p-32']\n"
+                "run_point(sim, 0)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "frames = run_point(sim, 1).frames\n"
+                "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / frames)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=_src_env())
+        assert float(out.stdout) < 1.0
 
 
 def _arrays(obj):
@@ -716,11 +743,8 @@ def _no_sweep(sims):
 
 class TestCli:
     def run_cli(self, *args):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "afdmrsma.cli", *args],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=_src_env())
 
     def test_sweep_and_overrides(self, tmp_path):
         cfg = TestConfigLoading().config_dict()
