@@ -15,7 +15,7 @@ import numpy as np
 from .channel import ChannelSpec, _channel, frequency_diagonal
 from .core import _demodulate, _modulate
 from .framing import FrameConfig, _add_cp
-from .receiver import DetectionResult, _one_tap
+from .receiver import DetectionResult, _int64_bits, _one_tap
 from .transforms import _dft, _idft
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .channel import apply_channel  # noqa: F401
@@ -38,22 +38,24 @@ def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
     # the true frequency-domain channel; the off-diagonal ICI is noise to
     # this receiver.
     h = frequency_diagonal(spec, cfg.n)
-    return _baseline_link(common_syms, private_syms, cfg, spec, h, normals)
+    received = _channel(_baseline_time(common_syms, private_syms, cfg), spec, normals)
+    return _int64_bits(_baseline_detect(received[..., cfg.cp_len:], cfg, spec.noise_var, h))
 
 
-def _baseline_link(common_syms: np.ndarray, private_syms: np.ndarray, cfg: FrameConfig,
-                   spec: ChannelSpec, h: np.ndarray,
-                   normals: np.ndarray | None) -> DetectionResult:
-    """:func:`run_baseline_frame` along the last axis, equalizing with ``h``, and
-    with the channel noise made from ``normals`` (see ``channel._channel``)."""
+def _baseline_time(common_syms: np.ndarray, private_syms: np.ndarray,
+                   cfg: FrameConfig) -> np.ndarray:
+    """The streams superposed on every subcarrier, as time samples with the
+    CP in front, along the last axis."""
     s = np.sqrt(cfg.phi1) * common_syms + np.sqrt(cfg.phi2) * private_syms
+    return _add_cp(_idft(s), cfg.cp_len)
 
-    rx = _channel(_add_cp(_idft(s), cfg.cp_len), spec, normals)
-    y_f = _dft(rx[..., cfg.cp_len:])
 
-    p_avg = baseline_budget(cfg) / cfg.n
-    g = spec.noise_var / p_avg
-    eq = _one_tap(y_f, h, g)
+def _baseline_detect(received: np.ndarray, cfg: FrameConfig, noise_var: float,
+                     h: np.ndarray) -> DetectionResult:
+    """Genie one-tap equalization with ``h`` and SIC on received CP-free
+    time samples, along the last axis."""
+    g = noise_var / (baseline_budget(cfg) / cfg.n)
+    eq = _one_tap(_dft(received), h, g)
 
     # SIC: common first, subtract, then private
     com_est = eq / np.sqrt(cfg.phi1)

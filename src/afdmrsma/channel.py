@@ -104,9 +104,12 @@ def _channel(x: np.ndarray, spec: ChannelSpec, normals: np.ndarray | None) -> np
     noise."""
     ell = x.shape[-1]
     idx, gain = _tap_ramps(spec.taps, ell)
-    # every tap's product at once (C-ordered, as the gather by np.take
-    # leaves it), added up tap by tap in list order
-    y = np.multiply(gain, np.take(x, idx, axis=-1)).sum(axis=-2)
+    # tap by tap in list order: each tap's product (C-ordered, as the gather
+    # by np.take leaves it) is added to the sum of the taps before it
+    y = np.multiply(gain[0], np.take(x, idx[0], axis=-1))
+    for tap_idx, tap_gain in zip(idx[1:], gain[1:]):
+        term = np.take(x, tap_idx, axis=-1)
+        y += np.multiply(tap_gain, term, out=term)
     if spec.noise_var > 0:
         scale = _rt(spec.noise_var / 2.0)
         y += scale * (normals[..., :ell] + 1j * normals[..., ell:])

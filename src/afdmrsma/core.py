@@ -80,13 +80,14 @@ def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
     negative component too small (|x| below about 6e-17) to move the
     distance to either point, or a negative component beside a NaN one
     (the search decides 00 for any symbol holding a NaN)."""
-    return _demodulate(np.asarray(symbols, dtype=np.complex128).reshape(-1))
+    return _demodulate(np.asarray(symbols, dtype=np.complex128).reshape(-1)).astype(np.int64)
 
 
 def _demodulate(s: np.ndarray) -> np.ndarray:
-    """:func:`demodulate_symbols` along the last axis of a complex array."""
+    """:func:`demodulate_symbols` along the last axis of a complex array, as
+    int8 bits: one byte per bit, the signs' own buffer viewed as integers."""
     # (re, im) pairs side by side: the bits in their order
-    return (np.ascontiguousarray(s).view(np.float64) < 0).astype(np.int64)
+    return (np.ascontiguousarray(s).view(np.float64) < 0).view(np.int8)
 
 
 _MASK64 = (1 << 64) - 1

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import _baseline_link, baseline_budget
+from .baseline import _baseline_detect, _baseline_time, baseline_budget
 from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
 from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
 from .errors import ConfigError, SimulationError
@@ -239,18 +239,25 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
     return out
 
 
-# Frames simulated together, as (frames, N) arrays of about this many samples
-_BLOCK_SAMPLES = 4096
+# The most samples a block of frames holds: a point's frames run in as
+# few blocks as fit this budget, of sizes that differ by at most one frame
+# (:func:`_block_plan`).  At N = 256 a 100-frame point runs as two blocks of
+# 50 frames and a 400-frame point as seven of 57 or 58.  A full block's
+# arrays peak at 7 to 11.7 complex (frames, N) planes under tracemalloc, the
+# most in fig7's chirp solve (2.9 MiB at 64 frames of 256 samples).
+_BLOCK_SAMPLES = 16384
 
-# A block's arrays peak at about 1.1 MiB (fig6, fig7: 17 complex planes).
 # glibc hands the free top of its heap back to the kernel beyond a trim
 # threshold of twice the largest mmap-served buffer freed so far, by default
 # a few hundred KiB, so every block would fault its pages in again.  Freeing
 # one mmap-served buffer of this size, once per process at import, raises
 # glibc's mmap threshold to it and its trim threshold to twice it (mallopt(3),
-# "dynamic mmap threshold", capped at 32 MiB): later blocks come from the
-# heap and keep its pages.  Other allocators only allocate and free it.
-_HEAP_KEEP_BYTES = 128 * _BLOCK_SAMPLES * np.dtype(complex).itemsize   # 8 MiB
+# "dynamic mmap threshold"): later blocks come from the heap and keep its
+# pages.  glibc raises the thresholds only for a buffer below its dynamic cap
+# of 32 MiB, so this size is fixed, and well over a block's peak, rather
+# than derived from the block budget.  Other allocators only allocate and
+# free it.
+_HEAP_KEEP_BYTES = 8 << 20
 np.empty(_HEAP_KEEP_BYTES, np.uint8)
 
 
@@ -280,17 +287,26 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
         private = drawn[:, u1c:r1].copy()
         private[odd] = drawn[odd, r1 + u2c:]
         bits = np.concatenate([drawn[:, :u1c], drawn[:, r1:r1 + u2c]], axis=1), private
+    del drawn
     syms = tuple(_modulate(b) for b in bits)
 
+    # each stage's arrays are dropped once the next stage has read them
+    sent = (_baseline_time if sim.baseline else _frame_time)(*syms, cfg)
+    received = _channel(sent, spec, normals)[:, cfg.cp_len:]
+    del sent, normals
     if sim.baseline:
-        det = _baseline_link(*syms, cfg, spec, sim.design.genie.h_freq, normals)
+        det = _baseline_detect(received, cfg, spec.noise_var, sim.design.genie.h_freq)
+        del received
         return _score(sim, bits, syms, det, 0.0)
-    received = _channel(_frame_time(*syms, cfg), spec, normals)[:, cfg.cp_len:]
+    y_freq = _dft(received)
     # only the affine estimator reads the affine plane
-    planes = _dft(received), (_daft(received, cfg.affine) if sim.design.kind == "affine"
-                              else None)
-    eq_f, eq_a, nmse = _receive_block(sim, planes, spec, noise_var)
-    return _score(sim, bits, syms, _detect(eq_f, eq_a, cfg, sim.mode), nmse)
+    y_aff = _daft(received, cfg.affine) if sim.design.kind == "affine" else None
+    del received
+    eq_f, eq_a, nmse = _receive_block(sim, y_freq, y_aff, spec, noise_var)
+    del y_freq, y_aff
+    det = _detect(eq_f, eq_a, cfg, sim.mode)
+    del eq_f, eq_a
+    return _score(sim, bits, syms, det, nmse)
 
 
 @lru_cache(maxsize=64)
@@ -299,14 +315,13 @@ def _point_spec(taps: tuple[ChannelTap, ...], noise_var: float) -> ChannelSpec:
     return ChannelSpec(taps, noise_var)
 
 
-def _receive_block(sim: SimConfig, planes: tuple[np.ndarray, np.ndarray | None],
+def _receive_block(sim: SimConfig, y_freq: np.ndarray, y_aff: np.ndarray | None,
                    spec: ChannelSpec, noise_var: float):
-    """Estimate, equalize and score the estimate on (frames, N) planes, as
-    ``sim.design`` fixes: the equalized (frequency, affine) planes and each
-    frame's estimate NMSE.  The affine plane is None unless the design's
-    estimator is ``affine``."""
+    """Estimate, equalize and score the estimate on the received (frames, N)
+    frequency and affine planes, as ``sim.design`` fixes: the equalized
+    (frequency, affine) planes and each frame's estimate NMSE.  The affine
+    plane is None unless the design's estimator is ``affine``."""
     cfg, (kind, max_delay, max_doppler, genie, genie_nmse) = sim.frame, sim.design
-    y_freq, y_aff = planes
     g = _noise_ratio(cfg, noise_var)
     if kind == "affine":
         # frames whose estimates hold the same taps form a group, scored
@@ -329,18 +344,28 @@ def _point_noise_var(sim: SimConfig, snr_db: float) -> float:
     return snr_to_noise_var(snr_db, budget / sim.frame.n)
 
 
+def _block_plan(start: int, stop: int, n: int) -> list[range]:
+    """Frames ``start`` to ``stop`` of length-``n`` frames as contiguous
+    blocks: as few as hold at most ``_BLOCK_SAMPLES`` samples each (one frame
+    a block if one frame alone is more), with sizes that differ by at most
+    one frame."""
+    frames = stop - start
+    count = -(-frames // max(1, _BLOCK_SAMPLES // n))
+    return [range(start + frames * i // count, start + frames * (i + 1) // count)
+            for i in range(count)]
+
+
 def _run_task(task) -> tuple[np.ndarray | str, float]:
-    """Frame range ``cut`` of ``cuts`` of SNR point ``point``, in blocks of
-    ``_BLOCK_SAMPLES // N`` frames: its records as a C-ordered (frames, fields)
+    """Frame range ``cut`` of ``cuts`` of SNR point ``point``, in the blocks
+    of :func:`_block_plan`: its records as a C-ordered (frames, fields)
     array, or the reason the point aborted; and the compute seconds."""
     sim, point, cut, cuts = task
     t0 = time.perf_counter()
     start, stop = sim.frames_per_point * cut // cuts, sim.frames_per_point * (cut + 1) // cuts
     noise_var = _point_noise_var(sim, sim.snr_grid_db[point])
-    step = max(1, _BLOCK_SAMPLES // sim.frame.n)
     try:
-        out = np.concatenate([_run_block(sim, point, range(a, min(a + step, stop)), noise_var)
-                              for a in range(start, stop, step)])
+        out = np.concatenate([_run_block(sim, point, frames, noise_var)
+                              for frames in _block_plan(start, stop, sim.frame.n)])
     except (SimulationError, np.linalg.LinAlgError) as exc:
         out = f"{type(exc).__name__}: {exc}"
     return out, time.perf_counter() - t0

@@ -37,7 +37,7 @@ of one row, and the harness runs it on whole blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -353,7 +353,9 @@ def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
     power = np.abs(h) ** 2
     if g == 0 and np.any(np.min(power, axis=-1) <= _PIVOT_RTOL * np.max(power, axis=-1)):
         raise SingularChannel("zero-forcing through a channel null")
-    return np.multiply(y, np.conj(h)) / (power + g)
+    x = np.multiply(y, np.conj(h))
+    power += g
+    return np.divide(x, power, out=x)
 
 
 def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
@@ -653,6 +655,13 @@ class DetectionResult:
     private_syms: np.ndarray
 
 
+def _int64_bits(det: DetectionResult) -> DetectionResult:
+    """``det`` with int64 bits: the block kernels keep the int8 bits of
+    ``core._demodulate``, the public functions return int64 ones."""
+    return replace(det, common_bits=det.common_bits.astype(np.int64),
+                   private_bits=det.private_bits.astype(np.int64))
+
+
 def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEstimate,
                    mode: ReceiverMode = ReceiverMode.SIC_FREE,
                    noise_var: float = 0.0) -> DetectionResult:
@@ -664,7 +673,7 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     _check(planes[1], Domain.AFFINE, cfg.n)
     eq_f, eq_a = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n), est, cfg,
                                   _noise_ratio(cfg, noise_var))
-    return _detect(eq_f, eq_a, cfg, mode)
+    return _int64_bits(_detect(eq_f, eq_a, cfg, mode))
 
 
 def _equalize_planes(y_freq: np.ndarray, est: ChannelEstimate, cfg: FrameConfig,

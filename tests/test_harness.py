@@ -535,15 +535,30 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("sim", [s for _, s in PRESET_SERIES],
                              ids=[name for name, _ in PRESET_SERIES])
-    def test_preset_records_equal_run_frame(self, sim):
-        # one full block and a partial one, at whatever block size
-        step = harness._BLOCK_SAMPLES // sim.frame.n
-        frames = step + max(1, step // 4)
-        assert 0 < frames - step < step
-        sim = replace(sim, frames_per_point=frames)
+    def test_preset_records_equal_run_frame(self, sim, monkeypatch):
+        # a budget of three frames plans five frames as blocks of 2 and 3, so
+        # a point runs in unequal blocks at a size the reference compares fast
+        monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 3 * sim.frame.n)
+        sim = replace(sim, frames_per_point=5)
+        assert [len(b) for b in harness._block_plan(0, 5, sim.frame.n)] == [2, 3]
         for point in (0, len(sim.snr_grid_db) - 1):
             got, _ = _run_task((sim, point, 0, 1))
-            assert np.array_equal(got, _reference(sim, point, range(frames)))
+            assert np.array_equal(got, _reference(sim, point, range(5)))
+
+    @pytest.mark.parametrize("name", ["fig5/clean-pilot", "fig5/conventional-rsma"])
+    def test_public_detectors_return_int64_bits(self, name, monkeypatch):
+        # the block kernels keep int8 bits; the public per-frame detectors
+        # (detect_streams, run_baseline_frame) still return int64 ones
+        import oracles
+        dets = []
+        for fn in ("detect_streams", "run_baseline_frame"):
+            def keep(*args, _fn=getattr(oracles, fn), **kw):
+                dets.append(_fn(*args, **kw))
+                return dets[-1]
+            monkeypatch.setattr(oracles, fn, keep)
+        sim = dict(PRESET_SERIES)[name]
+        run_frame(sim, 0, 0, *_point_args(sim, 0))
+        assert [(d.common_bits.dtype, d.private_bits.dtype) for d in dets] == [(np.int64,) * 2]
 
     def test_only_the_affine_estimator_analyses_the_affine_plane(self, monkeypatch):
         # the affine plane feeds the affine peak search alone
@@ -577,7 +592,8 @@ class TestBlockEngine:
             assert np.array_equal(got, _reference(sim, point, range(3, 23)))
 
     @pytest.mark.parametrize("name", ["fig5/clean-pilot", "fig5/embedded-pilot",
-                                      "fig5/conventional-rsma", "fig9/sic-pilot10"])
+                                      "fig5/conventional-rsma", "fig6/full-sic",
+                                      "fig7/c1p-32", "fig8/sic-pilot10", "fig9/sic-pilot10"])
     def test_large_and_split_blocks_equal_run_frame(self, name):
         # one block of 100 frames holds arrays of 400 KiB, beyond the 256 KiB
         # at which numpy computes ``a * temporary`` in place as ``temporary * a``,
@@ -608,24 +624,77 @@ class TestBlockEngine:
                 tracemalloc.stop()
         assert peak(400) <= 1.25 * peak(50)
 
+    def test_block_plan(self):
+        for start, frames, n in itertools.product(
+                (0, 3, 97), (0, 1, 2, 5, 63, 64, 65, 100, 128, 400),
+                (1, 7, 64, 256, 3000, 16384, 20000)):
+            plan = harness._block_plan(start, start + frames, n)
+            sizes = [len(b) for b in plan]
+            case = (start, frames, n, sizes)
+            # contiguous blocks that cover the range
+            assert [f for b in plan for f in b] == list(range(start, start + frames)), case
+            # each block within the budget, unless one frame alone exceeds it
+            assert all(size * n <= harness._BLOCK_SAMPLES or size == 1 for size in sizes), case
+            # sizes that differ by at most one frame
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1, case
+            # as few blocks as the budget allows: with one block fewer, some
+            # block would hold more than one frame and more than the budget
+            fewer = len(plan) - 1
+            largest = -(-frames // fewer) if fewer > 0 else 0
+            assert not frames or (len(plan) == 1) or (
+                largest > 1 and largest * n > harness._BLOCK_SAMPLES), case
+
+    def test_heap_buffer_is_below_glibcs_dynamic_cap(self):
+        # glibc raises its mmap and trim thresholds only when it frees an
+        # mmap-served buffer below its dynamic cap of 32 MiB; a buffer derived
+        # as 128 blocks of 16384 complex samples would be exactly 32 MiB, and
+        # every block would fault its pages in again (17.5 minor faults per
+        # frame in fig7/c1p-32)
+        assert harness._HEAP_KEEP_BYTES < 32 << 20
+
+    @pytest.mark.parametrize("name", ["fig6/full-sic", "fig7/c1p-32", "fig9/conventional"])
+    def test_block_working_set(self, name):
+        # a full-budget block's tracemalloc peak, in complex (frames, N)
+        # planes: measured 10.97 (fig6/full-sic), 11.70 (fig7/c1p-32) and
+        # 8.53 (fig9/conventional) at the worst SNR point, bound about 10 %
+        # above the worst of them
+        sim = dict(PRESET_SERIES)[name]
+        frames = range(harness._BLOCK_SAMPLES // sim.frame.n)
+        plane = len(frames) * sim.frame.n * np.dtype(complex).itemsize
+        worst = 0.0
+        for point in range(len(sim.snr_grid_db)):
+            args = _point_args(sim, point)
+            _run_block(sim, point, frames, *args)   # fill the caches outside the measurement
+            tracemalloc.start()
+            try:
+                _run_block(sim, point, frames, *args)
+                worst = max(worst, tracemalloc.get_traced_memory()[1] / plane)
+            finally:
+                tracemalloc.stop()
+        assert worst <= 12.9
+
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                         reason="counts the page faults of glibc's heap")
     def test_blocks_keep_their_heap_pages(self):
-        # a fig7 block's arrays peak at about 1.1 MiB; unless glibc keeps the
+        # a full block's arrays peak at about 2.9 MiB; unless glibc keeps the
         # freed heap top, every block faults its pages in again (about 15
-        # minor faults per frame); a fresh interpreter, so that no earlier
-        # test has raised glibc's thresholds
-        code = ("import resource\n"
-                "from afdmrsma.experiments import FIGURES\n"
-                "from afdmrsma.harness import run_point\n"
-                "sim = dict(FIGURES['fig7'](frames=200))['c1p-32']\n"
-                "run_point(sim, 0)\n"
-                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-                "frames = run_point(sim, 1).frames\n"
-                "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / frames)\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=_src_env())
-        assert float(out.stdout) < 1.0
+        # minor faults per frame); a fresh interpreter per series, so that no
+        # earlier test has raised glibc's thresholds.  What is left (0.3 to
+        # 0.45 per frame in fig7/c1p-32, 0.2 in fig6/full-sic) is the heap's first growth to a new high point,
+        # when a point's blocks need more than any block before them: the
+        # same point run again faults 0.02 per frame or less
+        for fig, label in (("fig7", "c1p-32"), ("fig6", "full-sic"), ("fig9", "conventional")):
+            code = ("import resource\n"
+                    "from afdmrsma.experiments import FIGURES\n"
+                    "from afdmrsma.harness import run_point\n"
+                    f"sim = dict(FIGURES[{fig!r}](frames=200))[{label!r}]\n"
+                    "run_point(sim, 0)\n"
+                    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    "frames = run_point(sim, 1).frames\n"
+                    "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / frames)\n")
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True, env=_src_env())
+            assert float(out.stdout) < 1.0, (fig, label, out.stdout)
 
 
 def _arrays(obj):
