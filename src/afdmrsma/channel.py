@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Frame
-from .errors import DopplerPresent, InvalidChannel
+from .errors import DopplerPresent, InvalidChannel, _refuse_non_integers
 
 _rt = np.sqrt
 
@@ -36,6 +36,7 @@ class ChannelTap:
     k: int
 
     def __post_init__(self):
+        _refuse_non_integers(InvalidChannel, l=self.l, k=self.k)
         if self.l < 0:
             raise InvalidChannel(f"negative delay {self.l}")
         if not cmath.isfinite(self.h):

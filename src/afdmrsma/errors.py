@@ -1,4 +1,5 @@
 """Exception taxonomy shared by all modules."""
+import numbers
 
 
 class SimulationError(Exception):
@@ -45,3 +46,10 @@ class UnresolvableDoppler(SimulationError, ValueError):
 
 class SingularChannel(SimulationError, ValueError):
     """Zero-forcing requested on a (near-)zero channel coefficient."""
+
+
+def _refuse_non_integers(error: type[SimulationError], **values) -> None:
+    """Raise ``error`` at the first of ``values`` that is no integer (numpy's are, bools not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")

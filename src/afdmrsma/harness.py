@@ -35,7 +35,7 @@ import numpy as np
 from .baseline import _baseline_detect, _baseline_time, baseline_budget
 from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
 from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, _refuse_non_integers
 from .framing import (Approach, FrameConfig, _frame_time, capacity_counts,
                       frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
@@ -73,6 +73,8 @@ class SimConfig:
     design: ReceiverDesign = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _refuse_non_integers(ConfigError, frames_per_point=self.frames_per_point, seed=self.seed,
+                             workers=self.workers)
         if self.frames_per_point < 1:
             raise ConfigError("frames_per_point must be >= 1")
         if self.workers < 1:
@@ -243,8 +245,8 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
 # few blocks as fit this budget, of sizes that differ by at most one frame
 # (:func:`_block_plan`).  At N = 256 a 100-frame point runs as two blocks of
 # 50 frames and a 400-frame point as seven of 57 or 58.  A full block's
-# arrays peak at 7 to 11.7 complex (frames, N) planes under tracemalloc, the
-# most in fig7's chirp solve (2.9 MiB at 64 frames of 256 samples).
+# arrays peak at 7 to 11 complex (frames, N) planes under tracemalloc, the
+# most in fig6's SIC rounds (2.7 MiB at 64 frames of 256 samples).
 _BLOCK_SAMPLES = 16384
 
 # glibc hands the free top of its heap back to the kernel beyond a trim

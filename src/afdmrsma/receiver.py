@@ -143,14 +143,12 @@ class _PeakZone(NamedTuple):
     floor: the candidates if there are 6 or more, else the rest of the zone
     if 4 or more, else None (the known noise level stands in)."""
 
-    offsets: np.ndarray
     bins: np.ndarray
     delays: np.ndarray
     dopplers: np.ndarray
     is_candidate: np.ndarray
     pilot_gain: np.ndarray
     floor: np.ndarray | None
-    keys: np.ndarray   # each entry's (delay l, Doppler k) as l + 1j k
 
 
 @lru_cache(maxsize=32)
@@ -179,10 +177,9 @@ def _peak_zone(cfg: FrameConfig, max_delay: int | None,
         phase = np.exp(-2j * np.pi * c2 * b * b) * np.exp(2j * np.pi * (c1 * l * l - k * l / n))
         gain.append(np.sqrt(cfg.phi_pilot) * phase)
     cand, rest = np.flatnonzero(is_candidate), np.flatnonzero(~is_candidate)
-    zone = _PeakZone(offsets, offsets % n, delays, dopplers, is_candidate,
+    zone = _PeakZone(offsets % n, delays, dopplers, is_candidate,
                      np.array(gain, dtype=np.complex128),
-                     cand if len(cand) >= 6 else rest if len(rest) >= 4 else None,
-                     delays + 1j * dopplers)
+                     cand if len(cand) >= 6 else rest if len(rest) >= 4 else None)
     for arr in zone:
         if arr is not None:
             arr.flags.writeable = False
@@ -195,7 +192,8 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
                             noise_var: float = 0.0,
                             strict: bool = True) -> ChannelEstimate:
     """Peak-search tap estimate in the guard zone around affine index 0:
-    :func:`_affine_tap_groups` on one row.
+    :func:`_affine_tap_groups` on one row, its taps in zone order (by
+    ascending pilot shift k - c1' l).
 
     ``max_delay``/``max_doppler`` restrict the candidate search to the
     receiver's design assumptions; an above-threshold shift that cannot
@@ -213,70 +211,56 @@ def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | Non
                        strict: bool = False) -> list:
     """The affine estimator's peak search on each row of a (rows, N) affine
     block: the taps found as groups of ``(rows, delays, dopplers, gains)``,
-    the block rows that share one tap list, its delay and Doppler lists and
-    their (rows, taps) gains, each list by descending peak magnitude.
+    the block rows that keep the same zone entries, their delay and Doppler
+    lists and the (rows, taps) gains, each list in zone order.
 
     The detection floor is the lower quartile of the candidate bins: the
     guard keeps channel-shifted data off those, but not off the rest of the
     zone.  The remaining zone bins or the known noise level stand in when
-    the candidate set is too small (``_PeakZone.floor``).  Rows are grouped
-    by sorting their lists, padded to the longest, with no loop over the
-    rows.
+    the candidate set is too small (``_PeakZone.floor``).  A row's estimate
+    is the set of zone entries it keeps, so rows are grouped by sorting
+    their packed masks, with no loop over the rows.
     """
     zone = _peak_zone(cfg, max_delay, max_doppler)
     cand = zone.is_candidate
     peaks = y_aff[:, zone.bins]
     mags = np.abs(peaks)
-    if zone.floor is not None:
-        threshold = THRESHOLD_SCALE * _lower_quartile(mags[:, zone.floor])
-    else:
-        threshold = np.full(len(mags), THRESHOLD_SCALE * float(np.sqrt(noise_var))
-                            if noise_var > 0 else 0.0)
+    floor = (np.sqrt(max(noise_var, 0.0)) if zone.floor is None
+             else _lower_quartile(mags[:, zone.floor]))
     # keep numerical leakage out of the peak list even at zero noise
-    threshold = np.maximum(threshold, 1e-9 * mags.max(axis=-1))
+    threshold = np.maximum(THRESHOLD_SCALE * floor, 1e-9 * mags.max(axis=-1))
 
-    row = np.arange(len(mags))[:, None]
-    order = mags.argsort(axis=-1)[:, ::-1]
-    above = mags[row, order] > threshold[:, None]
-    resolvable = cand[order]
-    if strict and np.any(above & ~resolvable):
-        stray = order[above & ~resolvable][0]
+    above = mags > threshold[:, None]
+    stray = above & ~cand
+    if strict and stray.any():
+        # the strongest stray of the first row that has one
+        row = stray.nonzero()[0][0]
         raise UnresolvableDoppler(
-            f"peak at shift {zone.offsets[stray]} has no (delay >= 0, Doppler < c1') "
-            f"decomposition within the search bounds")
-    keep = above & resolvable
-    found_any = keep.any(axis=-1)
-    if not found_any.all():
-        # keep the strongest resolvable peak so the receiver always has a
-        # channel to work with, however deep the noise
-        none = (~found_any).nonzero()[0]
-        first = resolvable[none].argmax(axis=-1)
-        keep[none, first] = resolvable[none, first]
+            f"peak at shift {np.where(stray[row], mags[row], -1).argmax() - cfg.guard} "
+            f"has no (delay >= 0, Doppler < c1') decomposition within the search bounds")
+    keep = above & cand
+    # a row that keeps no peak keeps its strongest resolvable one, so the
+    # receiver always has a channel to work with, however deep the noise
+    none = (~keep.any(axis=-1)).nonzero()[0]
+    strongest = np.where(cand, mags[none], -1).argmax(axis=-1)
+    keep[none, strongest] = cand[strongest]
     gains = peaks / zone.pilot_gain
-    size = np.hypot(gains.real, gains.imag)[row, order]
+    size = np.hypot(gains.real, gains.imag)
     top = size.max(axis=-1, where=keep, initial=0.0)
     keep &= size > 1e-9 * top[:, None]
 
-    # each row's kept zone entries first, in order, then padding
-    count = keep.sum(axis=-1)
-    width = max(1, int(count.max(initial=0)))
-    found = order[row, (~keep).argsort(axis=-1, kind="stable")[:, :width]]
-    pad = np.arange(width) >= count[:, None]
-    keys = np.where(pad, -1, zone.keys[found])
-    gains = np.where(pad, 0, gains[row, found])
-    # rows sorted by tap list (stable, so ascending within one); a group
-    # starts where the list changes
-    perm = np.lexsort(keys.T[::-1])
-    lists, by_list = keys[perm], gains[perm]
-    starts = np.concatenate(([len(perm) > 0],
-                             (lists[1:] != lists[:-1]).any(axis=-1))).nonzero()[0]
-    heads = perm[starts]
-    firsts = found[heads]
-    return [(perm[a:b], ls[:c], ks[:c], by_list[a:b, :c])
-            for a, b, ls, ks, c in zip(starts.tolist(), [*starts[1:].tolist(), len(perm)],
-                                       zone.delays[firsts].tolist(),
-                                       zone.dopplers[firsts].tolist(),
-                                       count[heads].tolist())]
+    # rows sorted by their packed masks (stable, so ascending within a
+    # group); a group starts where the mask changes
+    masks = np.packbits(keep, axis=-1)
+    perm = np.lexsort(masks.T)
+    masks = masks[perm]
+    cuts = (masks[1:] != masks[:-1]).any(axis=-1).nonzero()[0] + 1
+    groups = []
+    for rows in np.split(perm, cuts):
+        kept = keep[rows[0]]
+        groups.append((rows, zone.delays[kept].tolist(), zone.dopplers[kept].tolist(),
+                       gains[np.ix_(rows, kept)]))
+    return groups
 
 
 def _lower_quartile(x: np.ndarray) -> np.ndarray:
@@ -397,10 +381,8 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
         # one-tap rule, shifted back by s
         rows, h = _stack_rows(flat)
         eq = _one_tap(y_freq[rows], h, g)
-        at = 0
-        for part, _, _, shift in flat:
-            x[part] = _ahead(eq[at:at + len(part)], shift)
-            at += len(part)
+        for span, (part, *_, shift) in zip(_spans(flat), flat):
+            x[part] = _ahead(eq[span], shift)
     _shift_mmse(x, y_freq, general, g)
     _chirp_mmse(x, y_freq, chirped, g)
     return x, _freq_to_affine(x, p)
@@ -417,6 +399,12 @@ def _stack_rows(parts) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([part[0] for part in parts]), np.concatenate(sums)
 
 
+def _spans(parts) -> list[slice]:
+    """The slice each group of ``parts``, ``(rows, ...)`` each, fills once their rows stack."""
+    ends = np.cumsum([len(part[0]) for part in parts]).tolist()
+    return [slice(end - len(part[0]), end) for part, end in zip(parts, ends)]
+
+
 class _Chirp(NamedTuple):
     """A collinear tap list's channel in unitary frequency as
     ``H = D C P^H``: D and P unit-modulus diagonals, C the circulant with
@@ -428,8 +416,8 @@ class _Chirp(NamedTuple):
     phases: np.ndarray                 # (taps,)
 
 
-# fig7 at its preset 400 frames/point meets 446 distinct tap lists (its
-# spurious Doppler peaks), fig5-9 at their presets 476; a collinear entry
+# fig7 at its preset 400 frames/point meets 206 distinct tap lists (its
+# spurious Doppler peaks), fig5-9 at their presets 223; a collinear entry
 # holds only its phases beside a shared _chirp_pair
 @lru_cache(maxsize=1024)
 def _solve_rule(ls: tuple, ks: tuple, n: int) -> _Chirp | None:
@@ -500,20 +488,19 @@ def _chirp_mmse(x: np.ndarray, y: np.ndarray, chirped, g: float) -> None:
     spectra.  D and P are unitary, so ``x = P C^H (C C^H + g I)^{-1}
     D^H y``, the one-tap rule on C's eigenvalues between one stacked FFT and
     its inverse; those eigenvalues squared are the eigenvalues of ``H H^H``,
-    which the one-tap rule's zero-forcing test reads.  Every group's rows
-    are unchirped, solved and chirped back in one call each."""
+    which the one-tap rule's zero-forcing test reads.  All rows solve in one
+    buffer, each group unchirped and chirped back in place."""
     if not chirped:
         return
     rows, eig = _stack_rows(chirped)
-    if len(chirped) == 1:
-        unchirp, chirp = chirped[0][-1].unchirp, chirped[0][-1].chirp
-    else:
-        # each row's pair, repeated over the rows of its group
-        counts = [len(part) for part, *_ in chirped]
-        unchirp = np.repeat([group.unchirp for *_, group in chirped], counts, axis=0)
-        chirp = np.repeat([group.chirp for *_, group in chirped], counts, axis=0)
-    z = np.fft.ifft(_one_tap(np.fft.fft(np.multiply(y[rows], unchirp)), eig, g))
-    x[rows] = np.multiply(z, chirp)
+    spans = _spans(chirped)
+    z = y[rows]
+    for span, (*_, group) in zip(spans, chirped):
+        z[span] *= group.unchirp
+    z = np.fft.ifft(_one_tap(np.fft.fft(z), eig, g))
+    for span, (*_, group) in zip(spans, chirped):
+        z[span] *= group.chirp
+    x[rows] = z
 
 
 def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
@@ -541,14 +528,13 @@ def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
         # Gram diagonal d (row bs + d): entry (j, j + d) sums
         # a_t(j) conj(a_u(j + d)) over the tap pairs with s_u - s_t = d
         band = np.zeros((len(rows), 2 * bs + 1, n), dtype=np.complex128)
-        at = 0
-        for part, gains, conj, shifts in members:
-            member = band[at:at + len(part)]
+        spans = _spans(members)
+        for span, (_, gains, conj, shifts) in zip(spans, members):
+            member = band[span]
             for t, s_t in enumerate(shifts):
                 for u, s_u in enumerate(shifts):
                     d = s_u - s_t
                     member[:, bs + d] += gains[:, t] * _ahead(conj[:, u], d)
-            at += len(part)
         scale = band[:, bs].real.max(axis=-1)
         band[:, bs] += g
         # block row i holds [L_i | D_i | U_i | y_i], so entry (j, j + d) of
@@ -563,13 +549,10 @@ def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
         except np.linalg.LinAlgError as exc:
             raise SingularChannel(f"tap channel block solve failed: {exc}") from exc
         z = z.reshape(len(system), n)
-        at = 0
-        for part, _, conj, shifts in members:
+        for span, (part, _, conj, shifts) in zip(spans, members):
             # tap t's conj(a_t) z advanced by s_t, added up in tap order
-            zr = z[at:at + len(part)]
-            terms = [_ahead(np.multiply(conj[:, t], zr), s) for t, s in enumerate(shifts)]
+            terms = [_ahead(np.multiply(conj[:, t], z[span]), s) for t, s in enumerate(shifts)]
             x[part] = sum(terms[1:], terms[0])
-            at += len(part)
 
 
 def _ahead(v: np.ndarray, s: int, axis: int = -1) -> np.ndarray:

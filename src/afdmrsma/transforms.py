@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Domain, Frame
-from .errors import InvalidLength, ConfigError
+from .errors import InvalidLength, ConfigError, _refuse_non_integers
 
 
 def _is_pow2(x: int) -> bool:
@@ -43,6 +43,7 @@ class AffineParams:
     c2: float = 0.0
 
     def __post_init__(self):
+        _refuse_non_integers(ConfigError, n=self.n, c1_prime=self.c1_prime)
         if not _is_pow2(self.n):
             raise ConfigError(f"frame length {self.n} is not a power of 2")
         if not math.isfinite(self.c2):

@@ -152,7 +152,7 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
         if not is_candidate[j]:
             if strict:
                 raise UnresolvableDoppler(
-                    f"peak at shift {zone.offsets[j]} has no (delay >= 0, Doppler < c1') "
+                    f"peak at shift {j - cfg.guard} has no (delay >= 0, Doppler < c1') "
                     f"decomposition within the search bounds")
             continue
         taps.append(_tap_at(j))
@@ -166,6 +166,8 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     if taps:
         top = max(abs(t.h) for t in taps)
         taps = [t for t in taps if abs(t.h) > 1e-9 * top]
+    # the package keeps a tap estimate in zone order: by pilot shift k - c1' l
+    taps.sort(key=lambda t: t.k - cfg.affine.c1_prime * t.l)
     return ChannelEstimate(Domain.AFFINE, taps=tuple(taps))
 
 

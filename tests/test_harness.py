@@ -408,6 +408,36 @@ def test_non_finite_numbers_refused_by_the_constructors(value):
             build()
 
 
+# each integer field: a constructor of one value, a valid integer for it and
+# the error a value that is not an integer raises
+_INTEGER_FIELDS = {
+    "tap-delay": (lambda v: ChannelTap(1.0, v, 0), 1, InvalidChannel),
+    "tap-doppler": (lambda v: ChannelTap(1.0, 0, v), 1, InvalidChannel),
+    "n": (lambda v: AffineParams(v, 4), 256, ConfigError),
+    "c1-prime": (lambda v: AffineParams(64, v), 4, ConfigError),
+    "guard": (lambda v: replace(small_sim().frame, guard=v), 9, ConfigError),
+    "cp-len": (lambda v: replace(small_sim().frame, cp_len=v), 2, ConfigError),
+    "common-per-class": (lambda v: replace(small_sim().frame, common_per_class=v), 1,
+                         ConfigError),
+    "frames-per-point": (lambda v: small_sim(frames_per_point=v), 2, ConfigError),
+    "seed": (lambda v: small_sim(seed=v), 1, ConfigError),
+    "workers": (lambda v: small_sim(workers=v), 1, ConfigError),
+}
+
+
+@pytest.mark.parametrize("case", list(_INTEGER_FIELDS))
+def test_non_integers_refused_by_the_constructors(case):
+    # a fraction, a whole float and a bool are refused with a typed error,
+    # before any of them runs as the integer it rounds or converts to; a
+    # numpy integer is an integer
+    build, valid, error = _INTEGER_FIELDS[case]
+    build(valid)
+    build(np.int64(valid))
+    for value in (valid + 0.5, float(valid), True, np.bool_(True), "1"):
+        with pytest.raises(error, match="must be an integer"):
+            build(value)
+
+
 # LinkResult fields that depend on the frames alone, not on the clock
 _RECORD_FIELDS = ("snr_db", "ber_common", "ber_private", "ber_total", "se", "channel_nmse",
                   "frames", "se_stderr", "ber_total_stderr")
@@ -655,9 +685,9 @@ class TestBlockEngine:
     @pytest.mark.parametrize("name", ["fig6/full-sic", "fig7/c1p-32", "fig9/conventional"])
     def test_block_working_set(self, name):
         # a full-budget block's tracemalloc peak, in complex (frames, N)
-        # planes: measured 10.97 (fig6/full-sic), 11.70 (fig7/c1p-32) and
-        # 8.53 (fig9/conventional) at the worst SNR point, bound about 10 %
-        # above the worst of them
+        # planes: measured 10.97 (fig6/full-sic), 10.69 (fig7/c1p-32) and
+        # 8.52 (fig9/conventional) at the worst SNR point; the bound was set
+        # about 10 % above an earlier worst (11.70, fig7/c1p-32)
         sim = dict(PRESET_SERIES)[name]
         frames = range(harness._BLOCK_SAMPLES // sim.frame.n)
         plane = len(frames) * sim.frame.n * np.dtype(complex).itemsize
@@ -676,7 +706,7 @@ class TestBlockEngine:
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                         reason="counts the page faults of glibc's heap")
     def test_blocks_keep_their_heap_pages(self):
-        # a full block's arrays peak at about 2.9 MiB; unless glibc keeps the
+        # a full block's arrays peak at about 2.7 MiB; unless glibc keeps the
         # freed heap top, every block faults its pages in again (about 15
         # minor faults per frame); a fresh interpreter per series, so that no
         # earlier test has raised glibc's thresholds.  What is left (0.3 to

@@ -76,3 +76,20 @@ def test_every_private_top_level_name_is_read_in_the_package():
     unread = [f"{module}: {name}" for module, name, statement in defined
               if not any(read == name and where is not statement for where, read in reads)]
     assert defined and not unread
+
+
+def test_every_private_record_field_is_read_in_the_package():
+    # a field of a private NamedTuple record that nothing in the package
+    # reads as an attribute (matched by name) is computed for no reader
+    fields, reads = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.ClassDef) and node.name.startswith("_")
+                  and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)):
+                fields += [(path.stem, node.name, statement.target.id)
+                           for statement in node.body if isinstance(statement, ast.AnnAssign)]
+    unread = [f"{module}: {record}.{name}" for module, record, name in fields
+              if name not in reads]
+    assert fields and not unread

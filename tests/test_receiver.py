@@ -599,6 +599,29 @@ def test_block_equalizer_is_row_independent(n, g):
             assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
 
 
+def test_rows_with_one_tap_set_form_one_group():
+    # two frames whose peaks hold the same two taps, the stronger first in
+    # one and last in the other, form one group: an estimate is the set of
+    # zone entries it keeps, not their order by magnitude; each row's
+    # equalized planes equal the ones it gets alone
+    cfg, bounds, g = make_cfg(c1p=16, guard=40), (2, 3), 1e-3
+    planes = [extract_received_planes(apply_channel(pilot_frame(cfg), ChannelSpec(
+                  (ChannelTap(h0, 0, 0), ChannelTap(h1, 2, 3)))), cfg)
+              for h0, h1 in ((0.9, 0.4 - 0.2j), (0.4, 0.9 - 0.2j))]
+    y_freq, y_aff = (np.array([plane[i].data for plane in planes]) for i in (0, 1))
+    groups = receiver._affine_tap_groups(y_aff, cfg, *bounds, 0.0)
+    [(rows, ls, ks, hs)] = groups
+    assert rows.tolist() == [0, 1] and sorted(zip(ls, ks)) == [(0, 0), (2, 3)]
+    assert np.argmax(np.abs(hs[0])) != np.argmax(np.abs(hs[1]))
+    eq = _tap_mmse(y_freq, groups, cfg.affine, g)
+    for row in range(2):
+        alone = _tap_mmse(y_freq[row:row + 1],
+                          receiver._affine_tap_groups(y_aff[row:row + 1], cfg, *bounds, 0.0),
+                          cfg.affine, g)
+        for got, want in zip(eq, alone):
+            assert np.array_equal(got[row], want[0])
+
+
 def _singular_general_gains(ls, ks, n):
     """Gains that make the three-tap list (ls, ks) singular: the last is
     minus an eigenvalue of the other two taps' channel seen through the
