@@ -136,7 +136,7 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
         words[i] = bg.random_raw(words.shape[1])
         gen.standard_normal(out=normals[i])
     # a word's 32-bit halves, low half first, side by side: bit 31 of each
-    bits = (words.astype("<u8", copy=False).view("<u4") >> 31).astype(np.int8)
+    bits = (words.astype("<u8", copy=False).view("<u4") >= 1 << 31).view(np.int8)
     return bits[:, :n_bits], normals
 
 

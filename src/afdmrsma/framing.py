@@ -56,6 +56,8 @@ class FrameConfig:
     def __post_init__(self):
         if self.affine.c1_prime < 1:
             raise ConfigError("framing needs a real chirp slope (c1_prime >= 1)")
+        if not isinstance(self.approach, Approach):
+            raise ConfigError(f"approach must be an Approach, got {self.approach!r}")
         _refuse_non_integers(ConfigError, guard=self.guard, cp_len=self.cp_len)
         if self.common_per_class is not None:
             _refuse_non_integers(ConfigError, common_per_class=self.common_per_class)

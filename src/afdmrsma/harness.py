@@ -1,8 +1,8 @@
 """Monte Carlo link sweeps, metrics and result emission.
 
-A :class:`SimConfig` fixes its receiver and refuses what its stages would
-refuse when it is built (:func:`_receiver_design`); the sweep derives
-neither again.
+A :class:`SimConfig` fixes its receiver, with the search table of its
+estimator, and refuses what its stages would refuse when it is built
+(:func:`_receiver_design`); the sweep derives neither again.
 
 :func:`run_sweeps` runs each (configuration, SNR point) as one task, in
 process or on one process pool; a task simulates its frames in blocks, as
@@ -27,7 +27,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +39,8 @@ from .framing import (Approach, FrameConfig, _frame_time, capacity_counts,
                       frame_energy_budget)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
                        _detect, _equalize_planes, _ls_freq, _noise_ratio, _peak_zone,
-                       _tap_mmse, _taps_nmse, estimate_nmse, perfect_estimate)
+                       _PeakZone, _pilot_subcarriers, _tap_mmse, _taps_nmse, estimate_nmse,
+                       perfect_estimate)
 from .transforms import AffineParams, _daft, _dft
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
@@ -81,6 +81,10 @@ class SimConfig:
             raise ConfigError("workers must be >= 1")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must be nonempty")
+        if not isinstance(self.mode, ReceiverMode):
+            raise ConfigError(f"mode must be a ReceiverMode, got {self.mode!r}")
+        if not isinstance(self.baseline, bool):
+            raise ConfigError(f"baseline must be a bool, got {self.baseline!r}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}; "
                               f"expected one of {', '.join(ESTIMATORS)}")
@@ -92,18 +96,22 @@ class SimConfig:
 
 
 class ReceiverDesign(NamedTuple):
-    """The estimator a :class:`SimConfig` runs ("auto" resolved), its bounds and its genie."""
+    """What a :class:`SimConfig` fixes of its receiver, which every block
+    reads: the estimator ("auto" resolved), its bounds, search table and genie."""
     kind: str
     max_delay: int     # the channel's delay spread
     max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
+    search: np.ndarray | _PeakZone | None   # freq: its LS pilot; affine: its zone; else None
     genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
     genie_nmse: float   # perfect-*'s estimate NMSE, which the config fixes (0.0 for the rest)
 
 
 def _receiver_design(sim: SimConfig) -> ReceiverDesign:
     """The :class:`ReceiverDesign` of ``sim``; refuses as :class:`ConfigError` what a
-    stage it runs would refuse at every frame, by that stage's own check on an empty block
-    (on one zero row for zero forcing, whose pivot tests read the channel alone)."""
+    stage it runs would refuse at every frame, by that stage's own check: the channel's
+    on an empty block, the estimator's as it builds its search table, and the
+    equalizer's on one zero row for zero forcing, whose pivot tests read the channel
+    alone."""
     cfg, kind = sim.frame, sim.estimator
     try:
         spec = ChannelSpec(sim.taps, sim.noise_override or 0.0)
@@ -112,31 +120,31 @@ def _receiver_design(sim: SimConfig) -> ReceiverDesign:
                     else "affine")
         max_delay, max_doppler = spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
         _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
-        genie, genie_nmse = None, 0.0
+        search, genie, genie_nmse = None, None, 0.0
         if sim.baseline:   # it runs no estimator
             genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(spec, cfg.n))
         elif kind == "freq":
             # its NMSE reference, the delay-only taps' response, is zero without one
             if all(t.k for t in spec.taps):
                 raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
-            _ls_freq(np.zeros((0, cfg.n), complex), cfg, max_delay)
+            search = _pilot_subcarriers(cfg, max_delay)
         elif kind == "affine":
             # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
             if any(t.k < 0 for t in spec.taps):
                 raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
-            _peak_zone(cfg, max_delay, max_doppler)
+            search = _peak_zone(cfg, max_delay, max_doppler)
         else:
             genie = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
                                      else Domain.AFFINE)
             genie_nmse = estimate_nmse(genie, spec, cfg.n)
         if genie is not None and sim.noise_override == 0:
             # zero forcing through an estimate the config fixes: every frame or none
-            _equalize_planes(np.zeros((1, cfg.n), complex), genie, cfg, 0.0)
+            _equalize_planes(np.zeros((1, cfg.n), complex), genie, 0.0)
     except ConfigError:
         raise
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
-    return ReceiverDesign(kind, max_delay, max_doppler, genie, genie_nmse)
+    return ReceiverDesign(kind, max_delay, max_doppler, search, genie, genie_nmse)
 
 
 @dataclass(frozen=True)
@@ -172,27 +180,13 @@ def measure_se(stream_stats, frames: int, n: int):
         return 0.0
     # one row per stream that carries resource elements
     err = np.array([err for err, _ in stats], dtype=np.float64)
-    count, floor, weight = _se_counts(tuple(count for _, count in stats), frames, err.ndim)
-    sinr = np.divide(count, err, out=np.full(err.shape, _SE_CAP), where=~(err <= floor))
-    se = 0.0
-    for term in weight * np.log2(1.0 + np.minimum(sinr, _SE_CAP)):
-        se = se + term
-    return se / n
+    count = np.array([count for _, count in stats]).reshape((-1,) + (1,) * (err.ndim - 1))
+    sinr = np.divide(count, err, out=np.full(err.shape, _SE_CAP), where=~(err <= count / _SE_CAP))
+    # summed stream by stream in order, as a loop over the rows adds them
+    return (count / frames * np.log2(1.0 + np.minimum(sinr, _SE_CAP))).sum(axis=0) / n
 
 
 _SE_CAP = 10.0 ** (SE_CAP_DB / 10.0)
-
-
-@lru_cache(maxsize=64)
-def _se_counts(counts: tuple[int, ...], frames: int, ndim: int):
-    """The resource-element counts of :func:`measure_se`'s streams as a
-    column for ``ndim``-dimensional error energies, the error energy below
-    which each stream's SINR is capped, and each stream's REs per frame."""
-    count = np.array(counts).reshape((-1,) + (1,) * (ndim - 1))
-    out = (count, count / _SE_CAP, count / frames)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 class _FrameRecord(NamedTuple):
@@ -272,7 +266,7 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
     every other step acts on the rows independently.
     """
     cfg = sim.frame
-    spec = _point_spec(sim.taps, noise_var)
+    spec = ChannelSpec(sim.taps, noise_var)
     if sim.baseline:
         n_bits = 2 * cfg.n * BITS_PER_SYMBOL
     else:
@@ -304,38 +298,33 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
     # only the affine estimator reads the affine plane
     y_aff = _daft(received, cfg.affine) if sim.design.kind == "affine" else None
     del received
-    eq_f, eq_a, nmse = _receive_block(sim, y_freq, y_aff, spec, noise_var)
+    eq_f, nmse = _receive_block(sim, y_freq, y_aff, spec, noise_var)
     del y_freq, y_aff
-    det = _detect(eq_f, eq_a, cfg, sim.mode)
-    del eq_f, eq_a
+    det = _detect(eq_f, cfg, sim.mode)
+    del eq_f
     return _score(sim, bits, syms, det, nmse)
-
-
-@lru_cache(maxsize=64)
-def _point_spec(taps: tuple[ChannelTap, ...], noise_var: float) -> ChannelSpec:
-    """The channel of an SNR point, checked once per tap list and noise level."""
-    return ChannelSpec(taps, noise_var)
 
 
 def _receive_block(sim: SimConfig, y_freq: np.ndarray, y_aff: np.ndarray | None,
                    spec: ChannelSpec, noise_var: float):
     """Estimate, equalize and score the estimate on the received (frames, N)
     frequency and affine planes, as ``sim.design`` fixes: the equalized
-    (frequency, affine) planes and each frame's estimate NMSE.  The affine
-    plane is None unless the design's estimator is ``affine``."""
-    cfg, (kind, max_delay, max_doppler, genie, genie_nmse) = sim.frame, sim.design
+    frequency plane and each frame's estimate NMSE.  The affine plane is
+    None unless the design's estimator is ``affine``."""
+    cfg, design = sim.frame, sim.design
     g = _noise_ratio(cfg, noise_var)
-    if kind == "affine":
+    if design.kind == "affine":
         # frames whose estimates hold the same taps form a group, scored
         # group by group; one equalizer call serves every group, with one
-        # FFT pair for the collinear groups, one cyclic reduction per block
-        # size and one change to the affine plane
-        groups = _affine_tap_groups(y_aff, cfg, max_delay, max_doppler, noise_var)
-        return (*_tap_mmse(y_freq, groups, cfg.affine, g), _taps_nmse(groups, spec, cfg.n))
-    if genie is not None:
-        return (*_equalize_planes(y_freq, genie, cfg, g), genie_nmse)
-    est = ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(y_freq, cfg, max_delay))
-    return (*_equalize_planes(y_freq, est, cfg, g), estimate_nmse(est, spec, cfg.n))
+        # FFT pair for the collinear groups and one cyclic reduction per
+        # block size
+        groups = _affine_tap_groups(y_aff, design.search, noise_var)
+        return _tap_mmse(y_freq, groups, g), _taps_nmse(groups, spec, cfg.n)
+    if design.genie is not None:
+        return _equalize_planes(y_freq, design.genie, g), design.genie_nmse
+    est = ChannelEstimate(Domain.FREQUENCY,
+                          h_freq=_ls_freq(y_freq, design.search, design.max_delay))
+    return _equalize_planes(y_freq, est, g), estimate_nmse(est, spec, cfg.n)
 
 
 def _point_noise_var(sim: SimConfig, snr_db: float) -> float:

@@ -24,16 +24,18 @@ list, which a chirp turns into a diagonal times a circulant, the one-tap
 rule between one FFT pair; and for a general one, block cyclic reduction of
 the banded cyclic Gram.  No N x N system is ever formed.  The tap estimates
 of a block, grouped by tap list, are equalized in one call with one stacked
-FFT pair and one cyclic reduction per block size, and leave for the affine
-plane by one ``_freq_to_affine`` (:func:`_tap_mmse`).
-Detection reads the common stream straight off the equalized affine plane
-and the private stream straight off the equalized frequency plane; each SIC
-round additionally rebuilds and subtracts the opposite stream's spread
-image between reads.
+FFT pair and one cyclic reduction per block size (:func:`_tap_mmse`), and
+hand on the equalized frequency plane alone.  The detector makes the affine
+plane, reads the common stream off it and the private stream off the
+frequency plane; each SIC round additionally rebuilds and subtracts the
+opposite stream's spread image between reads.
 
 Each stage has one implementation, an array kernel that acts on every row
 of a (frames, N) block.  The public per-frame functions run it on a block
-of one row, and the harness runs it on whole blocks.
+of one row, and the harness runs it on whole blocks.  The estimators'
+search tables, the LS pilot (:func:`_pilot_subcarriers`) and the guard zone
+(:func:`_peak_zone`), are kernel arguments: the harness builds them once
+per configuration, the public functions once per call.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
                       frame_energy_budget)
-from .transforms import AffineParams, _affine_to_freq, _check, _freq_to_affine
+from .transforms import _affine_to_freq, _check, _freq_to_affine
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .core import demodulate_symbols, modulate_bits  # noqa: F401
 from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
@@ -104,25 +106,25 @@ def estimate_channel_freq(y_freq: Frame, cfg: FrameConfig,
     Assumes a delay-only channel; Doppler leaks neighbouring data into the
     pilot subcarriers and degrades the estimate accordingly.
     """
-    return ChannelEstimate(Domain.FREQUENCY,
-                           h_freq=_ls_freq(_check(y_freq, Domain.FREQUENCY, cfg.n), cfg, max_delay))
+    return ChannelEstimate(Domain.FREQUENCY, h_freq=_ls_freq(
+        _check(y_freq, Domain.FREQUENCY, cfg.n), _pilot_subcarriers(cfg, max_delay), max_delay))
 
 
-def _ls_freq(y_freq: np.ndarray, cfg: FrameConfig, max_delay: int | None) -> np.ndarray:
-    """:func:`estimate_channel_freq`'s response along the last axis."""
-    c1p, p0 = cfg.affine.c1_prime, _pilot_subcarriers(cfg, max_delay)
-    h0 = y_freq[..., ::c1p] / p0
+def _ls_freq(y_freq: np.ndarray, pilot: np.ndarray, max_delay: int | None) -> np.ndarray:
+    """:func:`estimate_channel_freq`'s response along the last axis, from
+    the pilot on every c1'-th of the N subcarriers (c1' = N / M)."""
+    n = y_freq.shape[-1]
+    h0 = y_freq[..., ::n // len(pilot)] / pilot
     h_time = np.fft.ifft(h0)                    # <= M time taps
     if max_delay is not None:
         # receiver prior: taps beyond the design delay spread are noise
         h_time[..., max_delay + 1:] = 0.0
-    return np.fft.fft(h_time, n=cfg.n)          # re-expanded to N subcarriers
+    return np.fft.fft(h_time, n=n)              # re-expanded to N subcarriers
 
 
-@lru_cache(maxsize=32)
 def _pilot_subcarriers(cfg: FrameConfig, max_delay: int | None) -> np.ndarray:
-    """The pilot on the class-0 subcarriers that :func:`_ls_freq` divides by,
-    once the frame and the delay bound pass its checks."""
+    """The pilot on the class-0 subcarriers that :func:`_ls_freq` divides by
+    (a read-only view), once the frame and the delay bound pass its checks."""
     if cfg.approach is not Approach.CLEAN_PILOT:
         raise PilotContaminated("embedded-pilot frames carry data on the pilot subcarriers")
     m = cfg.affine.m
@@ -151,7 +153,6 @@ class _PeakZone(NamedTuple):
     floor: np.ndarray | None
 
 
-@lru_cache(maxsize=32)
 def _peak_zone(cfg: FrameConfig, max_delay: int | None,
                max_doppler: int | None) -> _PeakZone:
     n, c1p, g = cfg.n, cfg.affine.c1_prime, cfg.guard
@@ -200,17 +201,17 @@ def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
     come from any (l >= 0, 0 <= k < c1') either raises (strict) or is
     skipped.
     """
-    [(_, ls, ks, hs)] = _affine_tap_groups(_check(y_affine, Domain.AFFINE, cfg.n)[None], cfg,
-                                           max_delay, max_doppler, noise_var, strict)
+    y = _check(y_affine, Domain.AFFINE, cfg.n)[None]
+    [(_, ls, ks, hs)] = _affine_tap_groups(y, _peak_zone(cfg, max_delay, max_doppler),
+                                           noise_var, strict)
     taps = tuple(ChannelTap(complex(h), l, k) for l, k, h in zip(ls, ks, hs[0]))
     return ChannelEstimate(Domain.AFFINE, taps=taps)
 
 
-def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | None,
-                       max_doppler: int | None, noise_var: float,
+def _affine_tap_groups(y_aff: np.ndarray, zone: _PeakZone, noise_var: float,
                        strict: bool = False) -> list:
-    """The affine estimator's peak search on each row of a (rows, N) affine
-    block: the taps found as groups of ``(rows, delays, dopplers, gains)``,
+    """The affine estimator's peak search over ``zone`` on each row of a
+    (rows, N) affine block: the taps found as groups of ``(rows, delays, dopplers, gains)``,
     the block rows that keep the same zone entries, their delay and Doppler
     lists and the (rows, taps) gains, each list in zone order.
 
@@ -221,7 +222,6 @@ def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | Non
     is the set of zone entries it keeps, so rows are grouped by sorting
     their packed masks, with no loop over the rows.
     """
-    zone = _peak_zone(cfg, max_delay, max_doppler)
     cand = zone.is_candidate
     peaks = y_aff[:, zone.bins]
     mags = np.abs(peaks)
@@ -233,10 +233,11 @@ def _affine_tap_groups(y_aff: np.ndarray, cfg: FrameConfig, max_delay: int | Non
     above = mags > threshold[:, None]
     stray = above & ~cand
     if strict and stray.any():
-        # the strongest stray of the first row that has one
+        # the strongest stray of the first row that has one (the zone holds
+        # shifts -G..G)
         row = stray.nonzero()[0][0]
         raise UnresolvableDoppler(
-            f"peak at shift {np.where(stray[row], mags[row], -1).argmax() - cfg.guard} "
+            f"peak at shift {np.where(stray[row], mags[row], -1).argmax() - len(zone.bins) // 2} "
             f"has no (delay >= 0, Doppler < c1') decomposition within the search bounds")
     keep = above & cand
     # a row that keeps no peak keeps its strongest resolvable one, so the
@@ -306,8 +307,8 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     g, data = _noise_ratio(cfg, noise_var), _check(y, est.domain, cfg.n)
     if est.domain is Domain.FREQUENCY:
         return Frame(_one_tap(data, est.h_freq, g), Domain.FREQUENCY)
-    return Frame(_equalize_planes(_affine_to_freq(data, cfg.affine), est, cfg, g)[1],
-                 Domain.AFFINE)
+    eq_f = _equalize_planes(_affine_to_freq(data, cfg.affine), est, g)
+    return Frame(_freq_to_affine(eq_f, cfg.affine), Domain.AFFINE)
 
 
 def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
@@ -342,10 +343,9 @@ def _one_tap(y: np.ndarray, h: np.ndarray, g: float) -> np.ndarray:
     return np.divide(x, power, out=x)
 
 
-def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
-              g: float) -> tuple[np.ndarray, np.ndarray]:
+def _tap_mmse(y_freq: np.ndarray, groups, g: float) -> np.ndarray:
     """MMSE solve for cyclic tap channels (ZF at g = 0): the equalized
-    (frequency, affine) planes of a received (rows, N) frequency plane.
+    frequency plane of a received (rows, N) frequency plane.
 
     ``groups`` holds ``(rows, delays, dopplers, gains)``, the one block
     form of a tap estimate, as :func:`_affine_tap_groups` yields it and
@@ -358,12 +358,11 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
     one FFT pair for a collinear group (:func:`_chirp_mmse`), block cyclic
     reduction for a general one, which :func:`_shift_mmse` receives with its
     Doppler list.  The collinear groups share one stacked FFT pair and the
-    general ones one cyclic reduction per block size, and the whole block
-    leaves for the affine plane by one ``_freq_to_affine``.  Every step acts
-    on the rows independently, so a row's planes do not depend on the
-    groups that share its block.
+    general ones one cyclic reduction per block size.  Every step acts on
+    the rows independently, so a row's plane does not depend on the groups
+    that share its block.
     """
-    n = p.n
+    n = y_freq.shape[-1]
     flat, general, chirped = [], [], []
     for rows, ls, ks, hs in groups:
         if not ls:
@@ -385,7 +384,7 @@ def _tap_mmse(y_freq: np.ndarray, groups, p: AffineParams,
             x[part] = _ahead(eq[span], shift)
     _shift_mmse(x, y_freq, general, g)
     _chirp_mmse(x, y_freq, chirped, g)
-    return x, _freq_to_affine(x, p)
+    return x
 
 
 def _stack_rows(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -654,22 +653,19 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     frame that :func:`framing.extract_received_planes` returns; the
     equalizer reads its frequency plane."""
     _check(planes[1], Domain.AFFINE, cfg.n)
-    eq_f, eq_a = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n), est, cfg,
-                                  _noise_ratio(cfg, noise_var))
-    return _int64_bits(_detect(eq_f, eq_a, cfg, mode))
+    eq_f = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n), est,
+                            _noise_ratio(cfg, noise_var))
+    return _int64_bits(_detect(eq_f, cfg, mode))
 
 
-def _equalize_planes(y_freq: np.ndarray, est: ChannelEstimate, cfg: FrameConfig,
-                     g: float) -> tuple[np.ndarray, np.ndarray]:
-    """The equalized (frequency, affine) planes of a received frequency
-    plane, along the last axis: the one-tap rule for a response,
-    :func:`_tap_mmse` with every row in one group for a tap list."""
+def _equalize_planes(y_freq: np.ndarray, est: ChannelEstimate, g: float) -> np.ndarray:
+    """The equalized frequency plane of a received frequency plane, along
+    the last axis: the one-tap rule for a response, :func:`_tap_mmse` with
+    every row in one group for a tap list."""
     if est.domain is Domain.FREQUENCY:
-        eq_f = _one_tap(y_freq, est.h_freq, g)
-        return eq_f, _freq_to_affine(eq_f, cfg.affine)
-    y = y_freq.reshape(-1, cfg.n)
-    return tuple(eq.reshape(y_freq.shape)
-                 for eq in _tap_mmse(y, [_tap_group(est.taps, len(y))], cfg.affine, g))
+        return _one_tap(y_freq, est.h_freq, g)
+    y = y_freq.reshape(-1, y_freq.shape[-1])
+    return _tap_mmse(y, [_tap_group(est.taps, len(y))], g).reshape(y_freq.shape)
 
 
 def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
@@ -680,9 +676,9 @@ def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
     return np.arange(rows), [t.l for t in taps], [t.k for t in taps], hs
 
 
-def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
-            mode: ReceiverMode) -> DetectionResult:
-    """:func:`detect_streams` after equalization, along the last axis."""
+def _detect(eq_f: np.ndarray, cfg: FrameConfig, mode: ReceiverMode) -> DetectionResult:
+    """:func:`detect_streams` after equalization, along the last axis; the
+    affine plane is made here, as only the detector reads it."""
     rm = cfg.layout
 
     def read_common(plane_a):
@@ -693,6 +689,7 @@ def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
     def read_private(plane_f):
         return plane_f[..., rm.private_subcarriers] / np.sqrt(cfg.phi2)
 
+    eq_a = _freq_to_affine(eq_f, cfg.affine)
     com, com_bits = read_common(eq_a)
     plane_f = eq_f
     for sic_round in range(_SIC_ROUNDS[mode]):
@@ -700,6 +697,7 @@ def _detect(eq_f: np.ndarray, eq_a: np.ndarray, cfg: FrameConfig,
             # subtract the private image the previous round detected from
             # the affine plane and read the common stream again
             priv_bits = _demodulate(read_private(plane_f))
+            del plane_f   # the previous round's plane, once its bits are read
             priv_hat = _private_plane(_modulate(priv_bits), cfg)
             com, com_bits = read_common(eq_a - _freq_to_affine(priv_hat, cfg.affine))
         # subtract the detected common image from the frequency plane

@@ -438,6 +438,31 @@ def test_non_integers_refused_by_the_constructors(case):
             build(value)
 
 
+# each enum or bool field: a constructor of one value, the values it takes
+# and values of another type, which it refuses
+_TYPED_FIELDS = {
+    "mode": (lambda v: small_sim(mode=v), list(ReceiverMode), ("sic-clean", 1, None)),
+    "approach": (lambda v: replace(small_sim().frame, approach=v), list(Approach),
+                 (2, 1.0, "1", None)),
+    "baseline": (lambda v: small_sim(baseline=v), [True, False], ("no", 0, 1, None)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TYPED_FIELDS))
+def test_mistyped_enums_and_bools_refused_by_the_constructors(case):
+    # a mode that is not a ReceiverMode, an approach that is not an Approach
+    # and a baseline that is not a bool are refused with a typed error when
+    # the config is built, not run as a layout or a receiver they only look
+    # like (an approach of 2 ran the clean-pilot layout; a mode string died
+    # mid-sweep in the detector)
+    build, valid, wrong = _TYPED_FIELDS[case]
+    for value in valid:
+        build(value)
+    for value in wrong:
+        with pytest.raises(ConfigError, match=f"{case} must be"):
+            build(value)
+
+
 # LinkResult fields that depend on the frames alone, not on the clock
 _RECORD_FIELDS = ("snr_db", "ber_common", "ber_private", "ber_total", "se", "channel_nmse",
                   "frames", "se_stderr", "ber_total_stderr")
@@ -606,6 +631,22 @@ class TestBlockEngine:
             _run_block(sim, 0, range(4), *_point_args(sim, 0))
             assert len(calls) == want, estimator
 
+    def test_blocks_never_rebuild_a_design_table(self, monkeypatch):
+        # the freq estimator's pilot and the affine estimator's guard zone
+        # are built once, with the configuration; a block reads them off
+        # ``sim.design``
+        frame = replace(small_sim().frame, guard=9)
+        sims = [small_sim(frame=frame, estimator=estimator) for estimator in ("freq", "affine")]
+        want = [_run_block(sim, 0, range(4), *_point_args(sim, 0)) for sim in sims]
+
+        def rebuilt(*args):
+            raise AssertionError("a block rebuilt a table of its design")
+        for module in (receiver, harness):
+            for name in ("_peak_zone", "_pilot_subcarriers"):
+                monkeypatch.setattr(module, name, rebuilt, raising=False)
+        for sim, records in zip(sims, want):
+            assert np.array_equal(_run_block(sim, 0, range(4), *_point_args(sim, 0)), records)
+
     @pytest.mark.parametrize("kw", [
         dict(estimator="affine"),            # delay-only taps: NMSE by the response
         dict(estimator="perfect-freq", mode=ReceiverMode.SIC_FULL),
@@ -685,8 +726,8 @@ class TestBlockEngine:
     @pytest.mark.parametrize("name", ["fig6/full-sic", "fig7/c1p-32", "fig9/conventional"])
     def test_block_working_set(self, name):
         # a full-budget block's tracemalloc peak, in complex (frames, N)
-        # planes: measured 10.97 (fig6/full-sic), 10.69 (fig7/c1p-32) and
-        # 8.52 (fig9/conventional) at the worst SNR point; the bound was set
+        # planes: measured 10.75 (fig6/full-sic), 10.69 (fig7/c1p-32) and
+        # 8.53 (fig9/conventional) at the worst SNR point; the bound was set
         # about 10 % above an earlier worst (11.70, fig7/c1p-32)
         sim = dict(PRESET_SERIES)[name]
         frames = range(harness._BLOCK_SAMPLES // sim.frame.n)
@@ -740,15 +781,16 @@ def _arrays(obj):
 
 
 def test_cached_arrays_are_read_only():
-    # the per-configuration caches hand the same arrays to every block that
-    # asks, so none of them may be written to
+    # the per-configuration caches and the design's search tables hand the
+    # same arrays to every block that asks, so none of them may be written to
     cfg = replace(small_sim().frame, guard=9)
     taps = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
     cached = [core._philox(7), channel._tap_ramps(taps, cfg.n + cfg.cp_len),
               channel.frequency_diagonal(ChannelSpec(taps), cfg.n),
-              receiver._pilot_subcarriers(cfg, 2), receiver._peak_zone(cfg, 2, 1),
+              small_sim(estimator="freq").design.search,
+              small_sim(frame=cfg, taps=taps, estimator="affine").design.search,
               receiver._solve_rule((0, 2), (0, 1), cfg.n), receiver._spectra((0, 1, 3), cfg.n),
-              harness._se_counts((8, 0, 12), 1, 1), cfg.layout.common_gain,
+              cfg.layout.common_gain,
               transforms._chirps(cfg.n, cfg.affine.c1_prime, cfg.affine.c2)]
     arrays = list(_arrays(cached))
     assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)

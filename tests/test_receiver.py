@@ -20,6 +20,7 @@ from afdmrsma.experiments import FIGURES
 from afdmrsma.harness import _point_noise_var
 from afdmrsma.receiver import (ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse,
                                _taps_nmse)
+from afdmrsma.transforms import _freq_to_affine
 import oracles
 from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
 
@@ -584,42 +585,42 @@ def _cn(rng, *shape):
 def test_block_equalizer_is_row_independent(n, g):
     # one call over a block that mixes every group kind, with the collinear
     # groups in one FFT pair and the general groups of one block size in
-    # one cyclic reduction, gives each row the planes the kernel gives that
-    # row alone
+    # one cyclic reduction, gives each row the plane the kernel gives that
+    # row alone, and so the same affine plane
     p = AffineParams(n, 4)
     rng = np.random.default_rng(n)
     rows = rng.permutation(3 * len(_KERNEL_GROUPS)).reshape(len(_KERNEL_GROUPS), 3)
     groups = [(r, ls, ks, _cn(rng, len(r), len(ls))) for r, (ls, ks) in zip(rows, _KERNEL_GROUPS)]
     y_freq = _cn(rng, rows.size, n)
-    eq_f, eq_a = _tap_mmse(y_freq, groups, p, g)
+    eq_f = _tap_mmse(y_freq, groups, g)
+    eq_a = _freq_to_affine(eq_f, p)
     for r, ls, ks, hs in groups:
         for i, row in enumerate(r):
-            alone = _tap_mmse(y_freq[row:row + 1], [(np.array([0]), ls, ks, hs[i:i + 1])], p, g)
-            assert np.array_equal(alone[0][0], eq_f[row]), (ls, ks, row)
-            assert np.array_equal(alone[1][0], eq_a[row]), (ls, ks, row)
+            alone = _tap_mmse(y_freq[row:row + 1], [(np.array([0]), ls, ks, hs[i:i + 1])], g)
+            assert np.array_equal(alone[0], eq_f[row]), (ls, ks, row)
+            assert np.array_equal(_freq_to_affine(alone, p)[0], eq_a[row]), (ls, ks, row)
 
 
 def test_rows_with_one_tap_set_form_one_group():
     # two frames whose peaks hold the same two taps, the stronger first in
     # one and last in the other, form one group: an estimate is the set of
     # zone entries it keeps, not their order by magnitude; each row's
-    # equalized planes equal the ones it gets alone
+    # equalized plane equals the one it gets alone
     cfg, bounds, g = make_cfg(c1p=16, guard=40), (2, 3), 1e-3
     planes = [extract_received_planes(apply_channel(pilot_frame(cfg), ChannelSpec(
                   (ChannelTap(h0, 0, 0), ChannelTap(h1, 2, 3)))), cfg)
               for h0, h1 in ((0.9, 0.4 - 0.2j), (0.4, 0.9 - 0.2j))]
     y_freq, y_aff = (np.array([plane[i].data for plane in planes]) for i in (0, 1))
-    groups = receiver._affine_tap_groups(y_aff, cfg, *bounds, 0.0)
+    zone = receiver._peak_zone(cfg, *bounds)
+    groups = receiver._affine_tap_groups(y_aff, zone, 0.0)
     [(rows, ls, ks, hs)] = groups
     assert rows.tolist() == [0, 1] and sorted(zip(ls, ks)) == [(0, 0), (2, 3)]
     assert np.argmax(np.abs(hs[0])) != np.argmax(np.abs(hs[1]))
-    eq = _tap_mmse(y_freq, groups, cfg.affine, g)
+    eq = _tap_mmse(y_freq, groups, g)
     for row in range(2):
         alone = _tap_mmse(y_freq[row:row + 1],
-                          receiver._affine_tap_groups(y_aff[row:row + 1], cfg, *bounds, 0.0),
-                          cfg.affine, g)
-        for got, want in zip(eq, alone):
-            assert np.array_equal(got[row], want[0])
+                          receiver._affine_tap_groups(y_aff[row:row + 1], zone, 0.0), g)
+        assert np.array_equal(eq[row], alone[0])
 
 
 def _singular_general_gains(ls, ks, n):
@@ -642,35 +643,33 @@ def _singular_general_gains(ls, ks, n):
 def test_block_with_one_singular_group_refuses_zero_forcing(ls, ks, h):
     # one singular group makes the block call refuse zero forcing, also when
     # it shares the chirp FFT pair or a cyclic reduction with a healthy group
-    p = AffineParams(64, 4)
     rng = np.random.default_rng(3)
     healthy = [(np.array([0]), [0, 2], [0, 1], np.array([[0.857, 0.514]], complex)),
                (np.array([2]), [0, 2, 1], [0, 1, 1], np.array([[0.857, 0.514, 0.1]], complex))]
     singular = (np.array([1]), ls, ks, np.array([h], complex))
     y_freq = _cn(rng, 3, 64)
     _tap_mmse(y_freq[[0, 2]], [(np.array([i]), *group[1:]) for i, group in enumerate(healthy)],
-              p, 0.0)
+              0.0)
     with pytest.raises(SingularChannel):
-        _tap_mmse(y_freq, [*healthy, singular], p, 0.0)
-    assert all(np.all(np.isfinite(eq)) for eq in _tap_mmse(y_freq, [*healthy, singular], p, 1e-3))
+        _tap_mmse(y_freq, [*healthy, singular], 0.0)
+    assert np.all(np.isfinite(_tap_mmse(y_freq, [*healthy, singular], 1e-3)))
 
 
 def test_block_with_an_empty_group_refuses_equalization():
     # taps that cancel leave the peak search no tap; no rule equalizes that
-    p = AffineParams(64, 4)
     y_freq = _cn(np.random.default_rng(3), 3, 64)
     healthy = (np.array([0, 2]), [0, 2], [0, 1], np.array([[0.857, 0.514]] * 2, complex))
     empty = (np.array([1]), [], [], np.zeros((1, 0), complex))
     for g in (0.0, 1e-3):
         with pytest.raises(SingularChannel, match="no channel tap found"):
-            _tap_mmse(y_freq, [healthy, empty], p, g)
+            _tap_mmse(y_freq, [healthy, empty], g)
 
 
 def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
     # a fig9 block at 5 dB splits into groups of every rule; its equalize
     # step runs one cyclic reduction per block size of the general groups
-    # and FFTs twice: once for the collinear groups and once on the way to
-    # the affine plane (_freq_to_affine's pair), 2 + 2 calls
+    # and one FFT pair, for the collinear groups: 2 calls (the affine plane
+    # is the detector's, after the equalizer)
     sim = dict(FIGURES["fig9"](frames=16, seed=1))["sicfree-pilot10"]
     counts = {"reduction": 0, "fft": 0}
     seen, inside = [], [False]
@@ -686,11 +685,11 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", counted("fft", np.fft.ifft))
     kernel = harness._tap_mmse
 
-    def equalize_step(y_freq, groups, p, g):
+    def equalize_step(y_freq, groups, g):
         seen.append(groups)
         inside[0] = True
         try:
-            return kernel(y_freq, groups, p, g)
+            return kernel(y_freq, groups, g)
         finally:
             inside[0] = False
     monkeypatch.setattr(harness, "_tap_mmse", equalize_step)
@@ -700,7 +699,7 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
     assert {rule for rule, _ in rules} == {"one-tap", "collinear", "general"}
     assert counts["reduction"] == len({1 << (b - 1).bit_length()
                                        for rule, b in rules if rule == "general"})
-    assert counts["fft"] == 2 + 2
+    assert counts["fft"] == 2
 
 
 class TestPlaneChecks:
