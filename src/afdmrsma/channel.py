@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import Frame
 from .errors import DopplerPresent, InvalidChannel, _refuse_non_integers
+from .transforms import _spectra
 
 _rt = np.sqrt
 
@@ -144,16 +145,6 @@ def freq_response(spec: ChannelSpec, n: int) -> np.ndarray:
     return frequency_diagonal(spec, n)
 
 
-def _delay_response(gains: np.ndarray, delays, n: int) -> np.ndarray:
-    """:func:`freq_response` of delay-only taps with ``gains`` (..., taps):
-    one response per row of gains."""
-    m = np.arange(n)
-    h = np.zeros(gains.shape[:-1] + (n,), dtype=np.complex128)
-    for t, l in enumerate(delays):
-        h += np.multiply(gains[..., t, None], np.exp(-2j * np.pi * m * l / n))
-    return h
-
-
 def frequency_diagonal(spec: ChannelSpec, n: int) -> np.ndarray:
     """Diagonal of the frequency-domain channel matrix.
 
@@ -167,10 +158,11 @@ def frequency_diagonal(spec: ChannelSpec, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _static_response(taps: tuple[ChannelTap, ...], n: int) -> np.ndarray:
-    """:func:`frequency_diagonal` of a tap list, read-only."""
+    """:func:`frequency_diagonal` of a tap list, read-only: the delay-only
+    taps' gains times their shift spectra, added tap by tap in list order."""
     static = [t for t in taps if t.k == 0]
-    h = _delay_response(np.array([t.h for t in static], dtype=np.complex128),
-                        [t.l for t in static], n)
+    gains = np.array([t.h for t in static], dtype=np.complex128)
+    h = np.multiply(gains[:, None], _spectra(tuple(t.l for t in static), n)).sum(axis=0)
     h.flags.writeable = False
     return h
 

@@ -193,9 +193,9 @@ def split_messages(user1_bits: np.ndarray, user2_bits: np.ndarray,
 
 
 def _scatter(n: int, indices: np.ndarray, values: np.ndarray,
-             scale: float) -> np.ndarray:
+             scale: float | np.ndarray) -> np.ndarray:
     """``scale * values`` placed at ``indices`` of zero planes of length n,
-    along the last axis."""
+    along the last axis; ``scale`` is one number or one per index."""
     values = np.asarray(values, complex)
     if values.ndim == 0:
         values = values.reshape(1)
@@ -210,14 +210,7 @@ def _common_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """The affine plane of one common stream: sqrt(phi1)-scaled symbols on
     the common indices, then unit-power symbols on the extra indices.  A
     (frames, symbols) block gives a (frames, N) block."""
-    rm, symbols = cfg.layout, np.asarray(symbols, complex)
-    if symbols.shape[-1] != rm.n_common + rm.n_extra:
-        raise InvalidLength(
-            f"common stream carries {symbols.shape[-1]} symbols, frame needs "
-            f"{rm.n_common + rm.n_extra}")
-    plane = np.zeros(symbols.shape[:-1] + (cfg.n,), dtype=np.complex128)
-    plane[..., rm.common_stream] = rm.common_gain * symbols
-    return plane
+    return _scatter(cfg.n, cfg.layout.common_stream, symbols, cfg.layout.common_gain)
 
 
 def _private_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:

@@ -319,7 +319,7 @@ def _receive_block(sim: SimConfig, y_freq: np.ndarray, y_aff: np.ndarray | None,
         # FFT pair for the collinear groups and one cyclic reduction per
         # block size
         groups = _affine_tap_groups(y_aff, design.search, noise_var)
-        return _tap_mmse(y_freq, groups, g), _taps_nmse(groups, spec, cfg.n)
+        return _tap_mmse(y_freq, groups, g), _taps_nmse(groups, spec)
     if design.genie is not None:
         return _equalize_planes(y_freq, design.genie, g), design.genie_nmse
     est = ChannelEstimate(Domain.FREQUENCY,

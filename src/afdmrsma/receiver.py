@@ -10,8 +10,9 @@ Estimation runs in one of two places:
 * affine domain: a tap (h, l, k) moves the pilot from index 0 to the bin
   with signed offset sigma = k - c1' l, so a thresholded peak search over
   the guard zone recovers (l, k) from the quotient/remainder of sigma by
-  c1' (unique while k < c1'), and h from the peak value after removing the
-  deterministic chirp phase.
+  c1' (unique while k < c1'), and h from the peak value over the pilot's
+  image through a unit tap at that bin, made from the DAFT's own chirp and
+  phase tables (``transforms``).
 
 Both estimators and the detector read the same (frequency, affine) pair of
 planes, which the caller analyses once per frame with
@@ -46,14 +47,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (ChannelSpec, ChannelTap, _delay_response, freq_response,
-                      frequency_diagonal)
+from .channel import ChannelSpec, ChannelTap, freq_response, frequency_diagonal
 from .core import Domain, Frame, _demodulate, _modulate
 from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
                       frame_energy_budget)
-from .transforms import _affine_to_freq, _check, _freq_to_affine
+from .transforms import _affine_to_freq, _check, _chirps, _freq_to_affine, _spectra, _unit
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .core import demodulate_symbols, modulate_bits  # noqa: F401
 from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
@@ -171,15 +171,13 @@ def _peak_zone(cfg: FrameConfig, max_delay: int | None,
         is_candidate &= delays <= max_delay
     if max_doppler is not None:
         is_candidate &= dopplers <= max_doppler
-    c1, c2 = cfg.affine.c1, cfg.affine.c2
-    gain = []
-    for off, l, k in zip(offsets.tolist(), delays.tolist(), dopplers.tolist()):
-        b = off % n
-        phase = np.exp(-2j * np.pi * c2 * b * b) * np.exp(2j * np.pi * (c1 * l * l - k * l / n))
-        gain.append(np.sqrt(cfg.phi_pilot) * phase)
+    bins = offsets % n
+    # the DAFT's image of the pilot through a unit tap (l, k): its c2 chirp
+    # at the bin times the phase exp(j pi (c1' l^2 - 2 k l) / N)
+    gain = (np.sqrt(cfg.phi_pilot) * _chirps(n, c1p, cfg.affine.c2)[3][bins]
+            * _unit(c1p * delays * delays - 2 * dopplers * delays, n))
     cand, rest = np.flatnonzero(is_candidate), np.flatnonzero(~is_candidate)
-    zone = _PeakZone(offsets % n, delays, dopplers, is_candidate,
-                     np.array(gain, dtype=np.complex128),
+    zone = _PeakZone(bins, delays, dopplers, is_candidate, gain,
                      cand if len(cand) >= 6 else rest if len(rest) >= 4 else None)
     for arr in zone:
         if arr is not None:
@@ -447,11 +445,6 @@ def _solve_rule(ls: tuple, ks: tuple, n: int) -> _Chirp | None:
     return _Chirp(*_chirp_pair(c, int(alpha[0] - c * s[0]) % n, n), phases)
 
 
-def _unit(phase: np.ndarray, n: int) -> np.ndarray:
-    """``exp(j pi phase / N)`` of integer phases, reduced mod 2N first."""
-    return np.exp(1j * np.pi * (phase % (2 * n)) / n)
-
-
 @lru_cache(maxsize=64)
 def _chirp_pair(c: int, gamma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """conj(D) and P of :class:`_Chirp` for chirp rate c and ramp gamma."""
@@ -460,24 +453,6 @@ def _chirp_pair(c: int, gamma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in pair:
         arr.flags.writeable = False
     return pair
-
-
-@lru_cache(maxsize=32)
-def _spectra(shifts: tuple, n: int) -> np.ndarray:
-    """The :func:`_shift_spectrum` of each shift, as one read-only (shifts,
-    N) array.  Only the latest lists keep theirs: a sweep can meet hundreds
-    (fig7 does), and each list holds a copy of its rows."""
-    spectra = np.array([_shift_spectrum(s, n) for s in shifts])
-    spectra.flags.writeable = False
-    return spectra
-
-
-@lru_cache(maxsize=256)
-def _shift_spectrum(s: int, n: int) -> np.ndarray:
-    """The FFT of a unit impulse at s: ``exp(-2 pi j m s / N)``, read-only."""
-    spectrum = _unit(-2 * s * np.arange(n), n)
-    spectrum.flags.writeable = False
-    return spectrum
 
 
 def _chirp_mmse(x: np.ndarray, y: np.ndarray, chirped, g: float) -> None:
@@ -652,6 +627,8 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
     SIC rounds.  ``planes`` is the (frequency, affine) pair of one received
     frame that :func:`framing.extract_received_planes` returns; the
     equalizer reads its frequency plane."""
+    if not isinstance(mode, ReceiverMode):
+        raise ConfigError(f"mode must be a ReceiverMode, got {mode!r}")
     _check(planes[1], Domain.AFFINE, cfg.n)
     eq_f = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n), est,
                             _noise_ratio(cfg, noise_var))
@@ -713,12 +690,14 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     A response, or a (frames, N) block of them, compares against the
     diagonal of the true frequency-domain channel: H(m) on a delay-only
     channel, the delay-only taps' response under Doppler (the off-diagonal
-    ICI is invisible to a one-tap model).  A tap list compares by
-    :func:`_taps_nmse` on one row.
+    ICI is invisible to a one-tap model).  A tap list, delay-only or not,
+    compares tap by tap (:func:`_taps_nmse` on one row); on a delay-only
+    list and channel this equals its response's error by Parseval, up to
+    rounding.
     """
     if est.domain is Domain.FREQUENCY:
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    return float(_taps_nmse([_tap_group(est.taps, 1)], true_spec, n)[0])
+    return float(_taps_nmse([_tap_group(est.taps, 1)], true_spec)[0])
 
 
 def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -727,24 +706,20 @@ def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(h_est - h) ** 2, axis=-1) / np.sum(np.abs(h) ** 2)
 
 
-def _taps_nmse(groups, true_spec: ChannelSpec, n: int) -> np.ndarray:
+def _taps_nmse(groups, true_spec: ChannelSpec) -> np.ndarray:
     """:func:`estimate_nmse` of the tap estimates of a block, one per row,
     from its ``(rows, delays, dopplers, gains)`` groups as
-    :func:`_tap_mmse` reads them.  A delay-only estimate of a delay-only
-    channel compares by its response.  Otherwise matched taps contribute
-    |h_hat - h|^2, missed and spurious taps their full power, and each row's
-    error is formed in the order and with the rounding of a Python loop over
-    the taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a
-    complex ``np.hypot``."""
+    :func:`_tap_mmse` reads them.  Matched taps contribute |h_hat - h|^2,
+    missed and spurious taps their full power, and each row's error is
+    formed in the order and with the rounding of a Python loop over the
+    taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
+    ``np.hypot``."""
     def power(v):
         return np.float_power(np.hypot(v.real, v.imag), 2)
 
     ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
     nmse = np.empty(sum(len(rows) for rows, *_ in groups))
     for rows, ls, ks, hs in groups:
-        if not any(ks) and not true_spec.has_doppler:
-            nmse[rows] = _response_nmse(_delay_response(hs, ls, n), freq_response(true_spec, n))
-            continue
         got = {key: col for col, key in enumerate(zip(ls, ks))}
         err = 0
         for t in true_spec.taps:

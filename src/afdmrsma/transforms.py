@@ -67,22 +67,45 @@ class AffineParams:
         return self.n // self.c1_prime
 
 
+def _unit(phase: np.ndarray, n: int) -> np.ndarray:
+    """``exp(j pi phase / N)`` of integer phases, reduced mod 2N first in
+    exact integer arithmetic, so large-N frames keep full double precision.
+    The time chirp, the shift spectra and the receiver's pilot, tap and
+    chirp phases all come from here; only the simulated channel's Doppler
+    ramps, over the N + cp samples it is applied to, are made apart."""
+    return np.exp(1j * np.pi * (phase % (2 * n)) / n)
+
+
 @lru_cache(maxsize=32)
 def _chirps(n: int, c1_prime: int, c2: float):
     """(time chirp e^{j2pi c1 k^2}, freq chirp e^{j2pi c2 k^2}) and their
-    conjugates, read-only.
-
-    The c1 phase pi*c1'*k^2/N is reduced modulo 2N in exact integer
-    arithmetic so large-N frames keep full double precision.
-    """
+    conjugates, read-only; the time chirp is :func:`_unit` of c1' k^2."""
     k = np.arange(n, dtype=np.int64)
-    r = (c1_prime * k * k) % (2 * n)
-    time_chirp = np.exp(1j * np.pi * r / n)
+    time_chirp = _unit(c1_prime * k * k, n)
     freq_chirp = np.exp(2j * np.pi * np.mod(c2 * (k.astype(float) ** 2), 1.0))
     out = (time_chirp, freq_chirp, time_chirp.conj(), freq_chirp.conj())
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=32)
+def _spectra(shifts: tuple, n: int) -> np.ndarray:
+    """The :func:`_shift_spectrum` of each shift, as one read-only (shifts,
+    N) array.  Only the latest lists keep theirs: a sweep can meet hundreds
+    (fig7 does), and each list holds a copy of its rows."""
+    spectra = np.array([_shift_spectrum(s, n) for s in shifts],
+                       dtype=np.complex128).reshape(len(shifts), n)
+    spectra.flags.writeable = False
+    return spectra
+
+
+@lru_cache(maxsize=256)
+def _shift_spectrum(s: int, n: int) -> np.ndarray:
+    """The FFT of a unit impulse at s: ``exp(-2 pi j m s / N)``, read-only."""
+    spectrum = _unit(-2 * s * np.arange(n), n)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _check(x: Frame, domain: Domain, n: int | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ from afdmrsma import (BITS_PER_SYMBOL, AffineParams, ChannelEstimate, ChannelSpe
                       ConfigError, Domain, Frame, FrameConfig, InvalidChannel, InvalidIndex,
                       SimConfig, UnresolvableDoppler, apply_channel, build_frame,
                       detect_streams, estimate_channel_freq, extract_received_planes,
-                      frame_rng, freq_response, frequency_diagonal, modulate_bits,
+                      frame_rng, frequency_diagonal, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user, split_messages)
 from afdmrsma.baseline import run_baseline_frame
 from afdmrsma.harness import _FrameRecord, _score
@@ -177,16 +177,12 @@ def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float
     A frequency response, one or a (frames, N) block of them, compares
     against the diagonal of the true frequency-domain channel: integer-Doppler
     taps have a zero diagonal, so the one-tap reference is the response of
-    the delay-only taps (H(m) itself on a delay-only channel).  A delay-only
-    tap list of a delay-only channel compares by its response too.  Other
-    tap lists compare tap-wise: matched taps contribute |h_hat - h|^2, missed
-    and spurious taps their full power.
+    the delay-only taps (H(m) itself on a delay-only channel).  Every tap
+    list, delay-only or not, compares tap-wise: matched taps contribute
+    |h_hat - h|^2, missed and spurious taps their full power.
     """
     if est.domain is Domain.FREQUENCY:
         return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    if est.taps and not any(t.k for t in est.taps) and not true_spec.has_doppler:
-        return _response_nmse(freq_response(ChannelSpec(est.taps), n),
-                              freq_response(true_spec, n))
     true = {(t.l, t.k): t.h for t in true_spec.taps}
     got = {(t.l, t.k): t.h for t in est.taps}
     err = 0.0

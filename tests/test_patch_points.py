@@ -93,3 +93,21 @@ def test_every_private_record_field_is_read_in_the_package():
     unread = [f"{module}: {record}.{name}" for module, record, name in fields
               if name not in reads]
     assert fields and not unread
+
+
+def test_exponentials_come_from_the_transforms_phase_tables():
+    # every complex exponential of the package is made in ``transforms``
+    # (its exact-phase tables and chirps), apart from the simulated
+    # channel's Doppler ramps, so that no second phase recipe drifts from
+    # the one the DAFT uses
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "exp"
+                        and getattr(node.func.value, "id", None) == "np"):
+                    calls.append((path.stem, _bound_names(statement)))
+    stray = [f"{module}: {names}" for module, names in calls
+             if module != "transforms" and (module, names) != ("channel", ["_tap_ramps"])]
+    assert any(module == "transforms" for module, _ in calls) and not stray

@@ -26,8 +26,8 @@ from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
 
 
 def make_cfg(n=256, c1p=64, guard=8, pilot=10.0, phi1=4.0, phi2=1.0,
-             approach=Approach.CLEAN_PILOT, cp_len=0, cpc=None):
-    return FrameConfig(affine=AffineParams(n, c1p), guard=guard, phi_pilot=pilot,
+             approach=Approach.CLEAN_PILOT, cp_len=0, cpc=None, c2=0.0):
+    return FrameConfig(affine=AffineParams(n, c1p, c2), guard=guard, phi_pilot=pilot,
                        phi1=phi1, phi2=phi2, approach=approach, cp_len=cp_len,
                        common_per_class=cpc)
 
@@ -173,6 +173,18 @@ class TestAffineEstimator:
         est = estimate_channel_affine(extract_received_planes(rx, cfg)[1], cfg)
         assert estimate_nmse(est, spec, cfg.n) < 1e-12
 
+    @pytest.mark.parametrize("c2", [0.0, 1 / 256, 0.37])
+    def test_zone_gain_is_the_daft_image_of_the_pilot(self, c2):
+        # each candidate entry's pilot gain is the bin the DAFT reads off
+        # the pilot frame through a unit tap of its (delay, Doppler)
+        cfg = make_cfg(c1p=4, guard=16, c2=c2)
+        zone = receiver._peak_zone(cfg, None, None)
+        for j in np.flatnonzero(zone.is_candidate):
+            tap = ChannelTap(1.0, int(zone.delays[j]), int(zone.dopplers[j]))
+            image = daft(apply_channel(pilot_frame(cfg), ChannelSpec((tap,))), cfg.affine)
+            got = image.data[zone.bins[j]]
+            assert abs(got - zone.pilot_gain[j]) <= 1e-14 * abs(got), (tap, c2)
+
     def test_unresolvable_doppler_strict(self):
         cfg = make_cfg(c1p=4, guard=8)
         rx = apply_channel(pilot_frame(cfg), ChannelSpec((ChannelTap(1.0, 0, 5),)))
@@ -202,9 +214,10 @@ class TestAffineEstimator:
             estimate_channel_affine(extract_received_planes(rx, cfg)[1], cfg,
                                     max_doppler=0)
 
-    def test_delay_only_nmse_is_the_response_nmse(self):
-        # a delay-only tap list of a delay-only channel is scored by its
-        # response, as a frequency estimate holding that response would be
+    def test_delay_only_nmse_is_tap_wise(self):
+        # a delay-only tap list of a delay-only channel is scored tap by
+        # tap, as any tap list is; by Parseval that is its response's error
+        # up to rounding
         cfg = make_cfg(c1p=16, guard=40)
         spec = ChannelSpec((ChannelTap(0.9, 0, 0), ChannelTap(0.4, 2, 0)))
         rx = apply_channel(pilot_frame(cfg), spec)
@@ -215,7 +228,8 @@ class TestAffineEstimator:
                                    h_freq=freq_response(ChannelSpec(est.taps), cfg.n))
         nmse = estimate_nmse(est, spec, cfg.n)
         assert 0 < nmse < 1e-3
-        assert nmse == estimate_nmse(response, spec, cfg.n)
+        assert nmse == oracles.estimate_nmse(est, spec, cfg.n)
+        assert nmse == pytest.approx(estimate_nmse(response, spec, cfg.n), rel=1e-12)
 
 
 class TestEstimateForms:
@@ -336,7 +350,7 @@ def test_tap_scorer_rows_equal_the_dict_oracle(k2):
     rng = np.random.default_rng(5)
     rows = rng.permutation(2 * len(lists)).reshape(len(lists), 2)
     groups = [(r, ls, ks, _cn(rng, len(r), len(ls))) for r, (ls, ks) in zip(rows, lists)]
-    got = _taps_nmse(groups, spec, n)
+    got = _taps_nmse(groups, spec)
     assert got.shape == (rows.size,)
     for r, ls, ks, hs in groups:
         for row, h in zip(r, hs):
@@ -732,6 +746,13 @@ class TestPlaneChecks:
         with pytest.raises(InvalidLength):
             detect_streams((Frame(y_f.data[:32], Domain.FREQUENCY),
                             Frame(y_a.data[:32], Domain.AFFINE)), cfg, est)
+
+    def test_detect_streams_refuses_a_mode_that_is_not_a_receiver_mode(self):
+        cfg, planes = self.planes()
+        est = perfect_estimate(ChannelSpec((ChannelTap(1.0, 0, 0),)), cfg, Domain.FREQUENCY)
+        for mode in ("sic-clean", 1, None):
+            with pytest.raises(ConfigError, match="mode must be a ReceiverMode"):
+                detect_streams(planes, cfg, est, mode, 0.01)
 
 
 class TestDetect:
