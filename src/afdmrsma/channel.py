@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import Frame
-from .errors import DopplerPresent, InvalidChannel, _refuse_non_integers
+from .errors import DopplerPresent, InvalidChannel, _refuse_non_integers, _refuse_non_numbers
 from .transforms import _spectra
 
 _rt = np.sqrt
@@ -38,6 +39,7 @@ class ChannelTap:
 
     def __post_init__(self):
         _refuse_non_integers(InvalidChannel, l=self.l, k=self.k)
+        _refuse_non_numbers(InvalidChannel, numbers.Complex, h=self.h)
         if self.l < 0:
             raise InvalidChannel(f"negative delay {self.l}")
         if not cmath.isfinite(self.h):

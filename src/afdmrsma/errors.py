@@ -53,3 +53,12 @@ def _refuse_non_integers(error: type[SimulationError], **values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _refuse_non_numbers(error: type[SimulationError], kind: type = numbers.Real,
+                        **values) -> None:
+    """Raise ``error`` at the first of ``values`` that is no ``kind`` of number, a real
+    one by default (numpy's are, bools and strings not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise error(f"{name} must be a {kind.__name__.lower()} number, got {value!r}")

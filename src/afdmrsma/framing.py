@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .core import BITS_PER_SYMBOL, Domain, Frame
-from .errors import ConfigError, InvalidLength, _refuse_non_integers
+from .errors import ConfigError, InvalidLength, _refuse_non_integers, _refuse_non_numbers
 from .transforms import AffineParams, _affine_to_freq, _daft, _dft, _idft, affine_to_freq
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .core import modulate_bits  # noqa: F401
@@ -54,13 +54,12 @@ class FrameConfig:
     layout: ResourceMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.affine.c1_prime < 1:
-            raise ConfigError("framing needs a real chirp slope (c1_prime >= 1)")
         if not isinstance(self.approach, Approach):
             raise ConfigError(f"approach must be an Approach, got {self.approach!r}")
         _refuse_non_integers(ConfigError, guard=self.guard, cp_len=self.cp_len)
         if self.common_per_class is not None:
             _refuse_non_integers(ConfigError, common_per_class=self.common_per_class)
+        _refuse_non_numbers(ConfigError, phi_pilot=self.phi_pilot, phi1=self.phi1, phi2=self.phi2)
         for name in ("phi_pilot", "phi1", "phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")

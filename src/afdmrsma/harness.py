@@ -1,8 +1,8 @@
 """Monte Carlo link sweeps, metrics and result emission.
 
 A :class:`SimConfig` fixes its receiver, with the search table of its
-estimator, and refuses what its stages would refuse when it is built
-(:func:`_receiver_design`); the sweep derives neither again.
+estimator (``receiver.ReceiverDesign``), and refuses what its stages would
+refuse when it is built; the sweep derives neither again.
 
 :func:`run_sweeps` runs each (configuration, SNR point) as one task, in
 process or on one process pool; a task simulates its frames in blocks, as
@@ -32,23 +32,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import _baseline_detect, _baseline_time, baseline_budget
-from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
-from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
-from .errors import ConfigError, SimulationError, _refuse_non_integers
+from .channel import ChannelSpec, ChannelTap, _channel, snr_to_noise_var
+from .core import BITS_PER_SYMBOL, _modulate, frame_draws
+from .errors import ConfigError, SimulationError, _refuse_non_integers, _refuse_non_numbers
 from .framing import (Approach, FrameConfig, _frame_time, capacity_counts,
                       frame_energy_budget)
-from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, _affine_tap_groups,
-                       _detect, _equalize_planes, _ls_freq, _noise_ratio, _peak_zone,
-                       _PeakZone, _pilot_subcarriers, _tap_mmse, _taps_nmse, estimate_nmse,
-                       perfect_estimate)
-from .transforms import AffineParams, _daft, _dft
+from .receiver import (DetectionResult, ReceiverDesign, ReceiverMode, _detect, _receive,
+                       _receiver_design)
+from .transforms import AffineParams
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
 from .channel import apply_channel  # noqa: F401
 from .core import frame_rng, modulate_bits, random_bits  # noqa: F401
 from .framing import (build_frame, extract_received_planes, required_bits_per_user,  # noqa: F401
                       split_messages)
-from .receiver import detect_streams, estimate_channel_affine, estimate_channel_freq  # noqa: F401
+from .receiver import (detect_streams, estimate_channel_affine,  # noqa: F401
+                       estimate_channel_freq, estimate_nmse)
 
 ESTIMATORS = ("auto", "freq", "affine", "perfect-freq", "perfect-affine")
 
@@ -75,6 +74,8 @@ class SimConfig:
     def __post_init__(self):
         _refuse_non_integers(ConfigError, frames_per_point=self.frames_per_point, seed=self.seed,
                              workers=self.workers)
+        if self.noise_override is not None:
+            _refuse_non_numbers(ConfigError, noise_override=self.noise_override)
         if self.frames_per_point < 1:
             raise ConfigError("frames_per_point must be >= 1")
         if self.workers < 1:
@@ -89,62 +90,23 @@ class SimConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}; "
                               f"expected one of {', '.join(ESTIMATORS)}")
         object.__setattr__(self, "taps", tuple(self.taps))
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        grid = tuple(self.snr_grid_db)
+        _refuse_non_numbers(ConfigError, **{f"snr_grid_db[{i}]": s for i, s in enumerate(grid)})
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigError(f"SNR grid must hold finite numbers, got {self.snr_grid_db}")
-        object.__setattr__(self, "design", _receiver_design(self))
-
-
-class ReceiverDesign(NamedTuple):
-    """What a :class:`SimConfig` fixes of its receiver, which every block
-    reads: the estimator ("auto" resolved), its bounds, search table and genie."""
-    kind: str
-    max_delay: int     # the channel's delay spread
-    max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
-    search: np.ndarray | _PeakZone | None   # freq: its LS pilot; affine: its zone; else None
-    genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
-    genie_nmse: float   # perfect-*'s estimate NMSE, which the config fixes (0.0 for the rest)
-
-
-def _receiver_design(sim: SimConfig) -> ReceiverDesign:
-    """The :class:`ReceiverDesign` of ``sim``; refuses as :class:`ConfigError` what a
-    stage it runs would refuse at every frame, by that stage's own check: the channel's
-    on an empty block, the estimator's as it builds its search table, and the
-    equalizer's on one zero row for zero forcing, whose pivot tests read the channel
-    alone."""
-    cfg, kind = sim.frame, sim.estimator
-    try:
-        spec = ChannelSpec(sim.taps, sim.noise_override or 0.0)
-        if kind == "auto":
-            kind = ("freq" if cfg.approach is Approach.CLEAN_PILOT and not spec.has_doppler
-                    else "affine")
-        max_delay, max_doppler = spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
-        _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
-        search, genie, genie_nmse = None, None, 0.0
-        if sim.baseline:   # it runs no estimator
-            genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(spec, cfg.n))
-        elif kind == "freq":
-            # its NMSE reference, the delay-only taps' response, is zero without one
-            if all(t.k for t in spec.taps):
-                raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
-            search = _pilot_subcarriers(cfg, max_delay)
-        elif kind == "affine":
-            # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
-            if any(t.k < 0 for t in spec.taps):
-                raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
-            search = _peak_zone(cfg, max_delay, max_doppler)
-        else:
-            genie = perfect_estimate(spec, cfg, Domain.FREQUENCY if kind == "perfect-freq"
-                                     else Domain.AFFINE)
-            genie_nmse = estimate_nmse(genie, spec, cfg.n)
-        if genie is not None and sim.noise_override == 0:
-            # zero forcing through an estimate the config fixes: every frame or none
-            _equalize_planes(np.zeros((1, cfg.n), complex), genie, 0.0)
-    except ConfigError:
-        raise
-    except SimulationError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ReceiverDesign(kind, max_delay, max_doppler, search, genie, genie_nmse)
+        # what a stage would refuse at every frame, by its own check: the
+        # channel's on an empty block, the receiver's as it makes its design
+        cfg = self.frame
+        try:
+            spec = ChannelSpec(self.taps, self.noise_override or 0.0)
+            _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
+            object.__setattr__(self, "design", _receiver_design(
+                cfg, spec, self.estimator, self.baseline, self.noise_override == 0))
+        except ConfigError:
+            raise
+        except SimulationError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -239,8 +201,8 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
 # few blocks as fit this budget, of sizes that differ by at most one frame
 # (:func:`_block_plan`).  At N = 256 a 100-frame point runs as two blocks of
 # 50 frames and a 400-frame point as seven of 57 or 58.  A full block's
-# arrays peak at 7 to 11 complex (frames, N) planes under tracemalloc, the
-# most in fig6's SIC rounds (2.7 MiB at 64 frames of 256 samples).
+# arrays peak at 7 to 10 complex (frames, N) planes under tracemalloc, the
+# most in fig6's SIC rounds (2.5 MiB at 64 frames of 256 samples).
 _BLOCK_SAMPLES = 16384
 
 # glibc hands the free top of its heap back to the kernel beyond a trim
@@ -286,45 +248,19 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
     del drawn
     syms = tuple(_modulate(b) for b in bits)
 
-    # each stage's arrays are dropped once the next stage has read them
+    # each stage's arrays are dropped once the next stage has read them; the
+    # time samples are handed on in a list, so that the receive step holds
+    # their only reference and drops them once it has made its planes
     sent = (_baseline_time if sim.baseline else _frame_time)(*syms, cfg)
-    received = _channel(sent, spec, normals)[:, cfg.cp_len:]
+    received = [_channel(sent, spec, normals)[:, cfg.cp_len:]]
     del sent, normals
     if sim.baseline:
-        det = _baseline_detect(received, cfg, spec.noise_var, sim.design.genie.h_freq)
-        del received
-        return _score(sim, bits, syms, det, 0.0)
-    y_freq = _dft(received)
-    # only the affine estimator reads the affine plane
-    y_aff = _daft(received, cfg.affine) if sim.design.kind == "affine" else None
-    del received
-    eq_f, nmse = _receive_block(sim, y_freq, y_aff, spec, noise_var)
-    del y_freq, y_aff
-    det = _detect(eq_f, cfg, sim.mode)
-    del eq_f
+        det, nmse = _baseline_detect(received.pop(), cfg, noise_var, sim.design.genie.h_freq), 0.0
+    else:
+        eq_f, nmse = _receive(received.pop(), cfg, sim.design, spec)
+        det = _detect(eq_f, cfg, sim.mode)
+        del eq_f
     return _score(sim, bits, syms, det, nmse)
-
-
-def _receive_block(sim: SimConfig, y_freq: np.ndarray, y_aff: np.ndarray | None,
-                   spec: ChannelSpec, noise_var: float):
-    """Estimate, equalize and score the estimate on the received (frames, N)
-    frequency and affine planes, as ``sim.design`` fixes: the equalized
-    frequency plane and each frame's estimate NMSE.  The affine plane is
-    None unless the design's estimator is ``affine``."""
-    cfg, design = sim.frame, sim.design
-    g = _noise_ratio(cfg, noise_var)
-    if design.kind == "affine":
-        # frames whose estimates hold the same taps form a group, scored
-        # group by group; one equalizer call serves every group, with one
-        # FFT pair for the collinear groups and one cyclic reduction per
-        # block size
-        groups = _affine_tap_groups(y_aff, design.search, noise_var)
-        return _tap_mmse(y_freq, groups, g), _taps_nmse(groups, spec)
-    if design.genie is not None:
-        return _equalize_planes(y_freq, design.genie, g), design.genie_nmse
-    est = ChannelEstimate(Domain.FREQUENCY,
-                          h_freq=_ls_freq(y_freq, design.search, design.max_delay))
-    return _equalize_planes(y_freq, est, g), estimate_nmse(est, spec, cfg.n)
 
 
 def _point_noise_var(sim: SimConfig, snr_db: float) -> float:
@@ -487,6 +423,12 @@ def _integer(value) -> int:
     raise ConfigError(f"expected an integer, got {value!r}")
 
 
+def _real(value) -> float:
+    """A JSON number as a float; a bool or a string is refused."""
+    _refuse_non_numbers(ConfigError, value=value)
+    return float(value)
+
+
 def _boolean(value) -> bool:
     """A JSON true or false; anything else is refused."""
     if not isinstance(value, bool):
@@ -495,7 +437,8 @@ def _boolean(value) -> bool:
 
 
 def _taps(rows) -> tuple[ChannelTap, ...]:
-    return tuple(ChannelTap(complex(re, im), _integer(l), _integer(k)) for re, im, l, k in rows)
+    return tuple(ChannelTap(complex(_real(re), _real(im)), _integer(l), _integer(k))
+                 for re, im, l, k in rows)
 
 
 def _optional(convert):
@@ -506,19 +449,20 @@ def _optional(convert):
 # conversion); a missing key leaves the field's dataclass default
 _CONFIG_PARTS = {
     "frame": {   # n, c1_prime and c2 set AffineParams, the others FrameConfig
-        "n": ("n", _integer), "c1_prime": ("c1_prime", _integer), "c2": ("c2", float),
-        "guard": ("guard", _integer), "phi1": ("phi1", float), "phi2": ("phi2", float),
-        "pilot_power_db": ("phi_pilot", lambda db: 10.0 ** (float(db) / 10.0)),
+        "n": ("n", _integer), "c1_prime": ("c1_prime", _integer), "c2": ("c2", _real),
+        "guard": ("guard", _integer), "phi1": ("phi1", _real), "phi2": ("phi2", _real),
+        "pilot_power_db": ("phi_pilot", lambda db: 10.0 ** (_real(db) / 10.0)),
         "approach": ("approach", lambda a: Approach(_integer(a))),
         "cp_len": ("cp_len", _integer),
         "common_per_class": ("common_per_class", _optional(_integer)),
     },
     "channel": {   # normalize scales the taps; the others set SimConfig
         "taps": ("taps", _taps), "normalize": ("normalize", _boolean),
-        "noise_var": ("noise_override", _optional(float)),
+        "noise_var": ("noise_override", _optional(_real)),
     },
     "sweep": {   # SimConfig
-        "snr_db": ("snr_grid_db", tuple), "frames_per_point": ("frames_per_point", _integer),
+        "snr_db": ("snr_grid_db", lambda db: tuple(map(_real, db))),
+        "frames_per_point": ("frames_per_point", _integer),
         "mode": ("mode", ReceiverMode), "estimator": ("estimator", str),
         "seed": ("seed", _integer), "workers": ("workers", _integer),
         "baseline": ("baseline", _boolean),

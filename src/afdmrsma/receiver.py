@@ -33,10 +33,11 @@ opposite stream's spread image between reads.
 
 Each stage has one implementation, an array kernel that acts on every row
 of a (frames, N) block.  The public per-frame functions run it on a block
-of one row, and the harness runs it on whole blocks.  The estimators'
-search tables, the LS pilot (:func:`_pilot_subcarriers`) and the guard zone
-(:func:`_peak_zone`), are kernel arguments: the harness builds them once
-per configuration, the public functions once per call.
+of one row, and the receive step (:func:`_receive`) on whole blocks.  The
+estimators' search tables, the LS pilot (:func:`_pilot_subcarriers`) and
+the guard zone (:func:`_peak_zone`), are kernel arguments: a
+:class:`ReceiverDesign` holds them per configuration, the public functions
+build them per call.
 """
 from __future__ import annotations
 
@@ -53,7 +54,8 @@ from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
 from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
                       frame_energy_budget)
-from .transforms import _affine_to_freq, _check, _chirps, _freq_to_affine, _spectra, _unit
+from .transforms import (_affine_to_freq, _check, _chirps, _daft, _dft, _freq_to_affine,
+                         _spectra, _unit)
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .core import demodulate_symbols, modulate_bits  # noqa: F401
 from .framing import (build_affine_common, build_affine_extra,  # noqa: F401
@@ -651,6 +653,70 @@ def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
     read."""
     hs = np.broadcast_to(np.array([t.h for t in taps], dtype=np.complex128), (rows, len(taps)))
     return np.arange(rows), [t.l for t in taps], [t.k for t in taps], hs
+
+
+class ReceiverDesign(NamedTuple):
+    """What a configuration fixes of its receiver, which every block reads:
+    the estimator ("auto" resolved), its bounds, search table and genie."""
+    kind: str
+    max_delay: int     # the channel's delay spread
+    max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
+    search: np.ndarray | _PeakZone | None   # freq: its LS pilot; affine: its zone; else None
+    genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
+
+
+def _receiver_design(cfg: FrameConfig, spec: ChannelSpec, estimator: str, baseline: bool,
+                     zero_forcing: bool) -> ReceiverDesign:
+    """The :class:`ReceiverDesign` of ``estimator``, or of the baseline, on
+    frames of ``cfg`` over ``spec``'s taps; raises what the estimator raises
+    as it builds its search table and, at ``zero_forcing``, what equalizing
+    one zero row through its genie raises, as the pivot tests read H alone."""
+    if estimator == "auto":
+        estimator = ("freq" if cfg.approach is Approach.CLEAN_PILOT and not spec.has_doppler
+                     else "affine")
+    max_delay, max_doppler = spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
+    search, genie = None, None
+    if baseline:   # it runs no estimator
+        genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(spec, cfg.n))
+    elif estimator == "freq":
+        # its NMSE reference, the delay-only taps' response, is zero without one
+        if all(t.k for t in spec.taps):
+            raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
+        search = _pilot_subcarriers(cfg, max_delay)
+    elif estimator == "affine":
+        # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
+        if any(t.k < 0 for t in spec.taps):
+            raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
+        search = _peak_zone(cfg, max_delay, max_doppler)
+    else:
+        genie = perfect_estimate(spec, cfg, Domain.FREQUENCY if estimator == "perfect-freq"
+                                 else Domain.AFFINE)
+    if genie is not None and zero_forcing:
+        # zero forcing through an estimate the config fixes: every frame or none
+        _equalize_planes(np.zeros((1, cfg.n), complex), genie, 0.0)
+    return ReceiverDesign(estimator, max_delay, max_doppler, search, genie)
+
+
+def _receive(received: np.ndarray, cfg: FrameConfig, design: ReceiverDesign,
+             spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray | float]:
+    """The equalized frequency plane of a (frames, N) block of CP-free time
+    samples that passed the channel ``spec``, and each frame's estimate
+    NMSE against its taps (0.0 for a genie), as ``design`` fixes; the
+    samples are dropped once the planes the estimator reads are made."""
+    g = _noise_ratio(cfg, spec.noise_var)
+    y_freq = _dft(received)
+    if design.kind == "affine":
+        # only the affine estimator reads the affine plane; frames whose
+        # estimates hold the same taps form a group, scored group by group,
+        # and one equalizer call serves every group
+        groups = _affine_tap_groups(_daft(received, cfg.affine), design.search, spec.noise_var)
+        del received
+        return _tap_mmse(y_freq, groups, g), _taps_nmse(groups, spec)
+    del received
+    if design.genie is not None:
+        return _equalize_planes(y_freq, design.genie, g), 0.0
+    h = _ls_freq(y_freq, design.search, design.max_delay)
+    return _one_tap(y_freq, h, g), _response_nmse(h, frequency_diagonal(spec, cfg.n))
 
 
 def _detect(eq_f: np.ndarray, cfg: FrameConfig, mode: ReceiverMode) -> DetectionResult:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Domain, Frame
-from .errors import InvalidLength, ConfigError, _refuse_non_integers
+from .errors import InvalidLength, ConfigError, _refuse_non_integers, _refuse_non_numbers
 
 
 def _is_pow2(x: int) -> bool:
@@ -44,26 +44,19 @@ class AffineParams:
 
     def __post_init__(self):
         _refuse_non_integers(ConfigError, n=self.n, c1_prime=self.c1_prime)
+        _refuse_non_numbers(ConfigError, c2=self.c2)
         if not _is_pow2(self.n):
             raise ConfigError(f"frame length {self.n} is not a power of 2")
         if not math.isfinite(self.c2):
             raise ConfigError(f"c2 must be a finite number, got {self.c2}")
-        if self.c1_prime == 0:
-            return  # degenerate chirp-off geometry: the pair reduces to DFT/IDFT
         if not _is_pow2(self.c1_prime):
             raise ConfigError(f"c1_prime {self.c1_prime} is not a power of 2")
         if self.n % self.c1_prime != 0:
             raise ConfigError(f"c1_prime {self.c1_prime} does not divide N={self.n}")
 
     @property
-    def c1(self) -> float:
-        return self.c1_prime / (2.0 * self.n)
-
-    @property
     def m(self) -> int:
         """Class size M = N / c1'."""
-        if self.c1_prime == 0:
-            raise ConfigError("chirp-off geometry has no residue-class structure")
         return self.n // self.c1_prime
 
 
@@ -161,7 +154,7 @@ def idft(x: Frame, n: int | None = None) -> Frame:
 
 
 def idaft(x: Frame, p: AffineParams) -> Frame:
-    """Chirp synthesis, affine -> time (degenerates to idft at c1=c2=0)."""
+    """Chirp synthesis, affine -> time."""
     return Frame(_idaft(_check(x, Domain.AFFINE, p.n), p), Domain.TIME)
 
 

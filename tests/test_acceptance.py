@@ -32,9 +32,10 @@ def _report(num, text):
 
 def synthesis_oracle(p):
     a = np.zeros((p.n, p.n), dtype=complex)
+    c1 = p.c1_prime / (2.0 * p.n)
     for n in range(p.n):
         for i in range(p.n):
-            a[n, i] = np.exp(2j * np.pi * (p.c1 * n * n + p.c2 * i * i + n * i / p.n))
+            a[n, i] = np.exp(2j * np.pi * (c1 * n * n + p.c2 * i * i + n * i / p.n))
     return a / np.sqrt(p.n)
 
 

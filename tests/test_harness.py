@@ -248,8 +248,8 @@ class TestRunSweep:
 
         def built(*args):
             raise AssertionError("a genie estimate was built or scored after construction")
-        for name in ("harness.perfect_estimate", "harness.frequency_diagonal",
-                     "baseline.frequency_diagonal", "harness.estimate_nmse"):
+        for name in ("receiver.perfect_estimate", "receiver.frequency_diagonal",
+                     "baseline.frequency_diagonal", "receiver.estimate_nmse"):
             monkeypatch.setattr(f"afdmrsma.{name}", built)
         _assert_same_records(run_sweeps(sims), want)
 
@@ -438,6 +438,31 @@ def test_non_integers_refused_by_the_constructors(case):
             build(value)
 
 
+# each real-valued field: a constructor of one value, a valid number for it
+# and the error a value that is no number raises
+_REAL_FIELDS = {
+    "c2": (lambda v: AffineParams(64, 4, c2=v), 0.25, ConfigError),
+    "phi-pilot": (lambda v: replace(small_sim().frame, phi_pilot=v), 10.0, ConfigError),
+    "phi1": (lambda v: replace(small_sim().frame, phi1=v), 4.0, ConfigError),
+    "phi2": (lambda v: replace(small_sim().frame, phi2=v), 0.5, ConfigError),
+    "snr": (lambda v: small_sim(snr_grid_db=(0.0, v)), 5.0, ConfigError),
+    "noise-override": (lambda v: small_sim(noise_override=v), 0.1, ConfigError),
+    "tap-gain": (lambda v: ChannelTap(v, 0, 0), 0.5 - 0.5j, InvalidChannel),
+}
+
+
+@pytest.mark.parametrize("case", list(_REAL_FIELDS))
+def test_non_numbers_refused_by_the_constructors(case):
+    # a bool or a string is refused with a typed error, before it runs as
+    # the number it converts to; numpy's numbers pass
+    build, valid, error = _REAL_FIELDS[case]
+    build(valid)
+    build(np.float32(valid) if isinstance(valid, float) else np.complex64(valid))
+    for value in (True, np.bool_(True), "3"):
+        with pytest.raises(error, match="must be a (real|complex) number"):
+            build(value)
+
+
 # each enum or bool field: a constructor of one value, the values it takes
 # and values of another type, which it refuses
 _TYPED_FIELDS = {
@@ -618,12 +643,12 @@ class TestBlockEngine:
     def test_only_the_affine_estimator_analyses_the_affine_plane(self, monkeypatch):
         # the affine plane feeds the affine peak search alone
         calls = []
-        daft = harness._daft
+        daft = receiver._daft
 
         def counted(*args):
             calls.append(args)
             return daft(*args)
-        monkeypatch.setattr(harness, "_daft", counted)
+        monkeypatch.setattr(receiver, "_daft", counted)
         frame = replace(small_sim().frame, guard=9)
         for estimator, want in (("freq", 0), ("perfect-affine", 0), ("affine", 1)):
             sim = small_sim(frame=frame, estimator=estimator)
@@ -726,7 +751,7 @@ class TestBlockEngine:
     @pytest.mark.parametrize("name", ["fig6/full-sic", "fig7/c1p-32", "fig9/conventional"])
     def test_block_working_set(self, name):
         # a full-budget block's tracemalloc peak, in complex (frames, N)
-        # planes: measured 10.75 (fig6/full-sic), 10.69 (fig7/c1p-32) and
+        # planes: measured 9.97 (fig6/full-sic), 9.69 (fig7/c1p-32) and
         # 8.53 (fig9/conventional) at the worst SNR point; the bound was set
         # about 10 % above an earlier worst (11.70, fig7/c1p-32)
         sim = dict(PRESET_SERIES)[name]
@@ -747,7 +772,7 @@ class TestBlockEngine:
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                         reason="counts the page faults of glibc's heap")
     def test_blocks_keep_their_heap_pages(self):
-        # a full block's arrays peak at about 2.7 MiB; unless glibc keeps the
+        # a full block's arrays peak at about 2.5 MiB; unless glibc keeps the
         # freed heap top, every block faults its pages in again (about 15
         # minor faults per frame); a fresh interpreter per series, so that no
         # earlier test has raised glibc's thresholds.  What is left (0.3 to
@@ -850,10 +875,16 @@ class TestConfigLoading:
         ("frame", "common_per_class", 0.5), ("sweep", "frames_per_point", 5.5),
         ("sweep", "seed", "3"), ("sweep", "seed", False), ("sweep", "workers", 1.25),
         ("channel", "taps", [[1.0, 0.0, 0.5, 0]]), ("channel", "taps", [[1.0, 0.0, 0, "1"]]),
+        *[case for value in (True, "3") for case in (
+            ("frame", "c2", value), ("frame", "phi1", value), ("frame", "phi2", value),
+            ("frame", "pilot_power_db", value), ("channel", "noise_var", value),
+            ("sweep", "snr_db", [0, value]), ("channel", "taps", [[value, 0.0, 0, 0]]),
+            ("channel", "taps", [[1.0, value, 0, 0]]))],
     ])
     def test_value_of_the_wrong_type_refused(self, part, key, value):
         # bool keys take only JSON true or false; integer keys refuse bools,
-        # strings and fractions, where int() or bool() would have run them
+        # strings and fractions, and real keys bools and strings, where int(),
+        # bool() or float() would have run them
         raw = self.config_dict()
         raw[part][key] = value
         with pytest.raises(ConfigError, match=f"{part}.{key}"):

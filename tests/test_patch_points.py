@@ -111,3 +111,20 @@ def test_exponentials_come_from_the_transforms_phase_tables():
     stray = [f"{module}: {names}" for module, names in calls
              if module != "transforms" and (module, names) != ("channel", ["_tap_ramps"])]
     assert any(module == "transforms" for module, _ in calls) and not stray
+
+
+def test_the_receiver_decides_what_a_block_receives_with():
+    # which planes, search table and kernels an estimator uses is decided in
+    # ``receiver`` alone: the harness runs the stages, imports none of the
+    # estimators' and equalizer's internals and makes no received plane
+    internals = {"_affine_tap_groups", "_equalize_planes", "_ls_freq", "_noise_ratio",
+                 "_peak_zone", "_PeakZone", "_pilot_subcarriers", "_tap_mmse", "_taps_nmse",
+                 "perfect_estimate", "ChannelEstimate"}
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "receiver"
+                for alias in node.names}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert imported and not imported & internals
+    assert not called & {"_dft", "_daft"}

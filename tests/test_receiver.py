@@ -697,7 +697,7 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
                         counted("reduction", receiver._cyclic_reduction))
     monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
     monkeypatch.setattr(np.fft, "ifft", counted("fft", np.fft.ifft))
-    kernel = harness._tap_mmse
+    kernel = receiver._tap_mmse
 
     def equalize_step(y_freq, groups, g):
         seen.append(groups)
@@ -706,7 +706,7 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
             return kernel(y_freq, groups, g)
         finally:
             inside[0] = False
-    monkeypatch.setattr(harness, "_tap_mmse", equalize_step)
+    monkeypatch.setattr(receiver, "_tap_mmse", equalize_step)
     harness._run_block(sim, 1, range(16), _point_noise_var(sim, sim.snr_grid_db[1]))
     [groups] = seen
     rules = [_rule(ls, ks, sim.frame.n) for _, ls, ks, _ in groups]

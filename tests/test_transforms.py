@@ -16,9 +16,10 @@ from oracles import kernel_phi
 
 def synthesis_oracle(p: AffineParams) -> np.ndarray:
     a = np.zeros((p.n, p.n), dtype=complex)
+    c1 = p.c1_prime / (2.0 * p.n)
     for n in range(p.n):
         for i in range(p.n):
-            a[n, i] = np.exp(2j * np.pi * (p.c1 * n * n + p.c2 * i * i + n * i / p.n))
+            a[n, i] = np.exp(2j * np.pi * (c1 * n * n + p.c2 * i * i + n * i / p.n))
     return a / np.sqrt(p.n)
 
 
@@ -35,9 +36,13 @@ class TestAffineParams:
         with pytest.raises(ConfigError):
             AffineParams(16, 32)
 
+    def test_rejects_zero_slope(self):
+        # c1' = 0 would turn the chirps off: no frame has that geometry
+        with pytest.raises(ConfigError, match="c1_prime 0 is not a power of 2"):
+            AffineParams(16, 0, 0.0)
+
     def test_derived_values(self):
         p = AffineParams(256, 64, 0.25)
-        assert p.c1 == 64 / 512.0
         assert p.m == 4
 
 
@@ -77,24 +82,10 @@ class TestDaftPair:
         s = rand_frame(rng, n, Domain.TIME)
         npt.assert_allclose(daft(s, p).data, a.conj().T @ s.data, atol=1e-10)
 
-    def test_degenerate_equals_dft(self):
-        # c1 = c2 = 0 collapses both chirps to 1: the pair IS the DFT pair
-        p = AffineParams(16, 0, 0.0)
-        rng = np.random.default_rng(5)
-        x = rand_frame(rng, 16, Domain.AFFINE)
-        npt.assert_allclose(idaft(x, p).data,
-                            idft(Frame(x.data, Domain.FREQUENCY)).data, atol=1e-12)
-        s = rand_frame(rng, 16, Domain.TIME)
-        npt.assert_allclose(daft(s, p).data, dft(s).data, atol=1e-12)
-
-    def test_chirp_off_has_no_class_structure(self):
-        with pytest.raises(ConfigError):
-            AffineParams(16, 0, 0.0).m
-
     def test_impulse_gives_pure_chirp(self):
         p = AffineParams(32, 8, 0.0)
         x = Frame(np.eye(32)[0], Domain.AFFINE)
-        expect = np.exp(2j * np.pi * p.c1 * np.arange(32) ** 2) / np.sqrt(32)
+        expect = np.exp(2j * np.pi * p.c1_prime / (2.0 * p.n) * np.arange(32) ** 2) / np.sqrt(32)
         npt.assert_allclose(idaft(x, p).data, expect, atol=1e-13)
         back = daft(Frame(expect, Domain.TIME), p)
         npt.assert_allclose(back.data, np.eye(32)[0], atol=1e-13)
