@@ -62,7 +62,7 @@ def _modulate(b: np.ndarray) -> np.ndarray:
         raise InvalidLength(
             f"bit count {b.shape[-1]} not divisible by {BITS_PER_SYMBOL} bits/symbol"
         )
-    return _POINTS[2 * b[..., 0::2] + b[..., 1::2]]
+    return np.take(_POINTS, 2 * b[..., 0::2] + b[..., 1::2])
 
 
 # the four points by label, from the mapping rule above

@@ -194,15 +194,23 @@ def split_messages(user1_bits: np.ndarray, user2_bits: np.ndarray,
 def _scatter(n: int, indices: np.ndarray, values: np.ndarray,
              scale: float | np.ndarray) -> np.ndarray:
     """``scale * values`` placed at ``indices`` of zero planes of length n,
-    along the last axis; ``scale`` is one number or one per index."""
+    along the last axis; ``scale`` is one number or one per index.
+
+    The K scaled values and one zero are gathered through a length-n
+    placement index (entry ``indices[j]`` reads value j, every other entry
+    the zero): a take along the last axis costs about a quarter of numpy's
+    fancy-index set on a (50, 256) block."""
     values = np.asarray(values, complex)
     if values.ndim == 0:
         values = values.reshape(1)
-    if values.shape[-1] != indices.size:
-        raise InvalidLength(f"expected {indices.size} symbols, got {values.shape[-1]}")
-    data = np.zeros(values.shape[:-1] + (n,), dtype=np.complex128)
-    data[..., indices] = scale * values
-    return data
+    k = indices.size
+    if values.shape[-1] != k:
+        raise InvalidLength(f"expected {k} symbols, got {values.shape[-1]}")
+    src = np.concatenate([np.multiply(scale, values),
+                          np.zeros(values.shape[:-1] + (1,), dtype=np.complex128)], axis=-1)
+    place = np.full(n, k)
+    place[indices] = np.arange(k)
+    return np.take(src, place, axis=-1)
 
 
 def _common_plane(symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:

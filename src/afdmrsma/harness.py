@@ -200,9 +200,10 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
 # The most samples a block of frames holds: a point's frames run in as
 # few blocks as fit this budget, of sizes that differ by at most one frame
 # (:func:`_block_plan`).  At N = 256 a 100-frame point runs as two blocks of
-# 50 frames and a 400-frame point as seven of 57 or 58.  A full block's
-# arrays peak at 7 to 10 complex (frames, N) planes under tracemalloc, the
-# most in fig6's SIC rounds (2.5 MiB at 64 frames of 256 samples).
+# 50 frames and a 400-frame point as seven of 57 or 58.  A full block of
+# 64 frames of 256 samples peaks under tracemalloc at 7.0 (fig8's SIC-free
+# series) to 9.97 complex (frames, N) planes, the most in fig6's full-SIC
+# rounds (2.49 MiB); a fig9 block at 7.7 to 8.5 planes (2.1 MiB at most).
 _BLOCK_SAMPLES = 16384
 
 # glibc hands the free top of its heap back to the kernel beyond a trim
@@ -481,7 +482,8 @@ _READER_DEFAULTS = {
 def _read_part(d: dict, part: str) -> dict:
     """The fields that the keys of config part ``part`` set; a key outside its
     table is refused, and so is a value its conversion refuses (a bool key
-    takes only true or false, an integer key only an integral number)."""
+    takes only true or false, an integer key only an integral number) or
+    cannot hold (a JSON number beyond float range in a real key)."""
     keys, given = _CONFIG_PARTS[part], {**_READER_DEFAULTS.get(part, {}), **d.get(part, {})}
     fields_set = {}
     for key, value in given.items():
@@ -490,7 +492,7 @@ def _read_part(d: dict, part: str) -> dict:
         name, convert = keys[key]
         try:
             fields_set[name] = convert(value)
-        except ConfigError as exc:
+        except (ConfigError, OverflowError) as exc:
             raise ConfigError(f"config key {part}.{key}: {exc}") from exc
     return fields_set
 
@@ -513,7 +515,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
                          **sweep)
     except ConfigError:
         raise
-    except (AttributeError, ValueError, TypeError) as exc:
+    except (AttributeError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from exc
 
 

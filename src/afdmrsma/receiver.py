@@ -260,7 +260,7 @@ def _affine_tap_groups(y_aff: np.ndarray, zone: _PeakZone, noise_var: float,
     for rows in np.split(perm, cuts):
         kept = keep[rows[0]]
         groups.append((rows, zone.delays[kept].tolist(), zone.dopplers[kept].tolist(),
-                       gains[np.ix_(rows, kept)]))
+                       gains.take(rows, axis=0).compress(kept, axis=1)))
     return groups
 
 
@@ -379,7 +379,7 @@ def _tap_mmse(y_freq: np.ndarray, groups, g: float) -> np.ndarray:
         # H is a diagonal times a cyclic shift by the common Doppler s: the
         # one-tap rule, shifted back by s
         rows, h = _stack_rows(flat)
-        eq = _one_tap(y_freq[rows], h, g)
+        eq = _one_tap(y_freq.take(rows, axis=0), h, g)
         for span, (part, *_, shift) in zip(_spans(flat), flat):
             x[part] = _ahead(eq[span], shift)
     _shift_mmse(x, y_freq, general, g)
@@ -470,7 +470,7 @@ def _chirp_mmse(x: np.ndarray, y: np.ndarray, chirped, g: float) -> None:
         return
     rows, eig = _stack_rows(chirped)
     spans = _spans(chirped)
-    z = y[rows]
+    z = y.take(rows, axis=0)
     for span, (*_, group) in zip(spans, chirped):
         z[span] *= group.unchirp
     z = np.fft.ifft(_one_tap(np.fft.fft(z), eig, g))
@@ -519,7 +519,7 @@ def _shift_mmse(x: np.ndarray, y: np.ndarray, solves, g: float) -> None:
         system = np.zeros((len(rows), n, 3 * bs + 1), dtype=np.complex128)
         for r in range(bs):
             system[:, r::bs, r:r + 2 * bs + 1] = band[:, :, r::bs].transpose(0, 2, 1)
-        system[:, :, -1] = y[rows]
+        system[:, :, -1] = y.take(rows, axis=0)
         try:
             z = _cyclic_reduction(system.reshape(len(system), n // bs, bs, -1), g == 0, scale)
         except np.linalg.LinAlgError as exc:
@@ -726,11 +726,11 @@ def _detect(eq_f: np.ndarray, cfg: FrameConfig, mode: ReceiverMode) -> Detection
 
     def read_common(plane_a):
         # the common symbols with their power removed, then the extra ones
-        syms = plane_a[..., rm.common_stream] / rm.common_gain
+        syms = np.take(plane_a, rm.common_stream, axis=-1) / rm.common_gain
         return syms, _demodulate(syms)
 
     def read_private(plane_f):
-        return plane_f[..., rm.private_subcarriers] / np.sqrt(cfg.phi2)
+        return np.take(plane_f, rm.private_subcarriers, axis=-1) / np.sqrt(cfg.phi2)
 
     eq_a = _freq_to_affine(eq_f, cfg.affine)
     com, com_bits = read_common(eq_a)

@@ -104,6 +104,16 @@ def channel_matrix(spec: ChannelSpec, ell: int) -> np.ndarray:
     return mat
 
 
+def scatter(n: int, indices: np.ndarray, values: np.ndarray, scale) -> np.ndarray:
+    """``scale * values`` set at ``indices`` of zero planes of length n along
+    the last axis by a fancy-index assignment, the placement that
+    ``framing._scatter`` makes by one gather."""
+    values = np.asarray(values, complex)
+    data = np.zeros(values.shape[:-1] + (n,), dtype=np.complex128)
+    data[..., indices] = scale * values
+    return data
+
+
 def estimate_channel_affine(y_affine: Frame, cfg: FrameConfig,
                             max_delay: int | None = None,
                             max_doppler: int | None = None,

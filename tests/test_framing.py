@@ -10,6 +10,9 @@ from afdmrsma import (BITS_PER_SYMBOL, AffineParams, Approach, ConfigError, Doma
                       demodulate_symbols, extract_received_planes, frame_energy_budget,
                       frame_rng, idaft, idft, modulate_bits, random_bits,
                       required_bits_per_user, resource_map, split_messages)
+from afdmrsma.experiments import FIGURES
+from afdmrsma.framing import _scatter
+from oracles import scatter
 
 
 def cfg16(approach=Approach.CLEAN_PILOT, **kw):
@@ -194,6 +197,60 @@ class TestBuilders:
             energies.append(tx.energy())  # cp_len = 0 here
         budget = frame_energy_budget(cfg)
         assert np.mean(energies) == pytest.approx(budget, rel=0.05)
+
+
+def _preset_frames():
+    """The distinct frame configurations of the bundled figure presets."""
+    frames = {}
+    for name, sweeps in FIGURES.items():
+        for label, sim in sweeps():
+            frames.setdefault(sim.frame, f"{name}/{label}")
+    return {label: cfg for cfg, label in frames.items()}
+
+
+_PRESET_FRAMES = _preset_frames()
+
+
+class TestScatter:
+    """The gather placement equals the fancy-index assignment of
+    ``oracles.scatter`` bit for bit."""
+
+    @staticmethod
+    def values(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def placements(cfg):
+        rm = cfg.layout
+        return [(rm.common_stream, rm.common_gain), (rm.common_indices, np.sqrt(cfg.phi1)),
+                (rm.extra_indices, 1.0), (rm.private_subcarriers, np.sqrt(cfg.phi2))]
+
+    @pytest.mark.parametrize("label", sorted(_PRESET_FRAMES))
+    def test_presets_match_the_fancy_index_assignment(self, label):
+        cfg = _PRESET_FRAMES[label]
+        for indices, scale in self.placements(cfg):
+            for shape in ((indices.size,), (7, indices.size)):
+                v = self.values(shape)
+                got = _scatter(cfg.n, indices, v, scale)
+                assert got.shape == shape[:-1] + (cfg.n,)
+                assert np.array_equal(got, scatter(cfg.n, indices, v, scale)), (label, shape)
+
+    @pytest.mark.parametrize("indices", [np.arange(0), np.arange(16), np.arange(16)[::-1]],
+                             ids=["empty", "full", "full-reversed"])
+    def test_empty_and_full_index_sets(self, indices):
+        for shape in ((indices.size,), (3, indices.size)):
+            v = self.values(shape, seed=1)
+            got = _scatter(16, indices, v, 2.0)
+            assert got.shape == shape[:-1] + (16,)
+            assert np.array_equal(got, scatter(16, indices, v, 2.0))
+
+    @pytest.mark.parametrize("shape", [(), (2, 7), (2, 9)])
+    def test_wrong_symbol_count(self, shape):
+        # a block with the wrong count per row, or one bare symbol
+        cfg = cfg16()
+        with pytest.raises(InvalidLength, match="expected 8 symbols"):
+            _scatter(cfg.n, cfg.layout.common_indices, np.ones(shape, complex), 1.0)
 
 
 class TestBuildFrame:

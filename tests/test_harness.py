@@ -890,6 +890,26 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=f"{part}.{key}"):
             sim_config_from_dict(raw)
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("frame", "c2", 10 ** 400), ("frame", "phi1", 10 ** 400), ("frame", "phi2", -10 ** 400),
+        ("frame", "pilot_power_db", 10 ** 400), ("frame", "pilot_power_db", 1e300),
+        ("channel", "noise_var", 10 ** 400), ("sweep", "snr_db", [0, 10 ** 400]),
+        ("channel", "taps", [[10 ** 400, 0.0, 0, 0]]),
+    ], ids=["c2", "phi1", "phi2", "pilot_power_db", "pilot_power_db-1e300", "noise_var",
+            "snr_db", "taps"])
+    def test_number_beyond_float_range_refused(self, part, key, value):
+        # a JSON integer (or a dB level) that float() or 10 ** (dB / 10) cannot
+        # hold is a config error naming its key, not an OverflowError
+        raw = self.config_dict()
+        raw[part][key] = value
+        with pytest.raises(ConfigError, match=f"{part}.{key}"):
+            sim_config_from_dict(raw)
+        # an integer key reads it, but the channel check cannot ramp by it
+        raw = self.config_dict()
+        raw["channel"]["taps"] = [[1.0, 0.0, 0, 10 ** 400]]
+        with pytest.raises(ConfigError, match="too large"):
+            sim_config_from_dict(raw)
+
     def test_integral_numbers_read_as_integers(self):
         raw = self.config_dict()
         raw["frame"].update(n=64.0, guard=8.0)
@@ -950,6 +970,18 @@ class TestCli:
         r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
         assert r.returncode == 1
         assert "unknown estimator 'bogus'" in r.stderr
+
+    def test_number_beyond_float_range_exit_code(self, tmp_path):
+        # a 401-digit JSON integer in a real key: exit 1 with a config
+        # message, not an OverflowError traceback
+        cfg = TestConfigLoading().config_dict()
+        cfg["frame"]["c2"] = 10 ** 400
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
+        assert r.returncode == 1
+        assert "config key frame.c2" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "res.csv").exists()
 
     def test_aborted_point_exit_code(self, tmp_path):
         # aborting_sim as a config: frame 6 fails zero forcing
