@@ -115,8 +115,11 @@ def _channel(x: np.ndarray, spec: ChannelSpec, normals: np.ndarray | None) -> np
         term = np.take(x, tap_idx, axis=-1)
         y += np.multiply(tap_gain, term, out=term)
     if spec.noise_var > 0:
+        # part by part, as adding scale * (re + 1j im) would, through one real
+        # temporary at a time rather than three complex ones
         scale = _rt(spec.noise_var / 2.0)
-        y += scale * (normals[..., :ell] + 1j * normals[..., ell:])
+        y.real += scale * normals[..., :ell]
+        y.imag += scale * normals[..., ell:]
     return y
 
 
@@ -124,12 +127,16 @@ def _channel(x: np.ndarray, spec: ChannelSpec, normals: np.ndarray | None) -> np
 def _tap_ramps(taps: tuple[ChannelTap, ...], ell: int) -> tuple[np.ndarray, np.ndarray]:
     """What :func:`_channel` gathers and multiplies on length-``ell``
     frames, one row per tap, read-only: the gather index ``(n - l) mod ell``
-    and the gain ``h exp(j 2 pi k idx / ell)``."""
+    and the gain ``h exp(j 2 pi k idx / ell)``.  The product ``k idx`` is
+    taken in int64, so a Doppler it cannot hold is refused."""
     n = np.arange(ell)
     rows = []
-    for tap in taps:
+    for i, tap in enumerate(taps):
         if tap.l >= ell:
             raise InvalidChannel(f"delay {tap.l} >= frame length {ell}")
+        if abs(tap.k) * (ell - 1) >= 1 << 63:
+            raise InvalidChannel(f"tap {i} (delay {tap.l}): Doppler too large for a "
+                                 f"{ell}-sample ramp, whose k * index must fit in int64")
         idx = (n - tap.l) % ell
         rows.append((idx, tap.h * np.exp(2j * np.pi * tap.k * idx / ell)))
     idx, gain = np.array([i for i, _ in rows]), np.array([g for _, g in rows])

@@ -5,6 +5,7 @@ have unit energy so that a stream's power knob has a single home.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -111,9 +112,10 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
 
     Row i holds what ``frame_rng(seed, point, frames[i])`` yields for
     ``random_bits(rng, n_bits)`` followed by ``rng.standard_normal(n_normals)``;
-    the bits are stored as int8.  One Philox is re-keyed per frame by
-    setting its state, which draws the same numbers as a new generator at
-    lower cost.
+    the bits are stored as int8.  The calling thread's one Philox is re-keyed
+    per frame by setting its state, which draws the same numbers as a new
+    generator at lower cost; threads never share one, so concurrent calls
+    draw what serial ones do.
 
     The bits come from the generator's raw 64-bit words, ceil(n_bits / 2)
     per frame: numpy's ``integers(0, 2)`` takes the top bit of each 32-bit
@@ -123,8 +125,9 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
     ``test_block_draws_equal_frame_rng_draws`` pins this rule against
     ``random_bits``.
     """
-    bg, gen, fresh = _philox(seed & _MASK64)
+    fresh = _philox_state(seed & _MASK64)
     state = {**fresh, "state": dict(fresh["state"])}
+    bg, gen = _thread_philox()
     counters = np.zeros((len(frames), 4), dtype=np.uint64)
     counters[:, 2] = point & _MASK64
     counters[:, 3] = [frame & _MASK64 for frame in frames]
@@ -141,16 +144,28 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
 
 
 @lru_cache(maxsize=8)
-def _philox(key: int):
-    """A Philox keyed on ``key``, its Generator and its fresh state (empty
-    output buffer, no spare 32-bit half) with read-only arrays.  Every draw
-    of :func:`frame_draws` sets the state first, so what an earlier call
-    left in the generator is never read."""
-    bg = np.random.Philox(key=np.uint64(key))
-    state = bg.state
+def _philox_state(key: int) -> dict:
+    """The fresh state of a Philox keyed on ``key`` (empty output buffer,
+    no spare 32-bit half), with read-only arrays."""
+    state = np.random.Philox(key=np.uint64(key)).state
     for arr in (state["state"]["key"], state["state"]["counter"], state["buffer"]):
         arr.flags.writeable = False
-    return bg, np.random.Generator(bg), state
+    return state
+
+
+_THREAD = threading.local()
+
+
+def _thread_philox() -> tuple[np.random.Philox, np.random.Generator]:
+    """The calling thread's Philox and its Generator.  Every draw of
+    :func:`frame_draws` sets the whole state first, key included, so what an
+    earlier call left in the generator is never read."""
+    try:
+        return _THREAD.philox
+    except AttributeError:
+        bg = np.random.Philox(key=0)
+        _THREAD.philox = bg, np.random.Generator(bg)
+        return _THREAD.philox
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -4,9 +4,11 @@ A :class:`SimConfig` fixes its receiver, with the search table of its
 estimator (``receiver.ReceiverDesign``), and refuses what its stages would
 refuse when it is built; the sweep derives neither again.
 
-:func:`run_sweeps` runs each (configuration, SNR point) as one task, in
-process or on one process pool; a task simulates its frames in blocks, as
-(frames, N) arrays from the bit draws to the scores (:func:`_run_block`).
+:func:`run_sweeps` simulates each (configuration, SNR point) in blocks of
+frames, as (frames, N) arrays from the bit draws to the scores
+(:func:`_run_block`): at one worker in this process, all blocks in order
+while a helper thread transmits the next one (:func:`_run_one_ahead`), else
+as tasks on one process pool, each running its blocks serially.
 The tests hold a per-frame reference that runs one frame through the
 public functions and an independent peak search and NMSE; every block row
 equals it bit for bit.
@@ -20,12 +22,13 @@ task and block bounds.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -76,6 +79,8 @@ class SimConfig:
                              workers=self.workers)
         if self.noise_override is not None:
             _refuse_non_numbers(ConfigError, noise_override=self.noise_override)
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.frames_per_point < 1:
             raise ConfigError("frames_per_point must be >= 1")
         if self.workers < 1:
@@ -219,15 +224,45 @@ _BLOCK_SAMPLES = 16384
 _HEAP_KEEP_BYTES = 8 << 20
 np.empty(_HEAP_KEEP_BYTES, np.uint8)
 
+# A one-worker sweep starts a helper thread, and glibc gives a new thread a
+# new malloc arena whenever the last helper's is not yet back on its free
+# list (the exiting thread frees it after the join returns).  Under the trim
+# threshold raised above, every arena keeps its high-water mark, about
+# 2.5 MB at 50-frame blocks, so a process running many sweeps would gain
+# one such arena each time that race is lost, up to 8 arenas per core.  Capping
+# glibc at two arenas (mallopt(3), M_ARENA_MAX) keeps the caller's and one
+# helper's; a later thread shares one of them.
+_ARENA_MAX = 2
+
+
+def _glibc() -> bool:
+    """Whether this process runs on glibc."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):   # no confstr, no such name, or None
+        return False
+
+
+if _glibc():
+    ctypes.CDLL(None).mallopt(-8, _ARENA_MAX)   # -8 is M_ARENA_MAX
+
 
 def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
     """The records of ``frames``, consecutive frame indices, simulated as
-    (frames, N) arrays.
+    (frames, N) arrays: the block's transmit half, then its receive half.
 
     Row i equals the per-frame reference (``tests/oracles.py``) for frame
     ``frames[i]`` bit for bit: each frame keeps its own Philox draws, and
     every other step acts on the rows independently.
     """
+    return _receive_block(sim, *_transmit_block(sim, point, frames, noise_var))
+
+
+def _transmit_block(sim: SimConfig, point: int, frames: range,
+                    noise_var: float) -> tuple[ChannelSpec, tuple, tuple, list]:
+    """The transmit half of a block: its channel, the (common, private) bits
+    and symbols it sends, and its CP-free received samples in a one-item
+    list, which :func:`_receive_block` empties."""
     cfg = sim.frame
     spec = ChannelSpec(sim.taps, noise_var)
     if sim.baseline:
@@ -248,15 +283,22 @@ def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> n
         bits = np.concatenate([drawn[:, :u1c], drawn[:, r1:r1 + u2c]], axis=1), private
     del drawn
     syms = tuple(_modulate(b) for b in bits)
-
-    # each stage's arrays are dropped once the next stage has read them; the
-    # time samples are handed on in a list, so that the receive step holds
-    # their only reference and drops them once it has made its planes
+    # each stage's arrays are dropped once the next stage has read them
     sent = (_baseline_time if sim.baseline else _frame_time)(*syms, cfg)
-    received = [_channel(sent, spec, normals)[:, cfg.cp_len:]]
-    del sent, normals
+    received = _channel(sent, spec, normals)[:, cfg.cp_len:]
+    return spec, bits, syms, [received]
+
+
+def _receive_block(sim: SimConfig, spec: ChannelSpec, bits: tuple, syms: tuple,
+                   received: list) -> np.ndarray:
+    """The receive half of a block: detect and score what
+    :func:`_transmit_block` sent.  The received samples are popped off their
+    list, so that the receive step holds their only reference and drops them
+    once it has made its planes."""
+    cfg = sim.frame
     if sim.baseline:
-        det, nmse = _baseline_detect(received.pop(), cfg, noise_var, sim.design.genie.h_freq), 0.0
+        det, nmse = _baseline_detect(received.pop(), cfg, spec.noise_var,
+                                     sim.design.genie.h_freq), 0.0
     else:
         eq_f, nmse = _receive(received.pop(), cfg, sim.design, spec)
         det = _detect(eq_f, cfg, sim.mode)
@@ -338,24 +380,76 @@ def run_point(sim: SimConfig, point: int) -> LinkResult:
     return _point_result(sim, point, [_run_task((sim, point, 0, 1))])
 
 
+def _run_one_ahead(points) -> list[LinkResult]:
+    """The :class:`LinkResult` of each (configuration, SNR point) of
+    ``points``, in order, in this process: every block of every point in
+    turn, while one helper thread transmits the next block (the first of the
+    next point after a point's last) as this thread receives and scores this
+    one.  A point that raises makes its diagnostic row; its transmit in
+    flight, if any, is dropped and the next point runs.  A point's wall time
+    is this thread's, from the end of the previous point (for the first, the
+    start of the sweep) to the end of this one, so the points' times add up
+    to the sweep's."""
+    last = time.perf_counter()
+    noise_vars = [_point_noise_var(sim, sim.snr_grid_db[p]) for sim, p in points]
+    plans = [_block_plan(0, sim.frames_per_point, sim.frame.n) for sim, _ in points]
+    blocks = [(k, frames) for k, plan in enumerate(plans) for frames in plan]
+    results = []
+    with ThreadPoolExecutor(1) as helper:
+        def transmit(j):
+            """Block ``j``'s transmit half, submitted to the helper; None past
+            the last block."""
+            if j == len(blocks):
+                return None
+            k, frames = blocks[j]
+            sim, p = points[k]
+            return helper.submit(_transmit_block, sim, p, frames, noise_vars[k])
+
+        j, ahead = 0, transmit(0)
+        for k, (sim, p) in enumerate(points):
+            end, records = j + len(plans[k]), []
+            try:
+                while j < end:
+                    sent = ahead.result()
+                    j += 1
+                    ahead = transmit(j)
+                    records.append(_receive_block(sim, *sent))
+                out = np.concatenate(records)
+            except (SimulationError, np.linalg.LinAlgError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+                if j < end:
+                    # the failed transmit, or this point's next one: its
+                    # outcome is not read
+                    ahead.cancel()
+                    j = end
+                    ahead = transmit(j)
+            now = time.perf_counter()
+            results.append(_point_result(sim, p, [(out, now - last)]))
+            last = now
+    return results
+
+
 def run_sweeps(sims) -> list[list[LinkResult]]:
     """One LinkResult per SNR point of each configuration (a diagnostic row
-    if it raises), in this process at one worker, else on one process pool of
-    the largest ``workers``, but no more processes than tasks; points are cut
-    only if fewer than the workers."""
+    if it raises): in this process at one worker, its blocks in order with
+    the next one transmitted on a helper thread (:func:`_run_one_ahead`);
+    else on one process pool of the largest ``workers``, but no more
+    processes than tasks, where points are cut only if fewer than the
+    workers and each task runs its blocks serially."""
     workers = max((sim.workers for sim in sims), default=1)
-    if workers <= 1:
-        return [[run_point(sim, p) for p in range(len(sim.snr_grid_db))] for sim in sims]
     points = [(sim, p) for sim in sims for p in range(len(sim.snr_grid_db))]
-    # no frame range may be empty
-    cuts = (min(workers, *(sim.frames_per_point for sim in sims)) if len(points) < workers
-            else 1)
-    tasks = [(sim, p, cut, cuts) for sim, p in points for cut in range(cuts)]
-    # a forked pool starts all its processes at the first task
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        outputs = iter(pool.map(_run_task, tasks))
-        results = iter([_point_result(sim, p, [next(outputs) for _ in range(cuts)])
-                        for sim, p in points])
+    if workers <= 1:
+        results = iter(_run_one_ahead(points))
+    else:
+        # no frame range may be empty
+        cuts = (min(workers, *(sim.frames_per_point for sim in sims)) if len(points) < workers
+                else 1)
+        tasks = [(sim, p, cut, cuts) for sim, p in points for cut in range(cuts)]
+        # a forked pool starts all its processes at the first task
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            outputs = iter(pool.map(_run_task, tasks))
+            results = iter([_point_result(sim, p, [next(outputs) for _ in range(cuts)])
+                            for sim, p in points])
     return [[next(results) for _ in sim.snr_grid_db] for sim in sims]
 
 

@@ -1,4 +1,7 @@
 """Gray QPSK mapping, frame type and seeding contracts."""
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -126,8 +129,8 @@ class TestSeeding:
             assert np.array_equal(normals[row], want)
 
     def test_cached_generator_keeps_no_state_between_calls(self):
-        # frame_draws reuses one Philox per seed: calls interleaved over two
-        # seeds and two points draw what fresh per-frame generators draw
+        # frame_draws reuses one Philox per thread: calls interleaved over
+        # two seeds and two points draw what fresh per-frame generators draw
         for seed, point in [(11, 0), (12, 0), (11, 3), (12, 3), (11, 0), (12, 3)]:
             frames = range(point, point + 3)
             bits, normals = frame_draws(seed, point, frames, 8, 5)
@@ -135,6 +138,41 @@ class TestSeeding:
                 rng = frame_rng(seed, point, f)
                 npt.assert_array_equal(bits[row], random_bits(rng, 8))
                 assert np.array_equal(normals[row], rng.standard_normal(5))
+
+    def test_concurrent_draws_equal_frame_rng_draws(self):
+        # two threads draw blocks over the same interleaved seeds and points;
+        # a Philox shared between them would be re-keyed by one thread
+        # between the other's re-key and draw.  A short switch interval makes
+        # the threads trade the interpreter lock inside nearly every call
+        cases = [(seed, point) for seed in (11, 12) for point in (0, 3)]
+        n_bits, n_normals, frames = 6, 4, range(2)
+        want = {}
+        for seed, point in cases:
+            rngs = [frame_rng(seed, point, f) for f in frames]
+            want[seed, point] = (np.array([random_bits(rng, n_bits) for rng in rngs]),
+                                 np.array([rng.standard_normal(n_normals) for rng in rngs]))
+        wrong = []
+
+        def draw(order):
+            for _ in range(300):
+                for seed, point in order:
+                    bits, normals = frame_draws(seed, point, frames, n_bits, n_normals)
+                    if not (np.array_equal(bits, want[seed, point][0])
+                            and np.array_equal(normals, want[seed, point][1])):
+                        wrong.append((seed, point))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(order,))
+                       for order in (cases, cases[::-1])]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong, f"{len(wrong)} blocks drew another block's numbers"
 
     def test_block_draws_mask_large_counters(self):
         big = (1 << 64) + 9

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -372,6 +373,12 @@ _REFUSED = {
     "nan-pilot-power": ({"frame": {"pilot_power_db": NAN}}, "phi_pilot must be a finite number"),
     "infinite-phi1": ({"frame": {"phi1": INF}}, "phi1 must be a finite number"),
     "nan-noise": ({"channel": {"noise_var": NAN}}, "noise variance must be >= 0 and finite"),
+    # a seed keys the Philox as 64 bits: beyond them it would run another seed's frames
+    "seed-beyond-64-bits": ({"sweep": {"seed": 1 << 64}}, "seed must be in"),
+    "negative-seed": ({"sweep": {"seed": -1}}, "seed must be in"),
+    # k * index would wrap in int64 and ramp the tap by another Doppler
+    "doppler-beyond-int64": ({"channel": {"taps": [[1.0, 0.0, 0, 0], [0.6, 0.0, 2, 1 << 62]]}},
+                             "Doppler too large for a 68-sample ramp"),
     "nan-snr": ({"sweep": {"snr_db": [NAN]}}, "SNR grid must hold finite numbers"),
     "infinite-snr": ({"sweep": {"snr_db": [0, -INF]}}, "SNR grid must hold finite numbers"),
 }
@@ -488,6 +495,27 @@ def test_mistyped_enums_and_bools_refused_by_the_constructors(case):
             build(value)
 
 
+@pytest.mark.parametrize("k", [10 ** 400, -10 ** 400, 1 << 62, -(1 << 62)])
+def test_doppler_beyond_the_ramp_refused(k):
+    # not a bare OverflowError (k beyond int64) nor a ramp wrapped in int64
+    frame = _ber_frame(10.0)
+    with pytest.raises(ConfigError, match=r"tap 1 \(delay 2\): Doppler too large"):
+        SimConfig(frame=frame, taps=(ChannelTap(1, 0, 0), ChannelTap(0.5, 2, k)),
+                  snr_grid_db=(10,))
+    # the largest Doppler whose products with the indices fit in int64 runs
+    ell = frame.n + frame.cp_len
+    k_max = ((1 << 63) - 1) // (ell - 1)
+    idx, gain = channel._tap_ramps((ChannelTap(1, 0, k_max),), ell)
+    assert np.array_equal(gain[0], np.exp(2j * np.pi * k_max * idx[0] / ell))
+
+
+def test_seed_outside_64_bits_refused():
+    for seed in (1 << 64, -1):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            small_sim(seed=seed)
+    assert small_sim(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
 # LinkResult fields that depend on the frames alone, not on the clock
 _RECORD_FIELDS = ("snr_db", "ber_common", "ber_private", "ber_total", "se", "channel_nmse",
                   "frames", "se_stderr", "ber_total_stderr")
@@ -587,6 +615,93 @@ class TestRunSweeps:
 # every series of the bundled figure presets, fig5 to fig9
 PRESET_SERIES = [(f"{fig}/{label}", sim) for fig in sorted(FIGURES)
                  for label, sim in FIGURES[fig](frames=20)]
+
+
+class TestOneAhead:
+    """At one worker, run_sweeps runs every block in order while a helper
+    thread transmits the next one."""
+
+    @staticmethod
+    def serial(sims):
+        """Each point of ``sims`` as one serial task (:func:`run_point`)."""
+        return [[run_point(sim, p) for p in range(len(sim.snr_grid_db))] for sim in sims]
+
+    def test_preset_records_equal_serial_tasks(self, monkeypatch):
+        # every preset series in one sweep, each point in blocks of 2 and 3
+        # frames, so that a transmit runs ahead within a point and across
+        # points and series
+        monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 3 * max(s.frame.n for _, s in PRESET_SERIES))
+        sims = [replace(sim, frames_per_point=5) for _, sim in PRESET_SERIES]
+        want = self.serial(sims)
+        for workers in (1, 2):
+            _assert_same_records(run_sweeps([replace(sim, workers=workers) for sim in sims]),
+                                 want)
+
+    def test_failed_point_between_healthy_ones(self, monkeypatch):
+        # aborting_sim fails in its fourth block of two frames (frame 6), so
+        # its fifth is in flight and its sixth is never transmitted
+        monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
+        sent = []
+        transmit = harness._transmit_block
+
+        def recorded(sim, point, frames, noise_var):
+            sent.append((sim.frames_per_point, frames.start))
+            return transmit(sim, point, frames, noise_var)
+        monkeypatch.setattr(harness, "_transmit_block", recorded)
+        healthy = small_sim(estimator="freq", frames_per_point=5, snr_grid_db=(0.0, 20.0))
+        failing = replace(aborting_sim(), frames_per_point=12)
+        sims = [healthy, failing, replace(healthy, seed=8)]
+        got = run_sweeps(sims)
+        assert [r.frames for r in got[0] + got[2]] == [5] * 4
+        assert got[1][0].diagnostics.startswith("SingularChannel: ") and got[1][0].frames == 0
+        assert (12, 10) not in sent and (12, 6) in sent
+        _assert_same_records(got, self.serial(sims))
+
+    def test_failed_transmit_makes_a_diagnostic_row(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
+        transmit = harness._transmit_block
+
+        def failing(sim, point, frames, noise_var):
+            if point == 1 and frames.start == 2:
+                raise InvalidChannel("refused on the helper")
+            return transmit(sim, point, frames, noise_var)
+        monkeypatch.setattr(harness, "_transmit_block", failing)
+        sim = small_sim(estimator="freq", frames_per_point=6, snr_grid_db=(0.0, 10.0, 20.0))
+        got = run_sweep(sim)
+        assert [r.diagnostics for r in got] == ["", "InvalidChannel: refused on the helper", ""]
+        assert [r.frames for r in got] == [6, 0, 6]
+
+    def test_point_times_add_up_to_the_sweep(self):
+        # the helper's work counts in the points' times only as this thread
+        # waits for it, so the points' times are the sweep's
+        sim = replace(dict(PRESET_SERIES)["fig8/sic-pilot10"], frames_per_point=100)
+        run_sweep(replace(sim, frames_per_point=1))   # fill the caches
+        t0 = time.perf_counter()
+        got = run_sweep(sim)
+        elapsed = time.perf_counter() - t0
+        assert all(r.wall_time > 0 for r in got)
+        assert sum(r.wall_time for r in got) == pytest.approx(elapsed, rel=0.05)
+
+    def test_sweep_memory_does_not_grow_with_frames(self):
+        # the blocks in flight bound the sweep's memory, not its frame count.
+        # The peak also depends on how far the helper's transmit overlaps
+        # this thread's receive, which the scheduler decides: the least of
+        # three sweeps is taken
+        sim = replace(fig5_sweeps()[1][1], snr_grid_db=(10.0, 20.0, 30.0))
+
+        def peak(frames):
+            s = replace(sim, frames_per_point=frames)
+            run_sweep(s)   # fill the caches outside the measurement
+            peaks = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    run_sweep(s)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return min(peaks)
+        assert peak(400) <= 1.25 * peak(100)
 
 
 def _src_env():
@@ -793,6 +908,32 @@ class TestBlockEngine:
             assert float(out.stdout) < 1.0, (fig, label, out.stdout)
 
 
+@pytest.mark.skipif(not harness._glibc(), reason="counts glibc's malloc arenas")
+def test_threads_share_two_malloc_arenas():
+    # each one-worker sweep starts a helper thread; uncapped, glibc gives a
+    # thread whose predecessor's arena is not yet free an arena of its own,
+    # as it gives each of three threads alive at once (4 arenas in all)
+    code = ("import ctypes, threading\n"
+            "import numpy as np\n"
+            "import afdmrsma.harness\n"
+            "ready, done = threading.Barrier(4), threading.Event()\n"
+            "def hold():\n"
+            "    a = np.ones(1000)\n"
+            "    ready.wait()\n"
+            "    done.wait()\n"
+            "threads = [threading.Thread(target=hold) for _ in range(3)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "ready.wait()\n"
+            "ctypes.CDLL(None).malloc_stats()\n"
+            "done.set()\n"
+            "for t in threads:\n"
+            "    t.join()\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=_src_env())
+    assert len(re.findall(r"^Arena \d+:$", out.stderr, re.M)) == harness._ARENA_MAX
+
+
 def _arrays(obj):
     """Every numpy array in ``obj`` and the tuples, lists and dicts it holds."""
     if isinstance(obj, np.ndarray):
@@ -810,7 +951,7 @@ def test_cached_arrays_are_read_only():
     # same arrays to every block that asks, so none of them may be written to
     cfg = replace(small_sim().frame, guard=9)
     taps = (ChannelTap(0.857, 0, 0), ChannelTap(0.514, 2, 1))
-    cached = [core._philox(7), channel._tap_ramps(taps, cfg.n + cfg.cp_len),
+    cached = [core._philox_state(7), channel._tap_ramps(taps, cfg.n + cfg.cp_len),
               channel.frequency_diagonal(ChannelSpec(taps), cfg.n),
               small_sim(estimator="freq").design.search,
               small_sim(frame=cfg, taps=taps, estimator="affine").design.search,
@@ -1085,6 +1226,18 @@ class TestCli:
         Path("sim.json").write_text(json.dumps(cfg))
         assert cli.main(["--config", "sim.json", *flags]) == 1
         assert message in capsys.readouterr().err
+        assert not Path(cfg["output"]["path"]).exists()
+
+    @pytest.mark.parametrize("seed", [1 << 64, -1], ids=["2**64", "-1"])
+    def test_seed_outside_64_bits_exit_code(self, seed, tmp_path, monkeypatch, capsys):
+        # a config error, not the frames of the seed modulo 2**64 (the same
+        # seeds as JSON keys are cases of _REFUSED)
+        monkeypatch.setattr(harness, "run_sweeps", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        cfg = TestConfigLoading().config_dict()
+        Path("sim.json").write_text(json.dumps(cfg))
+        assert cli.main(["--config", "sim.json", f"--seed={seed}"]) == 1
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not Path(cfg["output"]["path"]).exists()
 
     def test_option_metavars_list_the_accepted_values(self):
