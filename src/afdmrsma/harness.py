@@ -5,10 +5,14 @@ estimator (``receiver.ReceiverDesign``), and refuses what its stages would
 refuse when it is built; the sweep derives neither again.
 
 :func:`run_sweeps` simulates each (configuration, SNR point) in blocks of
-frames, as (frames, N) arrays from the bit draws to the scores
-(:func:`_run_block`): at one worker in this process, all blocks in order
-while a helper thread transmits the next one (:func:`_run_one_ahead`), else
-as tasks on one process pool, each running its blocks serially.
+frames, as (frames, N) arrays from the bit draws to the scores, each block
+a transmit half (:func:`_transmit_block`) and a receive half
+(:func:`_receive_block`).  One loop, :func:`_run_blocks`, walks the blocks
+of every caller and sends each one a block ahead of its receive: at one
+worker on a helper thread, so that the next block's transmit overlaps this
+one's receive on a second core; in a pool task and in :func:`run_point` on
+the calling thread, only as the block is received, as the pool already
+fills the cores (a helper per pool task made a two-worker run 9.5 % slower).
 The tests hold a per-frame reference that runs one frame through the
 public functions and an independent peak search and NMSE; every block row
 equals it bit for bit.
@@ -30,6 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -100,12 +105,26 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigError(f"SNR grid must hold finite numbers, got {self.snr_grid_db}")
+        if self.noise_override is None:
+            for point, snr_db in enumerate(self.snr_grid_db):
+                try:
+                    noise_var = _point_noise_var(self, snr_db)
+                except (OverflowError, ZeroDivisionError):
+                    noise_var = math.nan
+                if not 0 < noise_var < math.inf:
+                    raise ConfigError(f"SNR point {point} at {snr_db:g} dB has no positive "
+                                      f"finite noise variance")
         # what a stage would refuse at every frame, by its own check: the
         # channel's on an empty block, the receiver's as it makes its design
         cfg = self.frame
         try:
             spec = ChannelSpec(self.taps, self.noise_override or 0.0)
             _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
+            # a delay of N or more wraps onto another on the N-sample window
+            for i, tap in enumerate(self.taps):
+                if tap.l >= cfg.n:
+                    raise ConfigError(f"tap {i} at delay {tap.l} aliases: delays must be "
+                                      f"< N = {cfg.n}")
             object.__setattr__(self, "design", _receiver_design(
                 cfg, spec, self.estimator, self.baseline, self.noise_override == 0))
         except ConfigError:
@@ -247,22 +266,18 @@ if _glibc():
     ctypes.CDLL(None).mallopt(-8, _ARENA_MAX)   # -8 is M_ARENA_MAX
 
 
-def _run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
-    """The records of ``frames``, consecutive frame indices, simulated as
-    (frames, N) arrays: the block's transmit half, then its receive half.
-
-    Row i equals the per-frame reference (``tests/oracles.py``) for frame
-    ``frames[i]`` bit for bit: each frame keeps its own Philox draws, and
-    every other step acts on the rows independently.
-    """
-    return _receive_block(sim, *_transmit_block(sim, point, frames, noise_var))
-
-
 def _transmit_block(sim: SimConfig, point: int, frames: range,
                     noise_var: float) -> tuple[ChannelSpec, tuple, tuple, list]:
-    """The transmit half of a block: its channel, the (common, private) bits
-    and symbols it sends, and its CP-free received samples in a one-item
-    list, which :func:`_receive_block` empties."""
+    """The transmit half of the block of ``frames``, consecutive frame
+    indices: its channel, the (common, private) bits and symbols it sends,
+    and its CP-free received samples in a one-item list, which
+    :func:`_receive_block` empties.
+
+    Row i of the two halves' records equals the per-frame reference
+    (``tests/oracles.py``) for frame ``frames[i]`` bit for bit: each frame
+    keeps its own Philox draws, and every other step acts on the rows
+    independently.
+    """
     cfg = sim.frame
     spec = ChannelSpec(sim.taps, noise_var)
     if sim.baseline:
@@ -325,20 +340,60 @@ def _block_plan(start: int, stop: int, n: int) -> list[range]:
             for i in range(count)]
 
 
+def _run_blocks(tasks, defer) -> list[tuple[np.ndarray | str, float]]:
+    """Each task (sim, point, cut, cuts), frame range ``cut`` of ``cuts`` of
+    SNR point ``point``, in the blocks of :func:`_block_plan`: its records as
+    a C-ordered (frames, fields) array, or the reason it aborted; and its
+    seconds, this thread's time from the end of the previous task (for the
+    first, the start of the call) to the end of this one.
+
+    Every block is sent one block ahead of its receive, the next task's first
+    after a task's last: ``defer(_transmit_block, *args)`` returns a
+    zero-argument callable that gives the transmit, and the loop calls it as
+    it receives the block.  A task whose transmit or receive raises gets its
+    diagnostic string; its later blocks are never sent (a transmit already
+    sent is not read), and the next task runs.
+    """
+    last = time.perf_counter()
+    noise_vars = [_point_noise_var(sim, sim.snr_grid_db[point]) for sim, point, _, _ in tasks]
+    plans = [_block_plan(sim.frames_per_point * cut // cuts,
+                         sim.frames_per_point * (cut + 1) // cuts, sim.frame.n)
+             for sim, _, cut, cuts in tasks]
+    blocks = [(k, frames) for k, plan in enumerate(plans) for frames in plan]
+
+    def send(j):
+        """Block ``j``, deferred; None past the last block."""
+        if j == len(blocks):
+            return None
+        k, frames = blocks[j]
+        sim, point, _, _ = tasks[k]
+        return defer(_transmit_block, sim, point, frames, noise_vars[k])
+
+    outputs, j, sent = [], 0, send(0)
+    for k, (sim, *_) in enumerate(tasks):
+        end, records = j + len(plans[k]), []
+        try:
+            while j < end:
+                block, j = sent, j + 1
+                sent = send(j)
+                records.append(_receive_block(sim, *block()))
+            out = np.concatenate(records)
+        except (SimulationError, np.linalg.LinAlgError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+            if j < end:
+                j = end
+                sent = send(j)
+        now = time.perf_counter()
+        outputs.append((out, now - last))
+        last = now
+    return outputs
+
+
 def _run_task(task) -> tuple[np.ndarray | str, float]:
-    """Frame range ``cut`` of ``cuts`` of SNR point ``point``, in the blocks
-    of :func:`_block_plan`: its records as a C-ordered (frames, fields)
-    array, or the reason the point aborted; and the compute seconds."""
-    sim, point, cut, cuts = task
-    t0 = time.perf_counter()
-    start, stop = sim.frames_per_point * cut // cuts, sim.frames_per_point * (cut + 1) // cuts
-    noise_var = _point_noise_var(sim, sim.snr_grid_db[point])
-    try:
-        out = np.concatenate([_run_block(sim, point, frames, noise_var)
-                              for frames in _block_plan(start, stop, sim.frame.n)])
-    except (SimulationError, np.linalg.LinAlgError) as exc:
-        out = f"{type(exc).__name__}: {exc}"
-    return out, time.perf_counter() - t0
+    """One task of :func:`_run_blocks` on this thread, each block transmitted
+    only as it is received: a pool task's, or :func:`run_point`'s."""
+    [output] = _run_blocks([task], partial)
+    return output
 
 
 def _point_result(sim: SimConfig, point: int, outputs) -> LinkResult:
@@ -380,76 +435,29 @@ def run_point(sim: SimConfig, point: int) -> LinkResult:
     return _point_result(sim, point, [_run_task((sim, point, 0, 1))])
 
 
-def _run_one_ahead(points) -> list[LinkResult]:
-    """The :class:`LinkResult` of each (configuration, SNR point) of
-    ``points``, in order, in this process: every block of every point in
-    turn, while one helper thread transmits the next block (the first of the
-    next point after a point's last) as this thread receives and scores this
-    one.  A point that raises makes its diagnostic row; its transmit in
-    flight, if any, is dropped and the next point runs.  A point's wall time
-    is this thread's, from the end of the previous point (for the first, the
-    start of the sweep) to the end of this one, so the points' times add up
-    to the sweep's."""
-    last = time.perf_counter()
-    noise_vars = [_point_noise_var(sim, sim.snr_grid_db[p]) for sim, p in points]
-    plans = [_block_plan(0, sim.frames_per_point, sim.frame.n) for sim, _ in points]
-    blocks = [(k, frames) for k, plan in enumerate(plans) for frames in plan]
-    results = []
-    with ThreadPoolExecutor(1) as helper:
-        def transmit(j):
-            """Block ``j``'s transmit half, submitted to the helper; None past
-            the last block."""
-            if j == len(blocks):
-                return None
-            k, frames = blocks[j]
-            sim, p = points[k]
-            return helper.submit(_transmit_block, sim, p, frames, noise_vars[k])
-
-        j, ahead = 0, transmit(0)
-        for k, (sim, p) in enumerate(points):
-            end, records = j + len(plans[k]), []
-            try:
-                while j < end:
-                    sent = ahead.result()
-                    j += 1
-                    ahead = transmit(j)
-                    records.append(_receive_block(sim, *sent))
-                out = np.concatenate(records)
-            except (SimulationError, np.linalg.LinAlgError) as exc:
-                out = f"{type(exc).__name__}: {exc}"
-                if j < end:
-                    # the failed transmit, or this point's next one: its
-                    # outcome is not read
-                    ahead.cancel()
-                    j = end
-                    ahead = transmit(j)
-            now = time.perf_counter()
-            results.append(_point_result(sim, p, [(out, now - last)]))
-            last = now
-    return results
-
-
 def run_sweeps(sims) -> list[list[LinkResult]]:
     """One LinkResult per SNR point of each configuration (a diagnostic row
-    if it raises): in this process at one worker, its blocks in order with
-    the next one transmitted on a helper thread (:func:`_run_one_ahead`);
-    else on one process pool of the largest ``workers``, but no more
-    processes than tasks, where points are cut only if fewer than the
-    workers and each task runs its blocks serially."""
+    if it raises), from the tasks of :func:`_run_blocks`: at one worker in
+    this process, with the next block transmitted on a helper thread; else
+    as tasks on one process pool of the largest ``workers``, but no more
+    processes than tasks, each task sending its blocks on its own thread.
+    A point is cut into several tasks only if the points are fewer than the
+    workers."""
     workers = max((sim.workers for sim in sims), default=1)
     points = [(sim, p) for sim in sims for p in range(len(sim.snr_grid_db))]
+    # no frame range may be empty
+    cuts = (min([workers, *(sim.frames_per_point for sim in sims)]) if len(points) < workers
+            else 1)
+    tasks = [(sim, p, cut, cuts) for sim, p in points for cut in range(cuts)]
     if workers <= 1:
-        results = iter(_run_one_ahead(points))
+        with ThreadPoolExecutor(1) as helper:
+            outputs = iter(_run_blocks(tasks, lambda *call: helper.submit(*call).result))
     else:
-        # no frame range may be empty
-        cuts = (min(workers, *(sim.frames_per_point for sim in sims)) if len(points) < workers
-                else 1)
-        tasks = [(sim, p, cut, cuts) for sim, p in points for cut in range(cuts)]
         # a forked pool starts all its processes at the first task
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outputs = iter(pool.map(_run_task, tasks))
-            results = iter([_point_result(sim, p, [next(outputs) for _ in range(cuts)])
-                            for sim, p in points])
+            outputs = iter(list(pool.map(_run_task, tasks)))
+    results = iter([_point_result(sim, p, [next(outputs) for _ in range(cuts)])
+                    for sim, p in points])
     return [[next(results) for _ in sim.snr_grid_db] for sim in sims]
 
 

@@ -18,6 +18,7 @@ from afdmrsma import (BITS_PER_SYMBOL, AffineParams, ChannelEstimate, ChannelSpe
                       frame_rng, frequency_diagonal, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user, split_messages)
 from afdmrsma.baseline import run_baseline_frame
+from afdmrsma import harness
 from afdmrsma.harness import _FrameRecord, _score
 from afdmrsma.receiver import _peak_zone, _response_nmse
 from afdmrsma.transforms import _chirps
@@ -222,8 +223,8 @@ def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec) ->
 
 def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _FrameRecord:
     """One frame through the public per-frame functions, with this module's
-    peak search and NMSE: the reference that every row of
-    ``harness._run_block`` equals."""
+    peak search and NMSE: the reference that every row of :func:`run_block`
+    equals."""
     rng = frame_rng(sim.seed, point, frame_idx)
     spec = ChannelSpec(sim.taps, noise_var)
     cfg = sim.frame
@@ -246,3 +247,9 @@ def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _
     est = _estimate(sim, planes, spec)
     det = detect_streams(planes, cfg, est, sim.mode, noise_var)
     return _FrameRecord(*_score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n)))
+
+
+def run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
+    """The records of the block of ``frames``: the harness's transmit half,
+    then its receive half, outside the harness's block loop."""
+    return harness._receive_block(sim, *harness._transmit_block(sim, point, frames, noise_var))

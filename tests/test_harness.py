@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigError, FrameConfig,
-                      Frame, InvalidChannel, LinkResult, ReceiverMode, SimConfig, emit_results,
-                      measure_se, run_sweep, run_sweeps)
+                      Frame, InvalidChannel, LinkResult, ReceiverMode, SimConfig, SimulationError,
+                      emit_results, measure_se, run_sweep, run_sweeps)
 from afdmrsma import channel, cli, core, experiments, harness, receiver, transforms
 from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
-from afdmrsma.harness import (CSV_COLUMNS, ESTIMATORS, _point_noise_var, _run_block, _run_task,
+from afdmrsma.harness import (CSV_COLUMNS, ESTIMATORS, _point_noise_var, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
-from oracles import run_frame
+from oracles import run_block, run_frame
 
 NAN, INF = float("nan"), float("inf")
 
@@ -381,6 +381,18 @@ _REFUSED = {
                              "Doppler too large for a 68-sample ramp"),
     "nan-snr": ({"sweep": {"snr_db": [NAN]}}, "SNR grid must hold finite numbers"),
     "infinite-snr": ({"sweep": {"snr_db": [0, -INF]}}, "SNR grid must hold finite numbers"),
+    # 10 ** (snr / 10) overflows a float, or a noise variance underflows to 0
+    **{f"snr-{name}": ({"sweep": {"snr_db": [0, snr]}},
+                       f"SNR point 1 at {snr} dB has no positive finite noise variance")
+       for name, snr in (("beyond-float", 4000), ("overflow", 3100), ("underflow", -4000))},
+    # a delay of N within the CP passes the channel but is delay 0 on the
+    # N-sample window, where these taps cancel
+    **{f"delay-aliasing-{name}": (
+        {"frame": {"cp_len": 64},
+         "channel": {"taps": [[1.0, 0.0, 0, 0], [-1.0, 0.0, 64, 0]], "normalize": False},
+         "sweep": sweep}, "tap 1 at delay 64 aliases: delays must be < N = 64")
+       for name, sweep in [*((e, {"estimator": e}) for e in ESTIMATORS),
+                           ("baseline", {"baseline": True})]},
 }
 
 
@@ -530,6 +542,28 @@ def _assert_same_records(got, want):
                               equal_nan=True)
 
 
+def _in_process_pool(monkeypatch):
+    """Make the sweep's process pool a fake that runs its tasks in order in
+    this process and forks nothing; the list it returns gets the
+    ``max_workers`` of each pool the sweep starts."""
+    pools = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, list(tasks))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+    return pools
+
+
 class TestRunSweeps:
     failing = aborting_sim()
     single = small_sim(estimator="freq", frames_per_point=9, snr_grid_db=(10.0,))
@@ -586,23 +620,8 @@ class TestRunSweeps:
 
     def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
         # a forked pool starts every worker at its first task, so one point
-        # of 2 frames, cut into 2 tasks, must not ask for 4 workers; an
-        # in-process fake records what the sweep asks for and forks nothing
-        pools = []
-
-        class InProcess:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, list(tasks))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        # of 2 frames, cut into 2 tasks, must not ask for 4 workers
+        pools = _in_process_pool(monkeypatch)
         two = replace(self.single, frames_per_point=2)
         want = run_sweeps([two])
         for w in (4, 2):
@@ -618,13 +637,23 @@ PRESET_SERIES = [(f"{fig}/{label}", sim) for fig in sorted(FIGURES)
 
 
 class TestOneAhead:
-    """At one worker, run_sweeps runs every block in order while a helper
-    thread transmits the next one."""
+    """Every caller walks its blocks in one loop, each block sent one ahead
+    of its receive: at one worker on a helper thread, in a pool task and in
+    run_point on the calling thread."""
 
     @staticmethod
     def serial(sims):
-        """Each point of ``sims`` as one serial task (:func:`run_point`)."""
-        return [[run_point(sim, p) for p in range(len(sim.snr_grid_db))] for sim in sims]
+        """Each point of ``sims``, block by block through the two halves
+        (:func:`oracles.run_block`), outside the loop that every caller shares."""
+        def point(sim, p):
+            plan = harness._block_plan(0, sim.frames_per_point, sim.frame.n)
+            try:
+                out = np.concatenate([run_block(sim, p, frames, *_point_args(sim, p))
+                                      for frames in plan])
+            except (SimulationError, np.linalg.LinAlgError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            return harness._point_result(sim, p, [(out, 0.0)])
+        return [[point(sim, p) for p in range(len(sim.snr_grid_db))] for sim in sims]
 
     def test_preset_records_equal_serial_tasks(self, monkeypatch):
         # every preset series in one sweep, each point in blocks of 2 and 3
@@ -638,8 +667,11 @@ class TestOneAhead:
                                  want)
 
     def test_failed_point_between_healthy_ones(self, monkeypatch):
-        # aborting_sim fails in its fourth block of two frames (frame 6), so
-        # its fifth is in flight and its sixth is never transmitted
+        # aborting_sim fails in its fourth block of two frames (frame 6).  At
+        # one worker its fifth is in flight on the helper by then; a pool
+        # task and run_point transmit a block only as they receive it.  In
+        # no caller is its sixth transmitted, and its neighbours score every
+        # frame
         monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
         sent = []
         transmit = harness._transmit_block
@@ -648,14 +680,26 @@ class TestOneAhead:
             sent.append((sim.frames_per_point, frames.start))
             return transmit(sim, point, frames, noise_var)
         monkeypatch.setattr(harness, "_transmit_block", recorded)
+        _in_process_pool(monkeypatch)
         healthy = small_sim(estimator="freq", frames_per_point=5, snr_grid_db=(0.0, 20.0))
         failing = replace(aborting_sim(), frames_per_point=12)
         sims = [healthy, failing, replace(healthy, seed=8)]
-        got = run_sweeps(sims)
-        assert [r.frames for r in got[0] + got[2]] == [5] * 4
-        assert got[1][0].diagnostics.startswith("SingularChannel: ") and got[1][0].frames == 0
-        assert (12, 10) not in sent and (12, 6) in sent
-        _assert_same_records(got, self.serial(sims))
+        want = self.serial(sims)
+        callers = {
+            "one worker": (lambda: run_sweeps(sims), [0, 2, 4, 6, 8]),
+            "pool": (lambda: run_sweeps([replace(sim, workers=2) for sim in sims]),
+                     [0, 2, 4, 6]),
+            "run_point": (lambda: [[run_point(sim, p) for p in range(len(sim.snr_grid_db))]
+                                   for sim in sims], [0, 2, 4, 6]),
+        }
+        for caller, (run, failing_sent) in callers.items():
+            sent.clear()
+            got = run()
+            assert [r.frames for r in got[0] + got[2]] == [5] * 4, caller
+            assert got[1][0].diagnostics.startswith("SingularChannel: "), caller
+            assert got[1][0].frames == 0, caller
+            assert [start for frames, start in sent if frames == 12] == failing_sent, caller
+            _assert_same_records(got, want)
 
     def test_failed_transmit_makes_a_diagnostic_row(self, monkeypatch):
         monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
@@ -768,7 +812,7 @@ class TestBlockEngine:
         for estimator, want in (("freq", 0), ("perfect-affine", 0), ("affine", 1)):
             sim = small_sim(frame=frame, estimator=estimator)
             calls.clear()
-            _run_block(sim, 0, range(4), *_point_args(sim, 0))
+            run_block(sim, 0, range(4), *_point_args(sim, 0))
             assert len(calls) == want, estimator
 
     def test_blocks_never_rebuild_a_design_table(self, monkeypatch):
@@ -777,7 +821,7 @@ class TestBlockEngine:
         # ``sim.design``
         frame = replace(small_sim().frame, guard=9)
         sims = [small_sim(frame=frame, estimator=estimator) for estimator in ("freq", "affine")]
-        want = [_run_block(sim, 0, range(4), *_point_args(sim, 0)) for sim in sims]
+        want = [run_block(sim, 0, range(4), *_point_args(sim, 0)) for sim in sims]
 
         def rebuilt(*args):
             raise AssertionError("a block rebuilt a table of its design")
@@ -785,7 +829,7 @@ class TestBlockEngine:
             for name in ("_peak_zone", "_pilot_subcarriers"):
                 monkeypatch.setattr(module, name, rebuilt, raising=False)
         for sim, records in zip(sims, want):
-            assert np.array_equal(_run_block(sim, 0, range(4), *_point_args(sim, 0)), records)
+            assert np.array_equal(run_block(sim, 0, range(4), *_point_args(sim, 0)), records)
 
     @pytest.mark.parametrize("kw", [
         dict(estimator="affine"),            # delay-only taps: NMSE by the response
@@ -799,7 +843,7 @@ class TestBlockEngine:
         frame = replace(small_sim().frame, guard=9)
         sim = small_sim(frame=frame, **kw)
         for point in (0, 4):
-            got = _run_block(sim, point, range(3, 23), *_point_args(sim, point))
+            got = run_block(sim, point, range(3, 23), *_point_args(sim, point))
             assert np.array_equal(got, _reference(sim, point, range(3, 23)))
 
     @pytest.mark.parametrize("name", ["fig5/clean-pilot", "fig5/embedded-pilot",
@@ -813,9 +857,9 @@ class TestBlockEngine:
         sim = dict(PRESET_SERIES)[name]
         point = 4
         args = _point_args(sim, point)
-        whole = _run_block(sim, point, range(0, 100), *args)
+        whole = run_block(sim, point, range(0, 100), *args)
         assert np.array_equal(whole, _reference(sim, point, range(100)))
-        parts = [_run_block(sim, point, range(a, b), *args)
+        parts = [run_block(sim, point, range(a, b), *args)
                  for a, b in ((0, 7), (7, 50), (50, 100))]
         assert np.array_equal(np.concatenate(parts), whole)
 
@@ -875,10 +919,10 @@ class TestBlockEngine:
         worst = 0.0
         for point in range(len(sim.snr_grid_db)):
             args = _point_args(sim, point)
-            _run_block(sim, point, frames, *args)   # fill the caches outside the measurement
+            run_block(sim, point, frames, *args)   # fill the caches outside the measurement
             tracemalloc.start()
             try:
-                _run_block(sim, point, frames, *args)
+                run_block(sim, point, frames, *args)
                 worst = max(worst, tracemalloc.get_traced_memory()[1] / plane)
             finally:
                 tracemalloc.stop()
@@ -1122,6 +1166,18 @@ class TestCli:
         r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
         assert r.returncode == 1
         assert "config key frame.c2" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "res.csv").exists()
+
+    def test_snr_beyond_float_range_exit_code(self, tmp_path):
+        # 10 ** (4000 / 10) overflows: exit 1 with a config message, not a
+        # traceback from the sweep
+        cfg = TestConfigLoading().config_dict()
+        cfg["sweep"]["snr_db"] = [0, 4000]
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        r = self.run_cli("--config", str(path), "--out", str(tmp_path / "res.csv"))
+        assert r.returncode == 1
+        assert "config error: SNR point 1 at 4000 dB" in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "res.csv").exists()
 
     def test_aborted_point_exit_code(self, tmp_path):

@@ -128,3 +128,20 @@ def test_the_receiver_decides_what_a_block_receives_with():
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert imported and not imported & internals
     assert not called & {"_dft", "_daft"}
+
+
+def test_one_loop_sends_and_receives_every_block():
+    # the two halves of a block are read (called, or handed to a deferred
+    # call) by one function of the package, the block loop that every
+    # caller shares, so a rule of that loop cannot be written twice
+    readers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if (name in ("_transmit_block", "_receive_block")
+                        and isinstance(node.ctx, ast.Load)):
+                    readers.setdefault(name, set()).update(
+                        (path.stem, bound) for bound in _bound_names(statement))
+    assert readers == {name: {("harness", "_run_blocks")}
+                       for name in ("_transmit_block", "_receive_block")}
