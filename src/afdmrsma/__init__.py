@@ -18,11 +18,11 @@ from .framing import (Approach, FrameConfig, ResourceMap, RsmaMessages, add_cp,
                       build_frame, build_freq_private, capacity_counts,
                       extract_received_planes, frame_energy_budget, remove_cp,
                       required_bits_per_user, resource_map, split_messages)
-from .harness import (CSV_COLUMNS, LinkResult, SimConfig, emit_results, load_config,
-                      measure_se, run_point, run_sweep, run_sweeps)
+from .harness import (CSV_COLUMNS, LinkResult, SimConfig, emit_results, estimate_nmse,
+                      load_config, measure_se, run_point, run_sweep, run_sweeps)
 from .receiver import (ChannelEstimate, DetectionResult, ReceiverMode, detect_streams,
                        equalize, estimate_channel_affine, estimate_channel_freq,
-                       estimate_nmse, perfect_estimate)
+                       perfect_estimate)
 from .transforms import (AffineParams, affine_to_freq, daft, dft, freq_to_affine, idaft,
                          idft)
 

@@ -12,14 +12,15 @@ the bundled presets, which read --frames and --workers alone; any other
 option is refused (exit 1).
 
 Exit codes: 0 success, 1 configuration error (including usage errors, options
-that would be ignored, a partial --snr-* set, an --snr-step <= 0, and unknown
-config keys and values, which the config reader alone checks), 2 runtime error,
-including an SNR point that aborted (its row holds NaN and the reason goes to
-stderr).
+that would be ignored, a partial --snr-* set, a non-finite --snr-* value, an
+--snr-step <= 0, and unknown config keys and values, which the config reader
+alone checks), 2 runtime error, including an SNR point that aborted (its row
+holds NaN and the reason goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ConfigError, SimulationError
@@ -111,6 +112,12 @@ def main(argv=None) -> int:
         print(f"error: the --snr-* options set the grid together; missing {', '.join(missing)}",
               file=sys.stderr)
         return 1
+    for dest in _SNR_OPTIONS:
+        value = getattr(args, dest)
+        # an infinite bound or step never ends the grid, a NaN one cuts it short
+        if value is not None and not math.isfinite(value):
+            print(f"error: {_option(dest)} must be finite, got {value}", file=sys.stderr)
+            return 1
     if args.snr_step is not None and args.snr_step <= 0:
         print(f"error: --snr-step must be > 0, got {args.snr_step:g}", file=sys.stderr)
         return 1

@@ -2,7 +2,9 @@
 
 A :class:`SimConfig` fixes its receiver, with the search table of its
 estimator (``receiver.ReceiverDesign``), and refuses what its stages would
-refuse when it is built; the sweep derives neither again.
+refuse when it is built; the sweep derives neither again.  Only this
+module reads the true channel, apart from the receiver's genies: it picks
+the estimator, hands over its bounds and scores its estimates.
 
 :func:`run_sweeps` simulates each (configuration, SNR point) in blocks of
 frames, as (frames, N) arrays from the bit draws to the scores, each block
@@ -40,13 +42,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import _baseline_detect, _baseline_time, baseline_budget
-from .channel import ChannelSpec, ChannelTap, _channel, snr_to_noise_var
-from .core import BITS_PER_SYMBOL, _modulate, frame_draws
+from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
+from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
 from .errors import ConfigError, SimulationError, _refuse_non_integers, _refuse_non_numbers
 from .framing import (Approach, FrameConfig, _frame_time, capacity_counts,
                       frame_energy_budget)
 from .receiver import (DetectionResult, ReceiverDesign, ReceiverMode, _detect, _receive,
-                       _receiver_design)
+                       _receiver_design, _tap_group)
 from .transforms import AffineParams
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .baseline import run_baseline_frame  # noqa: F401
@@ -55,7 +57,7 @@ from .core import frame_rng, modulate_bits, random_bits  # noqa: F401
 from .framing import (build_frame, extract_received_planes, required_bits_per_user,  # noqa: F401
                       split_messages)
 from .receiver import (detect_streams, estimate_channel_affine,  # noqa: F401
-                       estimate_channel_freq, estimate_nmse)
+                       estimate_channel_freq)
 
 ESTIMATORS = ("auto", "freq", "affine", "perfect-freq", "perfect-affine")
 
@@ -115,7 +117,8 @@ class SimConfig:
                     raise ConfigError(f"SNR point {point} at {snr_db:g} dB has no positive "
                                       f"finite noise variance")
         # what a stage would refuse at every frame, by its own check: the
-        # channel's on an empty block, the receiver's as it makes its design
+        # channel's on an empty block, then the estimator's, on the true
+        # taps here and on its bounds as the receiver makes its design
         cfg = self.frame
         try:
             spec = ChannelSpec(self.taps, self.noise_override or 0.0)
@@ -125,8 +128,22 @@ class SimConfig:
                 if tap.l >= cfg.n:
                     raise ConfigError(f"tap {i} at delay {tap.l} aliases: delays must be "
                                       f"< N = {cfg.n}")
+            # "auto" is freq on clean-pilot frames over a channel declared Doppler-free
+            kind = "baseline" if self.baseline else self.estimator
+            if kind == "auto":
+                kind = ("freq" if cfg.approach is Approach.CLEAN_PILOT and not spec.has_doppler
+                        else "affine")
+            # freq's NMSE reference, the delay-only taps' response, is zero
+            # without one; affine reads a pilot shift as k - c1' l, 0 <= k < c1'
+            if kind == "freq" and all(t.k for t in spec.taps):
+                raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
+            if kind == "affine" and any(t.k < 0 for t in spec.taps):
+                raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
+            # the true spreads still tell the receiver where the taps are;
+            # bounds read off the frame would replace these two arguments
             object.__setattr__(self, "design", _receiver_design(
-                cfg, spec, self.estimator, self.baseline, self.noise_override == 0))
+                cfg, kind, spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1),
+                spec, self.noise_override == 0))
         except ConfigError:
             raise
         except SimulationError as exc:
@@ -221,6 +238,64 @@ def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
     return out
 
 
+def estimate_nmse(est, true_spec: ChannelSpec, n: int) -> float:
+    """Diagnostic error of a channel estimate (``receiver.ChannelEstimate``).
+
+    A response, or a (frames, N) block of them, compares against the
+    diagonal of the true frequency-domain channel: H(m) on a delay-only
+    channel, the delay-only taps' response under Doppler (the off-diagonal
+    ICI is invisible to a one-tap model).  A tap list, delay-only or not,
+    compares tap by tap (:func:`_taps_nmse` on one row); on a delay-only
+    list and channel this equals its response's error by Parseval, up to
+    rounding.
+    """
+    if est.domain is Domain.FREQUENCY:
+        return _block_nmse(est.h_freq, true_spec, n)
+    return float(_block_nmse([_tap_group(est.taps, 1)], true_spec, n)[0])
+
+
+def _block_nmse(estimate, spec: ChannelSpec, n: int):
+    """:func:`estimate_nmse` of each frame of a block, from the estimate
+    ``receiver._receive`` hands back; a genie's (None) is not scored."""
+    if estimate is None:
+        return 0.0
+    if isinstance(estimate, np.ndarray):
+        return _response_nmse(estimate, frequency_diagonal(spec, n))
+    return _taps_nmse(estimate, spec)
+
+
+def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Squared error of a frequency response over the power of the true
+    one, along the last axis."""
+    return np.sum(np.abs(h_est - h) ** 2, axis=-1) / np.sum(np.abs(h) ** 2)
+
+
+def _taps_nmse(groups, true_spec: ChannelSpec) -> np.ndarray:
+    """:func:`estimate_nmse` of the tap estimates of a block, one per row,
+    from its ``(rows, delays, dopplers, gains)`` groups as
+    ``receiver._tap_mmse`` reads them.  Matched taps contribute |h_hat - h|^2,
+    missed and spurious taps their full power, and each row's error is
+    formed in the order and with the rounding of a Python loop over the
+    taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
+    ``np.hypot``."""
+    def power(v):
+        return np.float_power(np.hypot(v.real, v.imag), 2)
+
+    ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
+    nmse = np.empty(sum(len(rows) for rows, *_ in groups))
+    for rows, ls, ks, hs in groups:
+        got = {key: col for col, key in enumerate(zip(ls, ks))}
+        err = 0
+        for t in true_spec.taps:
+            col = got.pop((t.l, t.k), None)
+            err = err + (abs(0.0 - t.h) ** 2 if col is None else power(hs[:, col] - t.h))
+        spurious = 0
+        for col in got.values():
+            spurious = spurious + power(hs[:, col])
+        nmse[rows] = (err + spurious) / ref
+    return nmse
+
+
 # The most samples a block of frames holds: a point's frames run in as
 # few blocks as fit this budget, of sizes that differ by at most one frame
 # (:func:`_block_plan`).  At N = 256 a 100-frame point runs as two blocks of
@@ -307,15 +382,18 @@ def _transmit_block(sim: SimConfig, point: int, frames: range,
 def _receive_block(sim: SimConfig, spec: ChannelSpec, bits: tuple, syms: tuple,
                    received: list) -> np.ndarray:
     """The receive half of a block: detect and score what
-    :func:`_transmit_block` sent.  The received samples are popped off their
-    list, so that the receive step holds their only reference and drops them
-    once it has made its planes."""
+    :func:`_transmit_block` sent, and score the receive step's estimate
+    against the block's channel ``spec``.  The received samples are popped
+    off their list, so that the receive step holds their only reference and
+    drops them once it has made its planes."""
     cfg = sim.frame
     if sim.baseline:
         det, nmse = _baseline_detect(received.pop(), cfg, spec.noise_var,
                                      sim.design.genie.h_freq), 0.0
     else:
-        eq_f, nmse = _receive(received.pop(), cfg, sim.design, spec)
+        eq_f, estimate = _receive(received.pop(), cfg, sim.design, spec.noise_var)
+        nmse = _block_nmse(estimate, spec, cfg.n)
+        del estimate   # before the detector runs
         det = _detect(eq_f, cfg, sim.mode)
         del eq_f
     return _score(sim, bits, syms, det, nmse)

@@ -38,6 +38,10 @@ estimators' search tables, the LS pilot (:func:`_pilot_subcarriers`) and
 the guard zone (:func:`_peak_zone`), are kernel arguments: a
 :class:`ReceiverDesign` holds them per configuration, the public functions
 build them per call.
+
+The receiver reads the true channel only to build a genie: the receive step
+takes the samples, its design and the noise level, and hands back its
+estimate, which ``harness`` scores.
 """
 from __future__ import annotations
 
@@ -349,7 +353,7 @@ def _tap_mmse(y_freq: np.ndarray, groups, g: float) -> np.ndarray:
 
     ``groups`` holds ``(rows, delays, dopplers, gains)``, the one block
     form of a tap estimate, as :func:`_affine_tap_groups` yields it and
-    :func:`_taps_nmse` scores it: the block rows that share one tap list,
+    ``harness._taps_nmse`` scores it: the block rows that share one tap list,
     the taps' delays and Dopplers, and a (rows, taps) array of their gains.
     A tap (h, l, k) shifts a frame by k in unitary frequency and ramps it by
     its delay's phase, the spectrum of a shift by l (:func:`_spectra`), so
@@ -649,7 +653,7 @@ def _equalize_planes(y_freq: np.ndarray, est: ChannelEstimate, g: float) -> np.n
 
 def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
     """A tap list as the one group ``(rows, delays, dopplers, gains)`` of a
-    block of ``rows`` rows that :func:`_tap_mmse` and :func:`_taps_nmse`
+    block of ``rows`` rows that :func:`_tap_mmse` and ``harness._taps_nmse``
     read."""
     hs = np.broadcast_to(np.array([t.h for t in taps], dtype=np.complex128), (rows, len(taps)))
     return np.arange(rows), [t.l for t in taps], [t.k for t in taps], hs
@@ -657,66 +661,58 @@ def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
 
 class ReceiverDesign(NamedTuple):
     """What a configuration fixes of its receiver, which every block reads:
-    the estimator ("auto" resolved), its bounds, search table and genie."""
-    kind: str
-    max_delay: int     # the channel's delay spread
-    max_doppler: int   # its Doppler spread, clipped to the c1' - 1 the pilot-shift law resolves
+    the estimator or genie, its bounds, search table and genie estimate."""
+    kind: str          # "freq", "affine", "perfect-freq", "perfect-affine" or "baseline"
+    max_delay: int     # the delay bound the configuration hands over
+    max_doppler: int   # its Doppler bound, at most the c1' - 1 the pilot-shift law resolves
     search: np.ndarray | _PeakZone | None   # freq: its LS pilot; affine: its zone; else None
     genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
 
 
-def _receiver_design(cfg: FrameConfig, spec: ChannelSpec, estimator: str, baseline: bool,
-                     zero_forcing: bool) -> ReceiverDesign:
-    """The :class:`ReceiverDesign` of ``estimator``, or of the baseline, on
-    frames of ``cfg`` over ``spec``'s taps; raises what the estimator raises
+def _receiver_design(cfg: FrameConfig, kind: str, max_delay: int, max_doppler: int,
+                     truth: ChannelSpec, zero_forcing: bool) -> ReceiverDesign:
+    """The :class:`ReceiverDesign` of estimator ``kind`` within the bounds
+    ``max_delay`` and ``max_doppler``, or of a genie built from the true
+    channel ``truth``, on frames of ``cfg``; raises what the estimator raises
     as it builds its search table and, at ``zero_forcing``, what equalizing
     one zero row through its genie raises, as the pivot tests read H alone."""
-    if estimator == "auto":
-        estimator = ("freq" if cfg.approach is Approach.CLEAN_PILOT and not spec.has_doppler
-                     else "affine")
-    max_delay, max_doppler = spec.max_delay, min(spec.max_doppler, cfg.affine.c1_prime - 1)
     search, genie = None, None
-    if baseline:   # it runs no estimator
-        genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(spec, cfg.n))
-    elif estimator == "freq":
-        # its NMSE reference, the delay-only taps' response, is zero without one
-        if all(t.k for t in spec.taps):
-            raise ConfigError("the freq estimator needs a delay-only (k = 0) tap")
+    if kind == "freq":
         search = _pilot_subcarriers(cfg, max_delay)
-    elif estimator == "affine":
-        # the affine estimator reads a pilot shift as k - c1' l with 0 <= k < c1'
-        if any(t.k < 0 for t in spec.taps):
-            raise ConfigError("the affine estimator cannot resolve negative-Doppler taps")
+    elif kind == "affine":
         search = _peak_zone(cfg, max_delay, max_doppler)
+    elif kind == "baseline":   # it runs no estimator
+        genie = ChannelEstimate(Domain.FREQUENCY, h_freq=frequency_diagonal(truth, cfg.n))
     else:
-        genie = perfect_estimate(spec, cfg, Domain.FREQUENCY if estimator == "perfect-freq"
+        genie = perfect_estimate(truth, cfg, Domain.FREQUENCY if kind == "perfect-freq"
                                  else Domain.AFFINE)
     if genie is not None and zero_forcing:
         # zero forcing through an estimate the config fixes: every frame or none
         _equalize_planes(np.zeros((1, cfg.n), complex), genie, 0.0)
-    return ReceiverDesign(estimator, max_delay, max_doppler, search, genie)
+    return ReceiverDesign(kind, max_delay, max_doppler, search, genie)
 
 
 def _receive(received: np.ndarray, cfg: FrameConfig, design: ReceiverDesign,
-             spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray | float]:
+             noise_var: float) -> tuple[np.ndarray, list | np.ndarray | None]:
     """The equalized frequency plane of a (frames, N) block of CP-free time
-    samples that passed the channel ``spec``, and each frame's estimate
-    NMSE against its taps (0.0 for a genie), as ``design`` fixes; the
-    samples are dropped once the planes the estimator reads are made."""
-    g = _noise_ratio(cfg, spec.noise_var)
+    samples received at noise variance ``noise_var``, and the estimate it
+    was equalized with (tap groups, LS responses, or None for a genie), as
+    ``design`` fixes; the samples are dropped once the planes the estimator
+    reads are made."""
+    g = _noise_ratio(cfg, noise_var)
     y_freq = _dft(received)
     if design.kind == "affine":
         # only the affine estimator reads the affine plane; frames whose
-        # estimates hold the same taps form a group, scored group by group,
-        # and one equalizer call serves every group
-        groups = _affine_tap_groups(_daft(received, cfg.affine), design.search, spec.noise_var)
+        # estimates hold the same taps form a group, and one equalizer call
+        # serves every group
+        groups = _affine_tap_groups(_daft(received, cfg.affine), design.search, noise_var)
         del received
-        return _tap_mmse(y_freq, groups, g), _taps_nmse(groups, spec)
+        return _tap_mmse(y_freq, groups, g), groups
     del received
     if design.genie is not None:
-        return _equalize_planes(y_freq, design.genie, g), 0.0
+        return _equalize_planes(y_freq, design.genie, g), None
     h = _ls_freq(y_freq, design.search, design.max_delay)
-    return _one_tap(y_freq, h, g), _response_nmse(h, frequency_diagonal(spec, cfg.n))
+    return _one_tap(y_freq, h, g), h
 
 
 def _detect(eq_f: np.ndarray, cfg: FrameConfig, mode: ReceiverMode) -> DetectionResult:
@@ -748,51 +744,3 @@ def _detect(eq_f: np.ndarray, cfg: FrameConfig, mode: ReceiverMode) -> Detection
     priv = read_private(plane_f)
     return DetectionResult(com_bits, _demodulate(priv), com[..., :rm.n_common],
                            com[..., rm.n_common:], priv)
-
-
-def estimate_nmse(est: ChannelEstimate, true_spec: ChannelSpec, n: int) -> float:
-    """Diagnostic estimate error.
-
-    A response, or a (frames, N) block of them, compares against the
-    diagonal of the true frequency-domain channel: H(m) on a delay-only
-    channel, the delay-only taps' response under Doppler (the off-diagonal
-    ICI is invisible to a one-tap model).  A tap list, delay-only or not,
-    compares tap by tap (:func:`_taps_nmse` on one row); on a delay-only
-    list and channel this equals its response's error by Parseval, up to
-    rounding.
-    """
-    if est.domain is Domain.FREQUENCY:
-        return _response_nmse(est.h_freq, frequency_diagonal(true_spec, n))
-    return float(_taps_nmse([_tap_group(est.taps, 1)], true_spec)[0])
-
-
-def _response_nmse(h_est: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Squared error of a frequency response over the power of the true
-    one, along the last axis."""
-    return np.sum(np.abs(h_est - h) ** 2, axis=-1) / np.sum(np.abs(h) ** 2)
-
-
-def _taps_nmse(groups, true_spec: ChannelSpec) -> np.ndarray:
-    """:func:`estimate_nmse` of the tap estimates of a block, one per row,
-    from its ``(rows, delays, dopplers, gains)`` groups as
-    :func:`_tap_mmse` reads them.  Matched taps contribute |h_hat - h|^2,
-    missed and spurious taps their full power, and each row's error is
-    formed in the order and with the rounding of a Python loop over the
-    taps: a Python ``x ** 2`` is ``np.float_power``, ``abs`` of a complex
-    ``np.hypot``."""
-    def power(v):
-        return np.float_power(np.hypot(v.real, v.imag), 2)
-
-    ref = sum(abs(t.h) ** 2 for t in true_spec.taps)
-    nmse = np.empty(sum(len(rows) for rows, *_ in groups))
-    for rows, ls, ks, hs in groups:
-        got = {key: col for col, key in enumerate(zip(ls, ks))}
-        err = 0
-        for t in true_spec.taps:
-            col = got.pop((t.l, t.k), None)
-            err = err + (abs(0.0 - t.h) ** 2 if col is None else power(hs[:, col] - t.h))
-        spurious = 0
-        for col in got.values():
-            spurious = spurious + power(hs[:, col])
-        nmse[rows] = (err + spurious) / ref
-    return nmse

@@ -19,8 +19,8 @@ from afdmrsma import (BITS_PER_SYMBOL, AffineParams, ChannelEstimate, ChannelSpe
                       perfect_estimate, random_bits, required_bits_per_user, split_messages)
 from afdmrsma.baseline import run_baseline_frame
 from afdmrsma import harness
-from afdmrsma.harness import _FrameRecord, _score
-from afdmrsma.receiver import _peak_zone, _response_nmse
+from afdmrsma.harness import _FrameRecord, _response_nmse, _score
+from afdmrsma.receiver import _peak_zone
 from afdmrsma.transforms import _chirps
 
 # the peak threshold in multiples of the noise floor, kept apart from the

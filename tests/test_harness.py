@@ -250,7 +250,8 @@ class TestRunSweep:
         def built(*args):
             raise AssertionError("a genie estimate was built or scored after construction")
         for name in ("receiver.perfect_estimate", "receiver.frequency_diagonal",
-                     "baseline.frequency_diagonal", "receiver.estimate_nmse"):
+                     "baseline.frequency_diagonal", "harness.estimate_nmse",
+                     "harness._taps_nmse", "harness._response_nmse"):
             monkeypatch.setattr(f"afdmrsma.{name}", built)
         _assert_same_records(run_sweeps(sims), want)
 
@@ -1262,7 +1263,15 @@ class TestCli:
                                (["--snr-step", "5"], "missing --snr-min, --snr-max"),
                                # such a step never reaches --snr-max
                                ([*grid, "--snr-step", "0"], "--snr-step must be > 0, got 0"),
-                               ([*grid, "--snr-step", "-5"], "--snr-step must be > 0, got -5")):
+                               ([*grid, "--snr-step", "-5"], "--snr-step must be > 0, got -5"),
+                               # a NaN step ran one point; an infinite bound never
+                               # ended the grid
+                               ([*grid, "--snr-step", "nan"],
+                                "--snr-step must be finite, got nan"),
+                               (["--snr-min", "0", "--snr-max", "inf", "--snr-step", "5"],
+                                "--snr-max must be finite, got inf"),
+                               (["--snr-min=-inf", "--snr-max", "10", "--snr-step", "5"],
+                                "--snr-min must be finite, got -inf")):
             assert cli.main(["--config", "sim.json", *flags]) == 1, message
             assert message in capsys.readouterr().err
             assert not Path(cfg["output"]["path"]).exists()

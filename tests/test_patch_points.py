@@ -118,7 +118,7 @@ def test_the_receiver_decides_what_a_block_receives_with():
     # ``receiver`` alone: the harness runs the stages, imports none of the
     # estimators' and equalizer's internals and makes no received plane
     internals = {"_affine_tap_groups", "_equalize_planes", "_ls_freq", "_noise_ratio",
-                 "_peak_zone", "_PeakZone", "_pilot_subcarriers", "_tap_mmse", "_taps_nmse",
+                 "_peak_zone", "_PeakZone", "_pilot_subcarriers", "_tap_mmse",
                  "perfect_estimate", "ChannelEstimate"}
     tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
@@ -145,3 +145,28 @@ def test_one_loop_sends_and_receives_every_block():
                         (path.stem, bound) for bound in _bound_names(statement))
     assert readers == {name: {("harness", "_run_blocks")}
                        for name in ("_transmit_block", "_receive_block")}
+
+
+def test_the_receiver_reads_the_true_channel_only_to_build_a_genie():
+    # the receiver estimates the channel from what it receives: in
+    # ``receiver`` only the genie builder and the design name a ChannelSpec,
+    # the design hands its true channel to the genie builders alone, the
+    # receive step takes the noise level and no spec, and no function reads
+    # a name only a ChannelSpec has
+    tree = ast.parse((PACKAGE / "receiver.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    naming = {name for statement in tree.body if not isinstance(statement, ast.ImportFrom)
+              for name in _bound_names(statement)
+              if any(getattr(node, "id", None) == "ChannelSpec" for node in ast.walk(statement))}
+    assert naming == {"perfect_estimate", "_receiver_design"}
+    assert [arg.arg for arg in functions["_receive"].args.args] == [
+        "received", "cfg", "design", "noise_var"]
+    design = functions["_receiver_design"]
+    reads = [node for node in ast.walk(design) if isinstance(node, ast.Name)
+             and node.id == "truth" and isinstance(node.ctx, ast.Load)]
+    passed = [arg for node in ast.walk(design) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) in ("perfect_estimate", "frequency_diagonal")
+              for arg in node.args if isinstance(arg, ast.Name) and arg.id == "truth"]
+    assert reads and len(passed) == len(reads)
+    spec_only = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not spec_only & {"noise_var", "has_doppler", "with_noise", "normalize"}

@@ -17,9 +17,8 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigErr
                       snr_to_noise_var, split_messages)
 from afdmrsma import receiver
 from afdmrsma.experiments import FIGURES
-from afdmrsma.harness import _point_noise_var
-from afdmrsma.receiver import (ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse,
-                               _taps_nmse)
+from afdmrsma.harness import _point_noise_var, _taps_nmse
+from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse
 from afdmrsma.transforms import _freq_to_affine
 import oracles
 from oracles import channel_matrix, daft_matrix, idaft_matrix, tap_mmse_time
