@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelSpec, _channel, frequency_diagonal
+from .channel import ChannelSpec, _channel
 from .core import _demodulate, _modulate
 from .framing import FrameConfig, _add_cp
-from .receiver import DetectionResult, _int64_bits, _one_tap
-from .transforms import _dft, _idft
+from .receiver import DetectionResult, _int64_bits, _receive, _receiver_design
+from .transforms import _idft
 # not called here; kept as attributes because linkbench/spans.py patches them
 from .channel import apply_channel  # noqa: F401
 from .core import demodulate_symbols, modulate_bits  # noqa: F401
 from .transforms import dft, idft  # noqa: F401
-
-
-def baseline_budget(cfg: FrameConfig) -> float:
-    return (cfg.phi1 + cfg.phi2) * cfg.n
 
 
 def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
@@ -34,12 +30,13 @@ def run_baseline_frame(common_syms: np.ndarray, private_syms: np.ndarray,
     and detect them with genie one-tap equalization and SIC."""
     normals = rng.standard_normal(2 * (cfg.n + cfg.cp_len)) if spec.noise_var > 0 else None
     # Conventional OFDM processing: one tap per subcarrier with genie
-    # knowledge.  Under Doppler the one-tap reference is the diagonal of
-    # the true frequency-domain channel; the off-diagonal ICI is noise to
-    # this receiver.
-    h = frequency_diagonal(spec, cfg.n)
+    # knowledge.  Under Doppler the baseline design's one-tap reference is
+    # the diagonal of the true frequency-domain channel; the off-diagonal
+    # ICI is noise to this receiver.
+    design = _receiver_design(cfg, "baseline", spec.max_delay, spec.max_doppler, spec, False)
     received = _channel(_baseline_time(common_syms, private_syms, cfg), spec, normals)
-    return _int64_bits(_baseline_detect(received[..., cfg.cp_len:], cfg, spec.noise_var, h))
+    eq_f, _ = _receive(received[..., cfg.cp_len:], cfg, design, spec.noise_var)
+    return _int64_bits(_baseline_detect(eq_f, cfg))
 
 
 def _baseline_time(common_syms: np.ndarray, private_syms: np.ndarray,
@@ -50,14 +47,9 @@ def _baseline_time(common_syms: np.ndarray, private_syms: np.ndarray,
     return _add_cp(_idft(s), cfg.cp_len)
 
 
-def _baseline_detect(received: np.ndarray, cfg: FrameConfig, noise_var: float,
-                     h: np.ndarray) -> DetectionResult:
-    """Genie one-tap equalization with ``h`` and SIC on received CP-free
-    time samples, along the last axis."""
-    g = noise_var / (baseline_budget(cfg) / cfg.n)
-    eq = _one_tap(_dft(received), h, g)
-
-    # SIC: common first, subtract, then private
+def _baseline_detect(eq: np.ndarray, cfg: FrameConfig) -> DetectionResult:
+    """SIC on the equalized frequency plane ``receiver._receive`` hands back,
+    along the last axis: common stream first, subtract, then private."""
     com_est = eq / np.sqrt(cfg.phi1)
     bits_c_hat = _demodulate(com_est)
     com_remod = _modulate(bits_c_hat)

@@ -94,8 +94,19 @@ def _set_flag_keys(raw: dict, args) -> None:
             raw.setdefault(section, {})[key] = value
 
 
+def _joined_snr_values(argv: list[str]) -> list[str]:
+    """``argv`` with each --snr-* option joined by "=" to the value after it:
+    argparse takes a value that starts with "-" for an option unless it is
+    written as plain digits, so -1e1 and -inf would not reach the option."""
+    flags, out, rest = {_option(dest) for dest in _SNR_OPTIONS}, [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in flags else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_snr_values(sys.argv[1:] if argv is None else argv))
     if args.config is None and args.emit_plot_data is None:
         print("error: need --config and/or --emit-plot-data", file=sys.stderr)
         return 1

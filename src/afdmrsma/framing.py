@@ -305,3 +305,9 @@ def frame_energy_budget(cfg: FrameConfig) -> float:
     """Expected frame energy (CP excluded) for unit-energy symbols."""
     return cfg.layout.energy_budget
 
+
+def baseline_budget(cfg: FrameConfig) -> float:
+    """Expected energy (CP excluded) of the power-domain baseline's frame of
+    the same size, both streams superposed on every subcarrier."""
+    return (cfg.phi1 + cfg.phi2) * cfg.n
+

@@ -1,8 +1,9 @@
 """Monte Carlo link sweeps, metrics and result emission.
 
 A :class:`SimConfig` fixes its receiver, with the search table of its
-estimator (``receiver.ReceiverDesign``), and refuses what its stages would
-refuse when it is built; the sweep derives neither again.  Only this
+estimator (``receiver.ReceiverDesign``), and each SNR point's noise
+variance, and refuses what its stages would refuse when it is built; the
+sweep derives none of them again.  Only this
 module reads the true channel, apart from the receiver's genies: it picks
 the estimator, hands over its bounds and scores its estimates.
 
@@ -41,12 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import _baseline_detect, _baseline_time, baseline_budget
+from .baseline import _baseline_detect, _baseline_time
 from .channel import ChannelSpec, ChannelTap, _channel, frequency_diagonal, snr_to_noise_var
 from .core import BITS_PER_SYMBOL, Domain, _modulate, frame_draws
 from .errors import ConfigError, SimulationError, _refuse_non_integers, _refuse_non_numbers
-from .framing import (Approach, FrameConfig, _frame_time, capacity_counts,
-                      frame_energy_budget)
+from .framing import Approach, FrameConfig, _frame_time, capacity_counts
 from .receiver import (DetectionResult, ReceiverDesign, ReceiverMode, _detect, _receive,
                        _receiver_design, _tap_group)
 from .transforms import AffineParams
@@ -54,8 +54,8 @@ from .transforms import AffineParams
 from .baseline import run_baseline_frame  # noqa: F401
 from .channel import apply_channel  # noqa: F401
 from .core import frame_rng, modulate_bits, random_bits  # noqa: F401
-from .framing import (build_frame, extract_received_planes, required_bits_per_user,  # noqa: F401
-                      split_messages)
+from .framing import (build_frame, extract_received_planes, frame_energy_budget,  # noqa: F401
+                      required_bits_per_user, split_messages)
 from .receiver import (detect_streams, estimate_channel_affine,  # noqa: F401
                        estimate_channel_freq)
 
@@ -80,6 +80,7 @@ class SimConfig:
     baseline: bool = False
     noise_override: float | None = None  # fixed sigma^2 instead of SNR-derived
     design: ReceiverDesign = field(init=False, repr=False, compare=False)
+    noise_vars: tuple[float, ...] = field(init=False, repr=False, compare=False)  # per point
 
     def __post_init__(self):
         _refuse_non_integers(ConfigError, frames_per_point=self.frames_per_point, seed=self.seed,
@@ -107,15 +108,6 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in grid))
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigError(f"SNR grid must hold finite numbers, got {self.snr_grid_db}")
-        if self.noise_override is None:
-            for point, snr_db in enumerate(self.snr_grid_db):
-                try:
-                    noise_var = _point_noise_var(self, snr_db)
-                except (OverflowError, ZeroDivisionError):
-                    noise_var = math.nan
-                if not 0 < noise_var < math.inf:
-                    raise ConfigError(f"SNR point {point} at {snr_db:g} dB has no positive "
-                                      f"finite noise variance")
         # what a stage would refuse at every frame, by its own check: the
         # channel's on an empty block, then the estimator's, on the true
         # taps here and on its bounds as the receiver makes its design
@@ -148,6 +140,18 @@ class SimConfig:
             raise
         except SimulationError as exc:
             raise ConfigError(str(exc)) from exc
+        # each point's noise, against the sample energy of the frames the design receives
+        noise_vars = [self.noise_override] * len(self.snr_grid_db)
+        if self.noise_override is None:
+            for point, snr_db in enumerate(self.snr_grid_db):
+                try:
+                    noise_vars[point] = snr_to_noise_var(snr_db, self.design.sample_energy)
+                except (OverflowError, ZeroDivisionError):
+                    noise_vars[point] = math.nan
+                if not 0 < noise_vars[point] < math.inf:
+                    raise ConfigError(f"SNR point {point} at {snr_db:g} dB has no positive "
+                                      f"finite noise variance")
+        object.__setattr__(self, "noise_vars", tuple(noise_vars))
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,8 @@ _SE_CAP = 10.0 ** (SE_CAP_DB / 10.0)
 
 
 class _FrameRecord(NamedTuple):
-    """Scores of one simulated frame.  The per-frame bit and resource-element
-    counts are fixed by the configuration (see :func:`_stream_res`)."""
+    """What one simulated frame measured; its SE and BER follow from these and
+    the counts the configuration fixes (see :func:`_point_result`)."""
 
     common_errors: int
     private_errors: int
@@ -202,36 +206,23 @@ class _FrameRecord(NamedTuple):
     extra_err_energy: float
     private_err_energy: float
     nmse: float
-    se: float
-    ber: float
 
 
-def _stream_res(sim: SimConfig) -> tuple[int, int, int]:
-    """Resource elements per frame of the common, extra and private streams."""
-    if sim.baseline:
-        return sim.frame.n, 0, sim.frame.n   # both streams on every subcarrier
-    c = capacity_counts(sim.frame)
-    return c.n_common, c.n_extra, c.n_private
-
-
-def _score(sim: SimConfig, bits: tuple, syms: tuple, det: DetectionResult,
-           nmse) -> np.ndarray:
+def _score(bits: tuple, syms: tuple, det: DetectionResult, nmse) -> np.ndarray:
     """Score frames against the (common, private) bits and symbols they
     sent: the :class:`_FrameRecord` fields along the last axis, with one row
     per frame of a block."""
-    res = _stream_res(sim)
     (common_bits, private_bits), (tx_common, tx_private) = bits, syms
-    # a stream with no resource element has no error
-    energies = tuple((np.abs(got - sent) ** 2).sum(axis=-1) if count else 0.0
-                     for count, got, sent in zip(res, (det.common_syms, det.extra_syms,
-                                                       det.private_syms),
-                                                 (tx_common[..., :res[0]],
-                                                  tx_common[..., res[0]:], tx_private)))
+    # the common stream's symbols, then the extra ones; a stream with no
+    # resource element sums to zero error energy
+    cut = det.common_syms.shape[-1]
+    energies = tuple((np.abs(got - sent) ** 2).sum(axis=-1)
+                     for got, sent in zip((det.common_syms, det.extra_syms, det.private_syms),
+                                          (tx_common[..., :cut], tx_common[..., cut:],
+                                           tx_private)))
     ec = (det.common_bits != common_bits).sum(axis=-1)
     ep = (det.private_bits != private_bits).sum(axis=-1)
-    se = measure_se(zip(energies, res), 1, sim.frame.n)
-    ber = (ec + ep) / max(common_bits.shape[-1] + private_bits.shape[-1], 1)
-    scores = (ec, ep, *energies, nmse, se, ber)
+    scores = (ec, ep, *energies, nmse)
     out = np.empty(np.shape(ec) + (len(scores),))
     for i, score in enumerate(scores):
         out[..., i] = score
@@ -387,24 +378,12 @@ def _receive_block(sim: SimConfig, spec: ChannelSpec, bits: tuple, syms: tuple,
     off their list, so that the receive step holds their only reference and
     drops them once it has made its planes."""
     cfg = sim.frame
-    if sim.baseline:
-        det, nmse = _baseline_detect(received.pop(), cfg, spec.noise_var,
-                                     sim.design.genie.h_freq), 0.0
-    else:
-        eq_f, estimate = _receive(received.pop(), cfg, sim.design, spec.noise_var)
-        nmse = _block_nmse(estimate, spec, cfg.n)
-        del estimate   # before the detector runs
-        det = _detect(eq_f, cfg, sim.mode)
-        del eq_f
-    return _score(sim, bits, syms, det, nmse)
-
-
-def _point_noise_var(sim: SimConfig, snr_db: float) -> float:
-    """Channel noise variance of an SNR point."""
-    if sim.noise_override is not None:
-        return sim.noise_override
-    budget = baseline_budget(sim.frame) if sim.baseline else frame_energy_budget(sim.frame)
-    return snr_to_noise_var(snr_db, budget / sim.frame.n)
+    eq_f, estimate = _receive(received.pop(), cfg, sim.design, spec.noise_var)
+    nmse = _block_nmse(estimate, spec, cfg.n)
+    del estimate   # before the detector runs
+    det = _baseline_detect(eq_f, cfg) if sim.baseline else _detect(eq_f, cfg, sim.mode)
+    del eq_f
+    return _score(bits, syms, det, nmse)
 
 
 def _block_plan(start: int, stop: int, n: int) -> list[range]:
@@ -433,7 +412,6 @@ def _run_blocks(tasks, defer) -> list[tuple[np.ndarray | str, float]]:
     sent is not read), and the next task runs.
     """
     last = time.perf_counter()
-    noise_vars = [_point_noise_var(sim, sim.snr_grid_db[point]) for sim, point, _, _ in tasks]
     plans = [_block_plan(sim.frames_per_point * cut // cuts,
                          sim.frames_per_point * (cut + 1) // cuts, sim.frame.n)
              for sim, _, cut, cuts in tasks]
@@ -445,7 +423,7 @@ def _run_blocks(tasks, defer) -> list[tuple[np.ndarray | str, float]]:
             return None
         k, frames = blocks[j]
         sim, point, _, _ = tasks[k]
-        return defer(_transmit_block, sim, point, frames, noise_vars[k])
+        return defer(_transmit_block, sim, point, frames, sim.noise_vars[point])
 
     outputs, j, sent = [], 0, send(0)
     for k, (sim, *_) in enumerate(tasks):
@@ -488,12 +466,20 @@ def _point_result(sim: SimConfig, point: int, outputs) -> LinkResult:
     frames = len(rows)
     total = _FrameRecord(*rows.sum(axis=0))
     per_frame = _FrameRecord(*rows.T)
-    res = _stream_res(sim)
+    # resource elements per frame of the common, extra and private streams;
+    # the baseline's two streams each fill every subcarrier
+    c = capacity_counts(sim.frame)
+    res = (sim.frame.n, 0, sim.frame.n) if sim.baseline else (c.n_common, c.n_extra, c.n_private)
     bc = frames * (res[0] + res[1]) * BITS_PER_SYMBOL
     bp = frames * res[2] * BITS_PER_SYMBOL
     ec, ep = total.common_errors, total.private_errors
     energies = (total.common_err_energy, total.extra_err_energy, total.private_err_energy)
     se = measure_se([(e, frames * r) for e, r in zip(energies, res)], frames, sim.frame.n)
+    # each frame's SE and BER, for their standard errors
+    frame_se = measure_se(zip((per_frame.common_err_energy, per_frame.extra_err_energy,
+                               per_frame.private_err_energy), res), 1, sim.frame.n)
+    frame_ber = (per_frame.common_errors + per_frame.private_errors) / max(
+        sum(res) * BITS_PER_SYMBOL, 1)
     return LinkResult(
         snr_db=snr_db,
         ber_common=float(ec / bc) if bc else 0.0,
@@ -503,8 +489,8 @@ def _point_result(sim: SimConfig, point: int, outputs) -> LinkResult:
         channel_nmse=float(total.nmse / frames),
         frames=frames,
         wall_time=wall,
-        se_stderr=float(np.std(per_frame.se) / np.sqrt(frames)),
-        ber_total_stderr=float(np.std(per_frame.ber) / np.sqrt(frames)),
+        se_stderr=float(np.std(frame_se) / np.sqrt(frames)),
+        ber_total_stderr=float(np.std(frame_ber) / np.sqrt(frames)),
     )
 
 

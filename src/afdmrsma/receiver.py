@@ -56,7 +56,7 @@ from .channel import ChannelSpec, ChannelTap, freq_response, frequency_diagonal
 from .core import Domain, Frame, _demodulate, _modulate
 from .errors import (ConfigError, DegeneratePilot, GuardViolation,
                      PilotContaminated, SingularChannel, UnresolvableDoppler)
-from .framing import (Approach, FrameConfig, _common_plane, _private_plane,
+from .framing import (Approach, FrameConfig, _common_plane, _private_plane, baseline_budget,
                       frame_energy_budget)
 from .transforms import (_affine_to_freq, _check, _chirps, _daft, _dft, _freq_to_affine,
                          _spectra, _unit)
@@ -308,16 +308,17 @@ def equalize(y: Frame, est: ChannelEstimate, cfg: FrameConfig,
     zero forcing by one tolerance, see :data:`_PIVOT_RTOL`.
     The output is returned in the plane that came in.
     """
-    g, data = _noise_ratio(cfg, noise_var), _check(y, est.domain, cfg.n)
+    g, data = noise_var / _sample_energy(cfg), _check(y, est.domain, cfg.n)
     if est.domain is Domain.FREQUENCY:
         return Frame(_one_tap(data, est.h_freq, g), Domain.FREQUENCY)
     eq_f = _equalize_planes(_affine_to_freq(data, cfg.affine), est, g)
     return Frame(_freq_to_affine(eq_f, cfg.affine), Domain.AFFINE)
 
 
-def _noise_ratio(cfg: FrameConfig, noise_var: float) -> float:
-    """The MMSE regulariser: noise variance over the mean sample energy."""
-    return noise_var / (frame_energy_budget(cfg) / cfg.n)
+def _sample_energy(cfg: FrameConfig, baseline: bool = False) -> float:
+    """The mean sent sample energy of the scheme's frame, or of the baseline's:
+    the noise level's reference, which the MMSE regulariser divides it by."""
+    return (baseline_budget(cfg) if baseline else frame_energy_budget(cfg)) / cfg.n
 
 
 # Zero-forcing tolerance, shared by the three tap rules.  The one-tap rule
@@ -637,7 +638,7 @@ def detect_streams(planes: tuple[Frame, Frame], cfg: FrameConfig, est: ChannelEs
         raise ConfigError(f"mode must be a ReceiverMode, got {mode!r}")
     _check(planes[1], Domain.AFFINE, cfg.n)
     eq_f = _equalize_planes(_check(planes[0], Domain.FREQUENCY, cfg.n), est,
-                            _noise_ratio(cfg, noise_var))
+                            noise_var / _sample_energy(cfg))
     return _int64_bits(_detect(eq_f, cfg, mode))
 
 
@@ -661,12 +662,14 @@ def _tap_group(taps: tuple[ChannelTap, ...], rows: int) -> tuple:
 
 class ReceiverDesign(NamedTuple):
     """What a configuration fixes of its receiver, which every block reads:
-    the estimator or genie, its bounds, search table and genie estimate."""
+    the estimator or genie, its bounds, search table and genie estimate, and
+    the sample energy of the frames it receives."""
     kind: str          # "freq", "affine", "perfect-freq", "perfect-affine" or "baseline"
     max_delay: int     # the delay bound the configuration hands over
     max_doppler: int   # its Doppler bound, at most the c1' - 1 the pilot-shift law resolves
     search: np.ndarray | _PeakZone | None   # freq: its LS pilot; affine: its zone; else None
     genie: ChannelEstimate | None   # what the baseline and perfect-* equalize every frame with
+    sample_energy: float   # mean sent sample energy, the noise level's reference
 
 
 def _receiver_design(cfg: FrameConfig, kind: str, max_delay: int, max_doppler: int,
@@ -689,7 +692,8 @@ def _receiver_design(cfg: FrameConfig, kind: str, max_delay: int, max_doppler: i
     if genie is not None and zero_forcing:
         # zero forcing through an estimate the config fixes: every frame or none
         _equalize_planes(np.zeros((1, cfg.n), complex), genie, 0.0)
-    return ReceiverDesign(kind, max_delay, max_doppler, search, genie)
+    return ReceiverDesign(kind, max_delay, max_doppler, search, genie,
+                          _sample_energy(cfg, kind == "baseline"))
 
 
 def _receive(received: np.ndarray, cfg: FrameConfig, design: ReceiverDesign,
@@ -699,7 +703,7 @@ def _receive(received: np.ndarray, cfg: FrameConfig, design: ReceiverDesign,
     was equalized with (tap groups, LS responses, or None for a genie), as
     ``design`` fixes; the samples are dropped once the planes the estimator
     reads are made."""
-    g = _noise_ratio(cfg, noise_var)
+    g = noise_var / design.sample_energy
     y_freq = _dft(received)
     if design.kind == "affine":
         # only the affine estimator reads the affine plane; frames whose

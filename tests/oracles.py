@@ -242,11 +242,11 @@ def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _
 
     if sim.baseline:
         det = run_baseline_frame(*syms, cfg, spec, rng)
-        return _FrameRecord(*_score(sim, bits, syms, det, 0.0))
+        return _FrameRecord(*_score(bits, syms, det, 0.0))
     planes = extract_received_planes(apply_channel(build_frame(*syms, cfg), spec, rng), cfg)
     est = _estimate(sim, planes, spec)
     det = detect_streams(planes, cfg, est, sim.mode, noise_var)
-    return _FrameRecord(*_score(sim, bits, syms, det, estimate_nmse(est, spec, cfg.n)))
+    return _FrameRecord(*_score(bits, syms, det, estimate_nmse(est, spec, cfg.n)))
 
 
 def run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:

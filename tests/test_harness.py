@@ -19,7 +19,8 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigErr
                       emit_results, measure_se, run_sweep, run_sweeps)
 from afdmrsma import channel, cli, core, experiments, harness, receiver, transforms
 from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
-from afdmrsma.harness import (CSV_COLUMNS, ESTIMATORS, _point_noise_var, _run_task,
+from afdmrsma.framing import baseline_budget, frame_energy_budget
+from afdmrsma.harness import (CSV_COLUMNS, ESTIMATORS, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
 from oracles import run_block, run_frame
 
@@ -250,10 +251,25 @@ class TestRunSweep:
         def built(*args):
             raise AssertionError("a genie estimate was built or scored after construction")
         for name in ("receiver.perfect_estimate", "receiver.frequency_diagonal",
-                     "baseline.frequency_diagonal", "harness.estimate_nmse",
-                     "harness._taps_nmse", "harness._response_nmse"):
+                     "harness.estimate_nmse", "harness._taps_nmse", "harness._response_nmse"):
             monkeypatch.setattr(f"afdmrsma.{name}", built)
         _assert_same_records(run_sweeps(sims), want)
+
+    def test_noise_variances_are_fixed_with_the_design(self):
+        # each point's noise is measured against the mean sample energy of
+        # the frames the design receives: the scheme's frame or the
+        # baseline's superposed streams; an override is every point's noise
+        frame = small_sim().frame
+        assert frame_energy_budget(frame) != baseline_budget(frame)
+        for baseline, budget in ((False, frame_energy_budget), (True, baseline_budget)):
+            sim = small_sim(baseline=baseline)
+            energy = budget(frame) / frame.n
+            assert sim.design.sample_energy == energy
+            assert sim.noise_vars == tuple(channel.snr_to_noise_var(snr, energy)
+                                           for snr in sim.snr_grid_db)
+            for override in (0.0, 1e-3):
+                sim = small_sim(baseline=baseline, noise_override=override)
+                assert sim.noise_vars == (override,) * len(sim.snr_grid_db)
 
     def test_frame_objects_only_at_the_public_boundary(self, monkeypatch):
         # build_frame, apply_channel, the two received planes and equalize
@@ -757,7 +773,7 @@ def _src_env():
 
 
 def _point_args(sim, point):
-    return (_point_noise_var(sim, sim.snr_grid_db[point]),)
+    return (sim.noise_vars[point],)
 
 
 def _reference(sim, point, frames):
@@ -770,7 +786,7 @@ def _reference(sim, point, frames):
 class TestBlockEngine:
     """Each frame of a block keeps its own draws and is computed row by row
     with the reference's operations, so every field (error counts, energies,
-    NMSE, SE, BER) equals the per-frame reference's bit for bit.  The
+    NMSE) equals the per-frame reference's bit for bit.  The
     reference has its own loop peak search and dict-based NMSE."""
 
     @pytest.mark.parametrize("sim", [s for _, s in PRESET_SERIES],
@@ -839,7 +855,10 @@ class TestBlockEngine:
         dict(estimator="freq", noise_override=0.0),
         dict(estimator="affine", noise_override=1e-3,
              taps=(ChannelTap(0.857, 0, 0), ChannelTap(0.4, 1, 0), ChannelTap(0.3, 2, 1))),
-    ], ids=["affine", "perfect-freq", "perfect-affine", "noiseless", "three-taps"])
+        # the presets run the baseline with noise only
+        dict(baseline=True, noise_override=0.0),
+    ], ids=["affine", "perfect-freq", "perfect-affine", "noiseless", "three-taps",
+            "baseline-noiseless"])
     def test_other_estimators_equal_run_frame(self, kw):
         frame = replace(small_sim().frame, guard=9)
         sim = small_sim(frame=frame, **kw)
@@ -1136,6 +1155,18 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 4  # header + 3 points
 
+    def test_negative_snr_values_in_exponent_form(self, tmp_path):
+        # argparse alone reads -1e1 or -1e-1 after a space as an option, and
+        # exits with "expected one argument"
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(TestConfigLoading().config_dict()))
+        out = tmp_path / "res.csv"
+        for snr_max, grid in (("0", ["-10", "-5", "0"]), ("-1e-1", ["-10", "-5"])):
+            r = self.run_cli("--config", str(path), "--snr-min", "-1e1", "--snr-max", snr_max,
+                             "--snr-step", "5", "--frames", "2", "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            assert [line.split(",")[0] for line in out.read_text().split()[1:]] == grid
+
     def test_json_format(self, tmp_path):
         cfg = TestConfigLoading().config_dict()
         path = tmp_path / "sim.json"
@@ -1271,6 +1302,9 @@ class TestCli:
                                (["--snr-min", "0", "--snr-max", "inf", "--snr-step", "5"],
                                 "--snr-max must be finite, got inf"),
                                (["--snr-min=-inf", "--snr-max", "10", "--snr-step", "5"],
+                                "--snr-min must be finite, got -inf"),
+                               # argparse alone reads a -inf after a space as an option
+                               (["--snr-min", "-inf", "--snr-max", "10", "--snr-step", "5"],
                                 "--snr-min must be finite, got -inf")):
             assert cli.main(["--config", "sim.json", *flags]) == 1, message
             assert message in capsys.readouterr().err

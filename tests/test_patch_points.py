@@ -116,8 +116,10 @@ def test_exponentials_come_from_the_transforms_phase_tables():
 def test_the_receiver_decides_what_a_block_receives_with():
     # which planes, search table and kernels an estimator uses is decided in
     # ``receiver`` alone: the harness runs the stages, imports none of the
-    # estimators' and equalizer's internals and makes no received plane
-    internals = {"_affine_tap_groups", "_equalize_planes", "_ls_freq", "_noise_ratio",
+    # estimators' and equalizer's internals and makes no received plane; the
+    # design holds the sample energy and the genie, so the harness reads
+    # neither budget nor a genie
+    internals = {"_affine_tap_groups", "_equalize_planes", "_ls_freq", "_sample_energy",
                  "_peak_zone", "_PeakZone", "_pilot_subcarriers", "_tap_mmse",
                  "perfect_estimate", "ChannelEstimate"}
     tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
@@ -127,7 +129,9 @@ def test_the_receiver_decides_what_a_block_receives_with():
     called = {getattr(node.func, "id", getattr(node.func, "attr", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert imported and not imported & internals
-    assert not called & {"_dft", "_daft"}
+    assert not called & {"_dft", "_daft", "frame_energy_budget", "baseline_budget"}
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "genie"
+                   for node in ast.walk(tree))
 
 
 def test_one_loop_sends_and_receives_every_block():

@@ -17,7 +17,7 @@ from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigErr
                       snr_to_noise_var, split_messages)
 from afdmrsma import receiver
 from afdmrsma.experiments import FIGURES
-from afdmrsma.harness import _point_noise_var, _taps_nmse
+from afdmrsma.harness import _taps_nmse
 from afdmrsma.receiver import ChannelEstimate, _lower_quartile, _one_tap, _tap_mmse
 from afdmrsma.transforms import _freq_to_affine
 import oracles
@@ -706,7 +706,7 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
         finally:
             inside[0] = False
     monkeypatch.setattr(receiver, "_tap_mmse", equalize_step)
-    oracles.run_block(sim, 1, range(16), _point_noise_var(sim, sim.snr_grid_db[1]))
+    oracles.run_block(sim, 1, range(16), sim.noise_vars[1])
     [groups] = seen
     rules = [_rule(ls, ks, sim.frame.n) for _, ls, ks, _ in groups]
     assert {rule for rule, _ in rules} == {"one-tap", "collinear", "general"}
