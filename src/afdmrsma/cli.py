@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
-        prog="simulate",
+        prog="simulate", allow_abbrev=False,
         description="Link-level sweeps for the dual-domain AFDM/OFDM "
                     "rate-splitting scheme.")
     p.add_argument("--config", help="JSON simulation config")

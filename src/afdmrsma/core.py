@@ -5,7 +5,6 @@ have unit energy so that a stream's power knob has a single home.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -112,9 +111,9 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
 
     Row i holds what ``frame_rng(seed, point, frames[i])`` yields for
     ``random_bits(rng, n_bits)`` followed by ``rng.standard_normal(n_normals)``;
-    the bits are stored as int8.  The calling thread's one Philox is re-keyed
+    the bits are stored as int8.  Each call makes one Philox and re-keys it
     per frame by setting its state, which draws the same numbers as a new
-    generator at lower cost; threads never share one, so concurrent calls
+    generator at lower cost; no two calls share one, so concurrent calls
     draw what serial ones do.
 
     The bits come from the generator's raw 64-bit words, ceil(n_bits / 2)
@@ -127,7 +126,8 @@ def frame_draws(seed: int, point: int, frames: range, n_bits: int,
     """
     fresh = _philox_state(seed & _MASK64)
     state = {**fresh, "state": dict(fresh["state"])}
-    bg, gen = _thread_philox()
+    bg = np.random.Philox(key=0)
+    gen = np.random.Generator(bg)
     counters = np.zeros((len(frames), 4), dtype=np.uint64)
     counters[:, 2] = point & _MASK64
     counters[:, 3] = [frame & _MASK64 for frame in frames]
@@ -151,21 +151,6 @@ def _philox_state(key: int) -> dict:
     for arr in (state["state"]["key"], state["state"]["counter"], state["buffer"]):
         arr.flags.writeable = False
     return state
-
-
-_THREAD = threading.local()
-
-
-def _thread_philox() -> tuple[np.random.Philox, np.random.Generator]:
-    """The calling thread's Philox and its Generator.  Every draw of
-    :func:`frame_draws` sets the whole state first, key included, so what an
-    earlier call left in the generator is never read."""
-    try:
-        return _THREAD.philox
-    except AttributeError:
-        bg = np.random.Philox(key=0)
-        _THREAD.philox = bg, np.random.Generator(bg)
-        return _THREAD.philox
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -10,15 +10,10 @@ the estimator, hands over its bounds and scores its estimates.
 :func:`run_sweeps` simulates each (configuration, SNR point) in blocks of
 frames, as (frames, N) arrays from the bit draws to the scores, each block
 a transmit half (:func:`_transmit_block`) and a receive half
-(:func:`_receive_block`).  One loop, :func:`_run_blocks`, walks the blocks
-of every caller and sends each one a block ahead of its receive: at one
-worker on a helper thread, so that the next block's transmit overlaps this
-one's receive on a second core; in a pool task and in :func:`run_point` on
-the calling thread, only as the block is received, as the pool already
-fills the cores (a helper per pool task made a two-worker run 9.5 % slower).
-The tests hold a per-frame reference that runs one frame through the
-public functions and an independent peak search and NMSE; every block row
-equals it bit for bit.
+(:func:`_receive_block`).  One function, :func:`_run_task`, runs a task's
+blocks in order on the calling thread, for every caller.  The tests hold a
+per-frame reference that runs one frame through the public functions and an
+independent peak search and NMSE; every block row equals it bit for bit.
 
 Determinism contract: every frame draws its randomness from a Philox
 generator keyed on the run seed and counted by (SNR point, frame index),
@@ -29,15 +24,13 @@ task and block bounds.
 """
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -309,28 +302,6 @@ _BLOCK_SAMPLES = 16384
 _HEAP_KEEP_BYTES = 8 << 20
 np.empty(_HEAP_KEEP_BYTES, np.uint8)
 
-# A one-worker sweep starts a helper thread, and glibc gives a new thread a
-# new malloc arena whenever the last helper's is not yet back on its free
-# list (the exiting thread frees it after the join returns).  Under the trim
-# threshold raised above, every arena keeps its high-water mark, about
-# 2.5 MB at 50-frame blocks, so a process running many sweeps would gain
-# one such arena each time that race is lost, up to 8 arenas per core.  Capping
-# glibc at two arenas (mallopt(3), M_ARENA_MAX) keeps the caller's and one
-# helper's; a later thread shares one of them.
-_ARENA_MAX = 2
-
-
-def _glibc() -> bool:
-    """Whether this process runs on glibc."""
-    try:
-        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
-    except (AttributeError, ValueError, OSError):   # no confstr, no such name, or None
-        return False
-
-
-if _glibc():
-    ctypes.CDLL(None).mallopt(-8, _ARENA_MAX)   # -8 is M_ARENA_MAX
-
 
 def _transmit_block(sim: SimConfig, point: int, frames: range,
                     noise_var: float) -> tuple[ChannelSpec, tuple, tuple, list]:
@@ -397,59 +368,23 @@ def _block_plan(start: int, stop: int, n: int) -> list[range]:
             for i in range(count)]
 
 
-def _run_blocks(tasks, defer) -> list[tuple[np.ndarray | str, float]]:
-    """Each task (sim, point, cut, cuts), frame range ``cut`` of ``cuts`` of
-    SNR point ``point``, in the blocks of :func:`_block_plan`: its records as
-    a C-ordered (frames, fields) array, or the reason it aborted; and its
-    seconds, this thread's time from the end of the previous task (for the
-    first, the start of the call) to the end of this one.
-
-    Every block is sent one block ahead of its receive, the next task's first
-    after a task's last: ``defer(_transmit_block, *args)`` returns a
-    zero-argument callable that gives the transmit, and the loop calls it as
-    it receives the block.  A task whose transmit or receive raises gets its
-    diagnostic string; its later blocks are never sent (a transmit already
-    sent is not read), and the next task runs.
-    """
-    last = time.perf_counter()
-    plans = [_block_plan(sim.frames_per_point * cut // cuts,
-                         sim.frames_per_point * (cut + 1) // cuts, sim.frame.n)
-             for sim, _, cut, cuts in tasks]
-    blocks = [(k, frames) for k, plan in enumerate(plans) for frames in plan]
-
-    def send(j):
-        """Block ``j``, deferred; None past the last block."""
-        if j == len(blocks):
-            return None
-        k, frames = blocks[j]
-        sim, point, _, _ = tasks[k]
-        return defer(_transmit_block, sim, point, frames, sim.noise_vars[point])
-
-    outputs, j, sent = [], 0, send(0)
-    for k, (sim, *_) in enumerate(tasks):
-        end, records = j + len(plans[k]), []
-        try:
-            while j < end:
-                block, j = sent, j + 1
-                sent = send(j)
-                records.append(_receive_block(sim, *block()))
-            out = np.concatenate(records)
-        except (SimulationError, np.linalg.LinAlgError) as exc:
-            out = f"{type(exc).__name__}: {exc}"
-            if j < end:
-                j = end
-                sent = send(j)
-        now = time.perf_counter()
-        outputs.append((out, now - last))
-        last = now
-    return outputs
-
-
 def _run_task(task) -> tuple[np.ndarray | str, float]:
-    """One task of :func:`_run_blocks` on this thread, each block transmitted
-    only as it is received: a pool task's, or :func:`run_point`'s."""
-    [output] = _run_blocks([task], partial)
-    return output
+    """Task (sim, point, cut, cuts), frame range ``cut`` of ``cuts`` of SNR
+    point ``point``, in the blocks of :func:`_block_plan`: its records as a
+    C-ordered (frames, fields) array, or the reason it aborted; and its
+    seconds.  The first block whose transmit or receive raises makes the
+    task's diagnostic string, and no later block is sent."""
+    start = time.perf_counter()
+    sim, point, cut, cuts = task
+    plan = _block_plan(sim.frames_per_point * cut // cuts,
+                       sim.frames_per_point * (cut + 1) // cuts, sim.frame.n)
+    try:
+        out = np.concatenate([
+            _receive_block(sim, *_transmit_block(sim, point, frames, sim.noise_vars[point]))
+            for frames in plan])
+    except (SimulationError, np.linalg.LinAlgError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    return out, time.perf_counter() - start
 
 
 def _point_result(sim: SimConfig, point: int, outputs) -> LinkResult:
@@ -501,12 +436,10 @@ def run_point(sim: SimConfig, point: int) -> LinkResult:
 
 def run_sweeps(sims) -> list[list[LinkResult]]:
     """One LinkResult per SNR point of each configuration (a diagnostic row
-    if it raises), from the tasks of :func:`_run_blocks`: at one worker in
-    this process, with the next block transmitted on a helper thread; else
-    as tasks on one process pool of the largest ``workers``, but no more
-    processes than tasks, each task sending its blocks on its own thread.
-    A point is cut into several tasks only if the points are fewer than the
-    workers."""
+    if it raises), from the tasks of :func:`_run_task`: at one worker in
+    this process; else on one process pool of the largest ``workers``, but
+    no more processes than tasks.  A point is cut into several tasks only if
+    the points are fewer than the workers."""
     workers = max((sim.workers for sim in sims), default=1)
     points = [(sim, p) for sim in sims for p in range(len(sim.snr_grid_db))]
     # no frame range may be empty
@@ -514,8 +447,7 @@ def run_sweeps(sims) -> list[list[LinkResult]]:
             else 1)
     tasks = [(sim, p, cut, cuts) for sim, p in points for cut in range(cuts)]
     if workers <= 1:
-        with ThreadPoolExecutor(1) as helper:
-            outputs = iter(_run_blocks(tasks, lambda *call: helper.submit(*call).result))
+        outputs = iter([_run_task(task) for task in tasks])
     else:
         # a forked pool starts all its processes at the first task
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

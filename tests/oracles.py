@@ -7,6 +7,7 @@ The per-frame engine (:func:`run_frame`), the loop peak search
 independent of the package's row-wise kernels: the block engine must equal
 them bit for bit.
 """
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -253,3 +254,61 @@ def run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np
     """The records of the block of ``frames``: the harness's transmit half,
     then its receive half, outside the harness's block loop."""
     return harness._receive_block(sim, *harness._transmit_block(sim, point, frames, noise_var))
+
+
+def baseline_ber(cfg: FrameConfig, taps, snr_db: float) -> tuple[float, float]:
+    """Closed-form (common, private) BER of the power-domain baseline over a
+    static delay-only channel, from the SNR, the power split and the taps.
+
+    The baseline sends s(m) = sqrt(phi1) c(m) + sqrt(phi2) p(m) on every
+    subcarrier m, c and p unit-energy Gray QPSK, through a unitary IDFT, so
+    a time sample has mean energy phi1 + phi2 and the SNR fixes the noise
+    variance per complex sample as sigma^2 = (phi1 + phi2) / 10^(SNR/10).
+    A CP at least as long as the largest delay makes the channel circular,
+    and the unitary DFT gives Y(m) = H(m) s(m) + W(m), with
+    H(m) = sum_l h_l exp(-j 2 pi m l / N) and W(m) white of variance
+    sigma^2.  The genie one-tap MMSE, with g = sigma^2 / (phi1 + phi2),
+    makes Y H* / (|H|^2 + g) = beta s + w, with beta = |H|^2 / (|H|^2 + g)
+    and w of variance |H|^2 sigma^2 / (|H|^2 + g)^2, half of it in each
+    real dimension.
+
+    The two real dimensions are alike and independent, so take one:
+    x = beta (sqrt(phi1) c + sqrt(phi2) p) + w with c, p = +-1/sqrt(2), w
+    real Gaussian of standard deviation sigma_w.  The common bit is the
+    sign of x.  For c = +, x is wrong when it falls below 0, at mean
+    beta (sqrt(phi1) +- sqrt(phi2)) / sqrt(2), each sign of p half the
+    time; so the common BER is
+    1/2 [Q(beta (sqrt(phi1) + sqrt(phi2)) / (sqrt(2) sigma_w))
+         + Q(beta (sqrt(phi1) - sqrt(phi2)) / (sqrt(2) sigma_w))],
+    and c = - mirrors it.  The SIC subtracts sqrt(phi1) c_hat, with
+    c_hat = sign(x) / sqrt(2), and the private bit is the sign of the
+    residual.  With t = sqrt(phi1) / sqrt(2), the residual x - t (x >= 0)
+    or x + t (x < 0) is negative for x in (-inf, -t) or [0, t): for p = +
+    those are the error regions, for p = - their mirror images, and their
+    probabilities are differences of the Gaussian CDF at mean
+    beta (+-sqrt(phi1) + sqrt(phi2)) / sqrt(2), each sign of c half the
+    time.  Both BERs are means over the subcarriers (Proakis, Digital
+    Communications, for the Gray QPSK error rates).
+    """
+    if any(tap.k for tap in taps):
+        raise ValueError("the closed form holds on a delay-only channel")
+    n, phi1, phi2 = cfg.n, cfg.phi1, cfg.phi2
+    sigma2 = (phi1 + phi2) / 10.0 ** (snr_db / 10.0)
+    m = np.arange(n)
+    h = sum(tap.h * np.exp(-2j * np.pi * m * tap.l / n) for tap in taps)
+    power = np.abs(h) ** 2
+    g = sigma2 / (phi1 + phi2)
+    beta = power / (power + g)
+    sigma_w = np.sqrt(power * sigma2 / (2 * (power + g) ** 2))
+    # the standard normal CDF; Q(x) = cdf(-x)
+    cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[float])
+    a, b = np.sqrt(phi1), np.sqrt(phi2)
+    common = 0.5 * (cdf(-beta * (a + b) / (np.sqrt(2) * sigma_w))
+                    + cdf(-beta * (a - b) / (np.sqrt(2) * sigma_w)))
+    t = a / np.sqrt(2)
+    private = 0
+    for mean in (beta * (a + b) / np.sqrt(2), beta * (b - a) / np.sqrt(2)):
+        # p = +: wrong in (-inf, -t) and in [0, t)
+        private = private + 0.5 * (cdf((-t - mean) / sigma_w) + cdf((t - mean) / sigma_w)
+                                   - cdf(-mean / sigma_w))
+    return float(np.mean(common)), float(np.mean(private))

@@ -129,7 +129,7 @@ class TestSeeding:
             assert np.array_equal(normals[row], want)
 
     def test_cached_generator_keeps_no_state_between_calls(self):
-        # frame_draws reuses one Philox per thread: calls interleaved over
+        # frame_draws re-keys its Philox per frame: calls interleaved over
         # two seeds and two points draw what fresh per-frame generators draw
         for seed, point in [(11, 0), (12, 0), (11, 3), (12, 3), (11, 0), (12, 3)]:
             frames = range(point, point + 3)
@@ -141,7 +141,7 @@ class TestSeeding:
 
     def test_concurrent_draws_equal_frame_rng_draws(self):
         # two threads draw blocks over the same interleaved seeds and points;
-        # a Philox shared between them would be re-keyed by one thread
+        # a Philox shared between calls would be re-keyed by one thread
         # between the other's re-key and draw.  A short switch interval makes
         # the threads trade the interpreter lock inside nearly every call
         cases = [(seed, point) for seed in (11, 12) for point in (0, 3)]

@@ -1,11 +1,13 @@
 """Metrics, sweeps, emission, configuration and the CLI."""
 import itertools
 import json
+import math
 import os
 import platform
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -14,15 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afdmrsma import (AffineParams, Approach, ChannelSpec, ChannelTap, ConfigError, FrameConfig,
-                      Frame, InvalidChannel, LinkResult, ReceiverMode, SimConfig, SimulationError,
-                      emit_results, measure_se, run_sweep, run_sweeps)
+from afdmrsma import (BITS_PER_SYMBOL, AffineParams, Approach, ChannelSpec, ChannelTap,
+                      ConfigError, FrameConfig, Frame, InvalidChannel, LinkResult, ReceiverMode,
+                      SimConfig, SimulationError, emit_results, measure_se, run_sweep,
+                      run_sweeps)
 from afdmrsma import channel, cli, core, experiments, harness, receiver, transforms
-from afdmrsma.experiments import FIGURES, _ber_frame, emit_plot_data, fig5_sweeps
+from afdmrsma.experiments import (FIGURES, _ber_frame, emit_plot_data, fig5_sweeps,
+                                  fig8_sweeps)
 from afdmrsma.framing import baseline_budget, frame_energy_budget
 from afdmrsma.harness import (CSV_COLUMNS, ESTIMATORS, _run_task,
                               load_config, render_csv, run_point, sim_config_from_dict)
-from oracles import run_block, run_frame
+from oracles import baseline_ber, run_block, run_frame
 
 NAN, INF = float("nan"), float("inf")
 
@@ -654,9 +658,9 @@ PRESET_SERIES = [(f"{fig}/{label}", sim) for fig in sorted(FIGURES)
 
 
 class TestOneAhead:
-    """Every caller walks its blocks in one loop, each block sent one ahead
-    of its receive: at one worker on a helper thread, in a pool task and in
-    run_point on the calling thread."""
+    """Every caller runs its blocks in one loop, each block transmitted and
+    received in order on the calling thread: at one worker, in a pool task
+    and in run_point."""
 
     @staticmethod
     def serial(sims):
@@ -684,10 +688,8 @@ class TestOneAhead:
                                  want)
 
     def test_failed_point_between_healthy_ones(self, monkeypatch):
-        # aborting_sim fails in its fourth block of two frames (frame 6).  At
-        # one worker its fifth is in flight on the helper by then; a pool
-        # task and run_point transmit a block only as they receive it.  In
-        # no caller is its sixth transmitted, and its neighbours score every
+        # aborting_sim fails in its fourth block of two frames (frame 6).  In
+        # no caller is its fifth transmitted, and its neighbours score every
         # frame
         monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
         sent = []
@@ -703,7 +705,7 @@ class TestOneAhead:
         sims = [healthy, failing, replace(healthy, seed=8)]
         want = self.serial(sims)
         callers = {
-            "one worker": (lambda: run_sweeps(sims), [0, 2, 4, 6, 8]),
+            "one worker": (lambda: run_sweeps(sims), [0, 2, 4, 6]),
             "pool": (lambda: run_sweeps([replace(sim, workers=2) for sim in sims]),
                      [0, 2, 4, 6]),
             "run_point": (lambda: [[run_point(sim, p) for p in range(len(sim.snr_grid_db))]
@@ -718,23 +720,43 @@ class TestOneAhead:
             assert [start for frames, start in sent if frames == 12] == failing_sent, caller
             _assert_same_records(got, want)
 
+    def test_one_worker_runs_every_block_on_the_calling_thread(self, monkeypatch):
+        # at one worker both halves of every block run on the thread that
+        # called run_sweep, and the sweep starts no thread
+        monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
+        seen = []
+
+        def on_thread(half):
+            def run(*args):
+                seen.append((half.__name__, threading.get_ident(), threading.active_count()))
+                return half(*args)
+            return run
+        for name in ("_transmit_block", "_receive_block"):
+            monkeypatch.setattr(harness, name, on_thread(getattr(harness, name)))
+        sim = small_sim(estimator="freq", frames_per_point=5, snr_grid_db=(0.0, 20.0))
+        caller, threads = threading.get_ident(), threading.active_count()
+        assert [r.frames for r in run_sweep(sim)] == [5, 5]
+        # three blocks of two, two and one frames per point
+        assert [half for half, *_ in seen] == ["_transmit_block", "_receive_block"] * 6
+        assert {(ident, count) for _, ident, count in seen} == {(caller, threads)}
+
     def test_failed_transmit_makes_a_diagnostic_row(self, monkeypatch):
         monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * 64)
         transmit = harness._transmit_block
 
         def failing(sim, point, frames, noise_var):
             if point == 1 and frames.start == 2:
-                raise InvalidChannel("refused on the helper")
+                raise InvalidChannel("refused in transmit")
             return transmit(sim, point, frames, noise_var)
         monkeypatch.setattr(harness, "_transmit_block", failing)
         sim = small_sim(estimator="freq", frames_per_point=6, snr_grid_db=(0.0, 10.0, 20.0))
         got = run_sweep(sim)
-        assert [r.diagnostics for r in got] == ["", "InvalidChannel: refused on the helper", ""]
+        assert [r.diagnostics for r in got] == ["", "InvalidChannel: refused in transmit", ""]
         assert [r.frames for r in got] == [6, 0, 6]
 
     def test_point_times_add_up_to_the_sweep(self):
-        # the helper's work counts in the points' times only as this thread
-        # waits for it, so the points' times are the sweep's
+        # each point's time is its task's, and the tasks run one after the
+        # other, so the points' times are the sweep's
         sim = replace(dict(PRESET_SERIES)["fig8/sic-pilot10"], frames_per_point=100)
         run_sweep(replace(sim, frames_per_point=1))   # fill the caches
         t0 = time.perf_counter()
@@ -744,25 +766,35 @@ class TestOneAhead:
         assert sum(r.wall_time for r in got) == pytest.approx(elapsed, rel=0.05)
 
     def test_sweep_memory_does_not_grow_with_frames(self):
-        # the blocks in flight bound the sweep's memory, not its frame count.
-        # The peak also depends on how far the helper's transmit overlaps
-        # this thread's receive, which the scheduler decides: the least of
-        # three sweeps is taken
+        # the block being run bounds the sweep's memory, not its frame count
         sim = replace(fig5_sweeps()[1][1], snr_grid_db=(10.0, 20.0, 30.0))
 
         def peak(frames):
             s = replace(sim, frames_per_point=frames)
             run_sweep(s)   # fill the caches outside the measurement
-            peaks = []
-            for _ in range(3):
-                tracemalloc.start()
-                try:
-                    run_sweep(s)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            return min(peaks)
+            tracemalloc.start()
+            try:
+                run_sweep(s)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak(400) <= 1.25 * peak(100)
+
+
+def test_baseline_ber_matches_closed_form():
+    # an absolute anchor: fig8's conventional series, the genie one-tap MMSE
+    # and SIC over a static delay-only channel, against its closed form
+    # (oracles.baseline_ber), which takes the noise from the SNR alone.  Each
+    # point's common and private BER lies within 4 binomial standard errors
+    # of it over the 400 * N * 2 bits of a stream; measured |z| <= 0.96
+    sim = dict(fig8_sweeps(frames=400))["conventional"]
+    bits = sim.frames_per_point * sim.frame.n * BITS_PER_SYMBOL
+    for snr_db, got in zip(sim.snr_grid_db, run_sweep(sim)):
+        want = baseline_ber(sim.frame, sim.taps, snr_db)
+        for stream, measured, p in zip(("common", "private"),
+                                       (got.ber_common, got.ber_private), want):
+            z = (measured - p) / math.sqrt(p * (1 - p) / bits)
+            assert abs(z) <= 4, (snr_db, stream, measured, p)
 
 
 def _src_env():
@@ -972,32 +1004,6 @@ class TestBlockEngine:
             assert float(out.stdout) < 1.0, (fig, label, out.stdout)
 
 
-@pytest.mark.skipif(not harness._glibc(), reason="counts glibc's malloc arenas")
-def test_threads_share_two_malloc_arenas():
-    # each one-worker sweep starts a helper thread; uncapped, glibc gives a
-    # thread whose predecessor's arena is not yet free an arena of its own,
-    # as it gives each of three threads alive at once (4 arenas in all)
-    code = ("import ctypes, threading\n"
-            "import numpy as np\n"
-            "import afdmrsma.harness\n"
-            "ready, done = threading.Barrier(4), threading.Event()\n"
-            "def hold():\n"
-            "    a = np.ones(1000)\n"
-            "    ready.wait()\n"
-            "    done.wait()\n"
-            "threads = [threading.Thread(target=hold) for _ in range(3)]\n"
-            "for t in threads:\n"
-            "    t.start()\n"
-            "ready.wait()\n"
-            "ctypes.CDLL(None).malloc_stats()\n"
-            "done.set()\n"
-            "for t in threads:\n"
-            "    t.join()\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env=_src_env())
-    assert len(re.findall(r"^Arena \d+:$", out.stderr, re.M)) == harness._ARENA_MAX
-
-
 def _arrays(obj):
     """Every numpy array in ``obj`` and the tuples, lists and dicts it holds."""
     if isinstance(obj, np.ndarray):
@@ -1166,6 +1172,16 @@ class TestCli:
                              "--snr-step", "5", "--frames", "2", "--out", str(out))
             assert r.returncode == 0, r.stderr
             assert [line.split(",")[0] for line in out.read_text().split()[1:]] == grid
+
+    @pytest.mark.parametrize("value", ["-10", "-1e1"])
+    def test_abbreviated_option_refused(self, value):
+        # options are named in full: a prefix is refused as unrecognized,
+        # whatever form its value takes, and the full name reads the value
+        r = self.run_cli("--snr-mi", value)
+        assert r.returncode == 1
+        assert f"error: unrecognized arguments: --snr-mi {value}" in r.stderr
+        args = cli.build_parser().parse_args(cli._joined_snr_values(["--snr-min", value]))
+        assert args.snr_min == -10.0
 
     def test_json_format(self, tmp_path):
         cfg = TestConfigLoading().config_dict()

@@ -135,9 +135,9 @@ def test_the_receiver_decides_what_a_block_receives_with():
 
 
 def test_one_loop_sends_and_receives_every_block():
-    # the two halves of a block are read (called, or handed to a deferred
-    # call) by one function of the package, the block loop that every
-    # caller shares, so a rule of that loop cannot be written twice
+    # the two halves of a block are read by one function of the package,
+    # the block loop that every caller shares, so a rule of that loop
+    # cannot be written twice
     readers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -147,8 +147,25 @@ def test_one_loop_sends_and_receives_every_block():
                         and isinstance(node.ctx, ast.Load)):
                     readers.setdefault(name, set()).update(
                         (path.stem, bound) for bound in _bound_names(statement))
-    assert readers == {name: {("harness", "_run_blocks")}
+    assert readers == {name: {("harness", "_run_task")}
                        for name in ("_transmit_block", "_receive_block")}
+
+
+def test_no_module_starts_threads_or_calls_the_c_library():
+    # every block runs on its caller's thread, and no module tunes the C
+    # allocator: none imports threading, ctypes or a thread pool
+    banned = {"threading", "ctypes", "ThreadPoolExecutor"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]] + [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names if name in banned]
+    assert not found
 
 
 def test_the_receiver_reads_the_true_channel_only_to_build_a_genie():
