@@ -107,33 +107,26 @@ def _joined_snr_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_joined_snr_values(sys.argv[1:] if argv is None else argv))
-    if args.config is None and args.emit_plot_data is None:
-        print("error: need --config and/or --emit-plot-data", file=sys.stderr)
-        return 1
-    if args.config is None:
+    status = 0
+    try:
+        if args.config is None and args.emit_plot_data is None:
+            raise ConfigError("need --config and/or --emit-plot-data")
         # the presets read --frames and --workers alone
         ignored = [_option(dest) for dest, value in vars(args).items()
                    if value is not None and dest not in ("emit_plot_data", "frames", "workers")]
-        if ignored:
-            print(f"error: --emit-plot-data without --config ignores {', '.join(ignored)}",
-                  file=sys.stderr)
-            return 1
-    missing = [_option(dest) for dest in _SNR_OPTIONS if getattr(args, dest) is None]
-    if 0 < len(missing) < len(_SNR_OPTIONS):
-        print(f"error: the --snr-* options set the grid together; missing {', '.join(missing)}",
-              file=sys.stderr)
-        return 1
-    for dest in _SNR_OPTIONS:
-        value = getattr(args, dest)
-        # an infinite bound or step never ends the grid, a NaN one cuts it short
-        if value is not None and not math.isfinite(value):
-            print(f"error: {_option(dest)} must be finite, got {value}", file=sys.stderr)
-            return 1
-    if args.snr_step is not None and args.snr_step <= 0:
-        print(f"error: --snr-step must be > 0, got {args.snr_step:g}", file=sys.stderr)
-        return 1
-    status = 0
-    try:
+        if args.config is None and ignored:
+            raise ConfigError(f"--emit-plot-data without --config ignores {', '.join(ignored)}")
+        missing = [_option(dest) for dest in _SNR_OPTIONS if getattr(args, dest) is None]
+        if 0 < len(missing) < len(_SNR_OPTIONS):
+            raise ConfigError(f"the --snr-* options set the grid together; missing "
+                              f"{', '.join(missing)}")
+        for dest in _SNR_OPTIONS:
+            value = getattr(args, dest)
+            # an infinite bound or step never ends the grid, a NaN one cuts it short
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{_option(dest)} must be finite, got {value}")
+        if args.snr_step is not None and args.snr_step <= 0:
+            raise ConfigError(f"--snr-step must be > 0, got {args.snr_step:g}")
         if args.config is not None:
             raw = load_config(args.config)
             try:

@@ -8,12 +8,12 @@ module reads the true channel, apart from the receiver's genies: it picks
 the estimator, hands over its bounds and scores its estimates.
 
 :func:`run_sweeps` simulates each (configuration, SNR point) in blocks of
-frames, as (frames, N) arrays from the bit draws to the scores, each block
-a transmit half (:func:`_transmit_block`) and a receive half
-(:func:`_receive_block`).  One function, :func:`_run_task`, runs a task's
-blocks in order on the calling thread, for every caller.  The tests hold a
-per-frame reference that runs one frame through the public functions and an
-independent peak search and NMSE; every block row equals it bit for bit.
+frames, each block one call of :func:`_run_block` on (frames, N) arrays
+from the bit draws to the scores.  One function, :func:`_run_task`, runs a
+task's blocks in order on the calling thread, for every caller.  The tests
+hold a per-frame reference that runs one frame through the public functions
+and an independent peak search and NMSE; every block row equals it bit for
+bit.
 
 Determinism contract: every frame draws its randomness from a Philox
 generator keyed on the run seed and counted by (SNR point, frame index),
@@ -108,11 +108,16 @@ class SimConfig:
         try:
             spec = ChannelSpec(self.taps, self.noise_override or 0.0)
             _channel(np.zeros((0, cfg.n + cfg.cp_len), complex), spec.with_noise(0.0), None)
-            # a delay of N or more wraps onto another on the N-sample window
+            # a delay of N or more wraps onto another on the N-sample window;
+            # one beyond a nonzero CP wraps the frame's tail onto its head at
+            # the wrong offset, neither circular on the window nor real ISI
             for i, tap in enumerate(self.taps):
                 if tap.l >= cfg.n:
                     raise ConfigError(f"tap {i} at delay {tap.l} aliases: delays must be "
                                       f"< N = {cfg.n}")
+                if 0 < cfg.cp_len < tap.l:
+                    raise ConfigError(f"tap {i} at delay {tap.l} exceeds the CP of "
+                                      f"{cfg.cp_len} samples")
             # "auto" is freq on clean-pilot frames over a channel declared Doppler-free
             kind = "baseline" if self.baseline else self.estimator
             if kind == "auto":
@@ -303,27 +308,24 @@ _HEAP_KEEP_BYTES = 8 << 20
 np.empty(_HEAP_KEEP_BYTES, np.uint8)
 
 
-def _transmit_block(sim: SimConfig, point: int, frames: range,
-                    noise_var: float) -> tuple[ChannelSpec, tuple, tuple, list]:
-    """The transmit half of the block of ``frames``, consecutive frame
-    indices: its channel, the (common, private) bits and symbols it sends,
-    and its CP-free received samples in a one-item list, which
-    :func:`_receive_block` empties.
+def _run_block(sim: SimConfig, point: int, frames: range) -> np.ndarray:
+    """The records of the block of ``frames``, consecutive frame indices of
+    SNR point ``point``, from its draws to its scores; the channel and the
+    NMSE scorer read one ``ChannelSpec`` at the point's noise.
 
-    Row i of the two halves' records equals the per-frame reference
-    (``tests/oracles.py``) for frame ``frames[i]`` bit for bit: each frame
-    keeps its own Philox draws, and every other step acts on the rows
-    independently.
+    Row i equals the per-frame reference (``tests/oracles.py``) for frame
+    ``frames[i]`` bit for bit: each frame keeps its own Philox draws, and
+    every other step acts on the rows independently.
     """
     cfg = sim.frame
-    spec = ChannelSpec(sim.taps, noise_var)
+    spec = ChannelSpec(sim.taps, sim.noise_vars[point])
     if sim.baseline:
         n_bits = 2 * cfg.n * BITS_PER_SYMBOL
     else:
         (r1, r2), (u1c, u2c) = cfg.layout.bits_per_user, cfg.layout.common_split
         n_bits = r1 + r2
     drawn, normals = frame_draws(sim.seed, point, frames, n_bits,
-                                 2 * (cfg.n + cfg.cp_len) if noise_var > 0 else 0)
+                                 2 * (cfg.n + cfg.cp_len) if spec.noise_var > 0 else 0)
     if sim.baseline:
         bits = drawn[:, :n_bits // 2], drawn[:, n_bits // 2:]
     else:
@@ -335,20 +337,12 @@ def _transmit_block(sim: SimConfig, point: int, frames: range,
         bits = np.concatenate([drawn[:, :u1c], drawn[:, r1:r1 + u2c]], axis=1), private
     del drawn
     syms = tuple(_modulate(b) for b in bits)
-    # each stage's arrays are dropped once the next stage has read them
+    # each stage's arrays are dropped once the next stage has read them; the
+    # received samples are popped off a one-item list, so that the receive
+    # step holds their only reference and drops them once it has made its planes
     sent = (_baseline_time if sim.baseline else _frame_time)(*syms, cfg)
-    received = _channel(sent, spec, normals)[:, cfg.cp_len:]
-    return spec, bits, syms, [received]
-
-
-def _receive_block(sim: SimConfig, spec: ChannelSpec, bits: tuple, syms: tuple,
-                   received: list) -> np.ndarray:
-    """The receive half of a block: detect and score what
-    :func:`_transmit_block` sent, and score the receive step's estimate
-    against the block's channel ``spec``.  The received samples are popped
-    off their list, so that the receive step holds their only reference and
-    drops them once it has made its planes."""
-    cfg = sim.frame
+    received = [_channel(sent, spec, normals)[:, cfg.cp_len:]]
+    del sent, normals
     eq_f, estimate = _receive(received.pop(), cfg, sim.design, spec.noise_var)
     nmse = _block_nmse(estimate, spec, cfg.n)
     del estimate   # before the detector runs
@@ -372,16 +366,14 @@ def _run_task(task) -> tuple[np.ndarray | str, float]:
     """Task (sim, point, cut, cuts), frame range ``cut`` of ``cuts`` of SNR
     point ``point``, in the blocks of :func:`_block_plan`: its records as a
     C-ordered (frames, fields) array, or the reason it aborted; and its
-    seconds.  The first block whose transmit or receive raises makes the
-    task's diagnostic string, and no later block is sent."""
+    seconds.  The first block that raises makes the task's diagnostic
+    string, and no later block runs."""
     start = time.perf_counter()
     sim, point, cut, cuts = task
     plan = _block_plan(sim.frames_per_point * cut // cuts,
                        sim.frames_per_point * (cut + 1) // cuts, sim.frame.n)
     try:
-        out = np.concatenate([
-            _receive_block(sim, *_transmit_block(sim, point, frames, sim.noise_vars[point]))
-            for frames in plan])
+        out = np.concatenate([_run_block(sim, point, frames) for frames in plan])
     except (SimulationError, np.linalg.LinAlgError) as exc:
         out = f"{type(exc).__name__}: {exc}"
     return out, time.perf_counter() - start

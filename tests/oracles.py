@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from afdmrsma import (BITS_PER_SYMBOL, AffineParams, ChannelEstimate, ChannelSpec, ChannelTap,
-                      ConfigError, Domain, Frame, FrameConfig, InvalidChannel, InvalidIndex,
-                      SimConfig, UnresolvableDoppler, apply_channel, build_frame,
+from afdmrsma import (BITS_PER_SYMBOL, AffineParams, Approach, ChannelEstimate, ChannelSpec,
+                      ChannelTap, ConfigError, Domain, Frame, FrameConfig, InvalidChannel,
+                      InvalidIndex, SimConfig, UnresolvableDoppler, apply_channel, build_frame,
                       detect_streams, estimate_channel_freq, extract_received_planes,
                       frame_rng, frequency_diagonal, modulate_bits,
                       perfect_estimate, random_bits, required_bits_per_user, split_messages)
@@ -222,11 +222,12 @@ def _estimate(sim: SimConfig, planes: tuple[Frame, Frame], spec: ChannelSpec) ->
     raise ConfigError(f"unknown estimator {design.kind!r}")
 
 
-def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _FrameRecord:
+def run_frame(sim: SimConfig, point: int, frame_idx: int) -> _FrameRecord:
     """One frame through the public per-frame functions, with this module's
     peak search and NMSE: the reference that every row of :func:`run_block`
     equals."""
     rng = frame_rng(sim.seed, point, frame_idx)
+    noise_var = sim.noise_vars[point]
     spec = ChannelSpec(sim.taps, noise_var)
     cfg = sim.frame
 
@@ -250,10 +251,14 @@ def run_frame(sim: SimConfig, point: int, frame_idx: int, noise_var: float) -> _
     return _FrameRecord(*_score(bits, syms, det, estimate_nmse(est, spec, cfg.n)))
 
 
-def run_block(sim: SimConfig, point: int, frames: range, noise_var: float) -> np.ndarray:
-    """The records of the block of ``frames``: the harness's transmit half,
-    then its receive half, outside the harness's block loop."""
-    return harness._receive_block(sim, *harness._transmit_block(sim, point, frames, noise_var))
+def run_block(sim: SimConfig, point: int, frames: range) -> np.ndarray:
+    """The records of the block of ``frames``: the harness's block function,
+    outside the harness's block loop."""
+    return harness._run_block(sim, point, frames)
+
+
+# the standard normal CDF, elementwise; Q(x) = cdf(-x)
+_normal_cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[float])
 
 
 def baseline_ber(cfg: FrameConfig, taps, snr_db: float) -> tuple[float, float]:
@@ -300,15 +305,81 @@ def baseline_ber(cfg: FrameConfig, taps, snr_db: float) -> tuple[float, float]:
     g = sigma2 / (phi1 + phi2)
     beta = power / (power + g)
     sigma_w = np.sqrt(power * sigma2 / (2 * (power + g) ** 2))
-    # the standard normal CDF; Q(x) = cdf(-x)
-    cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[float])
     a, b = np.sqrt(phi1), np.sqrt(phi2)
-    common = 0.5 * (cdf(-beta * (a + b) / (np.sqrt(2) * sigma_w))
-                    + cdf(-beta * (a - b) / (np.sqrt(2) * sigma_w)))
+    common = 0.5 * (_normal_cdf(-beta * (a + b) / (np.sqrt(2) * sigma_w))
+                    + _normal_cdf(-beta * (a - b) / (np.sqrt(2) * sigma_w)))
     t = a / np.sqrt(2)
     private = 0
     for mean in (beta * (a + b) / np.sqrt(2), beta * (b - a) / np.sqrt(2)):
         # p = +: wrong in (-inf, -t) and in [0, t)
-        private = private + 0.5 * (cdf((-t - mean) / sigma_w) + cdf((t - mean) / sigma_w)
-                                   - cdf(-mean / sigma_w))
+        private = private + 0.5 * (_normal_cdf((-t - mean) / sigma_w)
+                                   + _normal_cdf((t - mean) / sigma_w)
+                                   - _normal_cdf(-mean / sigma_w))
     return float(np.mean(common)), float(np.mean(private))
+
+
+def scheme_private_ber(cfg: FrameConfig, taps, snr_db: float) -> float:
+    """Closed-form private BER of the scheme without SIC, with the genie
+    one-tap MMSE (the ``perfect-freq`` estimator), over a static delay-only
+    channel, from the frame's definition, the SNR and the taps.
+
+    The frame: a pilot of power phi_p at affine index 0, one common symbol
+    per nonzero residue class alpha of c1' at the smallest affine index
+    i_alpha above the guard in that class, scaled by sqrt(phi1), and a
+    private symbol scaled by sqrt(phi2) on each of the N (c1' - 1) / c1'
+    subcarriers outside class 0, every symbol unit-energy Gray QPSK (a
+    clean pilot carries no extra common symbols).  A time sample then has
+    mean energy E_s = (phi_p + phi1 n_common + n_extra + phi2 n_private) / N,
+    and the SNR fixes the noise variance per complex sample as
+    sigma^2 = E_s / 10^(SNR/10).  A CP at least as long as the largest delay
+    makes the channel circular, and the unitary DFT gives
+    Y(m) = H(m) S(m) + W(m), with H(m) = sum_l h_l exp(-j 2 pi m l / N) and
+    W(m) white of variance sigma^2.  The genie one-tap MMSE, with
+    g = sigma^2 / E_s, makes Y H* / (|H|^2 + g) = beta S + w, with beta and
+    w as in :func:`baseline_ber`.
+
+    At c2 = 0 an affine symbol X(i) reaches subcarrier m only if
+    i = m (mod c1'), through K(i, m) = (c1'/N) phi^i(m) (:func:`kernel_phi`),
+    with |K|^2 = 1/M (Bemani, Ksairi and Kountouris, IEEE TWC 2023, for the
+    AFDM spreading kernel).  The pilot sits in class 0, so on a private
+    subcarrier m of class alpha the only other term is class alpha's
+    common symbol: S(m) = sqrt(phi2) p(m) + sqrt(phi1) K(i_alpha, m) c_alpha.
+    Divided by sqrt(phi2), each real dimension reads
+    x = beta (p + I) + w', with p = +-1/sqrt(2), a known-phase interferer
+    I = sqrt(phi1 / phi2) Re (or Im) of c K(i_alpha, m), and w' of standard
+    deviation sigma_r = sigma_w / sqrt(phi2).  The private bit is the sign
+    of x, so for each value of c its error rate is
+    1/2 [Q(beta (1/sqrt(2) + I) / sigma_r) + Q(beta (1/sqrt(2) - I) / sigma_r)],
+    each sign of p half the time.  The BER is its mean over the four QPSK
+    values of c, the two real dimensions and the private subcarriers
+    (Proakis, Digital Communications, for the Gray QPSK error rates).
+
+    With SIC, or for the common stream, no such form is exact: the private
+    stream's affine image at a common index is a weighted sum of the M
+    private symbols of its class, which is not Gaussian at M = 64.
+    """
+    p = cfg.affine
+    if (any(tap.k for tap in taps) or p.c2 != 0 or cfg.approach is not Approach.CLEAN_PILOT
+            or cfg.common_per_class != 1):
+        raise ValueError("the closed form holds on clean-pilot frames at c2 = 0 with one "
+                         "common symbol per class, over a delay-only channel")
+    n, c1p = cfg.n, p.c1_prime
+    common = [next(i for i in range(cfg.guard + 1, n) if i % c1p == alpha)
+              for alpha in range(1, c1p)]
+    private = np.array([m for m in range(n) if m % c1p])
+    energy = (cfg.phi_pilot + cfg.phi1 * len(common) + cfg.phi2 * private.size) / n
+    sigma2 = energy / 10.0 ** (snr_db / 10.0)
+    h = sum(tap.h * np.exp(-2j * np.pi * private * tap.l / n) for tap in taps)
+    power = np.abs(h) ** 2
+    g = sigma2 / energy
+    beta = power / (power + g)
+    sigma_r = np.sqrt(power * sigma2 / (2 * (power + g) ** 2)) / np.sqrt(cfg.phi2)
+    kernel = np.array([c1p / n * kernel_phi(common[m % c1p - 1], m, p) for m in private])
+    ber = 0.0
+    for c in np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2):
+        image = np.sqrt(cfg.phi1 / cfg.phi2) * c * kernel
+        for interferer in (image.real, image.imag):
+            # Q(x) = cdf(-x)
+            ber = ber + 0.5 * (_normal_cdf(-beta * (1 / np.sqrt(2) + interferer) / sigma_r)
+                               + _normal_cdf(-beta * (1 / np.sqrt(2) - interferer) / sigma_r))
+    return float(np.mean(ber) / 8)

@@ -135,20 +135,22 @@ def test_the_receiver_decides_what_a_block_receives_with():
 
 
 def test_one_loop_sends_and_receives_every_block():
-    # the two halves of a block are read by one function of the package,
-    # the block loop that every caller shares, so a rule of that loop
-    # cannot be written twice
-    readers = {}
+    # a block runs from its draws to its scores in one function, read by one
+    # function of the package, the block loop that every caller shares, so a
+    # rule of that loop cannot be written twice; no transmit or receive half
+    # of a block is left
+    readers, halves = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        text = path.read_text(encoding="utf-8")
+        for statement in ast.parse(text).body:
             for node in ast.walk(statement):
                 name = getattr(node, "id", getattr(node, "attr", None))
-                if (name in ("_transmit_block", "_receive_block")
-                        and isinstance(node.ctx, ast.Load)):
-                    readers.setdefault(name, set()).update(
-                        (path.stem, bound) for bound in _bound_names(statement))
-    assert readers == {name: {("harness", "_run_task")}
-                       for name in ("_transmit_block", "_receive_block")}
+                if name == "_run_block" and isinstance(node.ctx, ast.Load):
+                    readers.update((path.stem, bound) for bound in _bound_names(statement))
+        halves += [f"{path.stem}: {name}" for name in ("_transmit_block", "_receive_block")
+                   if name in text]
+    assert readers == {("harness", "_run_task")}
+    assert not halves
 
 
 def test_no_module_starts_threads_or_calls_the_c_library():

@@ -706,7 +706,7 @@ def test_equalizer_cost_does_not_grow_with_the_group_count(monkeypatch):
         finally:
             inside[0] = False
     monkeypatch.setattr(receiver, "_tap_mmse", equalize_step)
-    oracles.run_block(sim, 1, range(16), sim.noise_vars[1])
+    oracles.run_block(sim, 1, range(16))
     [groups] = seen
     rules = [_rule(ls, ks, sim.frame.n) for _, ls, ks, _ in groups]
     assert {rule for rule, _ in rules} == {"one-tap", "collinear", "general"}
